@@ -9,7 +9,7 @@ and rational arithmetic throughout.
 """
 
 from .errors import PeisertError, SearchTimeout, VerificationFailed
-from .field import FieldCtx, FieldElement, ORDER_CAP, create
+from .field import FieldCtx, ORDER_CAP, create
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
@@ -66,7 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport", "CanonicalClique", "Counterexample", "Decomposition",
-    "DEFAULT_BUDGET", "EkrBasis", "FieldCtx", "FieldElement",
+    "DEFAULT_BUDGET", "EkrBasis", "FieldCtx",
     "Graph", "GraphReport", "INFINITY_SLOPE", "ORDER_CAP", "OrthogonalArray",
     "PeisertError", "SearchTimeout", "SrgParams", "SubarraySelection",
     "VerificationFailed", "WeakHadamardResult", "WhdCertificate",

@@ -29,6 +29,7 @@ from .errors import (
     IndexOutOfRange,
     LengthMismatch,
     LogOfZero,
+    MalformedFile,
     MissingBaseCoset,
     NoFreeCoset,
     NonPrimeCharacteristic,
@@ -53,7 +54,8 @@ INPUT_ERRORS = (
     OddDegreeField, MissingBaseCoset, TooManyCosets, IndexOutOfRange,
     BadDivisor, WrongCharacteristicResidue, AlphaInSubfield, NoFreeCoset,
     NoUnusedSlope, LengthMismatch, NotHoffmanTight, NotMaximumClique,
-    NotSquare, BadEntries, ZeroVector, NotProperSubfield, ValueError, OSError,
+    NotSquare, BadEntries, ZeroVector, NotProperSubfield, MalformedFile,
+    ValueError, OSError,
 )
 
 CASE_STUDY_MODULUS = (-1, 0, 0, -1, 1)  # x^4 - x^3 - 1 over GF(3)
@@ -317,13 +319,8 @@ def cmd_whd_verify(args) -> int:
     if not linalg.certified_full_column_rank(matrix):
         raise CertificationFailed("columns are rank deficient")
     n = g.n
-    A = np.zeros((n, n), dtype=np.int64)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (g.adj[u] >> v) & 1:
-                A[u, v] = A[v, u] = 1
-    L = params.k * np.eye(n, dtype=np.int64) - A
-    if not np.array_equal(L @ matrix, matrix @ np.diag(np.array(diag, dtype=np.int64))):
+    L = params.k * np.eye(n, dtype=np.int64) - graphs.dense_adjacency(g)
+    if not np.array_equal(L @ matrix, matrix * np.array(diag, dtype=np.int64)[None, :]):
         raise CertificationFailed("L P != P D for the stored diagonal")
     return _emit(dict(_graph_config(args), command="whd verify",
                       file=os.path.basename(args.file)),
@@ -390,9 +387,7 @@ def cmd_reproduce_81(args) -> int:
     sub = ctx.subfield_elements()
     canonical_through_0 = {tuple(sorted(ctx.mul(ctx.gen_pow(i), t) for t in sub))
                            for i in range(5)}
-    enumerated = set(c for c in graphs.enumerate_max_cliques(
-        g, target=9, through_vertex=0, budget=args.budget))
-    if not canonical_through_0 <= enumerated:
+    if not canonical_through_0 <= set(audit.cliques):
         raise ReproductionMismatch("a^i F_9 cliques missing from the enumeration")
 
     def span(i, j):

@@ -17,14 +17,14 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     CanonicalAfterAll,
+    CertificationFailed,
     LengthMismatch,
     NonZeroResidual,
     NotMaximumClique,
     NotProperSubfield,
-    RankDeficient,
+    VerificationFailed,
     ZeroVector,
 )
 from .field import FieldCtx
@@ -33,6 +33,7 @@ from .graphs import (
     Graph,
     _mask_of,
     build_cayley,
+    dense_adjacency,
     enumerate_max_cliques,
     is_maximal_clique,
     srg_certify,
@@ -54,11 +55,10 @@ class CanonicalClique(NamedTuple):
 def canonical_cliques(x: Graph, sel: Optional[SubarraySelection] = None) -> list[CanonicalClique]:
     """All m*q coset cliques, ordered by (coset, intercept).
 
-    Asserts that each one is a clique and that each parallel class
-    partitions the vertex set.
+    Certifies that each one is a q-clique and that each parallel class
+    partitions the vertex set; raises VerificationFailed otherwise.
     """
     ctx = x.field
-    assert ctx is not None and x.cosets is not None
     if sel is None:
         sel = subarray_for_connection_set(ctx, x.cosets)
     sub = ctx.subfield_elements()
@@ -70,12 +70,15 @@ def canonical_cliques(x: Graph, sel: Optional[SubarraySelection] = None) -> list
             verts = tuple(sorted(ctx.add(ctx.mul(rep, t), ctx.mul(delta, sel.alpha))
                                  for t in sub))
             mask = _mask_of(verts)
-            assert mask.bit_count() == len(sub)
+            if mask.bit_count() != len(sub):
+                raise VerificationFailed(f"coset line {i}:{sym} has repeated vertices")
             for v in verts:
-                assert (x.adj[v] | (1 << v)) & mask == mask, "coset line is not a clique"
+                if (x.adj[v] | (1 << v)) & mask != mask:
+                    raise VerificationFailed(f"coset line {i}:{sym} is not a clique")
             seen |= mask
             out.append(CanonicalClique(i, sym, verts))
-        assert seen == (1 << x.n) - 1, "parallel class must partition the vertices"
+        if seen != (1 << x.n) - 1:
+            raise VerificationFailed(f"parallel class {i} does not partition the vertices")
     return out
 
 
@@ -116,8 +119,9 @@ class EkrBasis:
 
     matrix columns hold q*chi - 1 (so column / q is the balanced
     indicator); they are ordered by (coset, intercept) and certified to
-    be eigenvectors at q - m, mutually orthogonal across parallel
-    classes, and of full column rank m*(q - 1).
+    be eigenvectors at q - m with Gram matrix I_m (x) q^2 (q I - J), so
+    they are orthogonal across parallel classes and of full column rank
+    m*(q - 1).
     """
     base_vertex: int
     q: int
@@ -136,83 +140,41 @@ def build_ekr_basis(x: Graph, sel: Optional[SubarraySelection] = None,
                     base_vertex: int = 0) -> EkrBasis:
     """Assemble and certify the clique eigenspace basis.
 
-    Certifies, in order: every scaled column is an eigenvector of A at
-    q - m; per-class scaled columns over all q cliques sum to zero; the
-    pair differences chi_base - chi_other match the scaled-column
-    differences divided by q and are eigenvectors too; the Gram matrix is
-    block diagonal with blocks q^2 (q I - J); and the column rank is
-    m (q - 1).
+    canonical_cliques certifies that every parallel class partitions the
+    vertices, so each class has exactly one clique through the base
+    vertex and its q scaled columns sum to zero.  On top of that two
+    exact checks run: A B = (q - m) B, and B^T B equals the closed form
+    I_m (x) q^2 (q I - J).  The closed form is nonsingular, so B has
+    full column rank m (q - 1), and every pair difference
+    chi_base - chi_other lies in the column span, hence in the eigenspace.
     """
     ctx = x.field
     params = x.srg if x.srg is not None else srg_certify(x)
     q = ctx.subfield_order
     m = len(x.cosets)
-    assert params.least_eigenvalue == -m
+    if params.least_eigenvalue != -m:
+        raise CertificationFailed(f"least eigenvalue {params.least_eigenvalue} != -{m}")
 
     cliques = canonical_cliques(x, sel)
     base_of: dict[int, CanonicalClique] = {}
     basis_cliques = []
     for cl in cliques:
         if base_vertex in cl.vertices:
-            assert cl.coset not in base_of, "two cliques of one class share the base"
             base_of[cl.coset] = cl
         else:
             basis_cliques.append(cl)
-    assert len(base_of) == m and len(basis_cliques) == m * (q - 1)
 
-    n = x.n
-    A = np.zeros((n, n), dtype=np.int64)
-    for u in range(n):
-        for v in range(n):
-            A[u, v] = (x.adj[u] >> v) & 1
+    B = np.full((x.n, len(basis_cliques)), -1, dtype=np.int64)
+    for j, cl in enumerate(basis_cliques):
+        B[list(cl.vertices), j] = q - 1
 
-    def scaled(cl: CanonicalClique) -> np.ndarray:
-        col = np.full(n, -1, dtype=np.int64)
-        col[list(cl.vertices)] = q - 1
-        return col
-
-    B = np.stack([scaled(cl) for cl in basis_cliques], axis=1)
-
-    theta = q - m
-    if not np.array_equal(A @ B, theta * B):
+    if not np.array_equal(dense_adjacency(x) @ B, (q - m) * B):
         raise NonZeroResidual("basis column fails the eigenvector identity")
 
-    for coset in sorted(base_of):
-        total = scaled(base_of[coset]).copy()
-        for cl in basis_cliques:
-            if cl.coset == coset:
-                total += scaled(cl)
-        assert not total.any(), "per-class scaled columns must sum to zero"
-
-    # pair differences against the base clique of the same class
-    f_cols = []
-    for j, cl in enumerate(basis_cliques):
-        gb = scaled(base_of[cl.coset])
-        diff = gb - B[:, j]
-        assert not (diff % q).any()
-        f = diff // q
-        base_ind = np.zeros(n, dtype=np.int64)
-        base_ind[list(base_of[cl.coset].vertices)] = 1
-        other_ind = np.zeros(n, dtype=np.int64)
-        other_ind[list(cl.vertices)] = 1
-        assert np.array_equal(f, base_ind - other_ind)
-        f_cols.append(f)
-    F = np.stack(f_cols, axis=1)
-    if not np.array_equal(A @ F, theta * F):
-        raise NonZeroResidual("pair difference fails the eigenvector identity")
-
-    gram = B.T @ B
-    expected_block = q * q * (q * np.eye(q - 1, dtype=np.int64) - np.ones((q - 1, q - 1), dtype=np.int64))
-    for bi in range(m):
-        for bj in range(m):
-            blk = gram[bi * (q - 1):(bi + 1) * (q - 1), bj * (q - 1):(bj + 1) * (q - 1)]
-            if bi == bj:
-                assert np.array_equal(blk, expected_block), "unexpected in-class Gram block"
-            else:
-                assert not blk.any(), "cross-class columns must be orthogonal"
-
-    if not linalg.certified_full_column_rank(B):
-        raise RankDeficient("basis columns are linearly dependent")
+    # q I - J of order q - 1 has eigenvalues q and 1, so it is nonsingular
+    block = q * q * (q * np.eye(q - 1, dtype=np.int64) - np.ones((q - 1, q - 1), dtype=np.int64))
+    if not np.array_equal(B.T @ B, np.kron(np.eye(m, dtype=np.int64), block)):
+        raise CertificationFailed("basis Gram matrix is not I_m (x) q^2 (q I - J)")
 
     return EkrBasis(base_vertex, q, m, cliques, basis_cliques, base_of, B, B.shape[1])
 
@@ -241,7 +203,8 @@ def decompose_clique(x: Graph, basis: EkrBasis, clique: Sequence[int]) -> Decomp
     if len(cl) != q or not is_maximal_clique(x, cl):
         raise NotMaximumClique(f"{cl} is not a maximum clique (|C| must be {q})")
     params = x.srg if x.srg is not None else srg_certify(x)
-    assert params.hoffman_bound() == q  # q-cliques are maximum
+    if params.hoffman_bound() != q:  # q-cliques are maximum
+        raise CertificationFailed(f"Hoffman bound {params.hoffman_bound()} != {q}")
 
     n = x.n
     w = np.full(n, -1, dtype=np.int64)
@@ -282,8 +245,8 @@ def decompose_clique(x: Graph, basis: EkrBasis, clique: Sequence[int]) -> Decomp
             for v in cl_obj.vertices:
                 check[v] += coef
     viamask = set(cl)
-    assert all(c == (1 if v in viamask else 0) for v, c in enumerate(check)), \
-        "unbalanced lift mismatch"
+    if not all(c == (1 if v in viamask else 0) for v, c in enumerate(check)):
+        raise NonZeroResidual("unbalanced lift mismatch")
 
     return Decomposition(cl, coeffs, True, zero_count, hist, unbalanced)
 
@@ -295,6 +258,7 @@ class AuditReport:
     clique_count: int
     canonical_count: int
     non_canonical: tuple[tuple[int, ...], ...]
+    cliques: list[tuple[int, ...]]  # every enumerated maximum clique, sorted
 
     @property
     def strict(self) -> bool:
@@ -315,7 +279,8 @@ def strict_ekr_audit(x: Graph, sel: Optional[SubarraySelection] = None,
     params = x.srg if x.srg is not None else srg_certify(x)
     q = ctx.subfield_order
     m = len(x.cosets)
-    assert params.hoffman_bound() == q
+    if params.hoffman_bound() != q:
+        raise CertificationFailed(f"Hoffman bound {params.hoffman_bound()} != {q}")
 
     cliques = enumerate_max_cliques(x, target=q, through_vertex=through_vertex,
                                     budget=budget)
@@ -324,14 +289,14 @@ def strict_ekr_audit(x: Graph, sel: Optional[SubarraySelection] = None,
     expected_canon = [c.vertices for c in canon
                       if through_vertex is None or through_vertex in c.vertices]
     found = set(cliques)
-    for c in expected_canon:
-        assert c in found, "a canonical clique is missing from the enumeration"
+    if not all(c in found for c in expected_canon):
+        raise CertificationFailed("a canonical clique is missing from the enumeration")
 
     non_canonical = tuple(c for c in cliques if c not in canon_sets)
-    for c in non_canonical:
-        assert q <= (m - 1) ** 2, "non-canonical maximum clique below the threshold"
+    if non_canonical and q > (m - 1) ** 2:
+        raise CertificationFailed("non-canonical maximum clique below the threshold")
     return AuditReport(q, through_vertex, len(cliques),
-                       len(cliques) - len(non_canonical), non_canonical)
+                       len(cliques) - len(non_canonical), non_canonical, cliques)
 
 
 @dataclass

@@ -93,6 +93,10 @@ class ZeroVector(PeisertError):
     """Eigenfunction checks reject the all-zero vector."""
 
 
+class MalformedFile(PeisertError):
+    """An input file is empty or lacks its header or data rows."""
+
+
 # ----- exhausted budget -------------------------------------------------
 
 class SearchTimeout(PeisertError):
@@ -123,10 +127,6 @@ class NotIsomorphicUnderF(PeisertError):
 
 class CorrespondenceFailed(PeisertError):
     """A line clique and its coset clique disagree under the correspondence."""
-
-
-class RankDeficient(PeisertError):
-    """A matrix expected to have full rank does not."""
 
 
 class NonZeroResidual(PeisertError):

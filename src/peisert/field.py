@@ -145,64 +145,6 @@ def _default_modulus(p: int, r: int) -> tuple[int, ...]:
     raise ReducibleModulus(f"no primitive polynomial found for p={p}, r={r}")
 
 
-class FieldElement:
-    """A field element bound to its context; arithmetic via operators."""
-
-    __slots__ = ("ctx", "label")
-
-    def __init__(self, ctx: "FieldCtx", label: int):
-        self.ctx = ctx
-        self.label = label
-
-    def _peer(self, other) -> int:
-        if isinstance(other, FieldElement):
-            assert other.ctx is self.ctx, "elements from different fields"
-            return other.label
-        return int(other) % self.ctx.p
-
-    def __add__(self, other):
-        return FieldElement(self.ctx, self.ctx.add(self.label, self._peer(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.ctx, self.ctx.sub(self.label, self._peer(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.ctx, self.ctx.sub(self._peer(other), self.label))
-
-    def __mul__(self, other):
-        return FieldElement(self.ctx, self.ctx.mul(self.label, self._peer(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.ctx, self.ctx.div(self.label, self._peer(other)))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.label))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.ctx, self.ctx.pow(self.label, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.ctx is other.ctx and self.label == other.label
-        if isinstance(other, int):
-            return self.label == other % self.ctx.p if 0 <= other < self.ctx.p else NotImplemented
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.label))
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.ctx.coords(self.label)
-
-    def __repr__(self):
-        return f"GF({self.ctx.order})[{self.label}]"
-
-
 class FieldCtx:
     """GF(p^r) with exp/log tables keyed by integer labels."""
 
@@ -295,10 +237,6 @@ class FieldCtx:
         for c in reversed([c % self.p for c in coords]):
             lab = lab * self.p + c
         return lab
-
-    def element(self, label: int) -> FieldElement:
-        assert 0 <= label < self.order
-        return FieldElement(self, label)
 
     def _coord_table(self):
         if self._coords_cache is None and self.order <= _COORD_CACHE_CAP:

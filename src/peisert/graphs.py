@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     BadDivisor,
     IndexOutOfRange,
@@ -82,6 +84,15 @@ class Graph:
             assert (self.adj[u] >> u) & 1 == 0, f"loop at {u}"
             for v in _bits(self.adj[u]):
                 assert (self.adj[v] >> u) & 1, f"asymmetric pair ({u}, {v})"
+
+
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """The adjacency bitsets unpacked into an n x n int64 0/1 matrix."""
+    nbytes = (g.n + 7) // 8
+    raw = b"".join(a.to_bytes(nbytes, "little") for a in g.adj)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(g.n, nbytes),
+                         axis=1, bitorder="little")[:, :g.n]
+    return bits.astype(np.int64)
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

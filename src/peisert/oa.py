@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from .errors import (
     AlphaInSubfield,
     CorrespondenceFailed,
+    MalformedFile,
     NoFreeCoset,
     NotIsomorphicUnderF,
     NoUnusedSlope,
@@ -328,18 +329,19 @@ def translate_to_zero(oa: OrthogonalArray, column: int) -> OrthogonalArray:
     return out
 
 
-def noncanonical_zero_rows(oa: OrthogonalArray, clique: Sequence[int],
+def noncanonical_zero_rows(shifted: OrthogonalArray, clique: Sequence[int],
                            column: int) -> dict[int, list[int]]:
     """Partition of clique \\ {column} by the row where each member agrees
-    with `column`, computed on the translated array.  Distinct columns of
-    an OA agree in at most one row, so the row of agreement is unique."""
-    shifted = translate_to_zero(oa, column)
+    with `column`, read off the array translate_to_zero(oa, column).
+    Distinct columns of an OA agree in at most one row, so the row of
+    agreement is unique."""
     parts: dict[int, list[int]] = {}
     for c in clique:
         if c == column:
             continue
-        zero_rows = [r for r in range(oa.num_rows) if shifted.entries[r][c] == 0]
-        assert len(zero_rows) == 1, "clique member agrees in more than one row"
+        zero_rows = [r for r, row in enumerate(shifted.entries) if row[c] == 0]
+        if len(zero_rows) != 1:
+            raise OAVerificationFailed(f"clique member {c} agrees with {column} in rows {zero_rows}")
         parts.setdefault(zero_rows[0], []).append(c)
     return parts
 
@@ -357,13 +359,13 @@ def noncanonical_clique_bound(sel: SubarraySelection, column: int = 0,
                  if column in cols}
     assert len(canonical) == m
     cliques = enumerate_maximal_cliques(g, through_vertex=column, budget=budget)
+    shifted = translate_to_zero(sel.subarray, column)
     bound = (m - 1) ** 2
     noncanonical = []
     for c in cliques:
         if frozenset(c) in canonical:
             continue
-        parts = noncanonical_zero_rows(sel.subarray, c, column)
-        assert 1 + sum(len(p) for p in parts.values()) == len(c)
+        parts = noncanonical_zero_rows(shifted, c, column)
         if len(c) > bound:
             return {"ok": False, "witness": c, "bound": bound,
                     "maximal_through": len(cliques)}
@@ -393,7 +395,8 @@ def oa_to_csv(oa: OrthogonalArray) -> str:
 
 def oa_from_csv(text: str) -> OrthogonalArray:
     rows = list(csv.reader(io.StringIO(text)))
-    assert rows and rows[0][0] == "slope", "missing slope header"
+    if not rows or not rows[0] or rows[0][0] != "slope":
+        raise MalformedFile("missing slope header")
     header = rows[0][1:]
     column_labels = None
     if header and all(":" in h for h in header):
@@ -405,6 +408,8 @@ def oa_from_csv(text: str) -> OrthogonalArray:
             continue
         row_labels.append(INFINITY_SLOPE if row[0] == "inf" else int(row[0]))
         entries.append([int(e) for e in row[1:]])
+    if not entries:
+        raise MalformedFile("no array rows after the header")
     ncols = len(entries[0])
     n = round(ncols ** 0.5)
     if n * n != ncols:

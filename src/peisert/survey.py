@@ -136,8 +136,7 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
     try:
         audit = ekr.strict_ekr_audit(x, sel, budget=budget)
         basis = ekr.build_ekr_basis(x, sel)
-        all_cliques = graphs.enumerate_max_cliques(x, target=q, budget=budget)
-        decs = [ekr.decompose_clique(x, basis, c) for c in all_cliques]
+        decs = [ekr.decompose_clique(x, basis, c) for c in audit.cliques]
     except SearchTimeout:
         pass
 

@@ -16,9 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
-from .errors import BadEntries, CertificationFailed, NotSquare
-from .graphs import Graph, srg_certify
+from .errors import BadEntries, CertificationFailed, MalformedFile, NotSquare
+from .graphs import Graph, dense_adjacency, srg_certify
 from .oa import SubarraySelection
 
 
@@ -113,7 +112,10 @@ class WhdCertificate:
     Column 0 is all ones; the rest are consecutive line-indicator
     differences, slope by slope (field slopes ascending, infinity last).
     adjacency_eigenvalue and diagonal record, per column, the exact
-    eigenvalue under A and under L = k I - A.
+    eigenvalue under A and under L = k I - A.  build_whd certifies
+    A P = P diag(adjacency_eigenvalue) and the closed-form Gram matrix
+    P^T P; together they give L P = P D, full rank, and the admissible
+    natural ordering.
     """
     matrix: np.ndarray
     ordering: tuple[int, ...]
@@ -125,19 +127,23 @@ class WhdCertificate:
 def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
     """Assemble and certify the diagonalizer for a Peisert-type graph.
 
-    The certificate has four parts, each checked exactly: every column is
-    an eigenvector of A (q - m on the m used slopes, -m on the rest);
-    the matrix passes is_weakly_hadamard and its natural ordering is
-    admissible; the columns have full rank; and L P = P D entrywise.
+    Two exact checks make the certificate.  First, A P = P Lambda: every
+    column is an eigenvector of A (k on the ones column, q - m on the m
+    used slopes, -m on the rest), and with L = k I - A this is L P = P D.
+    Second, P^T P equals n (+) (q + 1) copies of q tridiag(-1, 2, -1):
+    lines of one slope are disjoint and lines of different slopes meet
+    once.  A tridiagonal Gram matrix makes the natural ordering admissible
+    (the matrix is weakly Hadamard, entries being in {-1, 0, 1} by
+    construction), and a nonsingular one gives full rank.
     """
     ctx = sel.ctx
     q = sel.q
     m = sel.m
     n = x.n
-    assert n == q * q
     params = x.srg if x.srg is not None else srg_certify(x)
     k = params.k
-    assert k == m * (q - 1)
+    if n != q * q or k != m * (q - 1):
+        raise CertificationFailed(f"graph (n, k) = ({n}, {k}) is not of type ({m}, {q})")
 
     sub = ctx.subfield_elements()
     used = set(sel.slope_of_coset.values())
@@ -160,42 +166,27 @@ def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
             v = np.zeros(n, dtype=np.int64)
             v[line(s, delta)] = 1
             ind.append(v)
-        cover = np.sum(ind, axis=0)
-        assert (cover == 1).all(), "slope lines must partition the vertices"
         for i in range(q - 1):
             cols.append(ind[i] - ind[i + 1])
             eigs.append(theta)
     P = np.stack(cols, axis=1)
-    assert P.shape == (n, n)
-
-    A = np.zeros((n, n), dtype=np.int64)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (x.adj[u] >> v) & 1:
-                A[u, v] = A[v, u] = 1
 
     eig = np.array(eigs, dtype=np.int64)
-    if not np.array_equal(A @ P, P * eig[None, :]):
+    if not np.array_equal(dense_adjacency(x) @ P, P * eig[None, :]):
         raise CertificationFailed("a column fails its adjacency eigenvalue")
 
-    wh = is_weakly_hadamard(P)
-    if not wh.ok:
-        raise CertificationFailed(f"matrix is not weakly Hadamard: {wh.obstruction}")
-    natural = tuple(range(n))
-    if not check_ordering(P, natural):
-        raise CertificationFailed("natural column ordering is not admissible")
+    # tridiag(-1, 2, -1) of order q - 1 has determinant q, so the closed
+    # form is nonsingular
+    path = 2 * np.eye(q - 1, dtype=np.int64) - np.eye(q - 1, k=1, dtype=np.int64) \
+        - np.eye(q - 1, k=-1, dtype=np.int64)
+    gram = np.zeros((n, n), dtype=np.int64)
+    gram[0, 0] = n
+    gram[1:, 1:] = np.kron(np.eye(q + 1, dtype=np.int64), q * path)
+    if not np.array_equal(P.T @ P, gram):
+        raise CertificationFailed("P^T P differs from n (+) (q + 1) copies of q tridiag(-1, 2, -1)")
 
-    if not linalg.certified_full_column_rank(P):
-        raise CertificationFailed("columns are rank deficient")
-
-    diag = tuple(int(k - e) for e in eigs)
-    L = k * np.eye(n, dtype=np.int64) - A
-    D = np.diag(np.array(diag, dtype=np.int64))
-    if not np.array_equal(L @ P, P @ D):
-        raise CertificationFailed("L P != P D")
-
-    return WhdCertificate(P, natural, tuple(int(e) for e in eigs), diag,
-                          tuple(sorted(used)))
+    return WhdCertificate(P, tuple(range(n)), tuple(int(e) for e in eigs),
+                          tuple(int(k - e) for e in eigs), tuple(sorted(used)))
 
 
 def whd_to_csv(cert: WhdCertificate) -> str:
@@ -208,6 +199,10 @@ def whd_to_csv(cert: WhdCertificate) -> str:
 
 def whd_from_csv(text: str) -> tuple[np.ndarray, tuple[int, ...]]:
     rows = [line.split(",") for line in text.strip().splitlines()]
+    if len(rows) < 2:
+        raise MalformedFile("need a diagonal line and at least one matrix row")
     diag = tuple(int(e) for e in rows[0])
     mat = np.array([[int(e) for e in row] for row in rows[1:]], dtype=np.int64)
+    if mat.shape[1] != len(diag):
+        raise MalformedFile(f"{len(diag)} diagonal entries for {mat.shape[1]} columns")
     return mat, diag

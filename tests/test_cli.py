@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from peisert.cli import main
 
 
@@ -166,6 +168,21 @@ def test_exit_code_input_errors(capsys):
     capsys.readouterr()
     assert main(["survey", "--q", "11"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,text", [
+    (["oa", "verify"], ""),
+    (["oa", "verify"], "0,1,2\n"),
+    (["oa", "verify"], "slope,0:0,0:1\n"),
+    (["whd", "verify"], ""),
+    (["whd", "verify"], "0,3\n"),
+], ids=["oa-empty", "oa-headerless", "oa-header-only", "whd-empty", "whd-diagonal-only"])
+def test_exit_code_malformed_files(capsys, tmp_path, command, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    graph = ["--q", "3", "--family", "paley"] if command[0] == "whd" else []
+    assert main(command + [str(path)] + graph) == 3
+    assert "input error" in capsys.readouterr().err
 
 
 def test_exit_code_timeouts(capsys, monkeypatch):

@@ -1,9 +1,14 @@
 """Canonical cliques, the clique module basis, decompositions, audits."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import peisert
 from peisert import (
     build_cayley,
     build_counterexample,
@@ -305,3 +310,29 @@ def test_strict_threshold_q_vs_m():
             assert report.strict
         if not report.strict:
             assert q <= (m - 1) ** 2
+
+
+BROKEN_CLIQUE_SCRIPT = """
+from peisert import build_cayley, canonical_cliques, create
+from peisert.errors import VerificationFailed
+print("debug", __debug__)
+g = build_cayley(create(3, 2), (0, 2))
+u, v = canonical_cliques(g)[0].vertices[:2]
+g.adj[u] &= ~(1 << v)
+g.adj[v] &= ~(1 << u)
+try:
+    canonical_cliques(g)
+except VerificationFailed as e:
+    print("rejected", e)
+"""
+
+
+def test_broken_canonical_clique_rejected_under_optimize():
+    """The clique certificate must not rest on assert, which -O strips."""
+    src = str(Path(peisert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", BROKEN_CLIQUE_SCRIPT],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[0] == "debug False"
+    assert "rejected coset line 0:0 is not a clique" in out

@@ -209,17 +209,3 @@ def test_bad_inputs():
         ctx.inv(0)
     with pytest.raises(ZeroDivisionError):
         ctx.div(1, 0)
-
-
-def test_element_wrapper_operators():
-    ctx = create(3, 2)
-    a = ctx.element(ctx.generator)
-    b = ctx.element(1)
-    assert (a + b).label == ctx.add(3, 1)
-    assert (a - a).label == 0
-    assert (a * a).label == 7
-    assert (a / a).label == 1
-    assert (-a + a).label == 0
-    assert (a ** 8).label == 1
-    assert a != b and a == ctx.element(3)
-    assert ctx.element(0) == 0  # compares against plain labels

@@ -1,0 +1,32 @@
+"""Byte-exact command reports against committed golden outputs.
+
+Each file under tests/golden/ holds the stdout of one command.  Reports
+are part of the interface: a change to the certificate code must leave
+every one of them byte-identical.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from peisert.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "reproduce_81": ["reproduce-81"],
+    "survey": ["survey"],
+    "ekr_audit_q7_paley": ["ekr", "audit", "--q", "7", "--family", "paley"],
+    "ekr_decompose_q9_subfield": ["ekr", "decompose", "--q", "9", "--cosets", "0,1,7,8",
+                                  "--clique", "0,1,2,3,4,5,6,7,8"],
+    "ekr_counterexample_q9": ["ekr", "counterexample", "--q", "9", "--subfield", "3"],
+    "whd_build_q5": ["whd", "build", "--q", "5", "--cosets", "0,1"],
+    "whd_build_q7_peisert": ["whd", "build", "--q", "7", "--family", "peisert"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(capsys, name):
+    assert main(CASES[name]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.out").read_text()

@@ -32,7 +32,12 @@ from peisert.errors import (
     SearchTimeout,
     TooManyCosets,
 )
-from peisert.graphs import clique_regularity, family_cosets as _families, from_edges
+from peisert.graphs import (
+    clique_regularity,
+    dense_adjacency,
+    family_cosets as _families,
+    from_edges,
+)
 
 
 # ----- oracles ---------------------------------------------------------------
@@ -325,3 +330,11 @@ def test_complement_involution():
     for u in range(g.n):
         for v in range(u + 1, g.n):
             assert g.is_adjacent(u, v) != gc.is_adjacent(u, v)
+
+
+@pytest.mark.parametrize("r,idx", [(2, (0, 2)), (2, (0, 1, 3)), (4, (0, 1)), (4, (0, 1, 2, 3, 4))])
+def test_dense_adjacency_matches_loop(r, idx):
+    g = build_cayley(create(3, r), idx)
+    ref = [[(g.adj[u] >> v) & 1 for v in range(g.n)] for u in range(g.n)]
+    a = dense_adjacency(g)
+    assert a.shape == (g.n, g.n) and a.tolist() == ref

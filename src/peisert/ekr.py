@@ -55,23 +55,20 @@ class CanonicalClique(NamedTuple):
 def canonical_cliques(x: Graph, sel: Optional[SubarraySelection] = None) -> list[CanonicalClique]:
     """All m*q coset cliques, ordered by (coset, intercept).
 
-    Certifies that each one is a q-clique and that each parallel class
-    partitions the vertex set; raises VerificationFailed otherwise.
+    Each is a line of the selection's table: the cells of the row whose
+    slope carries the coset.  Certifies that each one is a clique of x
+    and that each parallel class partitions the vertex set; raises
+    VerificationFailed otherwise.  Lines of the table come from a
+    certified bijection, so each has q distinct vertices.
     """
-    ctx = x.field
     if sel is None:
-        sel = subarray_for_connection_set(ctx, x.cosets)
-    sub = ctx.subfield_elements()
+        sel = subarray_for_connection_set(x.field, x.cosets)
     out = []
     for i in sorted(x.cosets):
-        rep = ctx.gen_pow(i)
+        row = sel.parent.row_labels.index(sel.slope_of_coset[i])
         seen = 0
-        for sym, delta in enumerate(sub):
-            verts = tuple(sorted(ctx.add(ctx.mul(rep, t), ctx.mul(delta, sel.alpha))
-                                 for t in sub))
+        for sym, verts in enumerate(sel.lines[row]):
             mask = _mask_of(verts)
-            if mask.bit_count() != len(sub):
-                raise VerificationFailed(f"coset line {i}:{sym} has repeated vertices")
             for v in verts:
                 if (x.adj[v] | (1 << v)) & mask != mask:
                     raise VerificationFailed(f"coset line {i}:{sym} is not a clique")
@@ -131,9 +128,6 @@ class EkrBasis:
     base_clique_of_coset: dict[int, CanonicalClique]
     matrix: np.ndarray
     rank: int
-
-    def column_of(self, clique: CanonicalClique) -> int:
-        return self.basis_cliques.index(clique)
 
 
 def build_ekr_basis(x: Graph, sel: Optional[SubarraySelection] = None,

@@ -50,7 +50,7 @@ def _mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Undirected graph; adj[v] is the neighbor bitset of vertex v."""
 
-    __slots__ = ("n", "adj", "labels", "srg", "field", "cosets", "line_cliques")
+    __slots__ = ("n", "adj", "labels", "srg", "field", "cosets")
 
     def __init__(self, n: int, adj: list[int], labels: Optional[Sequence] = None):
         assert len(adj) == n
@@ -60,7 +60,6 @@ class Graph:
         self.srg: Optional[SrgParams] = None
         self.field: Optional[FieldCtx] = None
         self.cosets: Optional[frozenset[int]] = None
-        self.line_cliques = None  # filled by orthogonal-array block graphs
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

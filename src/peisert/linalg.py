@@ -1,7 +1,7 @@
 """Exact linear algebra on small integer and rational matrices.
 
-Two tiers: plain Gaussian elimination over Fraction for solves and small
-rank questions, and vectorized elimination over a large prime field for
+Two tiers: plain Gaussian elimination over Fraction for small rank
+questions, and vectorized elimination over a large prime field for
 rank certificates on bigger integer matrices.  Full rank modulo a prime
 implies full rank over the rationals (a nonzero minor survives), so the
 modular pass alone certifies success; only a deficient modular result
@@ -11,59 +11,12 @@ needs the rational fallback before declaring failure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # large prime below 2**31 so int64 products of two residues cannot overflow
 _RANK_PRIME = 2147483647
-
-
-def solve_exact(columns: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
-    """Solve sum_j x_j * columns[j] = rhs exactly.
-
-    Returns the coefficient list, or None when the system is inconsistent.
-    Requires the columns to be linearly independent, which is asserted.
-    """
-    n = len(rhs)
-    k = len(columns)
-    for col in columns:
-        assert len(col) == n
-    rows = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(rhs[i])]
-            for i in range(n)]
-
-    pivot_row = 0
-    pivots = []
-    for col in range(k):
-        sel = None
-        for i in range(pivot_row, n):
-            if rows[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        pr = rows[pivot_row]
-        inv = 1 / pr[col]
-        for j in range(col, k + 1):
-            pr[j] *= inv
-        for i in range(n):
-            if i != pivot_row and rows[i][col] != 0:
-                f = rows[i][col]
-                ri = rows[i]
-                for j in range(col, k + 1):
-                    ri[j] -= f * pr[j]
-        pivots.append(col)
-        pivot_row += 1
-
-    assert len(pivots) == k, "columns are linearly dependent"
-    for i in range(pivot_row, n):
-        if rows[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][k]
-    return sol
 
 
 def rank_exact(matrix: Sequence[Sequence]) -> int:

@@ -8,7 +8,12 @@ partition the plane into the q parallel lines of that slope.
 
 Selecting the rows whose slopes come from a connection-set decomposition
 c_i = u_i + v_i*alpha realizes the Cayley graph as the block graph of the
-subarray; the realization is certified edge by edge, never assumed.
+subarray; the realization is certified edge by edge, never assumed.  The
+selection carries the column -> vertex map and the line table (each cell
+of the full array as a vertex set), which the canonical cliques, the
+diagonalizer columns and the slope coloring all read.  Only
+canonical_correspondence derives lines from field arithmetic, and it
+checks them against the table.
 """
 
 from __future__ import annotations
@@ -103,17 +108,7 @@ def build_pointline_oa(ctx: FieldCtx, alpha: int) -> OrthogonalArray:
         raise AlphaInSubfield(f"alpha label {alpha} lies in F_{q}")
     sub = ctx.subfield_elements()
     symbol_of = {lab: i for i, lab in enumerate(sub)}
-
-    # the planar coordinate map is a bijection; materialize and assert it
-    coords_of: dict[int, tuple[int, int]] = {}
-    columns: list[tuple[int, int]] = []
-    for x in sub:
-        for y in sub:
-            z = ctx.add(x, ctx.mul(y, alpha))
-            assert z not in coords_of, "coordinate map not injective"
-            coords_of[z] = (x, y)
-            columns.append((x, y))
-    assert len(coords_of) == ctx.order
+    columns = [(x, y) for x in sub for y in sub]
 
     entries = []
     row_labels: list = []
@@ -126,10 +121,6 @@ def build_pointline_oa(ctx: FieldCtx, alpha: int) -> OrthogonalArray:
 
     oa = OrthogonalArray(q, entries, row_labels, columns)
     oa.verify()
-    oa._ctx = ctx  # type: ignore[attr-defined]
-    oa._alpha = alpha  # type: ignore[attr-defined]
-    oa._coords_of = coords_of  # type: ignore[attr-defined]
-    oa._symbol_of = symbol_of  # type: ignore[attr-defined]
     return oa
 
 
@@ -152,7 +143,12 @@ class SubarraySelection:
 
     slope_of_coset maps each coset index to the slope v_i / u_i of its
     decomposition c_i = u_i + v_i * alpha with c_i = g^i; row_positions
-    index into the parent array (slope-ascending order).
+    index into the parent array, whose rows are the field slopes
+    ascending with the row at infinity last.  vertex_of_column sends
+    column (x, y) of the parent (and of the subarray, which keeps its
+    columns) to the Cayley label x + y * alpha.  lines[r][s] holds the
+    sorted vertex labels of the cell of symbol s in parent row r: the
+    line of that slope with intercept the s-th element of F_q.
     """
     ctx: FieldCtx
     coset_indices: tuple[int, ...]
@@ -161,6 +157,8 @@ class SubarraySelection:
     slope_of_coset: dict[int, int]
     row_positions: tuple[int, ...]
     subarray: OrthogonalArray
+    vertex_of_column: list[int]
+    lines: list[list[tuple[int, ...]]]
 
     @property
     def q(self) -> int:
@@ -170,77 +168,59 @@ class SubarraySelection:
     def m(self) -> int:
         return len(self.coset_indices)
 
-    def coords(self, z: int) -> tuple[int, int]:
-        return self.parent._coords_of[z]  # type: ignore[attr-defined]
 
-    def point_label(self, x: int, y: int) -> int:
-        return self.ctx.add(x, self.ctx.mul(y, self.alpha))
-
-    def symbol(self, subfield_label: int) -> int:
-        return self.parent._symbol_of[subfield_label]  # type: ignore[attr-defined]
-
-
-def subarray_for_connection_set(ctx: FieldCtx,
-                                coset_indices,
-                                oa: Optional[OrthogonalArray] = None) -> SubarraySelection:
+def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelection:
     """Select the rows whose slopes carry the given cosets.
 
-    With no array supplied, alpha defaults to the least-labeled element
-    of the least free coset and the full array is built for it.  Slopes
-    are pairwise distinct and finite because every u_i is nonzero (alpha
-    sits in an unused coset).
+    alpha is the least-labeled element of the least free coset, and the
+    full array is built for it.  The map (x, y) -> x + y * alpha is
+    certified a bijection onto the field; slopes are pairwise distinct
+    and finite because every u_i is nonzero (alpha sits in an unused
+    coset).  Both are checked with typed errors.
     """
     idx = tuple(sorted(set(int(i) for i in coset_indices)))
-    q = ctx.subfield_order
-    if oa is None:
-        alpha = default_alpha(ctx, idx)
-        oa = build_pointline_oa(ctx, alpha)
-    else:
-        alpha = oa._alpha  # type: ignore[attr-defined]
-        if ctx.coset_index(alpha) in idx:
-            raise AlphaInSubfield(
-                f"alpha label {alpha} lies inside the selected connection set")
+    alpha = default_alpha(ctx, idx)
+    oa = build_pointline_oa(ctx, alpha)
+    vertex = [ctx.add(x, ctx.mul(y, alpha)) for (x, y) in oa.column_labels]
+    column = {z: c for c, z in enumerate(vertex)}
+    if len(column) != ctx.order:
+        raise NotIsomorphicUnderF("(x, y) -> x + y*alpha is not a bijection onto the field")
 
-    coords_of = oa._coords_of  # type: ignore[attr-defined]
     slope_of: dict[int, int] = {}
     for i in idx:
-        rep = ctx.gen_pow(i)  # g^i, the canonical coset representative
-        u, v = coords_of[rep]
-        assert u != 0, "representative collapses onto the alpha axis"
+        u, v = oa.column_labels[column[ctx.gen_pow(i)]]  # g^i, the coset representative
+        if u == 0:
+            raise CorrespondenceFailed(f"coset {i} representative lies on the alpha axis")
         slope_of[i] = ctx.div(v, u)
     slopes = set(slope_of.values())
-    assert len(slopes) == len(idx), "coset slopes must be pairwise distinct"
+    positions = tuple(r for r, lab in enumerate(oa.row_labels) if lab in slopes)
+    if len(positions) != len(idx):
+        raise CorrespondenceFailed("coset slopes are not pairwise distinct")
 
-    positions = tuple(r for r, lab in enumerate(oa.row_labels)
-                      if lab is not INFINITY_SLOPE and lab in slopes)
-    assert len(positions) == len(idx)
-    sub = oa.subarray(positions)
-    return SubarraySelection(ctx, idx, alpha, oa, slope_of, positions, sub)
+    cells: list[list[list[int]]] = [[[] for _ in range(oa.n)] for _ in oa.entries]
+    for row_cells, row in zip(cells, oa.entries):
+        for z, s in zip(vertex, row):
+            row_cells[s].append(z)
+    lines = [[tuple(sorted(cell)) for cell in row_cells] for row_cells in cells]
+    return SubarraySelection(ctx, idx, alpha, oa, slope_of, positions,
+                             oa.subarray(positions), vertex, lines)
 
 
 # ----- block graphs --------------------------------------------------------
 
 def block_graph(oa: OrthogonalArray) -> Graph:
-    """Columns adjacent iff they agree in some row.
-
-    line_cliques maps (row position, symbol) to the column tuple of that
-    cell, i.e. the canonical cliques of the block graph.
-    """
+    """Columns adjacent iff they agree in some row."""
     ncols = oa.num_columns
     adj = [0] * ncols
-    lines: dict[tuple[int, int], tuple[int, ...]] = {}
-    for r, row in enumerate(oa.entries):
+    for row in oa.entries:
         cells: dict[int, list[int]] = {}
         for c, e in enumerate(row):
             cells.setdefault(e, []).append(c)
-        for sym, cols in cells.items():
-            lines[(r, sym)] = tuple(cols)
+        for cols in cells.values():
             mask = _mask_of(cols)
             for c in cols:
                 adj[c] |= mask & ~(1 << c)
-    g = Graph(ncols, adj, oa.column_labels)
-    g.line_cliques = lines
-    return g
+    return Graph(ncols, adj, oa.column_labels)
 
 
 def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
@@ -249,9 +229,9 @@ def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
     (block column position -> Cayley label); raises NotIsomorphicUnderF
     with a witness pair otherwise."""
     b = block_graph(sel.subarray)
-    assert b.n == x.n
-    mapping = [sel.point_label(px, py) for (px, py) in sel.subarray.column_labels]
-    assert len(set(mapping)) == b.n, "planar map is not a bijection"
+    if b.n != x.n:
+        raise NotIsomorphicUnderF(f"block graph has {b.n} vertices, the graph {x.n}")
+    mapping = list(sel.vertex_of_column)
 
     remapped = [0] * x.n
     for c in range(b.n):
@@ -269,26 +249,23 @@ def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
 
 
 def canonical_correspondence(sel: SubarraySelection) -> dict:
-    """Match every cell clique of the subarray with its coset clique
-    c_i * F_q + delta * alpha, verified as vertex sets under the map."""
+    """Match every used line of the table with its coset clique
+    c_i * F_q + delta * alpha, derived here from field arithmetic and
+    compared as vertex sets; raises CorrespondenceFailed otherwise."""
     ctx = sel.ctx
     sub = ctx.subfield_elements()
+    coset_of_slope = {s: i for i, s in sel.slope_of_coset.items()}
     out = {}
-    for pos, parent_row in enumerate(sel.row_positions):
-        slope = sel.subarray.row_labels[pos]
-        coset = next(i for i, s in sel.slope_of_coset.items() if s == slope)
+    for r in sel.row_positions:
+        coset = coset_of_slope[sel.parent.row_labels[r]]
         rep = ctx.gen_pow(coset)
-        row = sel.subarray.entries[pos]
-        for sym_idx, delta in enumerate(sub):
-            cols = tuple(c for c, e in enumerate(row) if e == sym_idx)
-            via_map = {sel.point_label(*sel.subarray.column_labels[c]) for c in cols}
-            coset_clique = {ctx.add(ctx.mul(rep, t), ctx.mul(delta, sel.alpha))
-                            for t in sub}
-            if via_map != coset_clique:
+        for sym, delta in enumerate(sub):
+            coset_clique = tuple(sorted(ctx.add(ctx.mul(rep, t), ctx.mul(delta, sel.alpha))
+                                        for t in sub))
+            if coset_clique != sel.lines[r][sym]:
                 raise CorrespondenceFailed(
-                    f"row {slope} symbol {sym_idx}: line and coset clique differ")
-            out[(coset, sym_idx)] = tuple(sorted(coset_clique))
-    assert len(out) == sel.m * sel.q
+                    f"row {sel.parent.row_labels[r]} symbol {sym}: line and coset clique differ")
+            out[(coset, sym)] = coset_clique
     return out
 
 
@@ -298,22 +275,14 @@ def unused_slope_coloring(sel: SubarraySelection) -> list[int]:
     Field slopes rank below infinity; the color of vertex z is the symbol
     of the unused-slope line through z.
     """
-    ctx = sel.ctx
     used = set(sel.slope_of_coset.values())
-    free = [s for s in ctx.subfield_elements() if s not in used]
-    colors = [0] * ctx.order
-    if free:
-        k = free[0]
-        for z in range(ctx.order):
-            x, y = sel.coords(z)
-            colors[z] = sel.symbol(ctx.sub(y, ctx.mul(k, x)))
-    else:
-        if sel.m >= sel.q + 1:
-            raise NoUnusedSlope("all q + 1 slopes consumed")
-        for z in range(ctx.order):  # fall back to the row at infinity
-            x, _ = sel.coords(z)
-            colors[z] = sel.symbol(x)
-    assert len(set(colors)) == sel.q
+    free = [r for r, lab in enumerate(sel.parent.row_labels) if lab not in used]
+    if not free:
+        raise NoUnusedSlope("all q + 1 slopes consumed")
+    colors = [0] * sel.ctx.order
+    for sym, line in enumerate(sel.lines[free[0]]):
+        for z in line:
+            colors[z] = sym
     return colors
 
 
@@ -355,9 +324,8 @@ def noncanonical_clique_bound(sel: SubarraySelection, column: int = 0,
 
     g = block_graph(sel.subarray)
     m = sel.m
-    canonical = {frozenset(cols) for (r, s), cols in g.line_cliques.items()
-                 if column in cols}
-    assert len(canonical) == m
+    canonical = {frozenset(c for c, e in enumerate(row) if e == row[column])
+                 for row in sel.subarray.entries}
     cliques = enumerate_maximal_cliques(g, through_vertex=column, budget=budget)
     shifted = translate_to_zero(sel.subarray, column)
     bound = (m - 1) ** 2

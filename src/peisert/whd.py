@@ -127,7 +127,9 @@ class WhdCertificate:
 def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
     """Assemble and certify the diagonalizer for a Peisert-type graph.
 
-    Two exact checks make the certificate.  First, A P = P Lambda: every
+    The columns after the ones column are differences of consecutive
+    line indicators, read off the selection's line table row by row
+    (field slopes ascending, infinity last).  Two exact checks make the certificate.  First, A P = P Lambda: every
     column is an eigenvector of A (k on the ones column, q - m on the m
     used slopes, -m on the rest), and with L = k I - A this is L P = P D.
     Second, P^T P equals n (+) (q + 1) copies of q tridiag(-1, 2, -1):
@@ -136,7 +138,6 @@ def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
     (the matrix is weakly Hadamard, entries being in {-1, 0, 1} by
     construction), and a nonsingular one gives full rank.
     """
-    ctx = sel.ctx
     q = sel.q
     m = sel.m
     n = x.n
@@ -145,31 +146,13 @@ def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
     if n != q * q or k != m * (q - 1):
         raise CertificationFailed(f"graph (n, k) = ({n}, {k}) is not of type ({m}, {q})")
 
-    sub = ctx.subfield_elements()
     used = set(sel.slope_of_coset.values())
-
-    def line(slope, delta):
-        """Vertices of the slope line with intercept delta (slope None
-        means the vertical lines x = delta)."""
-        if slope is None:
-            return [ctx.add(delta, ctx.mul(t, sel.alpha)) for t in sub]
-        base = ctx.add(1, ctx.mul(slope, sel.alpha))
-        return [ctx.add(ctx.mul(base, t), ctx.mul(delta, sel.alpha)) for t in sub]
-
-    slopes: list = list(sub) + [None]
-    cols = [np.ones(n, dtype=np.int64)]
-    eigs = [k]
-    for s in slopes:
-        theta = q - m if s in used else -m
-        ind = []
-        for delta in sub:
-            v = np.zeros(n, dtype=np.int64)
-            v[line(s, delta)] = 1
-            ind.append(v)
-        for i in range(q - 1):
-            cols.append(ind[i] - ind[i + 1])
-            eigs.append(theta)
-    P = np.stack(cols, axis=1)
+    ind = np.zeros((q + 1, q, n), dtype=np.int8)  # slope row, intercept, vertex
+    np.put_along_axis(ind, np.array(sel.lines), 1, axis=2)
+    diffs = (ind[:, :-1] - ind[:, 1:]).reshape((q + 1) * (q - 1), n)
+    P = np.concatenate([np.ones((n, 1), dtype=np.int64), diffs.T], axis=1)
+    eigs = [k] + [q - m if s in used else -m
+                  for s in sel.parent.row_labels for _ in range(q - 1)]
 
     eig = np.array(eigs, dtype=np.int64)
     if not np.array_equal(dense_adjacency(x) @ P, P * eig[None, :]):

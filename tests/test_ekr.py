@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from peisert import (
     build_counterexample,
     build_ekr_basis,
     canonical_cliques,
+    canonical_correspondence,
     create,
     decompose_clique,
     enumerate_max_cliques,
@@ -23,14 +25,82 @@ from peisert import (
 )
 from peisert.ekr import balanced_indicator, eigenfunction_check, indicator
 from peisert.errors import (
+    CorrespondenceFailed,
     NotMaximumClique,
     NotProperSubfield,
+    ReducibleModulus,
     SearchTimeout,
+    VerificationFailed,
     ZeroVector,
 )
-from peisert.linalg import solve_exact
+from peisert.oa import INFINITY_SLOPE
 
 PINNED81 = (-1, 0, 0, -1, 1)
+
+
+def solve_exact(columns, rhs):
+    """Oracle: solve sum_j x_j * columns[j] = rhs exactly.
+
+    Returns the coefficient list, or None when the system is inconsistent.
+    Requires the columns to be linearly independent, which is asserted.
+    """
+    n = len(rhs)
+    k = len(columns)
+    for col in columns:
+        assert len(col) == n
+    rows = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(rhs[i])]
+            for i in range(n)]
+
+    pivot_row = 0
+    pivots = []
+    for col in range(k):
+        sel = None
+        for i in range(pivot_row, n):
+            if rows[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
+        pr = rows[pivot_row]
+        inv = 1 / pr[col]
+        for j in range(col, k + 1):
+            pr[j] *= inv
+        for i in range(n):
+            if i != pivot_row and rows[i][col] != 0:
+                f = rows[i][col]
+                ri = rows[i]
+                for j in range(col, k + 1):
+                    ri[j] -= f * pr[j]
+        pivots.append(col)
+        pivot_row += 1
+
+    assert len(pivots) == k, "columns are linearly dependent"
+    for i in range(pivot_row, n):
+        if rows[i][k] != 0:
+            return None
+    sol = [Fraction(0)] * k
+    for i, col in enumerate(pivots):
+        sol[col] = rows[i][k]
+    return sol
+
+
+def line_oracle(ctx, alpha, slope, delta):
+    """Sorted labels of the line {t + (slope*t + delta)*alpha} of AG(2, q)
+    coordinatized by alpha, or {delta + t*alpha} at slope infinity."""
+    sub = ctx.subfield_elements()
+    if slope is INFINITY_SLOPE:
+        pts = (ctx.add(delta, ctx.mul(t, alpha)) for t in sub)
+    else:
+        pts = (ctx.add(t, ctx.mul(ctx.add(ctx.mul(slope, t), delta), alpha)) for t in sub)
+    return tuple(sorted(pts))
+
+
+def assert_table_matches_oracle(ctx, sel):
+    sub = ctx.subfield_elements()
+    assert len(sel.lines) == len(sub) + 1
+    for r, slope in enumerate(sel.parent.row_labels):
+        assert [line_oracle(ctx, sel.alpha, slope, delta) for delta in sub] == sel.lines[r]
 
 
 def build(q, idx, modulus=None):
@@ -51,14 +121,47 @@ def test_canonical_cliques_are_coset_translates():
     sub = ctx.subfield_elements()
     for c in cliques:
         rep = ctx.gen_pow(c.coset)
-        base = {ctx.mul(rep, t) for t in sub}
-        shift = ctx.sub(c.vertices[0], min(base)) if False else None
         # subtracting any member of the clique from all others lands in
         # the scaled subfield
         v0 = c.vertices[0]
         diffs = {ctx.sub(v, v0) for v in c.vertices}
         assert {ctx.div(d, rep) for d in diffs if d} <= set(sub)
         assert len(c.vertices) == 3
+
+    # every line of the table, against field arithmetic; the canonical
+    # cliques are the cells of the used rows
+    for q, idx in [(3, (0, 2)), (5, (0, 1, 4)), (7, (0, 3)), (9, (0, 1, 2, 3, 4))]:
+        ctx, x, sel = build(q, idx, PINNED81 if q == 9 else None)
+        assert_table_matches_oracle(ctx, sel)
+        for c in canonical_cliques(x, sel):
+            assert c.vertices == line_oracle(ctx, sel.alpha, sel.slope_of_coset[c.coset],
+                                             ctx.subfield_elements()[c.intercept])
+
+    # the same under every monic irreducible quadratic modulus
+    for p, idx in [(3, (0, 1)), (5, (0, 2, 3))]:
+        accepted = 0
+        for c0, c1 in product(range(p), repeat=2):
+            try:
+                ctx = create(p, 2, (c0, c1, 1))
+            except ReducibleModulus:
+                continue
+            accepted += 1
+            sel = subarray_for_connection_set(ctx, idx)
+            assert_table_matches_oracle(ctx, sel)
+            assert len(canonical_correspondence(sel)) == len(idx) * p
+        assert accepted == (p * p - p) // 2
+
+
+def test_corrupted_line_table_rejected():
+    ctx, x, sel = build(5, (0, 1))
+    r = sel.row_positions[0]
+    a, b = sel.lines[r][0], sel.lines[r][1]
+    sel.lines[r][0] = tuple(sorted(a[1:] + b[:1]))
+    sel.lines[r][1] = tuple(sorted(b[1:] + a[:1]))
+    with pytest.raises(CorrespondenceFailed):
+        canonical_correspondence(sel)
+    with pytest.raises(VerificationFailed, match="is not a clique"):
+        canonical_cliques(x, sel)
 
 
 def test_canonical_cliques_partition_per_coset():

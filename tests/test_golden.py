@@ -22,6 +22,8 @@ CASES = {
     "ekr_counterexample_q9": ["ekr", "counterexample", "--q", "9", "--subfield", "3"],
     "whd_build_q5": ["whd", "build", "--q", "5", "--cosets", "0,1"],
     "whd_build_q7_peisert": ["whd", "build", "--q", "7", "--family", "peisert"],
+    "oa_build_q5": ["oa", "build", "--q", "5"],
+    "oa_build_q7_peisert": ["oa", "build", "--q", "7", "--family", "peisert"],
 }
 
 

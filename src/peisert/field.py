@@ -17,6 +17,8 @@ import itertools
 import math
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     LogOfZero,
     NonPrimeCharacteristic,
@@ -268,6 +270,18 @@ class FieldCtx:
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
+
+    def add_array(self, a, b) -> np.ndarray:
+        """Elementwise sum of two broadcastable label arrays (or scalars),
+        one base-p digit at a time; returns int64 labels."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        place = 1
+        for _ in range(self.r):
+            out += (a // place + b // place) % self.p * place
+            place *= self.p
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -1,8 +1,10 @@
 """Graphs on integer bitsets, Cayley builders, and exact SRG certificates.
 
 Adjacency rows are Python ints used as bitsets, which keeps the common
-neighbor counts, clique search and complement operations exact and fast
-at the few-hundred-vertex scale this package targets.
+neighbor counts, clique search and complement operations exact.  Cayley
+graphs are built, and their SRG parameters certified, by translating the
+connection set: about n * k numpy work and n bitset operations, never a
+loop over the n^2 vertex pairs.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -78,12 +80,6 @@ class Graph:
         adj = [(~self.adj[v]) & full & ~(1 << v) for v in range(self.n)]
         return Graph(self.n, adj, self.labels)
 
-    def check_symmetric(self):
-        for u in range(self.n):
-            assert (self.adj[u] >> u) & 1 == 0, f"loop at {u}"
-            for v in _bits(self.adj[u]):
-                assert (self.adj[v] >> u) & 1, f"asymmetric pair ({u}, {v})"
-
 
 def dense_adjacency(g: Graph) -> np.ndarray:
     """The adjacency bitsets unpacked into an n x n int64 0/1 matrix."""
@@ -130,14 +126,21 @@ class SrgParams:
 
 
 def srg_certify(g: Graph) -> SrgParams:
-    """Verify A^2 = kI + lambda*A + mu*(J - I - A) pair by pair.
+    """Verify A^2 = kI + lambda*A + mu*(J - I - A) on every vertex pair.
+
+    A graph that carries its field and whose every row u is the translate
+    N(0) + u is a Cayley graph: the pair (u, v) then has the adjacency and
+    the common neighbors of (0, v - u), so the n - 1 pairs through vertex 0
+    stand for all of them and give the same first witness.  Any other
+    graph is checked pair by pair.
 
     Raises NotRegular / NotStronglyRegular with a witness.  Complete
     graphs come back flagged with mu = None; mu = 0 flags a disconnected
     union of cliques.  The result is cached on the graph.
     """
     n = g.n
-    assert n >= 2, "need at least one vertex pair"
+    if n < 2:
+        raise NotStronglyRegular(f"{n} vertices: need at least one vertex pair")
     k = g.degree(0)
     for v in range(1, n):
         if g.degree(v) != k:
@@ -149,7 +152,7 @@ def srg_certify(g: Graph) -> SrgParams:
         return params
 
     lam = mu = None
-    for u in range(n):
+    for u in (0,) if _is_translation_invariant(g) else range(n):
         au = g.adj[u]
         for v in range(u + 1, n):
             common = (au & g.adj[v]).bit_count()
@@ -168,9 +171,10 @@ def srg_certify(g: Graph) -> SrgParams:
                         f"non-adjacent pair ({u}, {v}) has {common} common neighbors, "
                         f"expected {mu}")
     if lam is None:
-        lam, mu = 0, 0 if mu is None else mu  # edgeless
-    assert mu is not None
-    assert k * (k - lam - 1) == (n - k - 1) * mu, "SRG feasibility identity"
+        lam = 0  # edgeless; mu is set, as k < n - 1 leaves vertex 0 a non-neighbor
+    if k * (k - lam - 1) != (n - k - 1) * mu:
+        raise NotStronglyRegular(
+            f"(n,k,lam,mu)=({n},{k},{lam},{mu}) fails k(k - lam - 1) = (n - k - 1) mu")
 
     disc = math.isqrt((lam - mu) ** 2 + 4 * (k - mu))
     if disc * disc != (lam - mu) ** 2 + 4 * (k - mu):
@@ -178,21 +182,31 @@ def srg_certify(g: Graph) -> SrgParams:
             f"irrational restricted eigenvalues for (n,k,lam,mu)=({n},{k},{lam},{mu})")
     theta = (lam - mu + disc) // 2
     tau = (lam - mu - disc) // 2
-    assert theta - tau == disc and (lam - mu + disc) % 2 == 0
 
     num = 2 * k + (n - 1) * (lam - mu)
-    assert num % disc == 0 if disc else num == 0
-    shift = num // disc if disc else 0
-    assert (n - 1 - shift) % 2 == 0 and (n - 1 + shift) % 2 == 0
-    f = (n - 1 - shift) // 2
-    fg = (n - 1 + shift) // 2
-    assert f >= 0 and fg >= 0 and f + fg == n - 1
-    assert k + f * theta + fg * tau == 0, "trace check"
+    shift, rem = divmod(num, disc) if disc else (0, num)
+    f, odd = divmod(n - 1 - shift, 2)
+    fg = n - 1 - f
+    if (lam - mu + disc) % 2 or rem or odd or f < 0 or fg < 0:
+        raise NotStronglyRegular(
+            f"non-integral eigenvalues or multiplicities for (n,k,lam,mu)=({n},{k},{lam},{mu})")
+    if k + f * theta + fg * tau != 0:
+        raise NotStronglyRegular(
+            f"trace k + {f}*{theta} + {fg}*{tau} of A is not 0")
 
     params = SrgParams(n, k, lam, mu, ((k, 1), (theta, f), (tau, fg)),
                        disconnected=(mu == 0))
     g.srg = params
     return params
+
+
+def _is_translation_invariant(g: Graph) -> bool:
+    """True when g carries its field and row u is N(0) + u for every u."""
+    ctx = g.field
+    if ctx is None or ctx.order != g.n:
+        return False
+    rows = _translates(ctx, list(_bits(g.adj[0])))
+    return all(row == a for row, a in zip(rows, g.adj))
 
 
 # ----- Cayley construction ----------------------------------------------
@@ -204,12 +218,40 @@ def connection_set(ctx: FieldCtx, coset_indices: Iterable[int]) -> list[int]:
             if ctx.dlog(x) % (ctx.subfield_order + 1) in idx]
 
 
+def check_symmetric_set(ctx: FieldCtx, labels: Iterable[int]) -> None:
+    """Raise VerificationFailed unless 0 is outside S and S = -S, which
+    makes Cay(GF(q^2)+, S) loopless and undirected."""
+    s = set(labels)
+    if 0 in s:
+        raise VerificationFailed("connection set contains 0, so every vertex has a loop")
+    for x in sorted(s):
+        if ctx.neg(x) not in s:
+            raise VerificationFailed(f"connection set holds {x} but not its negative {ctx.neg(x)}")
+
+
+def _translates(ctx: FieldCtx, labels: Sequence[int]) -> Iterator[int]:
+    """Bitsets of the translates u + S, for u = 0, 1, ... in label order.
+
+    For each s in S, bit u + s of every row u is set in one packed
+    n x ceil(n/8) byte array; each row then becomes one int.
+    """
+    n = ctx.order
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    rows = np.arange(n)
+    for s in labels:
+        cols = ctx.add_array(rows, s)
+        packed[rows, cols >> 3] |= (1 << (cols & 7)).astype(np.uint8)
+    for row in packed:
+        yield int.from_bytes(row.tobytes(), "little")
+
+
 def build_cayley(ctx: FieldCtx, coset_indices: Iterable[int]) -> Graph:
     """Cayley graph on GF(q^2)+ whose connection set is a union of
     F_q^* cosets including F_q^* itself (index 0).
 
-    Vertex i is the field element with label i.  Symmetry is automatic
-    because -1 lies in F_q^*, but it is asserted anyway.
+    Vertex i is the field element with label i; row u is u + S.  Symmetry
+    follows from -1 lying in F_q^*, and check_symmetric_set certifies it
+    on S before the rows are built.
     """
     q = ctx.subfield_order
     idx = sorted(set(int(i) for i in coset_indices))
@@ -222,17 +264,10 @@ def build_cayley(ctx: FieldCtx, coset_indices: Iterable[int]) -> Graph:
         raise TooManyCosets(f"m = {len(idx)} exceeds q = {q}")
 
     s_labels = connection_set(ctx, idx)
-    n = ctx.order
-    adj = [0] * n
-    for u in range(n):
-        row = 0
-        for s in s_labels:
-            row |= 1 << ctx.add(u, s)
-        adj[u] = row
-    g = Graph(n, adj)
+    check_symmetric_set(ctx, s_labels)
+    g = Graph(ctx.order, list(_translates(ctx, s_labels)))
     g.field = ctx
     g.cosets = frozenset(idx)
-    g.check_symmetric()
     return g
 
 
@@ -281,14 +316,17 @@ def family_cosets(ctx: FieldCtx, name: str, d: Optional[int] = None) -> frozense
 # ----- colorings and clique regularity -----------------------------------
 
 def verify_coloring(g: Graph, colors: Sequence[int]) -> Optional[tuple[int, int]]:
-    """None if proper, else one violating edge (u, v)."""
+    """None if proper, else the first violating edge (u, v), u < v, in
+    lexicographic order."""
     if len(colors) != g.n:
         raise LengthMismatch(f"coloring length {len(colors)} != {g.n} vertices")
+    classes: dict = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
     for u in range(g.n):
-        for v in _bits(g.adj[u] >> (u + 1)):
-            v += u + 1
-            if colors[u] == colors[v]:
-                return (u, v)
+        clash = (g.adj[u] & classes[colors[u]]) >> (u + 1)
+        if clash:
+            return (u, u + (clash & -clash).bit_length())
     return None
 
 

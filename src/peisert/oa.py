@@ -23,6 +23,8 @@ import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     AlphaInSubfield,
     CorrespondenceFailed,
@@ -33,7 +35,7 @@ from .errors import (
     OAVerificationFailed,
 )
 from .field import FieldCtx
-from .graphs import Graph, _bits, _mask_of
+from .graphs import Graph, _mask_of
 
 INFINITY_SLOPE = None  # sentinel for the vertical-line row
 
@@ -62,27 +64,26 @@ class OrthogonalArray:
 
     def verify(self):
         """Strength-2 check: every ordered symbol pair appears exactly
-        once in every pair of distinct rows."""
+        once in every pair of distinct rows, counted by one bincount per
+        row pair."""
         n = self.n
         ncols = self.num_columns
         for row in self.entries:
             if len(row) != ncols:
                 raise OAVerificationFailed(f"row length {len(row)} != {ncols}")
-            for e in row:
-                if not 0 <= e < n:
-                    raise OAVerificationFailed(f"symbol {e} outside [0, {n})")
+            if row and (min(row) < 0 or max(row) >= n):
+                e = next(e for e in row if not 0 <= e < n)
+                raise OAVerificationFailed(f"symbol {e} outside [0, {n})")
+        arr = np.array(self.entries, dtype=np.int32)  # symbol pairs stay below ncols
         for i in range(self.num_rows):
-            ri = self.entries[i]
             for j in range(i + 1, self.num_rows):
-                rj = self.entries[j]
-                seen = set()
-                for c in range(ncols):
-                    pair = ri[c] * n + rj[c]
-                    if pair in seen:
-                        raise OAVerificationFailed(
-                            f"rows ({i}, {j}) repeat symbol pair at column {c}")
-                    seen.add(pair)
-                assert len(seen) == n * n
+                pairs = arr[i] * n + arr[j]
+                if (np.bincount(pairs, minlength=n * n) != 1).any():
+                    first = np.zeros(ncols, dtype=bool)
+                    first[np.unique(pairs, return_index=True)[1]] = True
+                    c = int(np.flatnonzero(~first)[0])
+                    raise OAVerificationFailed(
+                        f"rows ({i}, {j}) repeat symbol pair at column {c}")
         return True
 
     def subarray(self, row_positions: Sequence[int]) -> "OrthogonalArray":
@@ -107,17 +108,24 @@ def build_pointline_oa(ctx: FieldCtx, alpha: int) -> OrthogonalArray:
     if alpha == 0 or ctx.pow(alpha, q) == alpha:
         raise AlphaInSubfield(f"alpha label {alpha} lies in F_{q}")
     sub = ctx.subfield_elements()
-    symbol_of = {lab: i for i, lab in enumerate(sub)}
     columns = [(x, y) for x in sub for y in sub]
 
+    labels = np.array(sub, dtype=np.int64)
+    xs, ys = np.repeat(labels, q), np.tile(labels, q)
+    symbol = np.zeros(ctx.order, dtype=np.int64)
+    symbol[labels] = np.arange(q)
+    exp = np.array(ctx.exp, dtype=np.int64)
+    log_x = np.array([ctx.log[x] if x else 0 for x in sub], dtype=np.int64).repeat(q)
+
     entries = []
-    row_labels: list = []
     for k in sub:
-        row = [symbol_of[ctx.sub(y, ctx.mul(k, x))] for (x, y) in columns]
-        entries.append(row)
-        row_labels.append(k)
-    entries.append([symbol_of[x] for (x, y) in columns])
-    row_labels.append(INFINITY_SLOPE)
+        row = ys
+        if k:  # y + (-k) * x, the product through the exp/log tables
+            minus_kx = np.where(xs != 0, exp[(ctx.log[ctx.neg(k)] + log_x) % (ctx.order - 1)], 0)
+            row = ctx.add_array(ys, minus_kx)
+        entries.append(symbol[row].tolist())
+    entries.append(symbol[xs].tolist())
+    row_labels: list = list(sub) + [INFINITY_SLOPE]
 
     oa = OrthogonalArray(q, entries, row_labels, columns)
     oa.verify()
@@ -225,27 +233,27 @@ def block_graph(oa: OrthogonalArray) -> Graph:
 
 def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
     """Certify that (x, y) -> x + y*alpha maps the block graph of the
-    selected subarray onto the Cayley graph.  Returns the vertex map
-    (block column position -> Cayley label); raises NotIsomorphicUnderF
-    with a witness pair otherwise."""
-    b = block_graph(sel.subarray)
-    if b.n != x.n:
-        raise NotIsomorphicUnderF(f"block graph has {b.n} vertices, the graph {x.n}")
-    mapping = list(sel.vertex_of_column)
-
-    remapped = [0] * x.n
-    for c in range(b.n):
-        row = 0
-        for d in _bits(b.adj[c]):
-            row |= 1 << mapping[d]
-        remapped[mapping[c]] = row
+    selected subarray onto the Cayley graph.  The image of the block graph
+    is the union of cliques on the table cells of the selected rows.
+    Returns the vertex map (block column position -> Cayley label);
+    raises NotIsomorphicUnderF with a witness pair otherwise."""
+    ncols = sel.subarray.num_columns
+    if ncols != x.n:
+        raise NotIsomorphicUnderF(f"block graph has {ncols} vertices, the graph {x.n}")
+    image = [0] * x.n
+    for r in sel.row_positions:
+        for line in sel.lines[r]:
+            mask = _mask_of(line)
+            for z in line:
+                image[z] |= mask
     for v in range(x.n):
-        if remapped[v] != x.adj[v]:
-            diff = remapped[v] ^ x.adj[v]
+        row = image[v] & ~(1 << v)
+        if row != x.adj[v]:
+            diff = row ^ x.adj[v]
             w = (diff & -diff).bit_length() - 1
             raise NotIsomorphicUnderF(
                 f"pair ({v}, {w}) adjacent in exactly one of the graphs")
-    return mapping
+    return list(sel.vertex_of_column)
 
 
 def canonical_correspondence(sel: SubarraySelection) -> dict:

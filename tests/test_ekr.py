@@ -22,10 +22,12 @@ from peisert import (
     srg_certify,
     strict_ekr_audit,
     subarray_for_connection_set,
+    verify_isomorphism,
 )
 from peisert.ekr import balanced_indicator, eigenfunction_check, indicator
 from peisert.errors import (
     CorrespondenceFailed,
+    NotIsomorphicUnderF,
     NotMaximumClique,
     NotProperSubfield,
     ReducibleModulus,
@@ -162,6 +164,8 @@ def test_corrupted_line_table_rejected():
         canonical_correspondence(sel)
     with pytest.raises(VerificationFailed, match="is not a clique"):
         canonical_cliques(x, sel)
+    with pytest.raises(NotIsomorphicUnderF):
+        verify_isomorphism(x, sel)
 
 
 def test_canonical_cliques_partition_per_coset():

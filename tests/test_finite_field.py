@@ -7,6 +7,7 @@ session (minimal polynomials, discrete logs) and frozen.
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from peisert import create
@@ -96,6 +97,11 @@ def test_field_axioms(p, r):
         if a != 0:
             assert ctx.mul(a, ctx.inv(a)) == 1
             assert ctx.div(b, a) == ctx.mul(b, ctx.inv(a))
+    # the array addition against the scalar one, broadcast both ways
+    labels = np.arange(ctx.order)
+    assert ctx.add_array(labels[:, None], labels[:5]).tolist() == [
+        [ctx.add(a, b) for b in range(5)] for a in elems]
+    assert ctx.add_array(7 % ctx.order, labels).tolist() == [ctx.add(7 % ctx.order, b) for b in elems]
 
 
 @pytest.mark.parametrize("p,r", SMALL_FIELDS)

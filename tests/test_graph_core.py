@@ -5,13 +5,14 @@ every graph small enough to afford one.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from peisert import (
     Graph,
     build_cayley,
+    build_counterexample,
     connection_set,
     create,
     enumerate_max_cliques,
@@ -19,6 +20,7 @@ from peisert import (
     family_cosets,
     from_dimacs,
     srg_certify,
+    survey,
     to_dimacs,
     verify_coloring,
 )
@@ -29,10 +31,14 @@ from peisert.errors import (
     NotHoffmanTight,
     NotRegular,
     NotStronglyRegular,
+    ReducibleModulus,
     SearchTimeout,
     TooManyCosets,
+    VerificationFailed,
 )
 from peisert.graphs import (
+    _is_translation_invariant,
+    check_symmetric_set,
     clique_regularity,
     dense_adjacency,
     family_cosets as _families,
@@ -95,6 +101,38 @@ def srg_oracle(g: Graph):
     return (g.n, k, lams.pop() if lams else 0, mus.pop() if mus else None)
 
 
+def cayley_rows_oracle(ctx, s_labels) -> list[int]:
+    """Row u of Cay(GF(q^2)+, S) as the bitset of u + s over s in S, one
+    scalar field addition at a time."""
+    rows = []
+    for u in range(ctx.order):
+        row = 0
+        for s in s_labels:
+            row |= 1 << ctx.add(u, s)
+        rows.append(row)
+    return rows
+
+
+def oracle_cases():
+    """(field, coset indices): every survey graph at q <= 9, and every
+    index set at q = 3 and 5 under every monic irreducible quadratic
+    modulus."""
+    for q in survey.Q_CHOICES:
+        ctx = survey.ambient_field(q)
+        extra = (build_counterexample(ctx, 3).coset_indices,) if q == 9 else ()
+        for _, idx in survey.sweep_index_sets(ctx, 10, survey.DEFAULT_SEED, extra):
+            yield ctx, idx
+    for p in (3, 5):
+        for c0, c1 in product(range(p), repeat=2):
+            try:
+                ctx = create(p, 2, (c0, c1, 1))
+            except ReducibleModulus:
+                continue
+            for size in range(p):
+                for rest in combinations(range(1, p + 1), size):
+                    yield ctx, (0,) + rest
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -123,6 +161,22 @@ def test_build_cayley_symmetry_and_regularity():
             assert g.is_adjacent(u, v) == g.is_adjacent(v, u)
             assert g.is_adjacent(u, v) == (
                 ctx.coset_index(ctx.sub(u, v)) in (0, 1, 3))
+
+
+def test_build_cayley_matches_scalar_oracle():
+    for ctx, idx in oracle_cases():
+        assert build_cayley(ctx, idx).adj == cayley_rows_oracle(
+            ctx, connection_set(ctx, idx)), (ctx, idx)
+
+
+def test_symmetry_check_rejects_asymmetric_connection_set():
+    ctx = create(5, 2)
+    s = connection_set(ctx, (0, 2))
+    check_symmetric_set(ctx, s)
+    with pytest.raises(VerificationFailed, match="not its negative"):
+        check_symmetric_set(ctx, [x for x in s if x != ctx.neg(s[0])])
+    with pytest.raises(VerificationFailed, match="contains 0"):
+        check_symmetric_set(ctx, [0] + s)
 
 
 def test_build_cayley_input_checks():
@@ -214,6 +268,50 @@ def test_srg_rejects_irregular_and_non_srg():
     hexagon = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     with pytest.raises(NotStronglyRegular):
         srg_certify(hexagon)
+
+
+def test_srg_by_translation_matches_pair_loop():
+    for ctx, idx in oracle_cases():
+        g = build_cayley(ctx, idx)
+        plain = Graph(g.n, list(g.adj))  # no field, so the pair loop runs
+        assert _is_translation_invariant(g) and not _is_translation_invariant(plain)
+        assert srg_certify(g) == srg_certify(plain), (ctx, idx)
+
+    # Cayley graphs of symmetric sets that are not coset unions, mostly
+    # not strongly regular: the same verdict and the same first witness
+    def verdict(g):
+        try:
+            return srg_certify(g)
+        except NotStronglyRegular as e:
+            return str(e)
+
+    ctx = create(5, 2)
+    rng = random.Random(7)
+    for _ in range(20):
+        half = rng.sample(range(1, ctx.order), rng.randint(1, 8))
+        s = sorted(set(half) | {ctx.neg(x) for x in half})
+        g = Graph(ctx.order, cayley_rows_oracle(ctx, s))
+        g.field = ctx
+        assert _is_translation_invariant(g)
+        assert verdict(g) == verdict(Graph(g.n, list(g.adj)))
+
+
+def test_srg_rejects_two_switched_cayley_graph():
+    # switch u-v, w-z to u-w, v-z among the non-neighbors of 0: the graph
+    # stays regular and keeps its field, and every pair through 0 keeps
+    # its counts, so only the translation check sends it to the pair loop
+    g = build_cayley(create(5, 2), (0, 1))
+    far = [v for v in range(1, g.n) if not g.is_adjacent(0, v)]
+    u, v, w, z = next((u, v, w, z) for u, v, w, z in product(far, repeat=4)
+                      if len({u, v, w, z}) == 4
+                      and g.is_adjacent(u, v) and g.is_adjacent(w, z)
+                      and not g.is_adjacent(u, w) and not g.is_adjacent(v, z))
+    for a, b, add in ((u, v, False), (w, z, False), (u, w, True), (v, z, True)):
+        for x, y in ((a, b), (b, a)):
+            g.adj[x] = g.adj[x] | 1 << y if add else g.adj[x] & ~(1 << y)
+    assert g.field is not None and {g.degree(x) for x in range(g.n)} == {8}
+    with pytest.raises(NotStronglyRegular):
+        srg_certify(g)
 
 
 def test_srg_complete_graph_flag():
@@ -312,6 +410,13 @@ def test_verify_coloring():
     bad = [0] * 9
     u, v = verify_coloring(g, bad)
     assert g.is_adjacent(u, v)
+    # the witness is the lexicographically first clashing edge
+    rng = random.Random(3)
+    for _ in range(20):
+        colors = [rng.randrange(3) for _ in range(9)]
+        clashes = [(a, b) for a, b in combinations(range(9), 2)
+                   if g.is_adjacent(a, b) and colors[a] == colors[b]]
+        assert verify_coloring(g, colors) == (clashes[0] if clashes else None)
     with pytest.raises(LengthMismatch):
         verify_coloring(g, [0, 1])
 

@@ -1,11 +1,14 @@
 """Point-line arrays, subarrays, block graphs, and the clique bound."""
 
+import copy
+import random
 from itertools import combinations, product
 
 import pytest
 
 from peisert import (
     INFINITY_SLOPE,
+    OrthogonalArray,
     block_graph,
     build_cayley,
     build_pointline_oa,
@@ -41,6 +44,38 @@ def strength2_oracle(arr) -> bool:
     return True
 
 
+def verify_oracle(arr):
+    """The set-based strength-2 check, with the witnesses of
+    OrthogonalArray.verify: one Python set of symbol pairs per row pair."""
+    n = arr.n
+    ncols = arr.num_columns
+    for row in arr.entries:
+        if len(row) != ncols:
+            raise OAVerificationFailed(f"row length {len(row)} != {ncols}")
+        for e in row:
+            if not 0 <= e < n:
+                raise OAVerificationFailed(f"symbol {e} outside [0, {n})")
+    for i in range(arr.num_rows):
+        ri = arr.entries[i]
+        for j in range(i + 1, arr.num_rows):
+            rj = arr.entries[j]
+            seen = set()
+            for c in range(ncols):
+                pair = ri[c] * n + rj[c]
+                if pair in seen:
+                    raise OAVerificationFailed(
+                        f"rows ({i}, {j}) repeat symbol pair at column {c}")
+                seen.add(pair)
+    return True
+
+
+def verdict(check, arr):
+    try:
+        return check(arr)
+    except OAVerificationFailed as e:
+        return str(e)
+
+
 def test_q3_array_frozen():
     arr = build_pointline_oa(create(3, 2), 3)
     assert arr.n == 3
@@ -63,6 +98,33 @@ def test_full_array_strength_two(q):
     assert arr.num_rows == q + 1
     arr.verify()
     assert strength2_oracle(arr)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_verify_matches_set_oracle(q):
+    ctx = create(*{3: (3, 2), 5: (5, 2), 7: (7, 2), 9: (3, 4)}[q])
+    rng = random.Random(q)
+
+    def assert_same_rejection(bad):
+        got = verdict(OrthogonalArray.verify, bad)
+        assert got is not True and got == verdict(verify_oracle, bad)
+
+    full = build_pointline_oa(ctx, default_alpha(ctx, set()))
+    sel = subarray_for_connection_set(ctx, (0, 1, 2))
+    for arr in (full, sel.subarray):
+        assert verdict(OrthogonalArray.verify, arr) is verdict(verify_oracle, arr) is True
+        for _ in range(10):  # one cell moved to another symbol
+            bad = copy.deepcopy(arr)
+            r, c = rng.randrange(bad.num_rows), rng.randrange(bad.num_columns)
+            bad.entries[r][c] = (bad.entries[r][c] + rng.randrange(1, q)) % q
+            assert_same_rejection(bad)
+        for r, c, e in ((1, 3, q), (0, 0, -1)):  # one symbol out of range
+            bad = copy.deepcopy(arr)
+            bad.entries[r][c] = e
+            assert_same_rejection(bad)
+        bad = copy.deepcopy(arr)
+        bad.entries[-1].pop()  # a short row
+        assert_same_rejection(bad)
 
 
 def test_alpha_must_leave_the_subfield():

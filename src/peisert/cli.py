@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -73,20 +74,15 @@ CASE_STUDY_CELLS = [
     [(0, 1, 2), (1, 0, 2), (1, 2, 0), (1, 2, 0), (1, 2, 0)],
     [(0, 2, 2), (2, 0, 2), (2, 2, 0), (2, 2, 0), (2, 2, 0)],
 ]
-CASE_STUDY_SHADED = [
-    [False] * 5,
-    [False] * 5,
-    [True, True, False, True, True],
-    [True, True, False, True, True],
-    [True, True, False, True, True],
-    [True, True, False, True, True],
-    [True, True, False, True, True],
-    [True, True, False, True, True],
-]
+CASE_STUDY_SHADED = [[False] * 5] * 2 + [[True, True, False, True, True]] * 6
 
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def _tally(values) -> dict[str, int]:
+    return dict(Counter(str(v) for v in values))
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -298,12 +294,9 @@ def cmd_whd_build(args) -> int:
     graphs.srg_certify(g)
     sel = oa.subarray_for_connection_set(ctx, idx)
     cert = whd.build_whd(g, sel)
-    tally: dict[str, int] = {}
-    for d in cert.diagonal:
-        tally[str(d)] = tally.get(str(d), 0) + 1
     config = dict(_graph_config(args), command="whd build")
     return _write_or_print(whd.whd_to_csv(cert), args.out, config,
-                           {"n": g.n, "diagonal_tally": tally,
+                           {"n": g.n, "diagonal_tally": _tally(cert.diagonal),
                             "used_slopes": list(cert.used_slopes)})
 
 
@@ -319,8 +312,11 @@ def cmd_whd_verify(args) -> int:
     if not linalg.certified_full_column_rank(matrix):
         raise CertificationFailed("columns are rank deficient")
     n = g.n
-    L = params.k * np.eye(n, dtype=np.int64) - graphs.dense_adjacency(g)
-    if not np.array_equal(L @ matrix, matrix * np.array(diag, dtype=np.int64)[None, :]):
+    if matrix.shape[0] != n:
+        raise LengthMismatch(f"matrix has {matrix.shape[0]} rows, the graph {n} vertices")
+    # L P = k P - A P, with A P the sum of k row gathers along the neighbor lists
+    lap = params.k * matrix - sum(matrix[col] for col in graphs.neighbor_array(g).T)
+    if not np.array_equal(lap, matrix * np.array(diag, dtype=np.int64)[None, :]):
         raise CertificationFailed("L P != P D for the stored diagonal")
     return _emit(dict(_graph_config(args), command="whd verify",
                       file=os.path.basename(args.file)),
@@ -348,7 +344,8 @@ def _case_study_table(ctx, basis, dec) -> tuple[list[list[dict]], bool]:
                         ctx.mul(c2, ctx.gen_pow(2)))
             rep = ctx.gen_pow(j)
             verts = tuple(sorted(ctx.add(ctx.mul(rep, u), t) for u in sub))
-            assert verts in coeff_of, "table cell is not a basis clique"
+            if verts not in coeff_of:
+                raise ReproductionMismatch(f"table cell ({i}, {j}) is not a basis clique")
             seen.add(verts)
             value = coeff_of[verts]
             expected = Fraction(-1, 3) if CASE_STUDY_SHADED[i][j] else Fraction(0)
@@ -358,7 +355,8 @@ def _case_study_table(ctx, basis, dec) -> tuple[list[list[dict]], bool]:
                             "clique": label_of[verts], "value": _frac(value),
                             "shaded": CASE_STUDY_SHADED[i][j], "match": cell_ok})
         table.append(out_row)
-    assert len(seen) == 40, "table must cover every basis clique once"
+    if len(seen) != 40:
+        raise ReproductionMismatch(f"table covers {len(seen)} basis cliques, not all 40 once")
     return table, match
 
 
@@ -434,9 +432,7 @@ def cmd_reproduce_81(args) -> int:
             fh.write("\n".join(lines) + "\n")
 
     cert = whd.build_whd(g, sel)
-    tally: dict[str, int] = {}
-    for d in cert.diagonal:
-        tally[str(d)] = tally.get(str(d), 0) + 1
+    tally = _tally(cert.diagonal)
     if tally != {"0": 1, "36": 40, "45": 40}:
         raise ReproductionMismatch(f"whd diagonal tally {tally}")
 
@@ -467,23 +463,19 @@ def cmd_survey(args) -> int:
     reports = survey.run_sweep(q_values, args.minimum, args.seed, args.budget)
     rows = []
     for r in reports:
-        tally: dict[str, int] = {}
-        for d in r.whd_cert.diagonal:
-            tally[str(d)] = tally.get(str(d), 0) + 1
         rows.append({
             "name": r.name, "q": r.q, "m": r.m, "indices": list(r.indices),
             "srg": _srg_json(r.srg),
             "isomorphic": True,
             "coloring_proper": r.coloring_proper,
             "chromatic": r.chromatic,
-            "omega": r.audit.omega if r.audit else None,
-            "strict_ekr": r.audit.strict if r.audit else None,
-            "maximum_cliques": r.audit.clique_count if r.audit else None,
-            "decompositions": len(r.decompositions) if r.decompositions else 0,
-            "all_residual_zero": (all(d.residual_zero for d in r.decompositions)
-                                  if r.decompositions else None),
-            "basis_rank": r.basis.rank if r.basis else None,
-            "whd_diagonal_tally": tally,
+            "omega": r.audit.omega,
+            "strict_ekr": r.audit.strict,
+            "maximum_cliques": r.audit.clique_count,
+            "decompositions": len(r.decompositions),
+            "all_residual_zero": all(d.residual_zero for d in r.decompositions),
+            "basis_rank": r.basis.rank,
+            "whd_diagonal_tally": _tally(r.whd_cert.diagonal),
             "bound_ok": r.bound_check["ok"],
         })
     rows.sort(key=lambda row: (row["q"], row["m"], row["name"]))

@@ -3,14 +3,15 @@ from their balanced indicators, exact decompositions, strict audits, and
 subfield counterexamples.
 
 Everything is exact.  Basis columns are stored as the integer vectors
-q*chi - 1 (q times the balanced characteristic vector), so Gram matrices
-and eigenvector checks are integer matrix products and the only rational
-step is the final coefficient division by q^3.
+q*chi - 1 (q times the balanced characteristic vector), certified by
+oa.line_eigenvalues with no n x n product, and the only rational step
+is the final coefficient division by q^3.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -33,12 +34,11 @@ from .graphs import (
     Graph,
     _mask_of,
     build_cayley,
-    dense_adjacency,
     enumerate_max_cliques,
     is_maximal_clique,
     srg_certify,
 )
-from .oa import SubarraySelection, subarray_for_connection_set
+from .oa import SubarraySelection, line_eigenvalues, subarray_for_connection_set
 
 
 class CanonicalClique(NamedTuple):
@@ -61,8 +61,7 @@ def canonical_cliques(x: Graph, sel: Optional[SubarraySelection] = None) -> list
     VerificationFailed otherwise.  Lines of the table come from a
     certified bijection, so each has q distinct vertices.
     """
-    if sel is None:
-        sel = subarray_for_connection_set(x.field, x.cosets)
+    sel = sel or subarray_for_connection_set(x.field, x.cosets)
     out = []
     for i in sorted(x.cosets):
         row = sel.parent.row_labels.index(sel.slope_of_coset[i])
@@ -115,10 +114,10 @@ class EkrBasis:
     """Balanced indicators of the canonical cliques missing a base vertex.
 
     matrix columns hold q*chi - 1 (so column / q is the balanced
-    indicator); they are ordered by (coset, intercept) and certified to
-    be eigenvectors at q - m with Gram matrix I_m (x) q^2 (q I - J), so
-    they are orthogonal across parallel classes and of full column rank
-    m*(q - 1).
+    indicator), ordered by (coset, intercept).  build_ekr_basis certifies
+    them eigenvectors at q - m; their Gram matrix is I_m (x) q^2 (q I - J),
+    so they are orthogonal across parallel classes and of full column
+    rank m*(q - 1).
     """
     base_vertex: int
     q: int
@@ -134,13 +133,15 @@ def build_ekr_basis(x: Graph, sel: Optional[SubarraySelection] = None,
                     base_vertex: int = 0) -> EkrBasis:
     """Assemble and certify the clique eigenspace basis.
 
-    canonical_cliques certifies that every parallel class partitions the
-    vertices, so each class has exactly one clique through the base
-    vertex and its q scaled columns sum to zero.  On top of that two
-    exact checks run: A B = (q - m) B, and B^T B equals the closed form
-    I_m (x) q^2 (q I - J).  The closed form is nonsingular, so B has
-    full column rank m (q - 1), and every pair difference
-    chi_base - chi_other lies in the column span, hence in the eigenspace.
+    line_eigenvalues on the used rows gives A B = (q - m) B, and
+    canonical_cliques certifies that each parallel class partitions the
+    vertices, so it has one clique through the base vertex.  B^T B =
+    I_m (x) q^2 (q I - J), entry q^2 (|L & L'| - 1), is fixed by three
+    certified facts: the full array has strength 2 (lines of different
+    slopes meet once), the column -> vertex map is a bijection (each
+    line has q vertices), and each row partitions the plane (lines of
+    one slope are disjoint).  It is nonsingular, so B has full column
+    rank m (q - 1) and spans every difference chi_base - chi_other.
     """
     ctx = x.field
     params = x.srg if x.srg is not None else srg_certify(x)
@@ -148,6 +149,8 @@ def build_ekr_basis(x: Graph, sel: Optional[SubarraySelection] = None,
     m = len(x.cosets)
     if params.least_eigenvalue != -m:
         raise CertificationFailed(f"least eigenvalue {params.least_eigenvalue} != -{m}")
+    sel = sel or subarray_for_connection_set(ctx, x.cosets)
+    line_eigenvalues(x, sel, sel.row_positions)
 
     cliques = canonical_cliques(x, sel)
     base_of: dict[int, CanonicalClique] = {}
@@ -158,18 +161,9 @@ def build_ekr_basis(x: Graph, sel: Optional[SubarraySelection] = None,
         else:
             basis_cliques.append(cl)
 
-    B = np.full((x.n, len(basis_cliques)), -1, dtype=np.int64)
-    for j, cl in enumerate(basis_cliques):
-        B[list(cl.vertices), j] = q - 1
-
-    if not np.array_equal(dense_adjacency(x) @ B, (q - m) * B):
-        raise NonZeroResidual("basis column fails the eigenvector identity")
-
-    # q I - J of order q - 1 has eigenvalues q and 1, so it is nonsingular
-    block = q * q * (q * np.eye(q - 1, dtype=np.int64) - np.ones((q - 1, q - 1), dtype=np.int64))
-    if not np.array_equal(B.T @ B, np.kron(np.eye(m, dtype=np.int64), block)):
-        raise CertificationFailed("basis Gram matrix is not I_m (x) q^2 (q I - J)")
-
+    rows = [sel.parent.row_labels.index(sel.slope_of_coset[cl.coset]) for cl in basis_cliques]
+    intercepts = np.array([cl.intercept for cl in basis_cliques])
+    B = np.ascontiguousarray(np.where(sel.symbol[rows].T == intercepts, q - 1, -1))
     return EkrBasis(base_vertex, q, m, cliques, basis_cliques, base_of, B, B.shape[1])
 
 
@@ -316,17 +310,13 @@ def build_counterexample(ctx: FieldCtx, subfield_order: int) -> Counterexample:
     K = ctx.subfield_of_order(subfield_order)
     if subfield_order >= q or (q - 1) % (subfield_order - 1) != 0:
         raise NotProperSubfield(f"{subfield_order} is not a proper subfield order of {q}")
-    # t with |K|^t = q
-    t = 0
-    acc = 1
-    while acc < q:
-        acc *= subfield_order
-        t += 1
-    if acc != q:
+    t = round(math.log(q, subfield_order))  # |K|^t = q
+    if subfield_order ** t != q:
         raise NotProperSubfield(f"F_{subfield_order} does not fill F_{q}")
 
     gens = [ctx.gen_pow(j) for j in range(t)]
-    assert len({ctx.coset_index(g) for g in gens}) == t
+    if len({ctx.coset_index(g) for g in gens}) != t:
+        raise VerificationFailed("generators g^0 .. g^(t-1) share a coset")
 
     cset = set()
     for combo in itertools.product(K, repeat=t):
@@ -334,24 +324,28 @@ def build_counterexample(ctx: FieldCtx, subfield_order: int) -> Counterexample:
         for gj, kj in zip(gens, combo):
             z = ctx.add(z, ctx.mul(gj, kj))
         cset.add(z)
-    assert len(cset) == q, "direct sum must have q elements"
+    if len(cset) != q:
+        raise VerificationFailed(f"direct sum has {len(cset)} elements, not {q}")
 
     indices = sorted({ctx.coset_index(z) for z in cset if z != 0})
     m = (q - 1) // (subfield_order - 1)
-    assert len(indices) == m, "index count must match (q-1)/(|K|-1)"
-    assert 0 in indices
+    if len(indices) != m or 0 not in indices:
+        raise VerificationFailed(
+            f"direct sum meets cosets {indices}, expected {m} cosets including 0")
 
     # closure under subtraction (C is an additive group)
     for a in cset:
         for b in cset:
-            assert ctx.sub(a, b) in cset
+            if ctx.sub(a, b) not in cset:
+                raise VerificationFailed(f"{a} - {b} leaves the direct sum")
 
     g = build_cayley(ctx, indices)
     srg_certify(g)
     clique = tuple(sorted(cset))
     if not is_maximal_clique(g, clique):
         raise NotMaximumClique("direct-sum construction is not even maximal")
-    assert g.srg.hoffman_bound() == q and len(clique) == q  # maximum
+    if g.srg.hoffman_bound() != q:  # |C| = q meets the bound, so C is maximum
+        raise CertificationFailed(f"Hoffman bound {g.srg.hoffman_bound()} != {q}")
 
     for canon in canonical_cliques(g):
         if canon.vertices == clique:

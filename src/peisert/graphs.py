@@ -81,13 +81,18 @@ class Graph:
         return Graph(self.n, adj, self.labels)
 
 
-def dense_adjacency(g: Graph) -> np.ndarray:
-    """The adjacency bitsets unpacked into an n x n int64 0/1 matrix."""
+def neighbor_array(g: Graph) -> np.ndarray:
+    """The neighbor lists of a regular graph as an n x k array, each row
+    ascending; raises NotRegular with the first vertex of another degree."""
     nbytes = (g.n + 7) // 8
     raw = b"".join(a.to_bytes(nbytes, "little") for a in g.adj)
     bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(g.n, nbytes),
-                         axis=1, bitorder="little")[:, :g.n]
-    return bits.astype(np.int64)
+                         axis=1, bitorder="little")[:, :g.n].view(bool)
+    deg = np.count_nonzero(bits, axis=1)
+    if (deg != deg[0]).any():
+        v = int(np.flatnonzero(deg != deg[0])[0])
+        raise NotRegular(f"deg({v}) = {deg[v]} but deg(0) = {deg[0]}")
+    return np.nonzero(bits)[1].reshape(g.n, int(deg[0]))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -9,9 +9,10 @@ partition the plane into the q parallel lines of that slope.
 Selecting the rows whose slopes come from a connection-set decomposition
 c_i = u_i + v_i*alpha realizes the Cayley graph as the block graph of the
 subarray; the realization is certified edge by edge, never assumed.  The
-selection carries the column -> vertex map and the line table (each cell
-of the full array as a vertex set), which the canonical cliques, the
-diagonalizer columns and the slope coloring all read.  Only
+selection carries the column -> vertex map, the symbol table (the full
+array indexed by vertex) and the line table (each cell as a vertex set);
+line_eigenvalues certifies A chi_L on the lines of the symbol table for
+both the clique-module basis and the diagonalizer.  Only
 canonical_correspondence derives lines from field arithmetic, and it
 checks them against the table.
 """
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import (
     AlphaInSubfield,
+    CertificationFailed,
     CorrespondenceFailed,
     MalformedFile,
     NoFreeCoset,
@@ -35,7 +37,7 @@ from .errors import (
     OAVerificationFailed,
 )
 from .field import FieldCtx
-from .graphs import Graph, _mask_of
+from .graphs import Graph, _mask_of, neighbor_array
 
 INFINITY_SLOPE = None  # sentinel for the vertical-line row
 
@@ -154,9 +156,11 @@ class SubarraySelection:
     index into the parent array, whose rows are the field slopes
     ascending with the row at infinity last.  vertex_of_column sends
     column (x, y) of the parent (and of the subarray, which keeps its
-    columns) to the Cayley label x + y * alpha.  lines[r][s] holds the
-    sorted vertex labels of the cell of symbol s in parent row r: the
-    line of that slope with intercept the s-th element of F_q.
+    columns) to the Cayley label x + y * alpha.  symbol[r, z] is the
+    parent entry of row r at the column of vertex z: the intercept rank
+    of the slope-r line through z.  lines[r][s] holds the sorted vertex
+    labels with symbol s in row r: the line of that slope with intercept
+    the s-th element of F_q.
     """
     ctx: FieldCtx
     coset_indices: tuple[int, ...]
@@ -166,6 +170,7 @@ class SubarraySelection:
     row_positions: tuple[int, ...]
     subarray: OrthogonalArray
     vertex_of_column: list[int]
+    symbol: np.ndarray
     lines: list[list[tuple[int, ...]]]
 
     @property
@@ -184,15 +189,18 @@ def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelecti
     full array is built for it.  The map (x, y) -> x + y * alpha is
     certified a bijection onto the field; slopes are pairwise distinct
     and finite because every u_i is nonzero (alpha sits in an unused
-    coset).  Both are checked with typed errors.
+    coset).  Both are checked with typed errors.  The verified entries
+    are scattered through the bijection into the symbol table; every
+    symbol fills q columns of a strength-2 row, so one stable argsort
+    per row lists the q lines of that slope, each ascending.
     """
     idx = tuple(sorted(set(int(i) for i in coset_indices)))
     alpha = default_alpha(ctx, idx)
     oa = build_pointline_oa(ctx, alpha)
-    vertex = [ctx.add(x, ctx.mul(y, alpha)) for (x, y) in oa.column_labels]
-    column = {z: c for c, z in enumerate(vertex)}
-    if len(column) != ctx.order:
+    vertex = np.array([ctx.add(x, ctx.mul(y, alpha)) for (x, y) in oa.column_labels])
+    if (np.bincount(vertex, minlength=ctx.order) != 1).any():
         raise NotIsomorphicUnderF("(x, y) -> x + y*alpha is not a bijection onto the field")
+    column = np.argsort(vertex)  # the inverse of the bijection
 
     slope_of: dict[int, int] = {}
     for i in idx:
@@ -205,13 +213,43 @@ def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelecti
     if len(positions) != len(idx):
         raise CorrespondenceFailed("coset slopes are not pairwise distinct")
 
-    cells: list[list[list[int]]] = [[[] for _ in range(oa.n)] for _ in oa.entries]
-    for row_cells, row in zip(cells, oa.entries):
-        for z, s in zip(vertex, row):
-            row_cells[s].append(z)
-    lines = [[tuple(sorted(cell)) for cell in row_cells] for row_cells in cells]
+    q = oa.n
+    symbol = np.empty((oa.num_rows, ctx.order), dtype=np.int16)  # q <= 2^10
+    symbol[:, vertex] = np.array(oa.entries, dtype=np.int16)
+    label = np.array(range(ctx.order), dtype=object)  # one int object per vertex, shared by its lines
+    lines = [[tuple(cell) for cell in label[np.argsort(row, kind="stable")].reshape(q, q).tolist()]
+             for row in symbol]
     return SubarraySelection(ctx, idx, alpha, oa, slope_of, positions,
-                             oa.subarray(positions), vertex, lines)
+                             oa.subarray(positions), vertex.tolist(), symbol, lines)
+
+
+def line_eigenvalues(x: Graph, sel: SubarraySelection, rows: Sequence[int]) -> list[int]:
+    """Certify A chi_L = (m - e) 1 + (e q - m) chi_L for every line L of
+    the given parent rows, with e = 1 on the used rows and 0 elsewhere;
+    return e q - m per row.  Entry (u, s) of one bincount per row counts
+    the neighbors of u on the line of symbol s, n k work over the graph's
+    own neighbor lists.  The counts of u sum to its degree, so passing
+    also certifies k = m (q - 1).  Raises CertificationFailed.
+    """
+    q, m, n = sel.q, sel.m, x.n
+    if sel.symbol.shape[1] != n:
+        raise CertificationFailed(f"graph has {n} vertices, the plane {sel.symbol.shape[1]} points")
+    nbrs = neighbor_array(x)
+    at = np.arange(n)
+    base = (at * q)[:, None]
+    out = []
+    for r in rows:
+        e = int(r in sel.row_positions)
+        sym = sel.symbol[r]
+        counts = np.bincount((base + sym[nbrs]).ravel(), minlength=n * q).reshape(n, q)
+        want = np.full((n, q), m - e)
+        want[at, sym] += e * q - m
+        if not np.array_equal(counts, want):
+            u, s = (int(t) for t in np.argwhere(counts != want)[0])
+            raise CertificationFailed(
+                f"line {r}:{s} fails A chi = (m - e) 1 + (e q - m) chi at vertex {u}")
+        out.append(e * q - m)
+    return out
 
 
 # ----- block graphs --------------------------------------------------------
@@ -283,15 +321,10 @@ def unused_slope_coloring(sel: SubarraySelection) -> list[int]:
     Field slopes rank below infinity; the color of vertex z is the symbol
     of the unused-slope line through z.
     """
-    used = set(sel.slope_of_coset.values())
-    free = [r for r, lab in enumerate(sel.parent.row_labels) if lab not in used]
+    free = [r for r in range(sel.q + 1) if r not in sel.row_positions]
     if not free:
         raise NoUnusedSlope("all q + 1 slopes consumed")
-    colors = [0] * sel.ctx.order
-    for sym, line in enumerate(sel.lines[free[0]]):
-        for z in line:
-            colors[z] = sym
-    return colors
+    return sel.symbol[free[0]].tolist()
 
 
 # ----- non-canonical clique bound ------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import ekr, graphs, oa, whd
-from .errors import SearchTimeout, WrongCharacteristicResidue
+from .errors import WrongCharacteristicResidue
 from .field import FieldCtx, create
 
 DEFAULT_SEED = 20240
@@ -107,16 +107,17 @@ class GraphReport:
     coloring: list[int]
     coloring_proper: bool
     chromatic: int
-    audit: Optional[ekr.AuditReport]
-    basis: Optional[ekr.EkrBasis]
-    decompositions: Optional[list[ekr.Decomposition]]
+    audit: ekr.AuditReport
+    basis: ekr.EkrBasis
+    decompositions: list[ekr.Decomposition]
     whd_cert: whd.WhdCertificate
     bound_check: dict
 
 
 def analyze_graph(ctx: FieldCtx, indices, name: str = "",
                   budget: Optional[float] = graphs.DEFAULT_BUDGET) -> GraphReport:
-    """Run the full stack on one connection set."""
+    """Run the full stack on one connection set.  A clique search that
+    runs out of budget raises SearchTimeout; nothing after it runs."""
     q = ctx.subfield_order
     idx = tuple(sorted(set(int(i) for i in indices)))
     x = graphs.build_cayley(ctx, idx)
@@ -130,16 +131,9 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
     # omega = q (coset cliques meet the Hoffman bound), so q colors pin chi
     chromatic = len(set(colors))
 
-    audit: Optional[ekr.AuditReport] = None
-    basis: Optional[ekr.EkrBasis] = None
-    decs: Optional[list[ekr.Decomposition]] = None
-    try:
-        audit = ekr.strict_ekr_audit(x, sel, budget=budget)
-        basis = ekr.build_ekr_basis(x, sel)
-        decs = [ekr.decompose_clique(x, basis, c) for c in audit.cliques]
-    except SearchTimeout:
-        pass
-
+    audit = ekr.strict_ekr_audit(x, sel, budget=budget)
+    basis = ekr.build_ekr_basis(x, sel)
+    decs = [ekr.decompose_clique(x, basis, c) for c in audit.cliques]
     cert = whd.build_whd(x, sel)
     bound = oa.noncanonical_clique_bound(sel, 0, budget=budget)
 

@@ -6,7 +6,8 @@ ordered so that non-consecutive columns are orthogonal; equivalently the
 column non-orthogonality graph is a disjoint union of simple paths.  The
 builder takes consecutive differences of line indicators across all
 q + 1 slopes, giving q^2 integer eigenvectors of the Cayley graph that
-assemble into such a matrix.
+assemble into such a matrix, certified by oa.line_eigenvalues with no
+n x n product.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadEntries, CertificationFailed, MalformedFile, NotSquare
-from .graphs import Graph, dense_adjacency, srg_certify
-from .oa import SubarraySelection
+from .errors import BadEntries, MalformedFile, NotSquare
+from .graphs import Graph
+from .oa import SubarraySelection, line_eigenvalues
 
 
 @dataclass
@@ -76,7 +77,7 @@ def is_weakly_hadamard(matrix) -> WeakHadamardResult:
         ends = [v for v in comp if len(nbrs[v]) <= 1]
         if not ends:
             return WeakHadamardResult(False, obstruction=("cycle", tuple(sorted(comp))))
-        # walk the path from its least endpoint
+        # connected, degree <= 2 and an endpoint: a path, walked from its least end
         cur = min(ends)
         prev = -1
         walk = [cur]
@@ -86,7 +87,6 @@ def is_weakly_hadamard(matrix) -> WeakHadamardResult:
                 break
             prev, cur = cur, nxt[0]
             walk.append(cur)
-        assert len(walk) == len(comp), "component is not a single path"
         ordering.extend(walk)
     return WeakHadamardResult(True, ordering=tuple(ordering))
 
@@ -112,10 +112,9 @@ class WhdCertificate:
     Column 0 is all ones; the rest are consecutive line-indicator
     differences, slope by slope (field slopes ascending, infinity last).
     adjacency_eigenvalue and diagonal record, per column, the exact
-    eigenvalue under A and under L = k I - A.  build_whd certifies
-    A P = P diag(adjacency_eigenvalue) and the closed-form Gram matrix
-    P^T P; together they give L P = P D, full rank, and the admissible
-    natural ordering.
+    eigenvalue under A and under L = k I - A.  build_whd certifies every
+    column an eigenvector of A, hence L P = P D; P^T P is a closed form
+    that gives full rank and the admissible natural ordering.
     """
     matrix: np.ndarray
     ordering: tuple[int, ...]
@@ -128,48 +127,29 @@ def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
     """Assemble and certify the diagonalizer for a Peisert-type graph.
 
     The columns after the ones column are differences of consecutive
-    line indicators, read off the selection's line table row by row
-    (field slopes ascending, infinity last).  Two exact checks make the certificate.  First, A P = P Lambda: every
-    column is an eigenvector of A (k on the ones column, q - m on the m
-    used slopes, -m on the rest), and with L = k I - A this is L P = P D.
-    Second, P^T P equals n (+) (q + 1) copies of q tridiag(-1, 2, -1):
-    lines of one slope are disjoint and lines of different slopes meet
-    once.  A tridiagonal Gram matrix makes the natural ordering admissible
-    (the matrix is weakly Hadamard, entries being in {-1, 0, 1} by
-    construction), and a nonsingular one gives full rank.
+    line indicators, read off the symbol table row by row (field slopes
+    ascending, infinity last).  line_eigenvalues on all q + 1 rows makes
+    the graph regular of valency k = m (q - 1) and every difference
+    column an eigenvector of A (q - m on used slopes, -m on the rest),
+    so L P = P D for L = k I - A.  P^T P = n (+) (q + 1) copies of
+    q tridiag(-1, 2, -1) is fixed by three certified facts: the full
+    array has strength 2 (lines of different slopes meet once), the
+    column -> vertex map is a bijection (each line has q vertices), and
+    each row partitions the plane (lines of one slope are disjoint).  A
+    tridiagonal Gram matrix makes the natural ordering admissible
+    (entries are in {-1, 0, 1} by construction), and a nonsingular one
+    gives full rank.
     """
-    q = sel.q
-    m = sel.m
-    n = x.n
-    params = x.srg if x.srg is not None else srg_certify(x)
-    k = params.k
-    if n != q * q or k != m * (q - 1):
-        raise CertificationFailed(f"graph (n, k) = ({n}, {k}) is not of type ({m}, {q})")
-
-    used = set(sel.slope_of_coset.values())
-    ind = np.zeros((q + 1, q, n), dtype=np.int8)  # slope row, intercept, vertex
-    np.put_along_axis(ind, np.array(sel.lines), 1, axis=2)
+    q, m, n = sel.q, sel.m, x.n
+    k = m * (q - 1)
+    thetas = line_eigenvalues(x, sel, range(q + 1))
+    ind = (sel.symbol[:, None] == np.arange(q)[:, None]).astype(np.int8)  # slope, intercept, vertex
     diffs = (ind[:, :-1] - ind[:, 1:]).reshape((q + 1) * (q - 1), n)
     P = np.concatenate([np.ones((n, 1), dtype=np.int64), diffs.T], axis=1)
-    eigs = [k] + [q - m if s in used else -m
-                  for s in sel.parent.row_labels for _ in range(q - 1)]
-
-    eig = np.array(eigs, dtype=np.int64)
-    if not np.array_equal(dense_adjacency(x) @ P, P * eig[None, :]):
-        raise CertificationFailed("a column fails its adjacency eigenvalue")
-
-    # tridiag(-1, 2, -1) of order q - 1 has determinant q, so the closed
-    # form is nonsingular
-    path = 2 * np.eye(q - 1, dtype=np.int64) - np.eye(q - 1, k=1, dtype=np.int64) \
-        - np.eye(q - 1, k=-1, dtype=np.int64)
-    gram = np.zeros((n, n), dtype=np.int64)
-    gram[0, 0] = n
-    gram[1:, 1:] = np.kron(np.eye(q + 1, dtype=np.int64), q * path)
-    if not np.array_equal(P.T @ P, gram):
-        raise CertificationFailed("P^T P differs from n (+) (q + 1) copies of q tridiag(-1, 2, -1)")
-
-    return WhdCertificate(P, tuple(range(n)), tuple(int(e) for e in eigs),
-                          tuple(int(k - e) for e in eigs), tuple(sorted(used)))
+    eigs = [k] + [t for t in thetas for _ in range(q - 1)]
+    used = set(sel.slope_of_coset.values())
+    return WhdCertificate(P, tuple(range(n)), tuple(eigs),
+                          tuple(k - e for e in eigs), tuple(sorted(used)))
 
 
 def whd_to_csv(cert: WhdCertificate) -> str:

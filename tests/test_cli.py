@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from peisert import survey
 from peisert.cli import main
+from peisert.errors import SearchTimeout
 
 
 def run(capsys, *argv):
@@ -176,7 +178,9 @@ def test_exit_code_input_errors(capsys):
     (["oa", "verify"], "slope,0:0,0:1\n"),
     (["whd", "verify"], ""),
     (["whd", "verify"], "0,3\n"),
-], ids=["oa-empty", "oa-headerless", "oa-header-only", "whd-empty", "whd-diagonal-only"])
+    (["whd", "verify"], "0,0\n1,0\n0,1\n"),
+], ids=["oa-empty", "oa-headerless", "oa-header-only", "whd-empty", "whd-diagonal-only",
+        "whd-wrong-size"])
 def test_exit_code_malformed_files(capsys, tmp_path, command, text):
     path = tmp_path / "in.csv"
     path.write_text(text)
@@ -195,6 +199,20 @@ def test_exit_code_timeouts(capsys, monkeypatch):
     assert main(["graph", "cliques", "--q", "9", "--family", "gpstar",
                  "--d", "10"]) == 2
     capsys.readouterr()
+    assert main(["survey", "--q", "3"]) == 2
+    capsys.readouterr()
+
+
+def test_survey_audit_timeout_propagates(monkeypatch):
+    """A timed-out audit ends analyze_graph: neither the diagonalizer nor
+    the bound runs, and no report with empty audit fields comes back."""
+    ran = []
+    monkeypatch.setattr(survey.whd, "build_whd", lambda *a: ran.append("whd"))
+    monkeypatch.setattr(survey.oa, "noncanonical_clique_bound",
+                        lambda *a, **kw: ran.append("bound"))
+    with pytest.raises(SearchTimeout, match="zero budget"):
+        survey.analyze_graph(survey.ambient_field(3), (0, 2), budget=0)
+    assert ran == []
 
 
 def test_help_exits_zero(capsys):

@@ -419,6 +419,21 @@ def test_strict_threshold_q_vs_m():
             assert q <= (m - 1) ** 2
 
 
+# ----- certificates under python -O ------------------------------------------
+
+def run_optimized(script: str) -> list[str]:
+    """Run script under python -O, which strips assert; return its
+    output lines after checking that asserts were indeed off."""
+    src = str(Path(peisert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "debug False"
+    return lines[1:]
+
+
 BROKEN_CLIQUE_SCRIPT = """
 from peisert import build_cayley, canonical_cliques, create
 from peisert.errors import VerificationFailed
@@ -436,10 +451,104 @@ except VerificationFailed as e:
 
 def test_broken_canonical_clique_rejected_under_optimize():
     """The clique certificate must not rest on assert, which -O strips."""
-    src = str(Path(peisert.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-O", "-c", BROKEN_CLIQUE_SCRIPT],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[0] == "debug False"
-    assert "rejected coset line 0:0 is not a clique" in out
+    assert "rejected coset line 0:0 is not a clique" in run_optimized(BROKEN_CLIQUE_SCRIPT)
+
+
+LINE_CHECK_SCRIPT = """
+from itertools import product
+from peisert import build_cayley, build_ekr_basis, build_whd, create, srg_certify
+from peisert import subarray_for_connection_set
+from peisert.errors import CertificationFailed
+print("debug", __debug__)
+
+def attempt(build, g, sel):
+    try:
+        build(g, sel)
+        print("accepted", build.__name__)
+    except CertificationFailed as e:
+        print("rejected", build.__name__, e)
+
+ctx = create(5, 2)
+sel = subarray_for_connection_set(ctx, (0, 1))
+
+# (a) 2-switch u-v, w-z to u-w, v-z: regular, srg kept from the good graph
+g = build_cayley(ctx, (0, 1))
+srg_certify(g)
+u, v, w, z = next((u, v, w, z) for u, v, w, z in product(range(g.n), repeat=4)
+                  if len({u, v, w, z}) == 4
+                  and g.is_adjacent(u, v) and g.is_adjacent(w, z)
+                  and not g.is_adjacent(u, w) and not g.is_adjacent(v, z))
+for a, b, add in ((u, v, False), (w, z, False), (u, w, True), (v, z, True)):
+    for s, t in ((a, b), (b, a)):
+        g.adj[s] = g.adj[s] | 1 << t if add else g.adj[s] & ~(1 << t)
+attempt(build_ekr_basis, g, sel)
+attempt(build_whd, g, sel)
+
+# (b) two vertices' symbols swapped in an unused row
+g = build_cayley(ctx, (0, 1))
+srg_certify(g)
+r = next(r for r in range(sel.q + 1) if r not in sel.row_positions)
+row = sel.symbol[r]
+u, w = 0, int(next(t for t in range(g.n) if row[t] != row[0]))
+row[u], row[w] = row[w], row[u]
+attempt(build_whd, g, sel)
+"""
+
+
+def test_line_check_rejects_switched_graph_and_swapped_symbols():
+    lines = run_optimized(LINE_CHECK_SCRIPT)
+    assert len(lines) == 3
+    assert lines[0].startswith("rejected build_ekr_basis line ")
+    assert lines[1].startswith("rejected build_whd line ")
+    assert lines[2].startswith("rejected build_whd line ")
+    assert all("fails A chi = (m - e) 1 + (e q - m) chi" in line for line in lines)
+
+
+CORRUPTED_SUM_SCRIPT = """
+from peisert import build_counterexample, create
+from peisert.errors import VerificationFailed
+print("debug", __debug__)
+for bad in ((0, 1, 3), (0, 2, 4)):  # F_3 with one element replaced
+    ctx = create(3, 4)
+    ctx.subfield_of_order = lambda order, bad=bad: bad
+    try:
+        build_counterexample(ctx, 3)
+        print("accepted", bad)
+    except VerificationFailed as e:
+        print("rejected", e)
+"""
+
+
+def test_corrupted_direct_sum_rejected_under_optimize():
+    assert run_optimized(CORRUPTED_SUM_SCRIPT) == [
+        "rejected direct sum has 8 elements, not 9",
+        "rejected direct sum meets cosets [0, 1, 3, 4, 7, 8], expected 4 cosets including 0",
+    ]
+
+
+TABLE_CELL_SCRIPT = """
+import dataclasses
+from peisert import build_cayley, build_ekr_basis, cli, create, decompose_clique
+from peisert.errors import ReproductionMismatch
+print("debug", __debug__)
+ctx = create(3, 4, cli.CASE_STUDY_MODULUS)
+g = build_cayley(ctx, (0, 1, 2, 3, 4))
+basis = build_ekr_basis(g)
+dec = decompose_clique(g, basis, basis.basis_cliques[0].vertices)
+for cells, cut in ((cli.CASE_STUDY_CELLS, 1),  # a basis clique missing
+                   ([cli.CASE_STUDY_CELLS[0]] * 8, 0)):  # one row repeated
+    cli.CASE_STUDY_CELLS = cells
+    short = dataclasses.replace(basis, basis_cliques=basis.basis_cliques[cut:])
+    try:
+        cli._case_study_table(ctx, short, dec)
+        print("accepted")
+    except ReproductionMismatch as e:
+        print("rejected", e)
+"""
+
+
+def test_missing_table_cell_rejected_under_optimize():
+    lines = run_optimized(TABLE_CELL_SCRIPT)
+    assert len(lines) == 2
+    assert lines[0].startswith("rejected table cell (") and lines[0].endswith("is not a basis clique")
+    assert lines[1] == "rejected table covers 5 basis cliques, not all 40 once"

@@ -7,6 +7,7 @@ every graph small enough to afford one.
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from peisert import (
@@ -20,6 +21,7 @@ from peisert import (
     family_cosets,
     from_dimacs,
     srg_certify,
+    subarray_for_connection_set,
     survey,
     to_dimacs,
     verify_coloring,
@@ -40,10 +42,11 @@ from peisert.graphs import (
     _is_translation_invariant,
     check_symmetric_set,
     clique_regularity,
-    dense_adjacency,
     family_cosets as _families,
     from_edges,
+    neighbor_array,
 )
+from peisert.oa import line_eigenvalues
 
 
 # ----- oracles ---------------------------------------------------------------
@@ -83,6 +86,15 @@ def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
                 if not ext:
                     out.append(sub)
     return sorted(out)
+
+
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """The adjacency bitsets unpacked into an n x n int64 0/1 matrix."""
+    nbytes = (g.n + 7) // 8
+    raw = b"".join(a.to_bytes(nbytes, "little") for a in g.adj)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(g.n, nbytes),
+                         axis=1, bitorder="little")[:, :g.n]
+    return bits.astype(np.int64)
 
 
 def srg_oracle(g: Graph):
@@ -443,3 +455,39 @@ def test_dense_adjacency_matches_loop(r, idx):
     ref = [[(g.adj[u] >> v) & 1 for v in range(g.n)] for u in range(g.n)]
     a = dense_adjacency(g)
     assert a.shape == (g.n, g.n) and a.tolist() == ref
+
+
+def test_neighbor_array_matches_dense_rows():
+    for ctx, idx in oracle_cases():
+        g = build_cayley(ctx, idx)
+        want = [np.flatnonzero(row).tolist() for row in dense_adjacency(g)]
+        assert neighbor_array(g).tolist() == want, (ctx, idx)
+    pg = petersen()
+    assert neighbor_array(pg).tolist() == [pg.neighbors(v) for v in range(pg.n)]
+
+    # not regular: the same witness as srg_certify
+    for g in (from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+              from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)])):
+        with pytest.raises(NotRegular) as want:
+            srg_certify(g)
+        with pytest.raises(NotRegular) as got:
+            neighbor_array(g)
+        assert str(got.value) == str(want.value)
+
+
+def test_line_eigenvalues_match_dense_product():
+    """A chi_L by the dense product, for every line of every row, is
+    (m - e) 1 + (e q - m) chi_L with e = 1 exactly on the used rows."""
+    for ctx, idx in oracle_cases():
+        g = build_cayley(ctx, idx)
+        sel = subarray_for_connection_set(ctx, idx)
+        q, m = sel.q, len(idx)
+        rows = range(q + 1)
+        thetas = line_eigenvalues(g, sel, rows)
+        a = dense_adjacency(g)
+        for r, theta in zip(rows, thetas):
+            e = int(r in sel.row_positions)
+            assert theta == e * q - m
+            chi = (sel.symbol[r][:, None] == np.arange(q)).astype(np.int64)  # vertex, line
+            assert np.array_equal(a @ chi, (m - e) + theta * chi), (ctx, idx, r)
+            assert [tuple(np.flatnonzero(c)) for c in chi.T] == sel.lines[r]

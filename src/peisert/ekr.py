@@ -4,14 +4,16 @@ subfield counterexamples.
 
 Everything is exact.  Basis columns are stored as the integer vectors
 q*chi - 1 (q times the balanced characteristic vector), certified by
-oa.line_eigenvalues with no n x n product, and the only rational step
-is the final coefficient division by q^3.
+oa.line_eigenvalues with no n x n product.  A decomposition is read off
+the clique's line counts and certified by one integer identity per
+vertex; the only rational steps are the divisions by q and by q m.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -113,11 +115,13 @@ def eigenfunction_check(x: Graph, vec: Sequence, theta) -> bool:
 class EkrBasis:
     """Balanced indicators of the canonical cliques missing a base vertex.
 
-    matrix columns hold q*chi - 1 (so column / q is the balanced
-    indicator), ordered by (coset, intercept).  build_ekr_basis certifies
-    them eigenvectors at q - m; their Gram matrix is I_m (x) q^2 (q I - J),
-    so they are orthogonal across parallel classes and of full column
-    rank m*(q - 1).
+    symbol holds the m used rows of the selection's symbol table in
+    coset order: symbol[b, v] is the intercept of the class-b line
+    through v.  matrix columns hold q*chi - 1 (so column / q is the
+    balanced indicator), ordered by (coset, intercept).  build_ekr_basis
+    certifies them eigenvectors at q - m; their Gram matrix is
+    I_m (x) q^2 (q I - J), so they are orthogonal across parallel
+    classes and of full column rank m*(q - 1).
     """
     base_vertex: int
     q: int
@@ -125,6 +129,7 @@ class EkrBasis:
     all_cliques: list[CanonicalClique]
     basis_cliques: list[CanonicalClique]
     base_clique_of_coset: dict[int, CanonicalClique]
+    symbol: np.ndarray
     matrix: np.ndarray
     rank: int
 
@@ -153,18 +158,15 @@ def build_ekr_basis(x: Graph, sel: Optional[SubarraySelection] = None,
     line_eigenvalues(x, sel, sel.row_positions)
 
     cliques = canonical_cliques(x, sel)
-    base_of: dict[int, CanonicalClique] = {}
-    basis_cliques = []
-    for cl in cliques:
-        if base_vertex in cl.vertices:
-            base_of[cl.coset] = cl
-        else:
-            basis_cliques.append(cl)
+    base_of = {cl.coset: cl for cl in cliques if base_vertex in cl.vertices}
+    basis_cliques = [cl for cl in cliques if base_vertex not in cl.vertices]
 
-    rows = [sel.parent.row_labels.index(sel.slope_of_coset[cl.coset]) for cl in basis_cliques]
+    symbol = sel.symbol[[sel.parent.row_labels.index(sel.slope_of_coset[i])
+                         for i in sorted(x.cosets)]]
     intercepts = np.array([cl.intercept for cl in basis_cliques])
-    B = np.ascontiguousarray(np.where(sel.symbol[rows].T == intercepts, q - 1, -1))
-    return EkrBasis(base_vertex, q, m, cliques, basis_cliques, base_of, B, B.shape[1])
+    columns = symbol[np.repeat(np.arange(m), q - 1)]  # q - 1 basis cliques per class
+    B = np.ascontiguousarray(np.where(columns.T == intercepts, q - 1, -1))
+    return EkrBasis(base_vertex, q, m, cliques, basis_cliques, base_of, symbol, B, B.shape[1])
 
 
 @dataclass
@@ -179,12 +181,17 @@ class Decomposition:
 
 def decompose_clique(x: Graph, basis: EkrBasis, clique: Sequence[int]) -> Decomposition:
     """Exact coefficients of a maximum clique's balanced indicator over
-    the basis.
+    the basis, read off its line counts c_L = |L & C|.
 
-    The Gram matrix certified at build time is block diagonal with
-    closed-form inverse (I + J) / q^3 per class, so the solve is a
-    projection; the residual is then re-verified entrywise in integers,
-    and the unbalanced lift is checked against the raw indicator.
+    Let L_b(v) be the class-b line through v and L_b = L_b(base).  For
+    w = q chi_C - 1, B^T w = q^2 (c_L - 1); the certified Gram matrix
+    inverts per class to (I + J) / q^3, and each class's counts sum to q,
+    so the projection has b_L = (c_L - c_{L_b}) / q.  As (B b)(v) =
+    sum_b c_{L_b(v)} - m, the residual is zero iff every vertex v has
+    sum_b c_{L_b(v)} = q [v in C] + m - 1, checked by one bincount per
+    used row and one gather (NonZeroResidual otherwise).  The identity
+    also makes the unbalanced lift chi_C = sum_L (u + b_L) chi_L exact,
+    with u = (1 - m + sum_b c_{L_b}) / (q m).
     """
     q, m = basis.q, basis.m
     cl = tuple(sorted(set(clique)))
@@ -194,49 +201,25 @@ def decompose_clique(x: Graph, basis: EkrBasis, clique: Sequence[int]) -> Decomp
     if params.hoffman_bound() != q:  # q-cliques are maximum
         raise CertificationFailed(f"Hoffman bound {params.hoffman_bound()} != {q}")
 
-    n = x.n
-    w = np.full(n, -1, dtype=np.int64)
-    w[list(cl)] = q - 1
+    members = np.array(cl)
+    classes = np.arange(m)[:, None]
+    counts = np.stack([np.bincount(row[members], minlength=q) for row in basis.symbol])
+    want = np.full(x.n, m - 1)
+    want[members] += q
+    bad = np.flatnonzero(counts[classes, basis.symbol].sum(axis=0) != want)
+    if bad.size:
+        raise NonZeroResidual(f"line counts fail the module identity at vertex {bad[0]}")
 
-    B = basis.matrix
-    u = B.T @ w
-    t = np.empty_like(u)
-    width = q - 1
-    for b in range(m):
-        seg = u[b * width:(b + 1) * width]
-        t[b * width:(b + 1) * width] = seg + seg.sum()
-    if not np.array_equal(B @ t, q**3 * w):
-        raise NonZeroResidual("projection residual is nonzero")
+    at_base = basis.symbol[:, [basis.base_vertex]]
+    base = counts[classes, at_base]  # c_{L_b}
+    coeffs = [Fraction(int(t), q) for t in (counts - base)[np.arange(q) != at_base]]
 
-    q3 = q**3
-    coeffs = [Fraction(int(tj), q3) for tj in t]
-
-    hist: dict[Fraction, int] = {}
-    for c in coeffs:
-        hist[c] = hist.get(c, 0) + 1
-    zero_count = hist.get(Fraction(0), 0)
-
-    # lift: chi_C = sum b_j chi_j + (1 - sum b_j) / (q m) * sum over all
-    # canonical cliques, using that the m parallel classes cover each
-    # vertex m times
-    total = sum(coeffs, Fraction(0))
-    uniform = (1 - total) / (q * m)
-    unbalanced: dict[tuple[int, int], Fraction] = {
-        (c.coset, c.intercept): uniform for c in basis.all_cliques}
-    for cl_obj, b in zip(basis.basis_cliques, coeffs):
-        unbalanced[(cl_obj.coset, cl_obj.intercept)] += b
-
-    check = [Fraction(0)] * n
-    for cl_obj in basis.all_cliques:
-        coef = unbalanced[(cl_obj.coset, cl_obj.intercept)]
-        if coef:
-            for v in cl_obj.vertices:
-                check[v] += coef
-    viamask = set(cl)
-    if not all(c == (1 if v in viamask else 0) for v, c in enumerate(check)):
-        raise NonZeroResidual("unbalanced lift mismatch")
-
-    return Decomposition(cl, coeffs, True, zero_count, hist, unbalanced)
+    hist = dict(Counter(coeffs))
+    uniform = Fraction(1 - m + int(base.sum()), q * m)
+    unbalanced = {(c.coset, c.intercept): uniform for c in basis.all_cliques}
+    for c, b in zip(basis.basis_cliques, coeffs):
+        unbalanced[(c.coset, c.intercept)] += b
+    return Decomposition(cl, coeffs, True, hist.get(Fraction(0), 0), hist, unbalanced)
 
 
 @dataclass
@@ -261,7 +244,10 @@ def strict_ekr_audit(x: Graph, sel: Optional[SubarraySelection] = None,
 
     The Hoffman bound of the certified parameters equals q exactly and
     the coset cliques attain it, so enumeration at target q is complete
-    maximum-clique enumeration.  A timeout aborts with no verdict.
+    maximum-clique enumeration.  The canonical cliques are the used
+    lines of the table; finding each expected one in the enumeration,
+    which returns only cliques of x, certifies it.  A timeout aborts
+    with no verdict.
     """
     ctx = x.field
     params = x.srg if x.srg is not None else srg_certify(x)
@@ -272,12 +258,13 @@ def strict_ekr_audit(x: Graph, sel: Optional[SubarraySelection] = None,
 
     cliques = enumerate_max_cliques(x, target=q, through_vertex=through_vertex,
                                     budget=budget)
-    canon = canonical_cliques(x, sel)
-    canon_sets = {c.vertices for c in canon}
-    expected_canon = [c.vertices for c in canon
-                      if through_vertex is None or through_vertex in c.vertices]
+    sel = sel or subarray_for_connection_set(ctx, x.cosets)
+    if sel.coset_indices != tuple(sorted(x.cosets)):
+        raise CertificationFailed(f"selection cosets {sel.coset_indices} are not the graph's")
+    canon_sets = {line for r in sel.row_positions for line in sel.lines[r]}
     found = set(cliques)
-    if not all(c in found for c in expected_canon):
+    if not all(c in found for c in canon_sets
+               if through_vertex is None or through_vertex in c):
         raise CertificationFailed("a canonical clique is missing from the enumeration")
 
     non_canonical = tuple(c for c in cliques if c not in canon_sets)

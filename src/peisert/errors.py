@@ -94,7 +94,8 @@ class ZeroVector(PeisertError):
 
 
 class MalformedFile(PeisertError):
-    """An input file is empty or lacks its header or data rows."""
+    """An input file is empty, lacks its header or data rows, or holds
+    an edge that is a self-loop or leaves the vertex range."""
 
 
 # ----- exhausted budget -------------------------------------------------

@@ -13,6 +13,7 @@ logs are table lookups and only addition works on coordinates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Optional, Sequence
@@ -20,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    IndexOutOfRange,
     LogOfZero,
     NonPrimeCharacteristic,
     NotProperSubfield,
@@ -128,11 +130,13 @@ def _element_has_full_order(poly, modulus, p, n, n_factors) -> bool:
     return all(_poly_powmod(poly, n // f, modulus, p) != (1,) for f in n_factors)
 
 
+@functools.lru_cache(maxsize=None)
 def _default_modulus(p: int, r: int) -> tuple[int, ...]:
     """Least monic irreducible of degree r with x primitive.
 
     Candidates are ordered lexicographically by the ascending coefficient
     tuple (c0, ..., c_{r-1}); the leading coefficient is pinned to 1.
+    The search is a fixed function of (p, r), so it runs once per pair.
     """
     n = p**r - 1
     n_factors = _prime_factors(n)
@@ -359,7 +363,8 @@ class FieldCtx:
     def coset_elements(self, index: int) -> tuple[int, ...]:
         """Sorted labels of the coset g^index * F_q^*, size q - 1."""
         q = self.subfield_order
-        assert 0 <= index <= q
+        if not 0 <= index <= q:
+            raise IndexOutOfRange(f"coset index {index} outside [0, {q}]")
         return tuple(sorted(self.exp[(index + k * (q + 1)) % (self.order - 1)]
                             for k in range(q - 1)))
 

@@ -21,6 +21,7 @@ from .errors import (
     BadDivisor,
     IndexOutOfRange,
     LengthMismatch,
+    MalformedFile,
     MissingBaseCoset,
     NotHoffmanTight,
     NotRegular,
@@ -96,9 +97,12 @@ def neighbor_array(g: Graph) -> np.ndarray:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Simple graph on vertices 0..n-1; raises MalformedFile on a
+    self-loop or an endpoint outside that range."""
     adj = [0] * n
     for u, v in edges:
-        assert u != v
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise MalformedFile(f"edge ({u}, {v}) is a self-loop or leaves 0..{n - 1}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, adj)
@@ -555,9 +559,11 @@ def from_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
-            assert parts[1] == "edge"
+            if parts[1:2] != ["edge"]:
+                raise MalformedFile(f"problem line {line!r} is not 'p edge'")
             n = int(parts[2])
         elif parts[0] == "e":
             edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
-    assert n is not None, "missing problem line"
+    if n is None:
+        raise MalformedFile("missing problem line")
     return from_edges(n, edges)

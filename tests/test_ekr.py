@@ -4,9 +4,10 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import peisert
@@ -19,6 +20,7 @@ from peisert import (
     create,
     decompose_clique,
     enumerate_max_cliques,
+    run_sweep,
     srg_certify,
     strict_ekr_audit,
     subarray_for_connection_set,
@@ -26,6 +28,7 @@ from peisert import (
 )
 from peisert.ekr import balanced_indicator, eigenfunction_check, indicator
 from peisert.errors import (
+    CertificationFailed,
     CorrespondenceFailed,
     NotIsomorphicUnderF,
     NotMaximumClique,
@@ -249,7 +252,6 @@ def test_basis_shape_and_rank(q, idx):
 
 
 def test_basis_gram_structure():
-    import numpy as np
     ctx, x, sel = build(5, (0, 1, 2))
     basis = build_ekr_basis(x, sel)
     q = 5
@@ -323,6 +325,98 @@ def test_decomposition_matches_exact_elimination():
     assert [s * 9 for s in sol] == list(dec.coefficients)
 
 
+def dense_projection(x, basis, clique):
+    """Oracle: project w = q chi_C - 1 through the dense basis matrix.
+
+    The Gram matrix inverts per class to (I + J) / q^3, so t = (I + J)
+    B^T w per class; the residual B t - q^3 w is checked entrywise and
+    the unbalanced lift vertex by vertex in Fractions.  Returns the
+    coefficients, histogram and lift as decompose_clique builds them.
+    """
+    q, m = basis.q, basis.m
+    cl = tuple(sorted(set(clique)))
+    n = x.n
+    w = np.full(n, -1, dtype=np.int64)
+    w[list(cl)] = q - 1
+
+    B = basis.matrix
+    u = B.T @ w
+    t = np.empty_like(u)
+    width = q - 1
+    for b in range(m):
+        seg = u[b * width:(b + 1) * width]
+        t[b * width:(b + 1) * width] = seg + seg.sum()
+    assert np.array_equal(B @ t, q**3 * w), "projection residual is nonzero"
+
+    q3 = q**3
+    coeffs = [Fraction(int(tj), q3) for tj in t]
+
+    hist = {}
+    for c in coeffs:
+        hist[c] = hist.get(c, 0) + 1
+
+    total = sum(coeffs, Fraction(0))
+    uniform = (1 - total) / (q * m)
+    unbalanced = {(c.coset, c.intercept): uniform for c in basis.all_cliques}
+    for cl_obj, b in zip(basis.basis_cliques, coeffs):
+        unbalanced[(cl_obj.coset, cl_obj.intercept)] += b
+
+    check = [Fraction(0)] * n
+    for cl_obj in basis.all_cliques:
+        coef = unbalanced[(cl_obj.coset, cl_obj.intercept)]
+        if coef:
+            for v in cl_obj.vertices:
+                check[v] += coef
+    viamask = set(cl)
+    assert all(c == (1 if v in viamask else 0) for v, c in enumerate(check)), \
+        "unbalanced lift mismatch"
+    return coeffs, hist, unbalanced
+
+
+def assert_matches_dense_projection(x, basis, cliques):
+    """Coefficients, histogram and lift equal the oracle's, in order."""
+    for c in cliques:
+        dec = decompose_clique(x, basis, c)
+        coeffs, hist, unbalanced = dense_projection(x, basis, c)
+        assert dec.residual_zero
+        assert dec.coefficients == coeffs
+        assert list(dec.histogram.items()) == list(hist.items())
+        assert dec.zero_count == hist.get(Fraction(0), 0)
+        assert list(dec.unbalanced.items()) == list(unbalanced.items())
+
+
+def test_line_counts_match_dense_projection_on_survey_graphs():
+    reports = run_sweep()
+    assert len(reports) == 37
+    for r in reports:
+        assert [d.clique for d in r.decompositions] == r.audit.cliques
+        assert_matches_dense_projection(r.graph, r.basis, r.audit.cliques)
+
+
+def test_line_counts_match_dense_projection_under_every_modulus():
+    # every index set at q = 3 and 5; the maximum cliques through 0
+    # represent every clique up to translation, and every one is checked
+    # where a graph has fewer than 32, else 16 to 32 of them evenly spaced
+    graphs_checked = 0
+    for p in (3, 5):
+        for c0, c1 in product(range(p), repeat=2):
+            try:
+                ctx = create(p, 2, (c0, c1, 1))
+            except ReducibleModulus:
+                continue
+            for size in range(p):
+                for rest in combinations(range(1, p + 1), size):
+                    idx = (0,) + rest
+                    x = build_cayley(ctx, idx)
+                    srg_certify(x)
+                    sel = subarray_for_connection_set(ctx, idx)
+                    cliques = strict_ekr_audit(x, sel, through_vertex=0).cliques
+                    assert_matches_dense_projection(
+                        x, build_ekr_basis(x, sel), cliques[::max(1, len(cliques) // 16)])
+                    graphs_checked += 1
+    assert graphs_checked == 3 * 7 + 10 * 31
+
+
 def test_decompose_rejects_non_maximum():
     ctx, x, sel = build(3, (0, 2))
     basis = build_ekr_basis(x, sel)
@@ -362,6 +456,13 @@ def test_audit_through_vertex_case_study():
     assert report.canonical_count == 5
     assert len(report.non_canonical) == 4
     assert not report.strict
+
+
+def test_audit_rejects_selection_of_other_cosets():
+    # with cosets (0, 1) the class-2 lines would count as non-canonical
+    ctx, x, sel = build(3, (0, 1, 2))
+    with pytest.raises(CertificationFailed, match=r"selection cosets \(0, 1\)"):
+        strict_ekr_audit(x, subarray_for_connection_set(ctx, (0, 1)))
 
 
 def test_audit_budget():
@@ -524,6 +625,59 @@ def test_corrupted_direct_sum_rejected_under_optimize():
         "rejected direct sum has 8 elements, not 9",
         "rejected direct sum meets cosets [0, 1, 3, 4, 7, 8], expected 4 cosets including 0",
     ]
+
+
+SWAPPED_INTERCEPT_SCRIPT = """
+from peisert import build_cayley, build_ekr_basis, create, decompose_clique, srg_certify
+from peisert.errors import NonZeroResidual
+print("debug", __debug__)
+g = build_cayley(create(5, 2), (0, 1, 3))
+srg_certify(g)
+basis = build_ekr_basis(g)
+clique = basis.basis_cliques[0].vertices
+decompose_clique(g, basis, clique)
+row = basis.symbol[0]  # two vertices' intercepts swapped in one used row
+u = clique[0]
+w = next(v for v in range(g.n) if row[v] != row[u])
+row[u], row[w] = row[w], row[u]
+try:
+    decompose_clique(g, basis, clique)
+    print("accepted")
+except NonZeroResidual as e:
+    print("rejected", e)
+"""
+
+
+def test_swapped_intercept_rejected_under_optimize():
+    lines = run_optimized(SWAPPED_INTERCEPT_SCRIPT)
+    assert len(lines) == 1
+    assert lines[0].startswith("rejected line counts fail the module identity at vertex ")
+
+
+NON_CLIQUE_LINE_SCRIPT = """
+from peisert import build_cayley, create, srg_certify, strict_ekr_audit
+from peisert import subarray_for_connection_set
+from peisert.errors import CertificationFailed
+print("debug", __debug__)
+ctx = create(5, 2)
+g = build_cayley(ctx, (0, 1))
+srg_certify(g)
+sel = subarray_for_connection_set(ctx, (0, 1))
+r = sel.row_positions[0]  # one vertex traded between two used lines
+a, b = sel.lines[r][0], sel.lines[r][1]
+sel.lines[r][0] = tuple(sorted(a[1:] + b[:1]))
+sel.lines[r][1] = tuple(sorted(b[1:] + a[:1]))
+try:
+    strict_ekr_audit(g, sel)
+    print("accepted")
+except CertificationFailed as e:
+    print("rejected", e)
+"""
+
+
+def test_audit_rejects_non_clique_line_under_optimize():
+    assert run_optimized(NON_CLIQUE_LINE_SCRIPT) == [
+        "rejected a canonical clique is missing from the enumeration"]
 
 
 TABLE_CELL_SCRIPT = """

@@ -12,6 +12,7 @@ import pytest
 
 from peisert import create
 from peisert.errors import (
+    IndexOutOfRange,
     LogOfZero,
     NonPrimeCharacteristic,
     NotProperSubfield,
@@ -19,6 +20,9 @@ from peisert.errors import (
     OverflowingOrder,
     ReducibleModulus,
 )
+from peisert.field import _default_modulus
+from peisert.survey import ambient_field, field_params
+from test_ekr import run_optimized
 
 SMALL_FIELDS = [(3, 2), (5, 2), (3, 3), (3, 4), (7, 2), (11, 2)]
 
@@ -37,6 +41,18 @@ DEFAULT_MODULI = {
 def test_default_moduli_frozen():
     for (p, r), want in DEFAULT_MODULI.items():
         assert create(p, r).modulus == want
+
+
+def test_default_modulus_memoised():
+    # each pair is searched once; the cached value is the search's, for
+    # the field of order q and for the ambient field of order q^2
+    for q in (3, 5, 7, 9, 25, 27, 49):
+        p, r = field_params(q)
+        for degree in (r, 2 * r):
+            cached = _default_modulus(p, degree)
+            assert cached == _default_modulus.__wrapped__(p, degree)
+            assert _default_modulus(p, degree) is cached
+        assert ambient_field(q).modulus == _default_modulus(p, 2 * r)
 
 
 def test_prime_field_tables():
@@ -171,6 +187,31 @@ def test_coset_partition(p, r):
         assert bucket == set(ctx.coset_elements(i))
     # coset 0 is the nonzero subfield
     assert buckets[0] == set(ctx.subfield_elements()) - {0}
+
+
+COSET_RANGE_SCRIPT = """
+from peisert import create
+from peisert.errors import IndexOutOfRange
+print("debug", __debug__)
+ctx = create(3, 2)
+print(len(ctx.coset_elements(0)), len(ctx.coset_elements(3)))
+for index in (-1, 4):
+    try:
+        ctx.coset_elements(index)
+        print("accepted", index)
+    except IndexOutOfRange as e:
+        print("rejected", e)
+"""
+
+
+def test_coset_index_out_of_range_rejected_under_optimize():
+    assert run_optimized(COSET_RANGE_SCRIPT) == [
+        "2 2",
+        "rejected coset index -1 outside [0, 3]",
+        "rejected coset index 4 outside [0, 3]",
+    ]
+    with pytest.raises(IndexOutOfRange):
+        create(5, 2).coset_elements(6)
 
 
 def test_coset_closed_under_subfield_scaling():

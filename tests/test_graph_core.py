@@ -29,6 +29,7 @@ from peisert import (
 from peisert.errors import (
     IndexOutOfRange,
     LengthMismatch,
+    MalformedFile,
     MissingBaseCoset,
     NotHoffmanTight,
     NotRegular,
@@ -47,6 +48,7 @@ from peisert.graphs import (
     neighbor_array,
 )
 from peisert.oa import line_eigenvalues
+from test_ekr import run_optimized
 
 
 # ----- oracles ---------------------------------------------------------------
@@ -438,6 +440,35 @@ def test_dimacs_round_trip():
     h = from_dimacs(to_dimacs(g))
     assert h.n == g.n and h.adj == g.adj
     assert to_dimacs(h) == to_dimacs(g)
+
+
+MALFORMED_DIMACS_SCRIPT = """
+from peisert import from_dimacs
+from peisert.errors import MalformedFile
+print("debug", __debug__)
+for text in ("p col 3 1\\ne 1 2\\n",   # problem line is not 'p edge'
+             "e 1 2\\n",                # no problem line
+             "p edge 3 1\\ne 2 2\\n",   # self-loop
+             "p edge 3 1\\ne 1 4\\n",   # endpoint above n
+             "p edge 3 1\\ne 0 2\\n"):  # endpoint below 1
+    try:
+        from_dimacs(text)
+        print("accepted")
+    except MalformedFile as e:
+        print("rejected", e)
+"""
+
+
+def test_malformed_dimacs_rejected_under_optimize():
+    assert run_optimized(MALFORMED_DIMACS_SCRIPT) == [
+        "rejected problem line 'p col 3 1' is not 'p edge'",
+        "rejected missing problem line",
+        "rejected edge (1, 1) is a self-loop or leaves 0..2",
+        "rejected edge (0, 3) is a self-loop or leaves 0..2",
+        "rejected edge (-1, 1) is a self-loop or leaves 0..2",
+    ]
+    with pytest.raises(MalformedFile):
+        from_edges(2, [(0, 2)])
 
 
 def test_complement_involution():

@@ -5,8 +5,8 @@ embedded; reports are byte-identical across runs of the same
 configuration (no timestamps, sorted keys, seeded sampling only).
 Rationals render as "num/den" strings.
 
-Exit codes: 0 success, 1 failed verification or assertion, 2 exhausted
-budget, 3 bad input.
+Exit codes: 0 success, 1 failed verification, 2 exhausted budget, 3 bad
+input.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import (
     MissingBaseCoset,
     NoFreeCoset,
     NonPrimeCharacteristic,
-    NotHoffmanTight,
     NotMaximumClique,
     NotProperSubfield,
     NotSquare,
@@ -47,16 +46,14 @@ from .errors import (
     SearchTimeout,
     TooManyCosets,
     WrongCharacteristicResidue,
-    ZeroVector,
 )
 
 INPUT_ERRORS = (
     NonPrimeCharacteristic, ReducibleModulus, OverflowingOrder, LogOfZero,
     OddDegreeField, MissingBaseCoset, TooManyCosets, IndexOutOfRange,
     BadDivisor, WrongCharacteristicResidue, AlphaInSubfield, NoFreeCoset,
-    NoUnusedSlope, LengthMismatch, NotHoffmanTight, NotMaximumClique,
-    NotSquare, BadEntries, ZeroVector, NotProperSubfield, MalformedFile,
-    ValueError, OSError,
+    NoUnusedSlope, LengthMismatch, NotMaximumClique, NotSquare, BadEntries,
+    NotProperSubfield, MalformedFile, ValueError, OSError,
 )
 
 CASE_STUDY_MODULUS = (-1, 0, 0, -1, 1)  # x^4 - x^3 - 1 over GF(3)
@@ -276,7 +273,7 @@ def cmd_ekr_counterexample(args) -> int:
         "srg": _srg_json(ce.graph.srg),
     }
     try:
-        audit = ekr.strict_ekr_audit(ce.graph, budget=args.budget)
+        audit = ekr.strict_ekr_audit(ce.graph, ce.selection, budget=args.budget)
         result["audit"] = {"exhaustive": True, "strict_ekr": audit.strict,
                            "clique_count": audit.clique_count,
                            "canonical_count": audit.canonical_count}
@@ -375,17 +372,20 @@ def cmd_reproduce_81(args) -> int:
 
     sel = oa.subarray_for_connection_set(ctx, idx)
     oa.verify_isomorphism(g, sel)
-    audit = ekr.strict_ekr_audit(g, sel, through_vertex=0, budget=args.budget)
-    if audit.omega != 9 or audit.clique_count != 9:
+    full = ekr.strict_ekr_audit(g, sel, budget=args.budget)
+    through_0 = [c for c in full.cliques if 0 in c]
+    non_canonical_0 = [c for c in full.non_canonical if 0 in c]
+    canonical_0 = len(through_0) - len(non_canonical_0)
+    if full.omega != 9 or len(through_0) != 9:
         raise ReproductionMismatch(
-            f"expected 9 maximum cliques through 0, found {audit.clique_count}")
-    if audit.canonical_count != 5:
-        raise ReproductionMismatch(f"canonical count {audit.canonical_count} != 5")
+            f"expected 9 maximum cliques through 0, found {len(through_0)}")
+    if canonical_0 != 5:
+        raise ReproductionMismatch(f"canonical count {canonical_0} != 5")
 
     sub = ctx.subfield_elements()
     canonical_through_0 = {tuple(sorted(ctx.mul(ctx.gen_pow(i), t) for t in sub))
                            for i in range(5)}
-    if not canonical_through_0 <= set(audit.cliques):
+    if not canonical_through_0 <= set(through_0):
         raise ReproductionMismatch("a^i F_9 cliques missing from the enumeration")
 
     def span(i, j):
@@ -397,10 +397,8 @@ def cmd_reproduce_81(args) -> int:
 
     expected_nc = {span(0, 3): "C1", span(1, 10): "C2",
                    span(11, 20): "C3", span(30, 33): "C4"}
-    if set(audit.non_canonical) != set(expected_nc):
+    if set(non_canonical_0) != set(expected_nc):
         raise ReproductionMismatch("non-canonical cliques differ from the four spans")
-
-    full = ekr.strict_ekr_audit(g, sel, budget=args.budget)
     if full.clique_count != 81 or full.canonical_count != 45:
         raise ReproductionMismatch(
             f"full audit found {full.clique_count} cliques, {full.canonical_count} canonical")

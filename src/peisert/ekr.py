@@ -2,11 +2,15 @@
 from their balanced indicators, exact decompositions, strict audits, and
 subfield counterexamples.
 
-Everything is exact.  Basis columns are stored as the integer vectors
-q*chi - 1 (q times the balanced characteristic vector), certified by
-oa.line_eigenvalues with no n x n product.  A decomposition is read off
-the clique's line counts and certified by one integer identity per
-vertex; the only rational steps are the divisions by q and by q m.
+Each certificate takes the graph and its oa.SubarraySelection, which
+carries the field, the cosets, q, m and every line; only the adjacency
+and the SRG parameters are read from the graph, and the selection is
+never rebuilt here.  Everything is exact.  Basis columns are stored as
+the integer vectors q*chi - 1 (q times the balanced characteristic
+vector), certified by oa.line_eigenvalues with no n x n product.  A
+decomposition is read off the clique's line counts and certified by one
+integer identity per vertex; the only rational steps are the divisions
+by q and by q m.
 """
 
 from __future__ import annotations
@@ -23,12 +27,10 @@ import numpy as np
 from .errors import (
     CanonicalAfterAll,
     CertificationFailed,
-    LengthMismatch,
     NonZeroResidual,
     NotMaximumClique,
     NotProperSubfield,
     VerificationFailed,
-    ZeroVector,
 )
 from .field import FieldCtx
 from .graphs import (
@@ -54,7 +56,7 @@ class CanonicalClique(NamedTuple):
     vertices: tuple[int, ...]
 
 
-def canonical_cliques(x: Graph, sel: Optional[SubarraySelection] = None) -> list[CanonicalClique]:
+def canonical_cliques(x: Graph, sel: SubarraySelection) -> list[CanonicalClique]:
     """All m*q coset cliques, ordered by (coset, intercept).
 
     Each is a line of the selection's table: the cells of the row whose
@@ -63,10 +65,8 @@ def canonical_cliques(x: Graph, sel: Optional[SubarraySelection] = None) -> list
     VerificationFailed otherwise.  Lines of the table come from a
     certified bijection, so each has q distinct vertices.
     """
-    sel = sel or subarray_for_connection_set(x.field, x.cosets)
     out = []
-    for i in sorted(x.cosets):
-        row = sel.parent.row_labels.index(sel.slope_of_coset[i])
+    for i, row in zip(sel.coset_indices, _rows_by_coset(sel)):
         seen = 0
         for sym, verts in enumerate(sel.lines[row]):
             mask = _mask_of(verts)
@@ -80,40 +80,15 @@ def canonical_cliques(x: Graph, sel: Optional[SubarraySelection] = None) -> list
     return out
 
 
-def indicator(vertices: Sequence[int], n: int) -> list[int]:
-    v = [0] * n
-    for u in vertices:
-        v[u] = 1
-    return v
-
-
-def balanced_indicator(vertices: Sequence[int], n: int) -> list[Fraction]:
-    shift = Fraction(len(vertices), n)
-    return [Fraction(1) - shift if u in set(vertices) else -shift for u in range(n)]
-
-
-def eigenfunction_check(x: Graph, vec: Sequence, theta) -> bool:
-    """Exact check that sum of vec over each neighborhood equals theta
-    times the center value.  Zero vectors are rejected."""
-    if len(vec) != x.n:
-        raise LengthMismatch(f"vector length {len(vec)} != {x.n}")
-    if all(c == 0 for c in vec):
-        raise ZeroVector("eigenfunction check on the zero vector")
-    for v in range(x.n):
-        acc = 0
-        nb = x.adj[v]
-        while nb:
-            low = nb & -nb
-            acc += vec[low.bit_length() - 1]
-            nb ^= low
-        if acc != theta * vec[v]:
-            return False
-    return True
+def _rows_by_coset(sel: SubarraySelection) -> list[int]:
+    """Parent row of each used coset, in coset order."""
+    return [sel.parent.row_labels.index(sel.slope_of_coset[i]) for i in sel.coset_indices]
 
 
 @dataclass
 class EkrBasis:
-    """Balanced indicators of the canonical cliques missing a base vertex.
+    """Balanced indicators of the canonical cliques missing the base
+    vertex 0.
 
     symbol holds the m used rows of the selection's symbol table in
     coset order: symbol[b, v] is the intercept of the class-b line
@@ -128,14 +103,12 @@ class EkrBasis:
     m: int
     all_cliques: list[CanonicalClique]
     basis_cliques: list[CanonicalClique]
-    base_clique_of_coset: dict[int, CanonicalClique]
     symbol: np.ndarray
     matrix: np.ndarray
     rank: int
 
 
-def build_ekr_basis(x: Graph, sel: Optional[SubarraySelection] = None,
-                    base_vertex: int = 0) -> EkrBasis:
+def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
     """Assemble and certify the clique eigenspace basis.
 
     line_eigenvalues on the used rows gives A B = (q - m) B, and
@@ -148,25 +121,20 @@ def build_ekr_basis(x: Graph, sel: Optional[SubarraySelection] = None,
     one slope are disjoint).  It is nonsingular, so B has full column
     rank m (q - 1) and spans every difference chi_base - chi_other.
     """
-    ctx = x.field
     params = x.srg if x.srg is not None else srg_certify(x)
-    q = ctx.subfield_order
-    m = len(x.cosets)
+    q, m = sel.q, sel.m
     if params.least_eigenvalue != -m:
         raise CertificationFailed(f"least eigenvalue {params.least_eigenvalue} != -{m}")
-    sel = sel or subarray_for_connection_set(ctx, x.cosets)
     line_eigenvalues(x, sel, sel.row_positions)
 
     cliques = canonical_cliques(x, sel)
-    base_of = {cl.coset: cl for cl in cliques if base_vertex in cl.vertices}
-    basis_cliques = [cl for cl in cliques if base_vertex not in cl.vertices]
+    basis_cliques = [cl for cl in cliques if 0 not in cl.vertices]
 
-    symbol = sel.symbol[[sel.parent.row_labels.index(sel.slope_of_coset[i])
-                         for i in sorted(x.cosets)]]
+    symbol = sel.symbol[_rows_by_coset(sel)]
     intercepts = np.array([cl.intercept for cl in basis_cliques])
     columns = symbol[np.repeat(np.arange(m), q - 1)]  # q - 1 basis cliques per class
     B = np.ascontiguousarray(np.where(columns.T == intercepts, q - 1, -1))
-    return EkrBasis(base_vertex, q, m, cliques, basis_cliques, base_of, symbol, B, B.shape[1])
+    return EkrBasis(0, q, m, cliques, basis_cliques, symbol, B, B.shape[1])
 
 
 @dataclass
@@ -236,7 +204,7 @@ class AuditReport:
         return not self.non_canonical
 
 
-def strict_ekr_audit(x: Graph, sel: Optional[SubarraySelection] = None,
+def strict_ekr_audit(x: Graph, sel: SubarraySelection,
                      through_vertex: Optional[int] = None,
                      budget: Optional[float] = DEFAULT_BUDGET) -> AuditReport:
     """Exhaustively enumerate maximum cliques and split them into
@@ -246,21 +214,20 @@ def strict_ekr_audit(x: Graph, sel: Optional[SubarraySelection] = None,
     the coset cliques attain it, so enumeration at target q is complete
     maximum-clique enumeration.  The canonical cliques are the used
     lines of the table; finding each expected one in the enumeration,
-    which returns only cliques of x, certifies it.  A timeout aborts
-    with no verdict.
+    which returns only cliques of x, certifies it.  The selection must
+    carry the cosets of N(0), the connection set, or other lines would
+    pass for canonical.  A timeout aborts with no verdict.
     """
-    ctx = x.field
     params = x.srg if x.srg is not None else srg_certify(x)
-    q = ctx.subfield_order
-    m = len(x.cosets)
+    q, m = sel.q, sel.m
     if params.hoffman_bound() != q:
         raise CertificationFailed(f"Hoffman bound {params.hoffman_bound()} != {q}")
+    if x.n != sel.ctx.order or sel.coset_indices != tuple(
+            sorted({sel.ctx.coset_index(v) for v in x.neighbors(0)})):
+        raise CertificationFailed(f"selection cosets {sel.coset_indices} are not the graph's")
 
     cliques = enumerate_max_cliques(x, target=q, through_vertex=through_vertex,
                                     budget=budget)
-    sel = sel or subarray_for_connection_set(ctx, x.cosets)
-    if sel.coset_indices != tuple(sorted(x.cosets)):
-        raise CertificationFailed(f"selection cosets {sel.coset_indices} are not the graph's")
     canon_sets = {line for r in sel.row_positions for line in sel.lines[r]}
     found = set(cliques)
     if not all(c in found for c in canon_sets
@@ -283,6 +250,7 @@ class Counterexample:
     coset_indices: tuple[int, ...]
     clique: tuple[int, ...]
     graph: Graph
+    selection: SubarraySelection
 
 
 def build_counterexample(ctx: FieldCtx, subfield_order: int) -> Counterexample:
@@ -334,7 +302,8 @@ def build_counterexample(ctx: FieldCtx, subfield_order: int) -> Counterexample:
     if g.srg.hoffman_bound() != q:  # |C| = q meets the bound, so C is maximum
         raise CertificationFailed(f"Hoffman bound {g.srg.hoffman_bound()} != {q}")
 
-    for canon in canonical_cliques(g):
+    sel = subarray_for_connection_set(ctx, indices)
+    for canon in canonical_cliques(g, sel):
         if canon.vertices == clique:
             raise CanonicalAfterAll(f"C equals the coset clique {canon}")
-    return Counterexample(q, subfield_order, t, m, tuple(indices), clique, g)
+    return Counterexample(q, subfield_order, t, m, tuple(indices), clique, g, sel)

@@ -73,10 +73,6 @@ class LengthMismatch(PeisertError):
     """A vector or coloring has the wrong length."""
 
 
-class NotHoffmanTight(PeisertError):
-    """Clique size differs from 1 + k/m, so regularity is undefined."""
-
-
 class NotMaximumClique(PeisertError):
     """The supplied vertex set is not a maximum clique."""
 
@@ -87,10 +83,6 @@ class NotSquare(PeisertError):
 
 class BadEntries(PeisertError):
     """Matrix entries outside {-1, 0, 1}."""
-
-
-class ZeroVector(PeisertError):
-    """Eigenfunction checks reject the all-zero vector."""
 
 
 class MalformedFile(PeisertError):

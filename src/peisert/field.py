@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -184,7 +184,6 @@ class FieldCtx:
         self.generator = self._label_of_poly(gen_poly)
 
         self.exp, self.log = self._build_tables(gen_poly)
-        assert self.exp[0] == 1
         self._coords_cache: Optional[list[tuple[int, ...]]] = None
         self._subfield: Optional[tuple[int, ...]] = None
 
@@ -215,17 +214,18 @@ class FieldCtx:
         return label
 
     def _build_tables(self, gen_poly):
+        """exp[k] = g^k and its inverse.  g is certified to have order
+        exactly n = order - 1, so g^0 .. g^(n-1) are distinct and the log
+        table is injective."""
         n = self.order - 1
         exp = [0] * n
         log: list[Optional[int]] = [None] * self.order
         cur: tuple[int, ...] = (1,)
         for k in range(n):
             lab = self._label_of_poly(cur)
-            assert log[lab] is None, "generator order below field order"
             exp[k] = lab
             log[lab] = k
             cur = _poly_mod(_poly_mul(cur, gen_poly, self.p), self.modulus, self.p)
-        assert cur == (1,), "generator does not close the cycle"
         return exp, log
 
     # ----- coordinates ---------------------------------------------------
@@ -237,12 +237,6 @@ class FieldCtx:
             a, c = divmod(a, self.p)
             out.append(c)
         return tuple(out)
-
-    def label(self, coords: Iterable[int]) -> int:
-        lab = 0
-        for c in reversed([c % self.p for c in coords]):
-            lab = lab * self.p + c
-        return lab
 
     def _coord_table(self):
         if self._coords_cache is None and self.order <= _COORD_CACHE_CAP:
@@ -330,17 +324,12 @@ class FieldCtx:
         return self.p ** (self.r // 2)
 
     def subfield_elements(self) -> tuple[int, ...]:
-        """Sorted labels of the index-2 subfield F_q inside GF(q^2)."""
+        """Sorted labels of the index-2 subfield F_q inside GF(q^2): 0 and
+        the q - 1 distinct powers g^(k (q + 1)), which x^q = x fixes."""
         q = self.subfield_order
         if self._subfield is None:
-            elems = {0}
             step = q + 1  # (q^2 - 1) / (q - 1)
-            for k in range(q - 1):
-                elems.add(self.exp[k * step])
-            assert len(elems) == q
-            for x in elems:
-                assert self.pow(x, q) == x, "subfield element fails Frobenius fix"
-            self._subfield = tuple(sorted(elems))
+            self._subfield = tuple(sorted({0} | {self.exp[k * step] for k in range(q - 1)}))
         return self._subfield
 
     def subfield_of_order(self, m: int) -> tuple[int, ...]:
@@ -351,9 +340,7 @@ class FieldCtx:
         if self.p**s != m or self.r % s != 0:
             raise NotProperSubfield(f"{m} is not p^s with s | {self.r}")
         step = (self.order - 1) // (m - 1)
-        elems = {0} | {self.exp[k * step] for k in range(m - 1)}
-        assert len(elems) == m
-        return tuple(sorted(elems))
+        return tuple(sorted({0} | {self.exp[k * step] for k in range(m - 1)}))
 
     def coset_index(self, a: int) -> int:
         """Index in [0, q] of the F_q^* multiplicative coset containing a."""

@@ -23,7 +23,6 @@ from .errors import (
     LengthMismatch,
     MalformedFile,
     MissingBaseCoset,
-    NotHoffmanTight,
     NotRegular,
     NotStronglyRegular,
     SearchTimeout,
@@ -53,16 +52,15 @@ def _mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Undirected graph; adj[v] is the neighbor bitset of vertex v."""
 
-    __slots__ = ("n", "adj", "labels", "srg", "field", "cosets")
+    __slots__ = ("n", "adj", "srg", "field")
 
-    def __init__(self, n: int, adj: list[int], labels: Optional[Sequence] = None):
-        assert len(adj) == n
+    def __init__(self, n: int, adj: list[int]):
+        if len(adj) != n:
+            raise LengthMismatch(f"{len(adj)} adjacency rows for {n} vertices")
         self.n = n
         self.adj = adj
-        self.labels = list(labels) if labels is not None else list(range(n))
         self.srg: Optional[SrgParams] = None
         self.field: Optional[FieldCtx] = None
-        self.cosets: Optional[frozenset[int]] = None
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -79,7 +77,7 @@ class Graph:
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         adj = [(~self.adj[v]) & full & ~(1 << v) for v in range(self.n)]
-        return Graph(self.n, adj, self.labels)
+        return Graph(self.n, adj)
 
 
 def neighbor_array(g: Graph) -> np.ndarray:
@@ -276,7 +274,6 @@ def build_cayley(ctx: FieldCtx, coset_indices: Iterable[int]) -> Graph:
     check_symmetric_set(ctx, s_labels)
     g = Graph(ctx.order, list(_translates(ctx, s_labels)))
     g.field = ctx
-    g.cosets = frozenset(idx)
     return g
 
 
@@ -322,7 +319,7 @@ def family_cosets(ctx: FieldCtx, name: str, d: Optional[int] = None) -> frozense
     return indices
 
 
-# ----- colorings and clique regularity -----------------------------------
+# ----- colorings and cliques ----------------------------------------------
 
 def verify_coloring(g: Graph, colors: Sequence[int]) -> Optional[tuple[int, int]]:
     """None if proper, else the first violating edge (u, v), u < v, in
@@ -337,31 +334,6 @@ def verify_coloring(g: Graph, colors: Sequence[int]) -> Optional[tuple[int, int]
         if clash:
             return (u, u + (clash & -clash).bit_length())
     return None
-
-
-def clique_regularity(g: Graph, clique: Sequence[int]) -> bool:
-    """Check every outside vertex sees exactly mu/m clique vertices.
-
-    Only defined for Hoffman-tight cliques of a certified SRG with
-    integral least eigenvalue -m; anything else raises NotHoffmanTight.
-    """
-    params = g.srg if g.srg is not None else srg_certify(g)
-    if params.complete or params.mu is None:
-        raise NotHoffmanTight("complete graph has no Hoffman-tight cliques")
-    m = -params.least_eigenvalue
-    bound = params.hoffman_bound()
-    if Fraction(len(clique)) != bound:
-        raise NotHoffmanTight(f"|C| = {len(clique)} but Hoffman bound is {bound}")
-    expected = Fraction(params.mu, m)
-    assert expected.denominator == 1, "mu/m must be integral at a tight clique"
-    expected = int(expected)
-    cmask = _mask_of(clique)
-    for v in range(g.n):
-        if (cmask >> v) & 1:
-            continue
-        if (g.adj[v] & cmask).bit_count() != expected:
-            return False
-    return True
 
 
 def is_clique(g: Graph, vertices: Sequence[int]) -> bool:
@@ -495,7 +467,6 @@ def enumerate_max_cliques(g: Graph,
     else:
         _collect_size_t(g.adj, list(seed), P0, target, out, deadline)
     out.sort()
-    assert len(set(out)) == len(out)
     return out
 
 

@@ -14,7 +14,10 @@ array indexed by vertex) and the line table (each cell as a vertex set);
 line_eigenvalues certifies A chi_L on the lines of the symbol table for
 both the clique-module basis and the diagonalizer.  Only
 canonical_correspondence derives lines from field arithmetic, and it
-checks them against the table.
+checks them against the table.  The selection is built once per graph:
+the certificates here and in ekr and whd take it and never rebuild it.
+The full array is verified once, at build; its subarrays and translates
+are strength 2 by that check and are not verified again.
 """
 
 from __future__ import annotations
@@ -89,14 +92,13 @@ class OrthogonalArray:
         return True
 
     def subarray(self, row_positions: Sequence[int]) -> "OrthogonalArray":
-        sub = OrthogonalArray(
+        """The given rows; any rows of a strength-2 array are strength 2."""
+        return OrthogonalArray(
             self.n,
             [list(self.entries[i]) for i in row_positions],
             [self.row_labels[i] for i in row_positions],
             self.column_labels,
         )
-        sub.verify()
-        return sub
 
 
 def build_pointline_oa(ctx: FieldCtx, alpha: int) -> OrthogonalArray:
@@ -266,7 +268,7 @@ def block_graph(oa: OrthogonalArray) -> Graph:
             mask = _mask_of(cols)
             for c in cols:
                 adj[c] |= mask & ~(1 << c)
-    return Graph(ncols, adj, oa.column_labels)
+    return Graph(ncols, adj)
 
 
 def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
@@ -331,12 +333,11 @@ def unused_slope_coloring(sel: SubarraySelection) -> list[int]:
 
 def translate_to_zero(oa: OrthogonalArray, column: int) -> OrthogonalArray:
     """Shift each row's symbols additively (mod n) so `column` reads all
-    zeros.  Cell partitions are preserved, so the block graph is unchanged."""
+    zeros.  The shift is a bijection of each row's symbols, so cell
+    partitions, strength 2 and the block graph are unchanged."""
     n = oa.n
     entries = [[(e - row[column]) % n for e in row] for row in oa.entries]
-    out = OrthogonalArray(n, entries, list(oa.row_labels), oa.column_labels)
-    out.verify()
-    return out
+    return OrthogonalArray(n, entries, list(oa.row_labels), oa.column_labels)
 
 
 def noncanonical_zero_rows(shifted: OrthogonalArray, clique: Sequence[int],
@@ -356,15 +357,18 @@ def noncanonical_zero_rows(shifted: OrthogonalArray, clique: Sequence[int],
     return parts
 
 
-def noncanonical_clique_bound(sel: SubarraySelection, column: int = 0,
+def noncanonical_clique_bound(sel: SubarraySelection, *,
                               budget: Optional[float] = None) -> dict:
-    """Enumerate maximal cliques of the block graph through one column and
+    """Enumerate maximal cliques of the block graph through column 0 and
     check every non-canonical one against the (m - 1)^2 size bound, with
-    the agreement-row partition recorded per clique."""
+    the agreement-row partition recorded per clique.  Translations of the
+    plane permute the columns and keep every parallel class, so column 0
+    stands for every column."""
     from .graphs import enumerate_maximal_cliques
 
     g = block_graph(sel.subarray)
     m = sel.m
+    column = 0
     canonical = {frozenset(c for c, e in enumerate(row) if e == row[column])
                  for row in sel.subarray.entries}
     cliques = enumerate_maximal_cliques(g, through_vertex=column, budget=budget)

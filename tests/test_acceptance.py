@@ -27,8 +27,8 @@ from peisert import (
     unused_slope_coloring,
     verify_isomorphism,
 )
-from peisert.ekr import balanced_indicator, eigenfunction_check, indicator
 from peisert.errors import SearchTimeout
+from test_ekr import balanced_indicator, eigenfunction_check, indicator
 
 PINNED81 = (-1, 0, 0, -1, 1)
 BUDGET = float(os.environ.get("PEISERT_BUDGET", "1800"))
@@ -135,7 +135,7 @@ def test_criterion_05_strict_threshold(sweep):
 
     ce9 = build_counterexample(create(3, 4), 3)
     assert ce9.coset_indices == (0, 1, 7, 8)
-    audit9 = strict_ekr_audit(ce9.graph, budget=BUDGET)
+    audit9 = strict_ekr_audit(ce9.graph, ce9.selection, budget=BUDGET)
     assert not audit9.strict
     assert ce9.clique in audit9.non_canonical
     swept9 = {r.indices: r for r in reports if r.q == 9}
@@ -144,7 +144,7 @@ def test_criterion_05_strict_threshold(sweep):
     ce25 = build_counterexample(create(5, 4), 5)
     assert ce25.coset_indices == (0, 1, 6, 18, 23, 24)
     try:
-        audit25 = strict_ekr_audit(ce25.graph, budget=min(BUDGET, 1800))
+        audit25 = strict_ekr_audit(ce25.graph, ce25.selection, budget=min(BUDGET, 1800))
         assert not audit25.strict
         assert ce25.clique in audit25.non_canonical
         detail = f"q=25 exhaustive, {audit25.clique_count} maximum cliques"

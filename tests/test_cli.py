@@ -1,12 +1,16 @@
 """End-to-end command tests: JSON reports, exit codes, determinism."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from peisert import survey
+from peisert import cli, ekr, graphs, oa, survey, whd
 from peisert.cli import main
 from peisert.errors import SearchTimeout
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run(capsys, *argv):
@@ -19,6 +23,21 @@ def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     assert code == 0, out
     return json.loads(out)
+
+
+def counted(monkeypatch, fn):
+    """Wrap fn in every package module that holds it by name; returns
+    the list its calls are appended to."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in (cli, ekr, graphs, oa, survey, whd):
+        if getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, wrapper)
+    return calls
 
 
 def test_field_inspect(capsys):
@@ -110,6 +129,12 @@ def test_ekr_counterexample_report(capsys):
     assert r["srg"]["k"] == 32
 
 
+def test_ekr_counterexample_builds_one_selection(capsys, monkeypatch):
+    calls = counted(monkeypatch, oa.subarray_for_connection_set)
+    run_json(capsys, "ekr", "counterexample", "--q", "9", "--subfield", "3")
+    assert len(calls) == 1
+
+
 def test_whd_round_trip(capsys, tmp_path):
     path = tmp_path / "whd.csv"
     rep = run_json(capsys, "whd", "build", "--q", "3", "--family", "paley",
@@ -136,6 +161,23 @@ def test_reproduce_81(capsys, tmp_path):
     lines = table.read_text().strip().splitlines()
     assert len(lines) == 8 and all(len(l.split("),(")) == 5 for l in lines)
     assert sum(l.count("-1/3") for l in lines) == 24
+
+
+def test_reproduce_81_runs_one_audit(capsys, monkeypatch):
+    audits = counted(monkeypatch, ekr.strict_ekr_audit)
+    searches = counted(monkeypatch, graphs.enumerate_max_cliques)
+    run_json(capsys, "reproduce-81")
+    assert len(audits) == 1 and len(searches) == 1
+
+
+def test_bench_spans_name_existing_functions():
+    """The traced benchmark wraps these by name; a deleted or renamed
+    function would break it."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, name in tracing.SPANS:
+        assert callable(getattr(owner, attr, None)), name
 
 
 def test_survey_report(capsys):

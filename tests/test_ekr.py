@@ -1,17 +1,20 @@
 """Canonical cliques, the clique module basis, decompositions, audits."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 import peisert
 from peisert import (
+    Graph,
     build_cayley,
     build_counterexample,
     build_ekr_basis,
@@ -26,18 +29,18 @@ from peisert import (
     subarray_for_connection_set,
     verify_isomorphism,
 )
-from peisert.ekr import balanced_indicator, eigenfunction_check, indicator
 from peisert.errors import (
     CertificationFailed,
     CorrespondenceFailed,
+    LengthMismatch,
     NotIsomorphicUnderF,
     NotMaximumClique,
     NotProperSubfield,
     ReducibleModulus,
     SearchTimeout,
     VerificationFailed,
-    ZeroVector,
 )
+from peisert.graphs import _mask_of
 from peisert.oa import INFINITY_SLOPE
 
 PINNED81 = (-1, 0, 0, -1, 1)
@@ -231,7 +234,7 @@ def test_eigenfunction_difference_identity():
 
 def test_eigenfunction_check_guards():
     ctx, x, sel = build(3, (0, 2))
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ValueError, match="eigenfunction check on the zero vector"):
         eigenfunction_check(x, [0] * 9, 1)
 
 
@@ -248,7 +251,8 @@ def test_basis_shape_and_rank(q, idx):
     assert len(basis.all_cliques) == m * q
     assert len(basis.basis_cliques) == m * (q - 1)
     assert all(basis.base_vertex not in c.vertices for c in basis.basis_cliques)
-    assert sorted(basis.base_clique_of_coset) == sorted(set(idx))
+    base = [c for c in basis.all_cliques if basis.base_vertex in c.vertices]
+    assert sorted(c.coset for c in base) == sorted(set(idx))
 
 
 def test_basis_gram_structure():
@@ -282,7 +286,8 @@ def test_basis_clique_decomposes_to_unit_vector():
 def test_base_clique_decomposes_to_class_sum():
     ctx, x, sel = build(9, (0, 1, 2, 3, 4), PINNED81)
     basis = build_ekr_basis(x, sel)
-    dec = decompose_clique(x, basis, basis.base_clique_of_coset[0].vertices)
+    base = next(c for c in basis.all_cliques if c.coset == 0 and basis.base_vertex in c.vertices)
+    dec = decompose_clique(x, basis, base.vertices)
     assert dec.residual_zero
     assert dec.histogram == {Fraction(-1): 8, Fraction(0): 32}
     for cl, b in zip(basis.basis_cliques, dec.coefficients):
@@ -323,6 +328,62 @@ def test_decomposition_matches_exact_elimination():
     sol = solve_exact(cols, balanced_indicator(c2, x.n))
     assert sol is not None
     assert [s * 9 for s in sol] == list(dec.coefficients)
+
+
+def indicator(vertices: Sequence[int], n: int) -> list[int]:
+    v = [0] * n
+    for u in vertices:
+        v[u] = 1
+    return v
+
+
+def balanced_indicator(vertices: Sequence[int], n: int) -> list[Fraction]:
+    shift = Fraction(len(vertices), n)
+    return [Fraction(1) - shift if u in set(vertices) else -shift for u in range(n)]
+
+
+def eigenfunction_check(x: Graph, vec: Sequence, theta) -> bool:
+    """Exact check that sum of vec over each neighborhood equals theta
+    times the center value.  Zero vectors are rejected."""
+    if len(vec) != x.n:
+        raise LengthMismatch(f"vector length {len(vec)} != {x.n}")
+    if all(c == 0 for c in vec):
+        raise ValueError("eigenfunction check on the zero vector")
+    for v in range(x.n):
+        acc = 0
+        nb = x.adj[v]
+        while nb:
+            low = nb & -nb
+            acc += vec[low.bit_length() - 1]
+            nb ^= low
+        if acc != theta * vec[v]:
+            return False
+    return True
+
+
+def clique_regularity(g: Graph, clique: Sequence[int]) -> bool:
+    """Check every outside vertex sees exactly mu/m clique vertices.
+
+    Only defined for Hoffman-tight cliques of a certified SRG with
+    integral least eigenvalue -m; anything else raises ValueError.
+    """
+    params = g.srg if g.srg is not None else srg_certify(g)
+    if params.complete or params.mu is None:
+        raise ValueError("complete graph has no Hoffman-tight cliques")
+    m = -params.least_eigenvalue
+    bound = params.hoffman_bound()
+    if Fraction(len(clique)) != bound:
+        raise ValueError(f"|C| = {len(clique)} but Hoffman bound is {bound}")
+    expected = Fraction(params.mu, m)
+    assert expected.denominator == 1, "mu/m must be integral at a tight clique"
+    expected = int(expected)
+    cmask = _mask_of(clique)
+    for v in range(g.n):
+        if (cmask >> v) & 1:
+            continue
+        if (g.adj[v] & cmask).bit_count() != expected:
+            return False
+    return True
 
 
 def dense_projection(x, basis, clique):
@@ -459,10 +520,13 @@ def test_audit_through_vertex_case_study():
 
 
 def test_audit_rejects_selection_of_other_cosets():
-    # with cosets (0, 1) the class-2 lines would count as non-canonical
-    ctx, x, sel = build(3, (0, 1, 2))
-    with pytest.raises(CertificationFailed, match=r"selection cosets \(0, 1\)"):
-        strict_ekr_audit(x, subarray_for_connection_set(ctx, (0, 1)))
+    # with cosets (0, 1) the class-2 lines would count as non-canonical;
+    # at equal m only the cosets of N(0) tell the selections apart
+    for q, graph_idx, sel_idx in [(3, (0, 1, 2), (0, 1)), (5, (0, 1), (0, 2))]:
+        ctx, x, _ = build(q, graph_idx)
+        want = re.escape(f"selection cosets {sel_idx} are not the graph's")
+        with pytest.raises(CertificationFailed, match=want):
+            strict_ekr_audit(x, subarray_for_connection_set(ctx, sel_idx))
 
 
 def test_audit_budget():
@@ -482,7 +546,7 @@ def test_counterexample_q9():
     want = tuple(sorted(ctx.add(u, ctx.mul(v, ctx.generator))
                         for u in (0, 1, 2) for v in (0, 1, 2)))
     assert ce.clique == want
-    report = strict_ekr_audit(ce.graph)
+    report = strict_ekr_audit(ce.graph, ce.selection)
     assert not report.strict
     assert report.clique_count == 72
     assert report.canonical_count == 36
@@ -497,7 +561,7 @@ def test_counterexample_q25():
     p = ce.graph.srg
     assert (p.n, p.k, p.lam, p.mu) == (625, 144, 43, 30)
     assert ce.clique in strict_ekr_audit(
-        ce.graph, through_vertex=0).non_canonical
+        ce.graph, ce.selection, through_vertex=0).non_canonical
 
 
 def test_counterexample_rejects_improper_subfield():
@@ -536,15 +600,17 @@ def run_optimized(script: str) -> list[str]:
 
 
 BROKEN_CLIQUE_SCRIPT = """
-from peisert import build_cayley, canonical_cliques, create
+from peisert import build_cayley, canonical_cliques, create, subarray_for_connection_set
 from peisert.errors import VerificationFailed
 print("debug", __debug__)
-g = build_cayley(create(3, 2), (0, 2))
-u, v = canonical_cliques(g)[0].vertices[:2]
+ctx = create(3, 2)
+g = build_cayley(ctx, (0, 2))
+sel = subarray_for_connection_set(ctx, (0, 2))
+u, v = canonical_cliques(g, sel)[0].vertices[:2]
 g.adj[u] &= ~(1 << v)
 g.adj[v] &= ~(1 << u)
 try:
-    canonical_cliques(g)
+    canonical_cliques(g, sel)
 except VerificationFailed as e:
     print("rejected", e)
 """
@@ -629,11 +695,13 @@ def test_corrupted_direct_sum_rejected_under_optimize():
 
 SWAPPED_INTERCEPT_SCRIPT = """
 from peisert import build_cayley, build_ekr_basis, create, decompose_clique, srg_certify
+from peisert import subarray_for_connection_set
 from peisert.errors import NonZeroResidual
 print("debug", __debug__)
-g = build_cayley(create(5, 2), (0, 1, 3))
+ctx = create(5, 2)
+g = build_cayley(ctx, (0, 1, 3))
 srg_certify(g)
-basis = build_ekr_basis(g)
+basis = build_ekr_basis(g, subarray_for_connection_set(ctx, (0, 1, 3)))
 clique = basis.basis_cliques[0].vertices
 decompose_clique(g, basis, clique)
 row = basis.symbol[0]  # two vertices' intercepts swapped in one used row
@@ -683,11 +751,12 @@ def test_audit_rejects_non_clique_line_under_optimize():
 TABLE_CELL_SCRIPT = """
 import dataclasses
 from peisert import build_cayley, build_ekr_basis, cli, create, decompose_clique
+from peisert import subarray_for_connection_set
 from peisert.errors import ReproductionMismatch
 print("debug", __debug__)
 ctx = create(3, 4, cli.CASE_STUDY_MODULUS)
 g = build_cayley(ctx, (0, 1, 2, 3, 4))
-basis = build_ekr_basis(g)
+basis = build_ekr_basis(g, subarray_for_connection_set(ctx, (0, 1, 2, 3, 4)))
 dec = decompose_clique(g, basis, basis.basis_cliques[0].vertices)
 for cells, cut in ((cli.CASE_STUDY_CELLS, 1),  # a basis clique missing
                    ([cli.CASE_STUDY_CELLS[0]] * 8, 0)):  # one row repeated

@@ -31,7 +31,6 @@ from peisert.errors import (
     LengthMismatch,
     MalformedFile,
     MissingBaseCoset,
-    NotHoffmanTight,
     NotRegular,
     NotStronglyRegular,
     ReducibleModulus,
@@ -42,13 +41,12 @@ from peisert.errors import (
 from peisert.graphs import (
     _is_translation_invariant,
     check_symmetric_set,
-    clique_regularity,
     family_cosets as _families,
     from_edges,
     neighbor_array,
 )
 from peisert.oa import line_eigenvalues
-from test_ekr import run_optimized
+from test_ekr import clique_regularity, run_optimized
 
 
 # ----- oracles ---------------------------------------------------------------
@@ -342,7 +340,7 @@ def test_hoffman_bound_and_clique_regularity():
     pg = petersen()
     srg_certify(pg)  # (10, 3, 0, 1)
     assert pg.srg.least_eigenvalue == -2
-    with pytest.raises(NotHoffmanTight):
+    with pytest.raises(ValueError, match=r"\|C\| = 2 but Hoffman bound is 5/2"):
         clique_regularity(pg, (0, 1))  # bound 5/2 is not an integer
 
 
@@ -469,6 +467,8 @@ def test_malformed_dimacs_rejected_under_optimize():
     ]
     with pytest.raises(MalformedFile):
         from_edges(2, [(0, 2)])
+    with pytest.raises(LengthMismatch, match="2 adjacency rows for 3 vertices"):
+        Graph(3, [0, 0])
 
 
 def test_complement_involution():

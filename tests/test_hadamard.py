@@ -21,9 +21,9 @@ from peisert import (
     whd_from_csv,
     whd_to_csv,
 )
-from peisert.ekr import eigenfunction_check
 from peisert.errors import BadEntries, NotSquare
 from peisert.whd import nonorthogonality_edges
+from test_ekr import eigenfunction_check
 
 
 def brute_weakly_hadamard(matrix) -> bool:

@@ -252,7 +252,7 @@ def test_zero_rows_partition():
 def test_noncanonical_clique_bound_gp81():
     ctx = create(3, 4)
     sel = subarray_for_connection_set(ctx, (0, 1, 2, 3, 4))
-    res = noncanonical_clique_bound(sel, 0)
+    res = noncanonical_clique_bound(sel)
     assert res["ok"]
     assert res["bound"] == 16  # (m - 1)^2
     assert res["maximal_through"] == 289
@@ -266,7 +266,7 @@ def test_noncanonical_clique_bound_gp81():
 def test_noncanonical_clique_bound_small():
     ctx = create(3, 2)
     sel = subarray_for_connection_set(ctx, (0, 2))
-    res = noncanonical_clique_bound(sel, 0)
+    res = noncanonical_clique_bound(sel)
     assert res["ok"] and res["bound"] == 1
 
 
@@ -274,7 +274,7 @@ def test_bound_budget():
     ctx = create(3, 4)
     sel = subarray_for_connection_set(ctx, (0, 1, 2, 3, 4))
     with pytest.raises(SearchTimeout):
-        noncanonical_clique_bound(sel, 0, budget=0)
+        noncanonical_clique_bound(sel, budget=0)
 
 
 def test_csv_round_trip():

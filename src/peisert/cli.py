@@ -23,38 +23,15 @@ import numpy as np
 
 from . import ekr, graphs, linalg, oa, survey, whd
 from .errors import (
-    AlphaInSubfield,
-    BadDivisor,
-    BadEntries,
     CertificationFailed,
-    IndexOutOfRange,
+    InputError,
     LengthMismatch,
-    LogOfZero,
-    MalformedFile,
-    MissingBaseCoset,
-    NoFreeCoset,
-    NonPrimeCharacteristic,
-    NotMaximumClique,
-    NotProperSubfield,
-    NotSquare,
-    NoUnusedSlope,
-    OddDegreeField,
-    OverflowingOrder,
     PeisertError,
-    ReducibleModulus,
     ReproductionMismatch,
     SearchTimeout,
-    TooManyCosets,
-    WrongCharacteristicResidue,
 )
 
-INPUT_ERRORS = (
-    NonPrimeCharacteristic, ReducibleModulus, OverflowingOrder, LogOfZero,
-    OddDegreeField, MissingBaseCoset, TooManyCosets, IndexOutOfRange,
-    BadDivisor, WrongCharacteristicResidue, AlphaInSubfield, NoFreeCoset,
-    NoUnusedSlope, LengthMismatch, NotMaximumClique, NotSquare, BadEntries,
-    NotProperSubfield, MalformedFile, ValueError, OSError,
-)
+INPUT_ERRORS = (InputError, ValueError, OSError)
 
 CASE_STUDY_MODULUS = (-1, 0, 0, -1, 1)  # x^4 - x^3 - 1 over GF(3)
 
@@ -87,7 +64,7 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def default_budget() -> float:
-    return float(os.environ.get("PEISERT_BUDGET", "300"))
+    return float(os.environ.get("PEISERT_BUDGET", graphs.DEFAULT_BUDGET))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,9 +91,13 @@ def _add_graph_args(sub):
                      help="comma list of ambient modulus coefficients, ascending")
 
 
-def _resolve_graph(args):
+def _ambient_field(args):
     modulus = _parse_ints(args.modulus) if args.modulus else None
-    ctx = survey.ambient_field(args.q, modulus)
+    return survey.ambient_field(args.q, modulus)
+
+
+def _resolve_graph(args):
+    ctx = _ambient_field(args)
     if args.family:
         idx = graphs.family_cosets(ctx, args.family, args.d)
     elif args.cosets:
@@ -194,17 +175,15 @@ def cmd_graph_cliques(args) -> int:
 
 
 def cmd_oa_build(args) -> int:
-    modulus = _parse_ints(args.modulus) if args.modulus else None
-    ctx = survey.ambient_field(args.q, modulus)
-    config = {"command": "oa build", "q": args.q, "cosets": args.cosets,
-              "family": args.family, "d": args.d, "modulus": args.modulus}
+    config = dict(_graph_config(args), command="oa build")
     if args.cosets or args.family:
-        _, idx = _resolve_graph(args)
+        ctx, idx = _resolve_graph(args)
         sel = oa.subarray_for_connection_set(ctx, idx)
         array = sel.subarray
         summary = {"rows": array.num_rows, "n": array.n,
                    "alpha": sel.alpha, "indices": list(idx)}
     else:
+        ctx = _ambient_field(args)
         alpha = oa.default_alpha(ctx, set())
         array = oa.build_pointline_oa(ctx, alpha)
         summary = {"rows": array.num_rows, "n": array.n, "alpha": alpha}
@@ -264,9 +243,7 @@ def cmd_ekr_decompose(args) -> int:
 
 
 def cmd_ekr_counterexample(args) -> int:
-    modulus = _parse_ints(args.modulus) if args.modulus else None
-    ctx = survey.ambient_field(args.q, modulus)
-    ce = ekr.build_counterexample(ctx, args.subfield)
+    ce = ekr.build_counterexample(_ambient_field(args), args.subfield)
     result = {
         "q": ce.q, "subfield": ce.subfield_order, "summands": ce.t, "m": ce.m,
         "indices": list(ce.coset_indices), "clique": list(ce.clique),
@@ -512,11 +489,7 @@ def build_parser() -> _Parser:
 
     o = sub.add_parser("oa").add_subparsers(dest="sub", required=True)
     ob = o.add_parser("build")
-    ob.add_argument("--q", type=int, required=True)
-    ob.add_argument("--cosets", type=str)
-    ob.add_argument("--family", choices=["paley", "peisert", "gp", "gpstar"])
-    ob.add_argument("--d", type=int)
-    ob.add_argument("--modulus", type=str)
+    _add_graph_args(ob)
     ob.add_argument("--out", type=str)
     ob.set_defaults(func=cmd_oa_build)
     ov = o.add_parser("verify")

@@ -66,7 +66,7 @@ def canonical_cliques(x: Graph, sel: SubarraySelection) -> list[CanonicalClique]
     certified bijection, so each has q distinct vertices.
     """
     out = []
-    for i, row in zip(sel.coset_indices, _rows_by_coset(sel)):
+    for i, row in zip(sel.coset_indices, sel.rows):
         seen = 0
         for sym, verts in enumerate(sel.lines[row]):
             mask = _mask_of(verts)
@@ -78,11 +78,6 @@ def canonical_cliques(x: Graph, sel: SubarraySelection) -> list[CanonicalClique]
         if seen != (1 << x.n) - 1:
             raise VerificationFailed(f"parallel class {i} does not partition the vertices")
     return out
-
-
-def _rows_by_coset(sel: SubarraySelection) -> list[int]:
-    """Parent row of each used coset, in coset order."""
-    return [sel.parent.row_labels.index(sel.slope_of_coset[i]) for i in sel.coset_indices]
 
 
 @dataclass
@@ -130,7 +125,7 @@ def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
     cliques = canonical_cliques(x, sel)
     basis_cliques = [cl for cl in cliques if 0 not in cl.vertices]
 
-    symbol = sel.symbol[_rows_by_coset(sel)]
+    symbol = sel.symbol[list(sel.rows)]
     intercepts = np.array([cl.intercept for cl in basis_cliques])
     columns = symbol[np.repeat(np.arange(m), q - 1)]  # q - 1 basis cliques per class
     B = np.ascontiguousarray(np.where(columns.T == intercepts, q - 1, -1))
@@ -253,13 +248,13 @@ class Counterexample:
     selection: SubarraySelection
 
 
-def build_counterexample(ctx: FieldCtx, subfield_order: int) -> Counterexample:
+def subfield_direct_sum(ctx: FieldCtx,
+                        subfield_order: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Direct sum C = K + g K + ... + g^(t-1) K for a proper subfield K
-    of F_q, yielding a non-canonical maximum clique of its own graph.
+    of F_q; returns t, C sorted, and the cosets that C \\ {0} meets.
 
-    Verifies: |C| = q, C - C = C lands in the connection set, the induced
-    index set has size exactly (q - 1) / (|K| - 1), and C differs from
-    every canonical clique.
+    Verifies: |C| = q, C - C = C, and the index set has size exactly
+    (q - 1) / (|K| - 1) and contains 0.
     """
     q = ctx.subfield_order
     K = ctx.subfield_of_order(subfield_order)
@@ -282,21 +277,31 @@ def build_counterexample(ctx: FieldCtx, subfield_order: int) -> Counterexample:
     if len(cset) != q:
         raise VerificationFailed(f"direct sum has {len(cset)} elements, not {q}")
 
-    indices = sorted({ctx.coset_index(z) for z in cset if z != 0})
+    indices = tuple(sorted({ctx.coset_index(z) for z in cset if z != 0}))
     m = (q - 1) // (subfield_order - 1)
     if len(indices) != m or 0 not in indices:
         raise VerificationFailed(
-            f"direct sum meets cosets {indices}, expected {m} cosets including 0")
+            f"direct sum meets cosets {list(indices)}, expected {m} cosets including 0")
 
     # closure under subtraction (C is an additive group)
     for a in cset:
         for b in cset:
             if ctx.sub(a, b) not in cset:
                 raise VerificationFailed(f"{a} - {b} leaves the direct sum")
+    return t, tuple(sorted(cset)), indices
 
+
+def build_counterexample(ctx: FieldCtx, subfield_order: int) -> Counterexample:
+    """The subfield direct sum C as a non-canonical maximum clique of
+    the graph on the cosets it meets.
+
+    Verifies, beyond subfield_direct_sum: C is a maximal clique meeting
+    the Hoffman bound q, and C differs from every canonical clique.
+    """
+    q = ctx.subfield_order
+    t, clique, indices = subfield_direct_sum(ctx, subfield_order)
     g = build_cayley(ctx, indices)
     srg_certify(g)
-    clique = tuple(sorted(cset))
     if not is_maximal_clique(g, clique):
         raise NotMaximumClique("direct-sum construction is not even maximal")
     if g.srg.hoffman_bound() != q:  # |C| = q meets the bound, so C is maximum
@@ -306,4 +311,4 @@ def build_counterexample(ctx: FieldCtx, subfield_order: int) -> Counterexample:
     for canon in canonical_cliques(g, sel):
         if canon.vertices == clique:
             raise CanonicalAfterAll(f"C equals the coset clique {canon}")
-    return Counterexample(q, subfield_order, t, m, tuple(indices), clique, g, sel)
+    return Counterexample(q, subfield_order, t, len(indices), indices, clique, g, sel)

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Errors fall into three groups, which the command line maps to exit codes:
-bad input (the request itself is malformed), exhausted budgets, and failed
-verifications (the input was well formed but a certified property did not
-hold).
+bad input (InputError: the request itself is malformed), exhausted budgets,
+and failed verifications (the input was well formed but a certified
+property did not hold).
 """
 
 
@@ -13,79 +13,83 @@ class PeisertError(Exception):
 
 # ----- bad input -------------------------------------------------------
 
-class NonPrimeCharacteristic(PeisertError):
+class InputError(PeisertError):
+    """The request itself is malformed; the command line exits 3."""
+
+
+class NonPrimeCharacteristic(InputError):
     """The characteristic must be an odd prime."""
 
 
-class ReducibleModulus(PeisertError):
+class ReducibleModulus(InputError):
     """The supplied modulus polynomial is not irreducible (or not monic)."""
 
 
-class OverflowingOrder(PeisertError):
+class OverflowingOrder(InputError):
     """Field order above the 2**20 table cap."""
 
 
-class LogOfZero(PeisertError):
+class LogOfZero(InputError):
     """Discrete log of the zero element requested."""
 
 
-class OddDegreeField(PeisertError):
+class OddDegreeField(InputError):
     """A quadratic-extension operation was applied to an odd-degree field."""
 
 
-class NotProperSubfield(PeisertError):
+class NotProperSubfield(InputError):
     """Requested subfield order does not give a proper subfield of F_q."""
 
 
-class MissingBaseCoset(PeisertError):
+class MissingBaseCoset(InputError):
     """Connection sets must contain coset index 0 (the subfield line)."""
 
 
-class TooManyCosets(PeisertError):
+class TooManyCosets(InputError):
     """More than q coset indices requested."""
 
 
-class IndexOutOfRange(PeisertError):
+class IndexOutOfRange(InputError):
     """Coset index outside [0, q]."""
 
 
-class BadDivisor(PeisertError):
+class BadDivisor(InputError):
     """Family parameter d fails its divisibility requirement."""
 
 
-class WrongCharacteristicResidue(PeisertError):
+class WrongCharacteristicResidue(InputError):
     """Residue condition on q for the requested family fails."""
 
 
-class AlphaInSubfield(PeisertError):
+class AlphaInSubfield(InputError):
     """The chosen plane coordinate alpha lies in F_q."""
 
 
-class NoFreeCoset(PeisertError):
+class NoFreeCoset(InputError):
     """No coset left over for alpha; impossible when m <= q."""
 
 
-class NoUnusedSlope(PeisertError):
+class NoUnusedSlope(InputError):
     """All q + 1 slopes are used, so no slope row yields a coloring."""
 
 
-class LengthMismatch(PeisertError):
+class LengthMismatch(InputError):
     """A vector or coloring has the wrong length."""
 
 
-class NotMaximumClique(PeisertError):
+class NotMaximumClique(InputError):
     """The supplied vertex set is not a maximum clique."""
 
 
-class NotSquare(PeisertError):
+class NotSquare(InputError):
     """A square matrix was required."""
 
 
-class BadEntries(PeisertError):
+class BadEntries(InputError):
     """Matrix entries outside {-1, 0, 1}."""
 
 
-class MalformedFile(PeisertError):
+class MalformedFile(InputError):
     """An input file is empty, lacks its header or data rows, or holds
     an edge that is a self-loop or leaves the vertex range."""
 

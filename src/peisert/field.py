@@ -8,7 +8,10 @@ under any choice of modulus.
 
 Construction cost is one pass of polynomial multiplication to fill the
 exp table; after that multiplication, inversion, powers and discrete
-logs are table lookups and only addition works on coordinates.
+logs are table lookups and addition works digit by digit on the labels.
+Plane arithmetic runs on numpy label arrays: add_array sums two arrays
+one base-p digit at a time and mul_array scales an array by one label
+through the same exp/log tables, so no other module reads the tables.
 """
 
 from __future__ import annotations
@@ -31,10 +34,6 @@ from .errors import (
 )
 
 ORDER_CAP = 1 << 20
-
-# coordinate caching is worth it only for small tables; above this the
-# per-call divmod loop wins on memory
-_COORD_CACHE_CAP = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
@@ -184,7 +183,8 @@ class FieldCtx:
         self.generator = self._label_of_poly(gen_poly)
 
         self.exp, self.log = self._build_tables(gen_poly)
-        self._coords_cache: Optional[list[tuple[int, ...]]] = None
+        self._exp_array = np.array(self.exp, dtype=np.int64)
+        self._log_array = np.array([0] + self.log[1:], dtype=np.int64)
         self._subfield: Optional[tuple[int, ...]] = None
 
     # ----- construction ------------------------------------------------
@@ -228,43 +228,21 @@ class FieldCtx:
             cur = _poly_mod(_poly_mul(cur, gen_poly, self.p), self.modulus, self.p)
         return exp, log
 
-    # ----- coordinates ---------------------------------------------------
-
-    def coords(self, a: int) -> tuple[int, ...]:
-        """Coordinate vector of a label, length r, ascending powers."""
-        out = []
-        for _ in range(self.r):
-            a, c = divmod(a, self.p)
-            out.append(c)
-        return tuple(out)
-
-    def _coord_table(self):
-        if self._coords_cache is None and self.order <= _COORD_CACHE_CAP:
-            self._coords_cache = [self.coords(a) for a in range(self.order)]
-        return self._coords_cache
-
     # ----- arithmetic on labels -----------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        table = self._coord_table()
-        if table is not None:
-            ca, cb = table[a], table[b]
-        else:
-            ca, cb = self.coords(a), self.coords(b)
         p = self.p
-        lab = 0
-        for i in range(self.r - 1, -1, -1):
-            lab = lab * p + (ca[i] + cb[i]) % p
+        lab, place = 0, 1
+        while a or b:
+            a, da = divmod(a, p)
+            b, db = divmod(b, p)
+            lab += (da + db) % p * place
+            place *= p
         return lab
 
     def neg(self, a: int) -> int:
-        table = self._coord_table()
-        ca = table[a] if table is not None else self.coords(a)
-        p = self.p
-        lab = 0
-        for i in range(self.r - 1, -1, -1):
-            lab = lab * p + (-ca[i]) % p
-        return lab
+        """a * (-1); -1 = g^((p^r - 1) / 2) since p is odd."""
+        return self.mul(a, self.exp[(self.order - 1) // 2])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -280,6 +258,15 @@ class FieldCtx:
             out += (a // place + b // place) % self.p * place
             place *= self.p
         return out
+
+    def mul_array(self, a, c: int) -> np.ndarray:
+        """Elementwise product of a label array (or scalar) with the label
+        c through the exp/log tables; returns int64 labels."""
+        a = np.asarray(a, dtype=np.int64)
+        if c == 0:
+            return np.zeros_like(a)
+        logs = self._log_array[a] + self.log[c]
+        return np.where(a != 0, self._exp_array[logs % (self.order - 1)], 0)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

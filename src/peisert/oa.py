@@ -4,7 +4,9 @@ The plane is coordinatized inside GF(q^2): fixing alpha outside F_q,
 every z splits uniquely as z = x + y*alpha with x, y in F_q.  Row k of
 the full array holds y - k*x at column (x, y) (the row at infinity holds
 x), so rows are slopes, columns are points, and the cells of one row
-partition the plane into the q parallel lines of that slope.
+partition the plane into the q parallel lines of that slope.  The rows,
+the column -> vertex map and the coset cliques are whole label arrays
+computed with FieldCtx.add_array and mul_array, never cell by cell.
 
 Selecting the rows whose slopes come from a connection-set decomposition
 c_i = u_i + v_i*alpha realizes the Cayley graph as the block graph of the
@@ -118,16 +120,8 @@ def build_pointline_oa(ctx: FieldCtx, alpha: int) -> OrthogonalArray:
     xs, ys = np.repeat(labels, q), np.tile(labels, q)
     symbol = np.zeros(ctx.order, dtype=np.int64)
     symbol[labels] = np.arange(q)
-    exp = np.array(ctx.exp, dtype=np.int64)
-    log_x = np.array([ctx.log[x] if x else 0 for x in sub], dtype=np.int64).repeat(q)
-
-    entries = []
-    for k in sub:
-        row = ys
-        if k:  # y + (-k) * x, the product through the exp/log tables
-            minus_kx = np.where(xs != 0, exp[(ctx.log[ctx.neg(k)] + log_x) % (ctx.order - 1)], 0)
-            row = ctx.add_array(ys, minus_kx)
-        entries.append(symbol[row].tolist())
+    # row k holds y + (-k) * x, for every column at once
+    entries = [symbol[ctx.add_array(ys, ctx.mul_array(xs, ctx.neg(k)))].tolist() for k in sub]
     entries.append(symbol[xs].tolist())
     row_labels: list = list(sub) + [INFINITY_SLOPE]
 
@@ -153,23 +147,23 @@ def default_alpha(ctx: FieldCtx, coset_indices) -> int:
 class SubarraySelection:
     """Rows of the full array realizing one connection set.
 
-    slope_of_coset maps each coset index to the slope v_i / u_i of its
-    decomposition c_i = u_i + v_i * alpha with c_i = g^i; row_positions
-    index into the parent array, whose rows are the field slopes
-    ascending with the row at infinity last.  vertex_of_column sends
-    column (x, y) of the parent (and of the subarray, which keeps its
-    columns) to the Cayley label x + y * alpha.  symbol[r, z] is the
-    parent entry of row r at the column of vertex z: the intercept rank
-    of the slope-r line through z.  lines[r][s] holds the sorted vertex
-    labels with symbol s in row r: the line of that slope with intercept
-    the s-th element of F_q.
+    rows[j] is the parent row of coset coset_indices[j]: the row whose
+    slope is v / u for the decomposition g^i = u + v * alpha.  The
+    parent's rows are the field slopes ascending with the row at
+    infinity last; row_positions lists the used rows in that order, and
+    the subarray keeps it.  vertex_of_column sends column (x, y) of the
+    parent (and of the subarray, which keeps its columns) to the Cayley
+    label x + y * alpha.  symbol[r, z] is the parent entry of row r at
+    the column of vertex z: the intercept rank of the slope-r line
+    through z.  lines[r][s] holds the sorted vertex labels with symbol s
+    in row r: the line of that slope with intercept the s-th element of
+    F_q.
     """
     ctx: FieldCtx
     coset_indices: tuple[int, ...]
     alpha: int
     parent: OrthogonalArray
-    slope_of_coset: dict[int, int]
-    row_positions: tuple[int, ...]
+    rows: tuple[int, ...]
     subarray: OrthogonalArray
     vertex_of_column: list[int]
     symbol: np.ndarray
@@ -182,6 +176,10 @@ class SubarraySelection:
     @property
     def m(self) -> int:
         return len(self.coset_indices)
+
+    @property
+    def row_positions(self) -> tuple[int, ...]:
+        return tuple(sorted(self.rows))
 
 
 def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelection:
@@ -199,20 +197,19 @@ def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelecti
     idx = tuple(sorted(set(int(i) for i in coset_indices)))
     alpha = default_alpha(ctx, idx)
     oa = build_pointline_oa(ctx, alpha)
-    vertex = np.array([ctx.add(x, ctx.mul(y, alpha)) for (x, y) in oa.column_labels])
+    xy = np.array(oa.column_labels, dtype=np.int64)
+    vertex = ctx.add_array(xy[:, 0], ctx.mul_array(xy[:, 1], alpha))
     if (np.bincount(vertex, minlength=ctx.order) != 1).any():
         raise NotIsomorphicUnderF("(x, y) -> x + y*alpha is not a bijection onto the field")
     column = np.argsort(vertex)  # the inverse of the bijection
 
-    slope_of: dict[int, int] = {}
+    rows = []
     for i in idx:
         u, v = oa.column_labels[column[ctx.gen_pow(i)]]  # g^i, the coset representative
         if u == 0:
             raise CorrespondenceFailed(f"coset {i} representative lies on the alpha axis")
-        slope_of[i] = ctx.div(v, u)
-    slopes = set(slope_of.values())
-    positions = tuple(r for r, lab in enumerate(oa.row_labels) if lab in slopes)
-    if len(positions) != len(idx):
+        rows.append(oa.row_labels.index(ctx.div(v, u)))
+    if len(set(rows)) != len(idx):
         raise CorrespondenceFailed("coset slopes are not pairwise distinct")
 
     q = oa.n
@@ -221,8 +218,8 @@ def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelecti
     label = np.array(range(ctx.order), dtype=object)  # one int object per vertex, shared by its lines
     lines = [[tuple(cell) for cell in label[np.argsort(row, kind="stable")].reshape(q, q).tolist()]
              for row in symbol]
-    return SubarraySelection(ctx, idx, alpha, oa, slope_of, positions,
-                             oa.subarray(positions), vertex.tolist(), symbol, lines)
+    return SubarraySelection(ctx, idx, alpha, oa, tuple(rows), oa.subarray(sorted(rows)),
+                             vertex.tolist(), symbol, lines)
 
 
 def line_eigenvalues(x: Graph, sel: SubarraySelection, rows: Sequence[int]) -> list[int]:
@@ -298,18 +295,17 @@ def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
 
 def canonical_correspondence(sel: SubarraySelection) -> dict:
     """Match every used line of the table with its coset clique
-    c_i * F_q + delta * alpha, derived here from field arithmetic and
-    compared as vertex sets; raises CorrespondenceFailed otherwise."""
+    c_i * F_q + delta * alpha, derived here from field arithmetic (q x q
+    cells per coset, one sorted row per delta) and compared as vertex
+    sets; raises CorrespondenceFailed otherwise."""
     ctx = sel.ctx
-    sub = ctx.subfield_elements()
-    coset_of_slope = {s: i for i, s in sel.slope_of_coset.items()}
+    sub = np.array(ctx.subfield_elements(), dtype=np.int64)
+    shifts = ctx.mul_array(sub, sel.alpha)[:, None]  # delta * alpha, one per symbol
     out = {}
-    for r in sel.row_positions:
-        coset = coset_of_slope[sel.parent.row_labels[r]]
-        rep = ctx.gen_pow(coset)
-        for sym, delta in enumerate(sub):
-            coset_clique = tuple(sorted(ctx.add(ctx.mul(rep, t), ctx.mul(delta, sel.alpha))
-                                        for t in sub))
+    for coset, r in zip(sel.coset_indices, sel.rows):
+        cells = np.sort(ctx.add_array(shifts, ctx.mul_array(sub, ctx.gen_pow(coset))), axis=1)
+        for sym, cell in enumerate(cells.tolist()):
+            coset_clique = tuple(cell)
             if coset_clique != sel.lines[r][sym]:
                 raise CorrespondenceFailed(
                     f"row {sel.parent.row_labels[r]} symbol {sym}: line and coset clique differ")

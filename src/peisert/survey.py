@@ -154,8 +154,8 @@ def run_sweep(q_values=Q_CHOICES, minimum: int = 10, seed: int = DEFAULT_SEED,
         ctx = ambient_field(q)
         extra: tuple[tuple[int, ...], ...] = ()
         if q == 9:
-            ce = ekr.build_counterexample(ctx, 3)
-            extra = (ce.coset_indices,)
+            _, _, cosets = ekr.subfield_direct_sum(ctx, 3)
+            extra = (cosets,)
         for name, idx in sweep_index_sets(ctx, minimum, seed, extra):
             reports.append(analyze_graph(ctx, idx, f"q{q}:{name}:" + "-".join(map(str, idx)),
                                          budget))

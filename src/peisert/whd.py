@@ -114,7 +114,9 @@ class WhdCertificate:
     adjacency_eigenvalue and diagonal record, per column, the exact
     eigenvalue under A and under L = k I - A.  build_whd certifies every
     column an eigenvector of A, hence L P = P D; P^T P is a closed form
-    that gives full rank and the admissible natural ordering.
+    that gives full rank and the admissible natural ordering.  matrix
+    holds int8 entries (n^2 bytes, 43 MB at q = 81); cast it to a wider
+    type before any product, or the sums wrap.
     """
     matrix: np.ndarray
     ordering: tuple[int, ...]
@@ -145,11 +147,11 @@ def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
     thetas = line_eigenvalues(x, sel, range(q + 1))
     ind = (sel.symbol[:, None] == np.arange(q)[:, None]).astype(np.int8)  # slope, intercept, vertex
     diffs = (ind[:, :-1] - ind[:, 1:]).reshape((q + 1) * (q - 1), n)
-    P = np.concatenate([np.ones((n, 1), dtype=np.int64), diffs.T], axis=1)
+    P = np.concatenate([np.ones((n, 1), dtype=np.int8), diffs.T], axis=1)
     eigs = [k] + [t for t in thetas for _ in range(q - 1)]
-    used = set(sel.slope_of_coset.values())
+    used = tuple(sel.parent.row_labels[r] for r in sel.row_positions)
     return WhdCertificate(P, tuple(range(n)), tuple(eigs),
-                          tuple(k - e for e in eigs), tuple(sorted(used)))
+                          tuple(k - e for e in eigs), used)
 
 
 def whd_to_csv(cert: WhdCertificate) -> str:

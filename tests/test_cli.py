@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from peisert import cli, ekr, graphs, oa, survey, whd
+from peisert import cli, ekr, errors, graphs, oa, survey, whd
 from peisert.cli import main
 from peisert.errors import SearchTimeout
 
@@ -243,6 +243,44 @@ def test_exit_code_timeouts(capsys, monkeypatch):
     capsys.readouterr()
     assert main(["survey", "--q", "3"]) == 2
     capsys.readouterr()
+
+
+# the "bad input" group of errors.py, which exits 3
+INPUT_ERROR_NAMES = {
+    "NonPrimeCharacteristic", "ReducibleModulus", "OverflowingOrder", "LogOfZero",
+    "OddDegreeField", "NotProperSubfield", "MissingBaseCoset", "TooManyCosets",
+    "IndexOutOfRange", "BadDivisor", "WrongCharacteristicResidue", "AlphaInSubfield",
+    "NoFreeCoset", "NoUnusedSlope", "LengthMismatch", "NotMaximumClique", "NotSquare",
+    "BadEntries", "MalformedFile",
+}
+
+
+def test_exit_code_of_every_error_class(capsys, monkeypatch):
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.PeisertError)]
+    inputs = {c.__name__ for c in classes
+              if issubclass(c, errors.InputError) and c is not errors.InputError}
+    assert inputs == INPUT_ERROR_NAMES
+    for cls in classes:
+        def fail(args, cls=cls):
+            raise cls("raised through main")
+        monkeypatch.setattr(cli, "cmd_field_inspect", fail)
+        if issubclass(cls, errors.InputError):
+            want = 3
+        elif cls is errors.SearchTimeout:
+            want = 2
+        else:
+            want = 1
+        assert main(["field", "inspect", "--p", "3", "--r", "2"]) == want, cls.__name__
+        assert "raised through main" in capsys.readouterr().err
+
+
+def test_sweep_builds_one_selection_per_graph(monkeypatch):
+    # the q = 9 counterexample contributes its cosets, not a selection
+    calls = counted(monkeypatch, oa.subarray_for_connection_set)
+    reports = survey.run_sweep((9,))
+    assert len(reports) == 10 and len(calls) == 10
+    assert (0, 1, 7, 8) in [r.indices for r in reports]
 
 
 def test_survey_audit_timeout_propagates(monkeypatch):

@@ -141,8 +141,9 @@ def test_canonical_cliques_are_coset_translates():
     for q, idx in [(3, (0, 2)), (5, (0, 1, 4)), (7, (0, 3)), (9, (0, 1, 2, 3, 4))]:
         ctx, x, sel = build(q, idx, PINNED81 if q == 9 else None)
         assert_table_matches_oracle(ctx, sel)
+        slope_of = {i: sel.parent.row_labels[r] for i, r in zip(sel.coset_indices, sel.rows)}
         for c in canonical_cliques(x, sel):
-            assert c.vertices == line_oracle(ctx, sel.alpha, sel.slope_of_coset[c.coset],
+            assert c.vertices == line_oracle(ctx, sel.alpha, slope_of[c.coset],
                                              ctx.subfield_elements()[c.intercept])
 
     # the same under every monic irreducible quadratic modulus

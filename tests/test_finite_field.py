@@ -120,6 +120,76 @@ def test_field_axioms(p, r):
     assert ctx.add_array(7 % ctx.order, labels).tolist() == [ctx.add(7 % ctx.order, b) for b in elems]
 
 
+# ----- oracle: polynomial arithmetic on coordinate vectors ---------------
+
+def _coords(label, p, r):
+    out = []
+    for _ in range(r):
+        label, c = divmod(label, p)
+        out.append(c)
+    return out
+
+
+def _label(coeffs, p):
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def _poly_mod(a, modulus, p):
+    # modulus is monic, ascending
+    a = list(a)
+    d = len(modulus) - 1
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i]
+        for j in range(d + 1):
+            a[i - d + j] = (a[i - d + j] - c * modulus[j]) % p
+    return a[:d]
+
+
+def _assert_matches_polynomials(ctx, pairs):
+    p, r = ctx.p, ctx.r
+    for a, b in pairs:
+        ca, cb = _coords(a, p, r), _coords(b, p, r)
+        assert ctx.add(a, b) == _label([(x + y) % p for x, y in zip(ca, cb)], p)
+        assert ctx.sub(a, b) == _label([(x - y) % p for x, y in zip(ca, cb)], p)
+        assert ctx.neg(b) == _label([-y % p for y in cb], p)
+    by_c = {}
+    for a, c in pairs:
+        by_c.setdefault(c, []).append(a)
+    for c, column in by_c.items():
+        cc = _coords(c, p, r)
+        want = [_label(_poly_mod(_poly_mul(_coords(a, p, r), cc, p), ctx.modulus, p), p)
+                for a in column]
+        assert ctx.mul_array(column, c).tolist() == want
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_arithmetic_matches_polynomials_on_all_pairs(q):
+    ctx = ambient_field(q)  # orders 9, 25, 49, 81
+    _assert_matches_polynomials(ctx, list(product(range(ctx.order), repeat=2)))
+    labels = np.arange(ctx.order)
+    assert ctx.mul_array(labels, 0).tolist() == [0] * ctx.order
+    assert ctx.mul_array(labels.reshape(-1, 1)[:4], 1).tolist() == [[0], [1], [2], [3]]
+
+
+def test_arithmetic_matches_polynomials_at_7_6():
+    # 7^6 = 117,649 labels, above any small-table shortcut; the modulus
+    # is passed in to skip the default search
+    ctx = create(7, 6, (3, 0, 0, 0, 1, 1, 1))
+    rng = random.Random(76)
+    pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(3000)]
+    pairs += [(a, 12345) for a, _ in pairs[:1000]]  # one multiplier on a whole array
+    pairs += [(0, 5), (5, 0), (ctx.order - 1, ctx.order - 1)]
+    _assert_matches_polynomials(ctx, pairs)
+
+
 @pytest.mark.parametrize("p,r", SMALL_FIELDS)
 def test_exp_log_bijection(p, r):
     ctx = create(p, r)

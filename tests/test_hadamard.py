@@ -121,6 +121,19 @@ def test_whd_p9_diagonal_frozen():
     assert (cert.matrix[:, 0] == 1).all()
 
 
+def test_whd_matrix_is_int8():
+    # n^2 bytes; sums over a column of length n > 127 would wrap, so
+    # products cast first
+    ctx = create(13, 2)
+    x = build_cayley(ctx, (0, 1))
+    srg_certify(x)
+    P = build_whd(x, subarray_for_connection_set(ctx, (0, 1))).matrix
+    assert P.dtype == np.int8
+    gram = P.astype(np.int64).T @ P.astype(np.int64)
+    assert gram[0, 0] == x.n == 169
+    assert (gram[0, 1:] == 0).all()
+
+
 def test_whd_gp81_tally_frozen():
     ctx, x, cert = build_cert(9, (0, 1, 2, 3, 4), (-1, 0, 0, -1, 1))
     tally = {}

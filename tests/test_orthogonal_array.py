@@ -155,11 +155,12 @@ def test_subarray_selection_rows():
     ctx = create(3, 2)
     sel = subarray_for_connection_set(ctx, (0, 2))
     assert sel.q == 3 and sel.m == 2
-    assert sel.slope_of_coset == {0: 0, 2: 2}
+    assert sel.rows == (0, 2)
     assert sel.row_positions == (0, 2)
     sel.subarray.verify()
     # the slope of coset i solves c_i = u + v*alpha, slope = v/u
-    for i, slope in sel.slope_of_coset.items():
+    for i, r in zip(sel.coset_indices, sel.rows):
+        slope = sel.parent.row_labels[r]
         c = ctx.gen_pow(i)
         for u in ctx.subfield_elements():
             for v in ctx.subfield_elements():

@@ -107,6 +107,13 @@ def _resolve_graph(args):
     return ctx, tuple(sorted(set(idx)))
 
 
+def _certified_graph(args):
+    """(ctx, idx, g, params): the options' Cayley graph and its SRG certificate."""
+    ctx, idx = _resolve_graph(args)
+    g = graphs.build_cayley(ctx, idx)
+    return ctx, idx, g, graphs.srg_certify(g)
+
+
 def _graph_config(args) -> dict:
     return {"q": args.q, "cosets": args.cosets, "family": args.family,
             "d": args.d, "modulus": args.modulus}
@@ -153,18 +160,14 @@ def cmd_graph_build(args) -> int:
 
 
 def cmd_graph_srg(args) -> int:
-    ctx, idx = _resolve_graph(args)
-    g = graphs.build_cayley(ctx, idx)
-    params = graphs.srg_certify(g)
+    _, idx, _, params = _certified_graph(args)
     return _emit(dict(_graph_config(args), command="graph srg"),
                  dict(_srg_json(params), indices=list(idx),
                       hoffman_bound=_frac(params.hoffman_bound())))
 
 
 def cmd_graph_cliques(args) -> int:
-    ctx, idx = _resolve_graph(args)
-    g = graphs.build_cayley(ctx, idx)
-    graphs.srg_certify(g)
+    _, _, g, _ = _certified_graph(args)
     cliques = graphs.enumerate_max_cliques(g, target=args.target,
                                            through_vertex=args.through,
                                            budget=args.budget)
@@ -209,9 +212,7 @@ def cmd_oa_blockgraph(args) -> int:
 
 
 def cmd_ekr_audit(args) -> int:
-    ctx, idx = _resolve_graph(args)
-    g = graphs.build_cayley(ctx, idx)
-    graphs.srg_certify(g)
+    ctx, idx, g, _ = _certified_graph(args)
     sel = oa.subarray_for_connection_set(ctx, idx)
     report = ekr.strict_ekr_audit(g, sel, through_vertex=args.through,
                                   budget=args.budget)
@@ -224,9 +225,7 @@ def cmd_ekr_audit(args) -> int:
 
 
 def cmd_ekr_decompose(args) -> int:
-    ctx, idx = _resolve_graph(args)
-    g = graphs.build_cayley(ctx, idx)
-    graphs.srg_certify(g)
+    ctx, idx, g, _ = _certified_graph(args)
     sel = oa.subarray_for_connection_set(ctx, idx)
     basis = ekr.build_ekr_basis(g, sel)
     clique = tuple(sorted(_parse_ints(args.clique)))
@@ -263,9 +262,7 @@ def cmd_ekr_counterexample(args) -> int:
 
 
 def cmd_whd_build(args) -> int:
-    ctx, idx = _resolve_graph(args)
-    g = graphs.build_cayley(ctx, idx)
-    graphs.srg_certify(g)
+    ctx, idx, g, _ = _certified_graph(args)
     sel = oa.subarray_for_connection_set(ctx, idx)
     cert = whd.build_whd(g, sel)
     config = dict(_graph_config(args), command="whd build")
@@ -275,19 +272,17 @@ def cmd_whd_build(args) -> int:
 
 
 def cmd_whd_verify(args) -> int:
-    ctx, idx = _resolve_graph(args)
-    g = graphs.build_cayley(ctx, idx)
-    params = graphs.srg_certify(g)
+    _, _, g, params = _certified_graph(args)
     with open(args.file) as fh:
         matrix, diag = whd.whd_from_csv(fh.read())
+    n = g.n
+    if matrix.shape != (n, n):
+        raise LengthMismatch(f"matrix shape {matrix.shape}, the graph has {n} vertices")
     wh = whd.is_weakly_hadamard(matrix)
     if not wh.ok:
         raise CertificationFailed(f"not weakly Hadamard: {wh.obstruction}")
     if not linalg.certified_full_column_rank(matrix):
         raise CertificationFailed("columns are rank deficient")
-    n = g.n
-    if matrix.shape[0] != n:
-        raise LengthMismatch(f"matrix has {matrix.shape[0]} rows, the graph {n} vertices")
     # L P = k P - A P, with A P the sum of k row gathers along the neighbor lists
     lap = params.k * matrix - sum(matrix[col] for col in graphs.neighbor_array(g).T)
     if not np.array_equal(lap, matrix * np.array(diag, dtype=np.int64)[None, :]):

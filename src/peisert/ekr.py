@@ -39,6 +39,7 @@ from .graphs import (
     _mask_of,
     build_cayley,
     enumerate_max_cliques,
+    is_clique,
     is_maximal_clique,
     srg_certify,
 )
@@ -69,11 +70,9 @@ def canonical_cliques(x: Graph, sel: SubarraySelection) -> list[CanonicalClique]
     for i, row in zip(sel.coset_indices, sel.rows):
         seen = 0
         for sym, verts in enumerate(sel.lines[row]):
-            mask = _mask_of(verts)
-            for v in verts:
-                if (x.adj[v] | (1 << v)) & mask != mask:
-                    raise VerificationFailed(f"coset line {i}:{sym} is not a clique")
-            seen |= mask
+            if not is_clique(x, verts):
+                raise VerificationFailed(f"coset line {i}:{sym} is not a clique")
+            seen |= _mask_of(verts)
             out.append(CanonicalClique(i, sym, verts))
         if seen != (1 << x.n) - 1:
             raise VerificationFailed(f"parallel class {i} does not partition the vertices")

@@ -36,19 +36,6 @@ from .errors import (
 ORDER_CAP = 1 << 20
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n, ascending."""
     out = []
@@ -154,7 +141,7 @@ class FieldCtx:
     """GF(p^r) with exp/log tables keyed by integer labels."""
 
     def __init__(self, p: int, r: int, modulus: Optional[Sequence[int]] = None):
-        if not _is_prime(p) or p == 2:
+        if p < 3 or _prime_factors(p) != (p,):
             raise NonPrimeCharacteristic(f"characteristic must be an odd prime, got {p}")
         if r < 1:
             raise ValueError(f"extension degree must be >= 1, got {r}")
@@ -311,12 +298,11 @@ class FieldCtx:
         return self.p ** (self.r // 2)
 
     def subfield_elements(self) -> tuple[int, ...]:
-        """Sorted labels of the index-2 subfield F_q inside GF(q^2): 0 and
-        the q - 1 distinct powers g^(k (q + 1)), which x^q = x fixes."""
-        q = self.subfield_order
+        """Sorted labels of the index-2 subfield F_q inside GF(q^2), cached:
+        subfield_of_order(q), that is 0 and the q - 1 distinct powers
+        g^(k (q + 1)), which x^q = x fixes."""
         if self._subfield is None:
-            step = q + 1  # (q^2 - 1) / (q - 1)
-            self._subfield = tuple(sorted({0} | {self.exp[k * step] for k in range(q - 1)}))
+            self._subfield = self.subfield_of_order(self.subfield_order)
         return self._subfield
 
     def subfield_of_order(self, m: int) -> tuple[int, ...]:

@@ -220,9 +220,7 @@ def _is_translation_invariant(g: Graph) -> bool:
 
 def connection_set(ctx: FieldCtx, coset_indices: Iterable[int]) -> list[int]:
     """Labels of the union of the selected F_q^* cosets, ascending."""
-    idx = set(coset_indices)
-    return [x for x in range(1, ctx.order)
-            if ctx.dlog(x) % (ctx.subfield_order + 1) in idx]
+    return sorted(x for i in set(coset_indices) for x in ctx.coset_elements(i))
 
 
 def check_symmetric_set(ctx: FieldCtx, labels: Iterable[int]) -> None:
@@ -529,9 +527,11 @@ def from_dimacs(text: str) -> Graph:
         if not line or line.startswith("c"):
             continue
         parts = line.split()
+        if parts[0] == "p" and parts[1:2] != ["edge"]:
+            raise MalformedFile(f"problem line {line!r} is not 'p edge'")
+        if parts[0] in ("p", "e") and len(parts) < 3:
+            raise MalformedFile(f"line {line!r} has fewer than three fields")
         if parts[0] == "p":
-            if parts[1:2] != ["edge"]:
-                raise MalformedFile(f"problem line {line!r} is not 'p edge'")
             n = int(parts[2])
         elif parts[0] == "e":
             edges.append((int(parts[1]) - 1, int(parts[2]) - 1))

@@ -336,45 +336,37 @@ def translate_to_zero(oa: OrthogonalArray, column: int) -> OrthogonalArray:
     return OrthogonalArray(n, entries, list(oa.row_labels), oa.column_labels)
 
 
-def noncanonical_zero_rows(shifted: OrthogonalArray, clique: Sequence[int],
-                           column: int) -> dict[int, list[int]]:
-    """Partition of clique \\ {column} by the row where each member agrees
-    with `column`, read off the array translate_to_zero(oa, column).
-    Distinct columns of an OA agree in at most one row, so the row of
-    agreement is unique."""
-    parts: dict[int, list[int]] = {}
-    for c in clique:
-        if c == column:
-            continue
-        zero_rows = [r for r, row in enumerate(shifted.entries) if row[c] == 0]
-        if len(zero_rows) != 1:
-            raise OAVerificationFailed(f"clique member {c} agrees with {column} in rows {zero_rows}")
-        parts.setdefault(zero_rows[0], []).append(c)
-    return parts
-
-
 def noncanonical_clique_bound(sel: SubarraySelection, *,
                               budget: Optional[float] = None) -> dict:
     """Enumerate maximal cliques of the block graph through column 0 and
     check every non-canonical one against the (m - 1)^2 size bound, with
-    the agreement-row partition recorded per clique.  Translations of the
-    plane permute the columns and keep every parallel class, so column 0
-    stands for every column."""
+    its members other than column 0 grouped by the row where each agrees
+    with column 0: its zero in translate_to_zero(subarray, 0), read once
+    per column (distinct columns of an OA agree in at most one row, which
+    is checked).  A cell through column 0, the canonical clique, is one
+    part of q - 1 columns.  Translations of the plane permute the columns
+    and keep every parallel class, so column 0 stands for every column."""
     from .graphs import enumerate_maximal_cliques
 
     g = block_graph(sel.subarray)
     m = sel.m
     column = 0
-    canonical = {frozenset(c for c, e in enumerate(row) if e == row[column])
-                 for row in sel.subarray.entries}
+    zero = np.array(translate_to_zero(sel.subarray, column).entries) == 0
+    zero[:, column] = False  # column 0 meets itself in every row
+    twice = np.flatnonzero(zero.sum(axis=0) > 1)
+    if twice.size:
+        raise OAVerificationFailed(f"column {twice[0]} agrees with {column} in more than one row")
+    row_of = zero.argmax(axis=0).tolist()
     cliques = enumerate_maximal_cliques(g, through_vertex=column, budget=budget)
-    shifted = translate_to_zero(sel.subarray, column)
     bound = (m - 1) ** 2
     noncanonical = []
     for c in cliques:
-        if frozenset(c) in canonical:
+        parts: dict[int, list[int]] = {}
+        for v in c:
+            if v != column:
+                parts.setdefault(row_of[v], []).append(v)
+        if len(parts) == 1 and len(c) == sel.q:
             continue
-        parts = noncanonical_zero_rows(shifted, c, column)
         if len(c) > bound:
             return {"ok": False, "witness": c, "bound": bound,
                     "maximal_through": len(cliques)}
@@ -423,4 +415,6 @@ def oa_from_csv(text: str) -> OrthogonalArray:
     n = round(ncols ** 0.5)
     if n * n != ncols:
         raise OAVerificationFailed(f"{ncols} columns is not a perfect square")
+    if len(header) != ncols:
+        raise MalformedFile(f"header names {len(header)} columns, the rows hold {ncols}")
     return OrthogonalArray(n, entries, row_labels, column_labels)

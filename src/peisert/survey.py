@@ -12,30 +12,26 @@ and per-clique decomposition stay cheap.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from . import ekr, graphs, oa, whd
 from .errors import WrongCharacteristicResidue
-from .field import FieldCtx, create
+from .field import FieldCtx, _prime_factors, create
 
 DEFAULT_SEED = 20240
 Q_CHOICES = (3, 5, 7, 9)
 
 
 def field_params(q: int) -> tuple[int, int]:
-    """(p, r) with q = p^r; raises on non prime powers."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            r = 0
-            while q % p == 0:
-                q //= p
-                r += 1
-            if q != 1:
-                raise ValueError("q is not a prime power")
-            return p, r
-    raise ValueError(f"bad q {q}")
+    """(p, r) with q = p^r; raises ValueError on non prime powers."""
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    p = factors[0]
+    return p, round(math.log(q, p))
 
 
 def ambient_field(q: int, modulus=None) -> FieldCtx:

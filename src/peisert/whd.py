@@ -96,7 +96,8 @@ def check_ordering(matrix, ordering: Sequence[int]) -> bool:
     a = _as_matrix(matrix)
     gram = a.T @ a
     n = a.shape[1]
-    assert sorted(ordering) == list(range(n))
+    if sorted(ordering) != list(range(n)):
+        raise ValueError(f"ordering is not a permutation of the {n} columns")
     pos = {c: i for i, c in enumerate(ordering)}
     for i in range(n):
         for j in range(i + 1, n):
@@ -111,16 +112,14 @@ class WhdCertificate:
 
     Column 0 is all ones; the rest are consecutive line-indicator
     differences, slope by slope (field slopes ascending, infinity last).
-    adjacency_eigenvalue and diagonal record, per column, the exact
-    eigenvalue under A and under L = k I - A.  build_whd certifies every
-    column an eigenvector of A, hence L P = P D; P^T P is a closed form
-    that gives full rank and the admissible natural ordering.  matrix
+    diagonal records, per column, the exact eigenvalue under the
+    Laplacian L = k I - A.  build_whd certifies every column an
+    eigenvector of A, hence L P = P D; P^T P is a closed form that gives
+    full rank and certifies the natural column order admissible.  matrix
     holds int8 entries (n^2 bytes, 43 MB at q = 81); cast it to a wider
     type before any product, or the sums wrap.
     """
     matrix: np.ndarray
-    ordering: tuple[int, ...]
-    adjacency_eigenvalue: tuple[int, ...]
     diagonal: tuple[int, ...]
     used_slopes: tuple[int, ...]
 
@@ -148,10 +147,9 @@ def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
     ind = (sel.symbol[:, None] == np.arange(q)[:, None]).astype(np.int8)  # slope, intercept, vertex
     diffs = (ind[:, :-1] - ind[:, 1:]).reshape((q + 1) * (q - 1), n)
     P = np.concatenate([np.ones((n, 1), dtype=np.int8), diffs.T], axis=1)
-    eigs = [k] + [t for t in thetas for _ in range(q - 1)]
+    diagonal = (0,) + tuple(k - t for t in thetas for _ in range(q - 1))
     used = tuple(sel.parent.row_labels[r] for r in sel.row_positions)
-    return WhdCertificate(P, tuple(range(n)), tuple(eigs),
-                          tuple(k - e for e in eigs), used)
+    return WhdCertificate(P, diagonal, used)
 
 
 def whd_to_csv(cert: WhdCertificate) -> str:

@@ -214,15 +214,26 @@ def test_exit_code_input_errors(capsys):
     capsys.readouterr()
 
 
+# `oa build --q 3` with its header cut to 4 of the 9 column labels
+OA_HEADER_MISMATCH = """slope,0:0,0:1,0:2,1:0
+0,0,1,2,0,1,2,0,1,2
+1,0,1,2,2,0,1,1,2,0
+2,0,1,2,1,2,0,2,0,1
+inf,0,0,0,1,1,1,2,2,2
+"""
+
+
 @pytest.mark.parametrize("command,text", [
     (["oa", "verify"], ""),
     (["oa", "verify"], "0,1,2\n"),
     (["oa", "verify"], "slope,0:0,0:1\n"),
+    (["oa", "verify"], OA_HEADER_MISMATCH),
     (["whd", "verify"], ""),
     (["whd", "verify"], "0,3\n"),
     (["whd", "verify"], "0,0\n1,0\n0,1\n"),
-], ids=["oa-empty", "oa-headerless", "oa-header-only", "whd-empty", "whd-diagonal-only",
-        "whd-wrong-size"])
+    (["whd", "verify"], "1,1,1,1\n" * 5),  # 4 x 4 all ones, not weakly Hadamard
+], ids=["oa-empty", "oa-headerless", "oa-header-only", "oa-header-mismatch", "whd-empty",
+        "whd-diagonal-only", "whd-wrong-size", "whd-wrong-size-not-hadamard"])
 def test_exit_code_malformed_files(capsys, tmp_path, command, text):
     path = tmp_path / "in.csv"
     path.write_text(text)

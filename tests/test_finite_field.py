@@ -311,12 +311,14 @@ def test_nonprimitive_x_falls_back_to_least_primitive():
 
 
 def test_bad_inputs():
-    with pytest.raises(NonPrimeCharacteristic):
-        create(4, 2)
-    with pytest.raises(NonPrimeCharacteristic):
-        create(1, 2)
-    with pytest.raises(NonPrimeCharacteristic):
-        create(2, 2)  # the constructions need odd order
+    for p in (-3, 0, 1, 2, 4, 9, 15):  # 2: the constructions need odd order
+        with pytest.raises(NonPrimeCharacteristic):
+            create(p, 2)
+    for q in (0, 1, 6, 12):
+        with pytest.raises(ValueError, match=f"q = {q} is not a prime power"):
+            field_params(q)
+    assert [field_params(q) for q in (3, 9, 25, 27, 49, 81, 3**12)] == [
+        (3, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (3, 12)]
     with pytest.raises(OverflowingOrder):
         create(3, 13)  # 3^13 > 2^20
     ctx = create(3, 2)

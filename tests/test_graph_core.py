@@ -113,6 +113,13 @@ def srg_oracle(g: Graph):
     return (g.n, k, lams.pop() if lams else 0, mus.pop() if mus else None)
 
 
+def connection_set_oracle(ctx, coset_indices) -> list[int]:
+    """The union of the cosets by the discrete log of every nonzero label."""
+    idx = set(coset_indices)
+    return [x for x in range(1, ctx.order)
+            if ctx.dlog(x) % (ctx.subfield_order + 1) in idx]
+
+
 def cayley_rows_oracle(ctx, s_labels) -> list[int]:
     """Row u of Cay(GF(q^2)+, S) as the bitset of u + s over s in S, one
     scalar field addition at a time."""
@@ -160,6 +167,18 @@ def test_connection_set_is_union_of_cosets():
     assert connection_set(ctx, (0, 2)) == sorted(
         {ctx.mul(t, t) for t in range(1, 9)})  # paley = nonzero squares
     assert connection_set(ctx, range(4)) == list(range(1, 9))
+
+
+def test_connection_set_matches_dlog_oracle():
+    # every index set at q = 3 and 5, then the survey graphs and every
+    # index set under every modulus at q = 3 and 5
+    for q in (3, 5):
+        ctx = create(q, 2)
+        for size in range(q + 2):
+            for idx in combinations(range(q + 1), size):
+                assert connection_set(ctx, idx) == connection_set_oracle(ctx, idx)
+    for ctx, idx in oracle_cases():
+        assert connection_set(ctx, idx) == connection_set_oracle(ctx, idx)
 
 
 def test_build_cayley_symmetry_and_regularity():
@@ -448,7 +467,9 @@ for text in ("p col 3 1\\ne 1 2\\n",   # problem line is not 'p edge'
              "e 1 2\\n",                # no problem line
              "p edge 3 1\\ne 2 2\\n",   # self-loop
              "p edge 3 1\\ne 1 4\\n",   # endpoint above n
-             "p edge 3 1\\ne 0 2\\n"):  # endpoint below 1
+             "p edge 3 1\\ne 0 2\\n",   # endpoint below 1
+             "p edge\\ne 1 2\\n",       # no vertex count
+             "p edge 3 1\\ne 1\\n"):    # one endpoint
     try:
         from_dimacs(text)
         print("accepted")
@@ -464,6 +485,8 @@ def test_malformed_dimacs_rejected_under_optimize():
         "rejected edge (1, 1) is a self-loop or leaves 0..2",
         "rejected edge (0, 3) is a self-loop or leaves 0..2",
         "rejected edge (-1, 1) is a self-loop or leaves 0..2",
+        "rejected line 'p edge' has fewer than three fields",
+        "rejected line 'e 1' has fewer than three fields",
     ]
     with pytest.raises(MalformedFile):
         from_edges(2, [(0, 2)])

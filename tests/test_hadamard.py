@@ -23,7 +23,7 @@ from peisert import (
 )
 from peisert.errors import BadEntries, NotSquare
 from peisert.whd import nonorthogonality_edges
-from test_ekr import eigenfunction_check
+from test_ekr import eigenfunction_check, run_optimized
 
 
 def brute_weakly_hadamard(matrix) -> bool:
@@ -109,6 +109,25 @@ def test_input_validation():
         is_weakly_hadamard([[1, 0, 0], [0, 1, 0]])
     with pytest.raises(BadEntries):
         is_weakly_hadamard([[2, 0], [0, 1]])
+
+
+REPEATED_INDEX_SCRIPT = """
+from peisert import check_ordering
+print("debug", __debug__)
+for ordering in ((0, 1, 2), (0, 1, 1), (0, 1)):
+    try:
+        print("accepted", check_ordering([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ordering))
+    except ValueError as e:
+        print("rejected", e)
+"""
+
+
+def test_ordering_must_be_permutation_under_optimize():
+    assert run_optimized(REPEATED_INDEX_SCRIPT) == [
+        "accepted True",
+        "rejected ordering is not a permutation of the 3 columns",
+        "rejected ordering is not a permutation of the 3 columns",
+    ]
 
 
 # ----- graph certificates ------------------------------------------------------

@@ -32,7 +32,9 @@ from peisert.errors import (
     OAVerificationFailed,
     SearchTimeout,
 )
-from peisert.oa import noncanonical_zero_rows, translate_to_zero
+from peisert.graphs import enumerate_maximal_cliques
+from peisert.oa import translate_to_zero
+from test_graph_core import oracle_cases
 
 
 def strength2_oracle(arr) -> bool:
@@ -244,10 +246,11 @@ def test_zero_rows_partition():
     arr = translate_to_zero(sel.subarray, 0)
     for c in cliques:
         cols = tuple(sorted(pos_of[v] for v in c))
-        rows = noncanonical_zero_rows(arr, cols, 0)
         # every non-base column of the clique agrees with column 0 in
         # exactly one row
-        assert sum(len(v) for v in rows.values()) == len(cols) - 1
+        assert cols[0] == 0
+        for col in cols[1:]:
+            assert sum(row[col] == 0 for row in arr.entries) == 1
 
 
 def test_noncanonical_clique_bound_gp81():
@@ -262,6 +265,32 @@ def test_noncanonical_clique_bound_gp81():
         assert len(item["clique"]) <= 16
         # the agreement rows partition the clique minus the base column
         assert sum(len(v) for v in item["parts"].values()) == len(item["clique"]) - 1
+
+
+def test_bound_parts_match_agreement_rows_on_survey_graphs():
+    """Every survey graph at q <= 9 (and every index set at q = 3, 5 under
+    every modulus): the non-canonical cliques are the maximal cliques
+    through column 0 that are not a cell through column 0, and each
+    one's parts are its members grouped by the row where they agree with
+    column 0, both recomputed here from the subarray's entries."""
+    for ctx, idx in oracle_cases():
+        sel = subarray_for_connection_set(ctx, idx)
+        entries = sel.subarray.entries
+        cells = {frozenset(c for c, e in enumerate(row) if e == row[0]) for row in entries}
+        cliques = enumerate_maximal_cliques(block_graph(sel.subarray), through_vertex=0)
+        res = noncanonical_clique_bound(sel)
+        assert res["ok"] and res["maximal_through"] == len(cliques)
+        assert [item["clique"] for item in res["noncanonical"]] == [
+            c for c in cliques if frozenset(c) not in cells]
+        for item in res["noncanonical"]:
+            parts = {}
+            for c in item["clique"]:
+                if c == 0:
+                    continue
+                rows = [r for r, row in enumerate(entries) if row[c] == row[0]]
+                assert len(rows) == 1
+                parts.setdefault(rows[0], []).append(c)
+            assert list(item["parts"].items()) == [(r, tuple(p)) for r, p in parts.items()]
 
 
 def test_noncanonical_clique_bound_small():

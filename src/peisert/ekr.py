@@ -3,14 +3,14 @@ from their balanced indicators, exact decompositions, strict audits, and
 subfield counterexamples.
 
 Each certificate takes the graph and its oa.SubarraySelection, which
-carries the field, the cosets, q, m and every line; only the adjacency
-and the SRG parameters are read from the graph, and the selection is
-never rebuilt here.  Everything is exact.  Basis columns are stored as
-the integer vectors q*chi - 1 (q times the balanced characteristic
-vector), certified by oa.line_eigenvalues with no n x n product.  A
-decomposition is read off the clique's line counts and certified by one
-integer identity per vertex; the only rational steps are the divisions
-by q and by q m.
+carries the field, the cosets, q, m and every line; only the adjacency,
+the SRG parameters and, for the audit's translations, the field are read
+from the graph, and the selection is never rebuilt here.  Everything is
+exact.  Basis columns are stored as the integer vectors q*chi - 1 (q
+times the balanced characteristic vector), certified by
+oa.line_eigenvalues with no n x n product.  A decomposition is read off
+the clique's line counts and certified by one integer identity per
+vertex; the only rational steps are the divisions by q and by q m.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     CanonicalAfterAll,
     CertificationFailed,
+    IndexOutOfRange,
     NonZeroResidual,
     NotMaximumClique,
     NotProperSubfield,
@@ -36,14 +37,23 @@ from .field import FieldCtx
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
+    _Deadline,
+    _is_translation_invariant,
     _mask_of,
     build_cayley,
-    enumerate_max_cliques,
+    color_classes,
     is_clique,
     is_maximal_clique,
     srg_certify,
+    transversal_cliques,
+    verify_coloring,
 )
-from .oa import SubarraySelection, line_eigenvalues, subarray_for_connection_set
+from .oa import (
+    SubarraySelection,
+    line_eigenvalues,
+    subarray_for_connection_set,
+    unused_slope_coloring,
+)
 
 
 class CanonicalClique(NamedTuple):
@@ -204,13 +214,19 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
     """Exhaustively enumerate maximum cliques and split them into
     canonical and not.
 
-    The Hoffman bound of the certified parameters equals q exactly and
-    the coset cliques attain it, so enumeration at target q is complete
-    maximum-clique enumeration.  The canonical cliques are the used
-    lines of the table; finding each expected one in the enumeration,
-    which returns only cliques of x, certifies it.  The selection must
-    carry the cosets of N(0), the connection set, or other lines would
-    pass for canonical.  A timeout aborts with no verdict.
+    Completeness rests on four certified facts.  The Hoffman bound of the
+    certified parameters is q, so omega <= q.  The unused-slope coloring
+    is proper (verify_coloring) with q colors, so every clique of size q
+    meets each of its classes exactly once, and the transversal search
+    through vertex 0 lists every one of them through 0.  The graph is
+    translation invariant (the check srg_certify uses), so the maximum
+    cliques are the translates C + u of those through 0: the full list
+    keeps C + u when u is its least vertex, which gives each clique once,
+    and the list through v is the C + v.  The canonical cliques are the
+    used lines of the table; finding each expected one in the list, which
+    holds only cliques of x, certifies it and attains omega = q.  The
+    selection must carry the cosets of N(0), the connection set, or other
+    lines would pass for canonical.  A timeout aborts with no verdict.
     """
     params = x.srg if x.srg is not None else srg_certify(x)
     q, m = sel.q, sel.m
@@ -219,9 +235,22 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
     if x.n != sel.ctx.order or sel.coset_indices != tuple(
             sorted({sel.ctx.coset_index(v) for v in x.neighbors(0)})):
         raise CertificationFailed(f"selection cosets {sel.coset_indices} are not the graph's")
+    if through_vertex is not None and not 0 <= through_vertex < x.n:
+        raise IndexOutOfRange(f"vertex {through_vertex} outside [0, {x.n})")
+    deadline = _Deadline(budget)
 
-    cliques = enumerate_max_cliques(x, target=q, through_vertex=through_vertex,
-                                    budget=budget)
+    colors = unused_slope_coloring(sel)
+    clash = verify_coloring(x, colors)
+    if clash is not None:
+        raise CertificationFailed(f"unused-slope coloring gives both ends of edge {clash} one color")
+    classes = color_classes(colors)
+    if len(classes) != q:
+        raise CertificationFailed(f"unused-slope coloring has {len(classes)} colors, not {q}")
+    if not _is_translation_invariant(x):
+        raise CertificationFailed("graph is not translation invariant")
+
+    through_0 = transversal_cliques(x, classes.values(), 0, deadline)
+    cliques = _translation_closure(x.field, through_0, through_vertex, deadline)
     canon_sets = {line for r in sel.row_positions for line in sel.lines[r]}
     found = set(cliques)
     if not all(c in found for c in canon_sets
@@ -233,6 +262,28 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
         raise CertificationFailed("non-canonical maximum clique below the threshold")
     return AuditReport(q, through_vertex, len(cliques),
                        len(cliques) - len(non_canonical), non_canonical, cliques)
+
+
+def _translation_closure(ctx: FieldCtx, through_0: list[tuple[int, ...]],
+                         through_vertex: Optional[int], deadline) -> list[tuple[int, ...]]:
+    """The translates C + v of the cliques C through 0, sorted: those with
+    v = through_vertex, or, for the full list, those whose least vertex
+    is v, each computed as one add_array over all v."""
+    if not through_0:
+        return []
+    cliques = np.array(through_0, dtype=np.int64)
+    if through_vertex is not None:
+        moved = [ctx.add_array(cliques, through_vertex)]
+    else:
+        shifts = np.arange(ctx.order)
+        moved = []
+        for c in cliques:
+            deadline.check()
+            translates = ctx.add_array(shifts[:, None], c)
+            moved.append(translates[translates.min(axis=1) == shifts])
+    out = [tuple(c) for part in moved for c in np.sort(part, axis=1).tolist()]
+    out.sort()
+    return out
 
 
 @dataclass

@@ -319,14 +319,20 @@ def family_cosets(ctx: FieldCtx, name: str, d: Optional[int] = None) -> frozense
 
 # ----- colorings and cliques ----------------------------------------------
 
+def color_classes(colors: Sequence[int]) -> dict[int, int]:
+    """The vertex bitset of each color, keyed by color."""
+    classes: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return classes
+
+
 def verify_coloring(g: Graph, colors: Sequence[int]) -> Optional[tuple[int, int]]:
     """None if proper, else the first violating edge (u, v), u < v, in
     lexicographic order."""
     if len(colors) != g.n:
         raise LengthMismatch(f"coloring length {len(colors)} != {g.n} vertices")
-    classes: dict = {}
-    for v, c in enumerate(colors):
-        classes[c] = classes.get(c, 0) | 1 << v
+    classes = color_classes(colors)
     for u in range(g.n):
         clash = (g.adj[u] & classes[colors[u]]) >> (u + 1)
         if clash:
@@ -468,6 +474,44 @@ def enumerate_max_cliques(g: Graph,
     return out
 
 
+def _collect_transversals(adj, R, classes, out, deadline):
+    deadline.check()
+    if not classes:
+        out.append(tuple(sorted(R)))
+        return
+    sizes = [c.bit_count() for c in classes]
+    i = sizes.index(min(sizes))
+    rest = classes[:i] + classes[i + 1:]
+    for v in _bits(classes[i]):
+        nxt = [c & adj[v] for c in rest]
+        if all(nxt):
+            R.append(v)
+            _collect_transversals(adj, R, nxt, out, deadline)
+            R.pop()
+
+
+def transversal_cliques(g: Graph, classes: Iterable[int], through_vertex: int,
+                        deadline: _Deadline) -> list[tuple[int, ...]]:
+    """The cliques through `through_vertex` with exactly one vertex in
+    each class (vertex bitsets partitioning the graph), lexicographically
+    sorted.
+
+    Each class keeps the candidates adjacent to every vertex chosen so
+    far.  The search branches on the class with the fewest and abandons a
+    branch as soon as some class has none.  When the classes are those of
+    a proper coloring by omega colors, every maximum clique meets each
+    class once, so these are all the maximum cliques through the vertex.
+    Raises SearchTimeout when the deadline passes.
+    """
+    nbrs = g.adj[through_vertex]
+    cand = [c & nbrs for c in classes if not (c >> through_vertex) & 1]
+    out: list[tuple[int, ...]] = []
+    if all(cand):
+        _collect_transversals(g.adj, [through_vertex], cand, out, deadline)
+    out.sort()
+    return out
+
+
 def enumerate_maximal_cliques(g: Graph,
                               through_vertex: Optional[int] = None,
                               budget: Optional[float] = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
@@ -531,10 +575,13 @@ def from_dimacs(text: str) -> Graph:
             raise MalformedFile(f"problem line {line!r} is not 'p edge'")
         if parts[0] in ("p", "e") and len(parts) < 3:
             raise MalformedFile(f"line {line!r} has fewer than three fields")
-        if parts[0] == "p":
-            n = int(parts[2])
-        elif parts[0] == "e":
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+        try:
+            if parts[0] == "p":
+                n = int(parts[2])
+            elif parts[0] == "e":
+                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+        except ValueError:
+            raise MalformedFile(f"line {line!r} has a field that is not an integer") from None
     if n is None:
         raise MalformedFile("missing problem line")
     return from_edges(n, edges)

@@ -417,4 +417,7 @@ def oa_from_csv(text: str) -> OrthogonalArray:
         raise OAVerificationFailed(f"{ncols} columns is not a perfect square")
     if len(header) != ncols:
         raise MalformedFile(f"header names {len(header)} columns, the rows hold {ncols}")
+    for i, row in enumerate(entries):
+        if len(row) != ncols:
+            raise MalformedFile(f"array row {i} holds {len(row)} cells, the header names {ncols}")
     return OrthogonalArray(n, entries, row_labels, column_labels)

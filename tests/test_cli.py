@@ -165,7 +165,7 @@ def test_reproduce_81(capsys, tmp_path):
 
 def test_reproduce_81_runs_one_audit(capsys, monkeypatch):
     audits = counted(monkeypatch, ekr.strict_ekr_audit)
-    searches = counted(monkeypatch, graphs.enumerate_max_cliques)
+    searches = counted(monkeypatch, graphs.transversal_cliques)
     run_json(capsys, "reproduce-81")
     assert len(audits) == 1 and len(searches) == 1
 
@@ -222,17 +222,27 @@ OA_HEADER_MISMATCH = """slope,0:0,0:1,0:2,1:0
 inf,0,0,0,1,1,1,2,2,2
 """
 
+# `oa build --q 3` with its second row one cell short
+OA_SHORT_ROW = """slope,0:0,0:1,0:2,1:0,1:1,1:2,2:0,2:1,2:2
+0,0,1,2,0,1,2,0,1,2
+1,0,1,2,2,0,1,1,2
+2,0,1,2,1,2,0,2,0,1
+inf,0,0,0,1,1,1,2,2,2
+"""
+
 
 @pytest.mark.parametrize("command,text", [
     (["oa", "verify"], ""),
     (["oa", "verify"], "0,1,2\n"),
     (["oa", "verify"], "slope,0:0,0:1\n"),
     (["oa", "verify"], OA_HEADER_MISMATCH),
+    (["oa", "verify"], OA_SHORT_ROW),
     (["whd", "verify"], ""),
     (["whd", "verify"], "0,3\n"),
     (["whd", "verify"], "0,0\n1,0\n0,1\n"),
     (["whd", "verify"], "1,1,1,1\n" * 5),  # 4 x 4 all ones, not weakly Hadamard
-], ids=["oa-empty", "oa-headerless", "oa-header-only", "oa-header-mismatch", "whd-empty",
+], ids=["oa-empty", "oa-headerless", "oa-header-only", "oa-header-mismatch", "oa-short-row",
+        "whd-empty",
         "whd-diagonal-only", "whd-wrong-size", "whd-wrong-size-not-hadamard"])
 def test_exit_code_malformed_files(capsys, tmp_path, command, text):
     path = tmp_path / "in.csv"

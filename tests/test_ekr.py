@@ -27,11 +27,13 @@ from peisert import (
     srg_certify,
     strict_ekr_audit,
     subarray_for_connection_set,
+    survey,
     verify_isomorphism,
 )
 from peisert.errors import (
     CertificationFailed,
     CorrespondenceFailed,
+    IndexOutOfRange,
     LengthMismatch,
     NotIsomorphicUnderF,
     NotMaximumClique,
@@ -472,6 +474,7 @@ def test_line_counts_match_dense_projection_under_every_modulus():
                     x = build_cayley(ctx, idx)
                     srg_certify(x)
                     sel = subarray_for_connection_set(ctx, idx)
+                    assert_audit_matches_enumeration(x, sel)
                     cliques = strict_ekr_audit(x, sel, through_vertex=0).cliques
                     assert_matches_dense_projection(
                         x, build_ekr_basis(x, sel), cliques[::max(1, len(cliques) // 16)])
@@ -489,6 +492,34 @@ def test_decompose_rejects_non_maximum():
 
 
 # ----- audits ------------------------------------------------------------------
+
+def assert_audit_matches_enumeration(x, sel, through=(None, 0, 1)):
+    """The transversal audit lists exactly the q-cliques that the generic
+    branch-and-bound finds: in full, through 0, and through vertex 1."""
+    for v in through:
+        want = enumerate_max_cliques(x, target=sel.q, through_vertex=v)
+        assert strict_ekr_audit(x, sel, through_vertex=v).cliques == want, (sel.coset_indices, v)
+
+
+def test_audit_matches_enumeration_on_survey_graphs():
+    checked = 0
+    for q in survey.Q_CHOICES:
+        ctx = survey.ambient_field(q)
+        extra = (build_counterexample(ctx, 3).coset_indices,) if q == 9 else ()
+        for _, idx in survey.sweep_index_sets(ctx, 10, survey.DEFAULT_SEED, extra):
+            x = build_cayley(ctx, idx)
+            srg_certify(x)
+            assert_audit_matches_enumeration(x, subarray_for_connection_set(ctx, idx))
+            checked += 1
+    assert checked == 37
+
+
+def test_audit_matches_enumeration_on_counterexamples():
+    ce9 = build_counterexample(create(3, 4), 3)
+    assert_audit_matches_enumeration(ce9.graph, ce9.selection)
+    ce25 = build_counterexample(create(5, 4), 5)
+    assert_audit_matches_enumeration(ce25.graph, ce25.selection, through=(0,))
+
 
 def test_audit_paley9_strict():
     ctx, x, sel = build(3, (0, 2))
@@ -528,6 +559,13 @@ def test_audit_rejects_selection_of_other_cosets():
         want = re.escape(f"selection cosets {sel_idx} are not the graph's")
         with pytest.raises(CertificationFailed, match=want):
             strict_ekr_audit(x, subarray_for_connection_set(ctx, sel_idx))
+
+
+def test_audit_rejects_vertex_outside_graph():
+    ctx, x, sel = build(3, (0, 2))
+    for v in (-1, 9):
+        with pytest.raises(IndexOutOfRange, match=f"vertex {v} outside"):
+            strict_ekr_audit(x, sel, through_vertex=v)
 
 
 def test_audit_budget():
@@ -747,6 +785,47 @@ except CertificationFailed as e:
 def test_audit_rejects_non_clique_line_under_optimize():
     assert run_optimized(NON_CLIQUE_LINE_SCRIPT) == [
         "rejected a canonical clique is missing from the enumeration"]
+
+
+BROKEN_AUDIT_INPUT_SCRIPT = """
+from peisert import build_cayley, create, ekr, srg_certify, strict_ekr_audit
+from peisert import subarray_for_connection_set
+from peisert.errors import CertificationFailed
+print("debug", __debug__)
+
+def no_search(*args):
+    raise SystemExit("searched")
+
+ekr.transversal_cliques = no_search
+ctx = create(5, 2)
+g = build_cayley(ctx, (0, 1))
+srg_certify(g)
+sel = subarray_for_connection_set(ctx, (0, 1))
+free = next(r for r in range(sel.q + 1) if r not in sel.row_positions)
+sel.symbol[free, 7] = (sel.symbol[free, 7] + 1) % sel.q  # vertex 7 moves to another line
+try:
+    strict_ekr_audit(g, sel)
+    print("accepted")
+except CertificationFailed as e:
+    print("rejected", e)
+sel = subarray_for_connection_set(ctx, (0, 1))
+w = next(v for v in g.neighbors(1) if v != 0)  # drop the edge {1, w}; N(0) is kept
+g.adj[1] ^= 1 << w
+g.adj[w] ^= 1 << 1
+try:
+    strict_ekr_audit(g, sel)
+    print("accepted")
+except CertificationFailed as e:
+    print("rejected", e)
+"""
+
+
+def test_audit_rejects_broken_coloring_and_translation_under_optimize():
+    lines = run_optimized(BROKEN_AUDIT_INPUT_SCRIPT)
+    assert len(lines) == 2
+    assert re.fullmatch(r"rejected unused-slope coloring gives both ends of edge "
+                        r"\(\d+, \d+\) one color", lines[0])
+    assert lines[1] == "rejected graph is not translation invariant"
 
 
 TABLE_CELL_SCRIPT = """

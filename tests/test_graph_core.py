@@ -469,7 +469,9 @@ for text in ("p col 3 1\\ne 1 2\\n",   # problem line is not 'p edge'
              "p edge 3 1\\ne 1 4\\n",   # endpoint above n
              "p edge 3 1\\ne 0 2\\n",   # endpoint below 1
              "p edge\\ne 1 2\\n",       # no vertex count
-             "p edge 3 1\\ne 1\\n"):    # one endpoint
+             "p edge 3 1\\ne 1\\n",     # one endpoint
+             "p edge x 1\\n",           # vertex count not an integer
+             "p edge 3 1\\ne 1 b\\n"):  # endpoint not an integer
     try:
         from_dimacs(text)
         print("accepted")
@@ -487,6 +489,8 @@ def test_malformed_dimacs_rejected_under_optimize():
         "rejected edge (-1, 1) is a self-loop or leaves 0..2",
         "rejected line 'p edge' has fewer than three fields",
         "rejected line 'e 1' has fewer than three fields",
+        "rejected line 'p edge x 1' has a field that is not an integer",
+        "rejected line 'e 1 b' has a field that is not an integer",
     ]
     with pytest.raises(MalformedFile):
         from_edges(2, [(0, 2)])

@@ -38,8 +38,10 @@ from .graphs import (
     DEFAULT_BUDGET,
     Graph,
     _Deadline,
+    _bits,
     _is_translation_invariant,
     _mask_of,
+    _translates,
     build_cayley,
     color_classes,
     is_clique,
@@ -184,14 +186,19 @@ def decompose_clique(x: Graph, basis: EkrBasis, clique: Sequence[int]) -> Decomp
 
     at_base = basis.symbol[:, [basis.base_vertex]]
     base = counts[classes, at_base]  # c_{L_b}
-    coeffs = [Fraction(int(t), q) for t in (counts - base)[np.arange(q) != at_base]]
+    nums = (counts - base)[np.arange(q) != at_base].tolist()  # q b_L
+    lift = 1 - m + int(base.sum())  # q m u
+    # one Fraction per distinct value: b_L = t / q and u + b_L = (lift + m t) / (q m)
+    coeff_of = {t: Fraction(t, q) for t in nums}
+    lift_of = {t: Fraction(lift + m * t, q * m) for t in [0, *coeff_of]}
 
-    hist = dict(Counter(coeffs))
-    uniform = Fraction(1 - m + int(base.sum()), q * m)
-    unbalanced = {(c.coset, c.intercept): uniform for c in basis.all_cliques}
-    for c, b in zip(basis.basis_cliques, coeffs):
-        unbalanced[(c.coset, c.intercept)] += b
-    return Decomposition(cl, coeffs, True, hist.get(Fraction(0), 0), hist, unbalanced)
+    coeffs = [coeff_of[t] for t in nums]
+    tally = Counter(nums)
+    hist = {coeff_of[t]: count for t, count in tally.items()}
+    unbalanced = {(c.coset, c.intercept): lift_of[0] for c in basis.all_cliques}
+    for c, t in zip(basis.basis_cliques, nums):
+        unbalanced[(c.coset, c.intercept)] = lift_of[t]
+    return Decomposition(cl, coeffs, True, tally.get(0, 0), hist, unbalanced)
 
 
 @dataclass
@@ -267,21 +274,18 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
 def _translation_closure(ctx: FieldCtx, through_0: list[tuple[int, ...]],
                          through_vertex: Optional[int], deadline) -> list[tuple[int, ...]]:
     """The translates C + v of the cliques C through 0, sorted: those with
-    v = through_vertex, or, for the full list, those whose least vertex
-    is v, each computed as one add_array over all v."""
-    if not through_0:
-        return []
-    cliques = np.array(through_0, dtype=np.int64)
+    v = through_vertex, one add_array, or, for the full list, those whose
+    least vertex is v, read off the rows of _translates(ctx, C)."""
     if through_vertex is not None:
-        moved = [ctx.add_array(cliques, through_vertex)]
-    else:
-        shifts = np.arange(ctx.order)
-        moved = []
-        for c in cliques:
-            deadline.check()
-            translates = ctx.add_array(shifts[:, None], c)
-            moved.append(translates[translates.min(axis=1) == shifts])
-    out = [tuple(c) for part in moved for c in np.sort(part, axis=1).tolist()]
+        if not through_0:
+            return []
+        moved = ctx.add_array(np.array(through_0, dtype=np.int64), through_vertex)
+        return sorted(tuple(c) for c in np.sort(moved, axis=1).tolist())
+    out = []
+    for c in through_0:
+        deadline.check()
+        out.extend(tuple(_bits(row)) for v, row in enumerate(_translates(ctx, c))
+                   if (row & -row).bit_length() == v + 1)
     out.sort()
     return out
 

@@ -50,7 +50,7 @@ class TooManyCosets(InputError):
 
 
 class IndexOutOfRange(InputError):
-    """Coset index outside [0, q]."""
+    """Coset index outside [0, q], or vertex outside [0, n)."""
 
 
 class BadDivisor(InputError):

@@ -3,8 +3,9 @@
 Adjacency rows are Python ints used as bitsets, which keeps the common
 neighbor counts, clique search and complement operations exact.  Cayley
 graphs are built, and their SRG parameters certified, by translating the
-connection set: about n * k numpy work and n bitset operations, never a
-loop over the n^2 vertex pairs.
+connection set: adding one base-p digit place permutes a bitset by two
+shifts and three masks, so the n rows cost O(n) big-int operations
+whatever the valency k, never a loop over the n^2 vertex pairs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -212,8 +213,7 @@ def _is_translation_invariant(g: Graph) -> bool:
     ctx = g.field
     if ctx is None or ctx.order != g.n:
         return False
-    rows = _translates(ctx, list(_bits(g.adj[0])))
-    return all(row == a for row, a in zip(rows, g.adj))
+    return _translates(ctx, _bits(g.adj[0])) == g.adj
 
 
 # ----- Cayley construction ----------------------------------------------
@@ -234,20 +234,34 @@ def check_symmetric_set(ctx: FieldCtx, labels: Iterable[int]) -> None:
             raise VerificationFailed(f"connection set holds {x} but not its negative {ctx.neg(x)}")
 
 
-def _translates(ctx: FieldCtx, labels: Sequence[int]) -> Iterator[int]:
+def _translates(ctx: FieldCtx, labels: Iterable[int]) -> list[int]:
     """Bitsets of the translates u + S, for u = 0, 1, ... in label order.
 
-    For each s in S, bit u + s of every row u is set in one packed
-    n x ceil(n/8) byte array; each row then becomes one int.
+    Labels add digit by digit mod p, so adding p^j permutes the bits of a
+    set: a label whose digit j is below p - 1 moves up by p^j, and one
+    whose digit j is p - 1 wraps down by (p - 1) p^j.  With top_j the
+    labels of digit j = p - 1,
+
+        T_j(x) = ((x & ~top_j) << p^j) | ((x & top_j) >> (p - 1) p^j).
+
+    Row 0 is S itself.  For p^j <= u < p^(j+1), digit j of u is nonzero,
+    so u = (u - p^j) + p^j digit by digit and row u is T_j(row u - p^j),
+    a row already built.  That is two shifts and three masks on n-bit
+    ints per row, whatever |S|.
     """
-    n = ctx.order
-    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    rows = np.arange(n)
-    for s in labels:
-        cols = ctx.add_array(rows, s)
-        packed[rows, cols >> 3] |= (1 << (cols & 7)).astype(np.uint8)
-    for row in packed:
-        yield int.from_bytes(row.tobytes(), "little")
+    p, n = ctx.p, ctx.order
+    full = (1 << n) - 1
+    rows = [_mask_of(labels)]
+    place = 1
+    while place < n:
+        period = place * p
+        # top_j: the highest p^j labels of every period of p^(j+1)
+        top = (((1 << place) - 1) << (period - place)) * (full // ((1 << period) - 1))
+        for u in range(place, period):
+            x = rows[u - place]
+            rows.append(((x & ~top) << place) | ((x & top) >> (period - place)))
+        place = period
+    return rows
 
 
 def build_cayley(ctx: FieldCtx, coset_indices: Iterable[int]) -> Graph:
@@ -270,7 +284,7 @@ def build_cayley(ctx: FieldCtx, coset_indices: Iterable[int]) -> Graph:
 
     s_labels = connection_set(ctx, idx)
     check_symmetric_set(ctx, s_labels)
-    g = Graph(ctx.order, list(_translates(ctx, s_labels)))
+    g = Graph(ctx.order, _translates(ctx, s_labels))
     g.field = ctx
     return g
 
@@ -441,8 +455,11 @@ def enumerate_max_cliques(g: Graph,
 
     Deterministic: the result is lexicographically sorted.  When the graph
     carries an SRG certificate the Hoffman bound caps the search.  Raises
-    SearchTimeout if the budget runs out; no partial output is returned.
+    IndexOutOfRange for a through_vertex outside [0, n), and SearchTimeout
+    if the budget runs out; no partial output is returned.
     """
+    if through_vertex is not None and not 0 <= through_vertex < g.n:
+        raise IndexOutOfRange(f"vertex {through_vertex} outside [0, {g.n})")
     deadline = _Deadline(budget)
     if g.n == 0:
         return []

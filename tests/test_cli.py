@@ -252,6 +252,13 @@ def test_exit_code_malformed_files(capsys, tmp_path, command, text):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("through", ["100", "-1"])
+def test_exit_code_clique_vertex_out_of_range(capsys, through):
+    assert main(["graph", "cliques", "--q", "3", "--family", "paley",
+                 "--through", through]) == 3
+    assert "outside [0, 9)" in capsys.readouterr().err
+
+
 def test_exit_code_timeouts(capsys, monkeypatch):
     assert main(["reproduce-81", "--budget", "0"]) == 2
     capsys.readouterr()

@@ -40,6 +40,7 @@ from peisert.errors import (
 )
 from peisert.graphs import (
     _is_translation_invariant,
+    _translates,
     check_symmetric_set,
     family_cosets as _families,
     from_edges,
@@ -198,6 +199,24 @@ def test_build_cayley_matches_scalar_oracle():
     for ctx, idx in oracle_cases():
         assert build_cayley(ctx, idx).adj == cayley_rows_oracle(
             ctx, connection_set(ctx, idx)), (ctx, idx)
+
+
+def test_digit_shift_translates_match_scalar_oracle_where_high_digits_wrap():
+    # q = 25 is GF(5^4) and q = 27 is GF(3^6): every digit place j >= 1
+    # wraps, so each shift of the kernel meets labels of digit p - 1
+    rng = random.Random(12)
+    for q in (25, 27):
+        ctx = survey.ambient_field(q)
+        for idx in ((0,), (0, 1, q), (0,) + tuple(rng.sample(range(1, q + 1), 4))):
+            assert build_cayley(ctx, idx).adj == cayley_rows_oracle(
+                ctx, connection_set(ctx, idx)), (ctx, idx)
+        for _ in range(4):  # symmetric sets that are not coset unions
+            half = rng.sample(range(1, ctx.order), rng.randint(1, 30))
+            s = sorted(set(half) | {ctx.neg(x) for x in half})
+            g = Graph(ctx.order, cayley_rows_oracle(ctx, s))
+            g.field = ctx
+            assert _translates(ctx, s) == g.adj, (ctx, s)
+            assert _is_translation_invariant(g)
 
 
 def test_symmetry_check_rejects_asymmetric_connection_set():

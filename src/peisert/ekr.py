@@ -138,7 +138,7 @@ def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
     symbol = sel.symbol[list(sel.rows)]
     intercepts = np.array([cl.intercept for cl in basis_cliques])
     columns = symbol[np.repeat(np.arange(m), q - 1)]  # q - 1 basis cliques per class
-    B = np.ascontiguousarray(np.where(columns.T == intercepts, q - 1, -1))
+    B = np.where(np.ascontiguousarray(columns.T) == intercepts, q - 1, -1)
     return EkrBasis(0, q, m, cliques, basis_cliques, symbol, B, B.shape[1])
 
 
@@ -176,7 +176,8 @@ def decompose_clique(x: Graph, basis: EkrBasis, clique: Sequence[int]) -> Decomp
 
     members = np.array(cl)
     classes = np.arange(m)[:, None]
-    counts = np.stack([np.bincount(row[members], minlength=q) for row in basis.symbol])
+    counts = np.bincount((basis.symbol[:, members] + q * classes).ravel(),
+                         minlength=m * q).reshape(m, q)
     want = np.full(x.n, m - 1)
     want[members] += q
     bad = np.flatnonzero(counts[classes, basis.symbol].sum(axis=0) != want)
@@ -185,18 +186,18 @@ def decompose_clique(x: Graph, basis: EkrBasis, clique: Sequence[int]) -> Decomp
 
     at_base = basis.symbol[:, [basis.base_vertex]]
     base = counts[classes, at_base]  # c_{L_b}
-    nums = (counts - base)[np.arange(q) != at_base].tolist()  # q b_L
+    diff = counts - base  # q b_L, zero on the lines through the base
+    nums = diff[np.arange(q) != at_base].tolist()
     lift = 1 - m + int(base.sum())  # q m u
     # one Fraction per distinct value: b_L = t / q and u + b_L = (lift + m t) / (q m)
-    coeff_of = {t: Fraction(t, q) for t in nums}
+    tally = Counter(nums)
+    coeff_of = {t: Fraction(t, q) for t in tally}
     lift_of = {t: Fraction(lift + m * t, q * m) for t in [0, *coeff_of]}
 
     coeffs = [coeff_of[t] for t in nums]
-    tally = Counter(nums)
     hist = {coeff_of[t]: count for t, count in tally.items()}
-    unbalanced = {(c.coset, c.intercept): lift_of[0] for c in basis.all_cliques}
-    for c, t in zip(basis.basis_cliques, nums):
-        unbalanced[(c.coset, c.intercept)] = lift_of[t]
+    unbalanced = dict(zip(((c.coset, c.intercept) for c in basis.all_cliques),
+                          (lift_of[t] for t in diff.ravel().tolist())))
     return Decomposition(cl, coeffs, True, tally.get(0, 0), hist, unbalanced)
 
 

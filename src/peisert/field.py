@@ -6,9 +6,11 @@ Label 0 is the zero element and labels 1..p-1 are the prime-field
 constants, so vertex labels of the Cayley graphs downstream are stable
 under any choice of modulus.
 
-Construction cost is one pass of polynomial multiplication to fill the
-exp table; after that multiplication, inversion, powers and discrete
-logs are table lookups and addition works digit by digit on the labels.
+The exp table is filled by doubling: multiplication by the generator g
+is an r x r matrix over GF(p), so each of the log2(p^r) passes maps the
+block of powers already filled to the next one with one matrix product.
+After that multiplication, inversion, powers and discrete logs are
+table lookups and addition works digit by digit on the labels.
 Plane arithmetic runs on numpy label arrays: add_array sums two arrays
 one base-p digit at a time and mul_array scales an array by one label
 through the same exp/log tables, so no other module reads the tables.
@@ -31,9 +33,11 @@ from .errors import (
     OddDegreeField,
     OverflowingOrder,
     ReducibleModulus,
+    VerificationFailed,
 )
 
 ORDER_CAP = 1 << 20
+_BLOCK = 1 << 15  # powers per int64 product in the table doubling
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -169,9 +173,10 @@ class FieldCtx:
         gen_poly = self._find_generator_poly(n, n_factors)
         self.generator = self._label_of_poly(gen_poly)
 
-        self.exp, self.log = self._build_tables(gen_poly)
-        self._exp_array = np.array(self.exp, dtype=np.int64)
-        self._log_array = np.array([0] + self.log[1:], dtype=np.int64)
+        self._exp_array, self._log_array = self._build_tables(gen_poly)
+        self.exp = self._exp_array.tolist()
+        self.log: list[Optional[int]] = self._log_array.tolist()
+        self.log[0] = None
         self._subfield: Optional[tuple[int, ...]] = None
 
     # ----- construction ------------------------------------------------
@@ -201,18 +206,36 @@ class FieldCtx:
         return label
 
     def _build_tables(self, gen_poly):
-        """exp[k] = g^k and its inverse.  g is certified to have order
-        exactly n = order - 1, so g^0 .. g^(n-1) are distinct and the log
-        table is injective."""
-        n = self.order - 1
-        exp = [0] * n
-        log: list[Optional[int]] = [None] * self.order
-        cur: tuple[int, ...] = (1,)
-        for k in range(n):
-            lab = self._label_of_poly(cur)
-            exp[k] = lab
-            log[lab] = k
-            cur = _poly_mod(_poly_mul(cur, gen_poly, self.p), self.modulus, self.p)
+        """exp[k] = g^k and its inverse, by doubling.  Multiplication by
+        g is the r x r matrix M over GF(p) whose column j holds the
+        coordinates of g x^j, so the coordinates of g^(k + 2^j) are
+        M^(2^j) times those of g^k: each pass fills the next block of
+        powers from the block already filled and squares the matrix.
+        One bincount certifies that g^0 .. g^(n-1) are the n nonzero
+        labels, once each, so the log table is well defined."""
+        p, r, n = self.p, self.r, self.order - 1
+        step = np.zeros((r, r), dtype=np.int64)  # M: column j holds g x^j
+        for j in range(r):
+            col = _poly_mod(_poly_mul(gen_poly, (0,) * j + (1,), p), self.modulus, p)
+            step[:len(col), j] = col
+        coords = np.zeros((r, n), dtype=np.min_scalar_type(p - 1))
+        coords[0, 0] = 1
+        filled = 1
+        while filled < n:
+            take = min(filled, n - filled)
+            for lo in range(0, take, _BLOCK):  # bounds the int64 product
+                hi = min(take, lo + _BLOCK)
+                coords[:, filled + lo:filled + hi] = (step @ coords[:, lo:hi]) % p
+            filled += take
+            step = (step @ step) % p
+        exp = np.zeros(n, dtype=np.int64)
+        for row in coords[::-1]:  # labels are base-p, least digit first
+            exp *= p
+            exp += row
+        if (np.bincount(exp, minlength=self.order)[1:] != 1).any():
+            raise VerificationFailed(f"powers of generator {self.generator} repeat")
+        log = np.zeros(self.order, dtype=np.int64)
+        log[exp] = np.arange(n)
         return exp, log
 
     # ----- arithmetic on labels -----------------------------------------

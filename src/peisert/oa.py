@@ -4,7 +4,8 @@ The plane is coordinatized inside GF(q^2): fixing alpha outside F_q,
 every z splits uniquely as z = x + y*alpha with x, y in F_q.  Row k of
 the full array holds y - k*x at column (x, y) (the row at infinity holds
 x), so rows are slopes, columns are points, and the cells of one row
-partition the plane into the q parallel lines of that slope.  The rows,
+partition the plane into the q parallel lines of that slope.  Each row
+is one gather through the q x q addition table of subfield ranks, and
 the column -> vertex map and the coset cliques are whole label arrays
 computed with FieldCtx.add_array and mul_array, never cell by cell.
 
@@ -19,8 +20,10 @@ only through N(0) and its translation certificate.  Only
 canonical_correspondence derives lines from field arithmetic, and it
 checks them against the table.  The selection is built once per graph:
 the certificates here and in ekr and whd take it and never rebuild it.
-The full array is verified once, at build; its subarrays and translates
-are strength 2 by that check and are not verified again.
+The full array is certified strength 2 once, at build, in O(n q) from
+its symbol table (_plane); its subarrays and translates are strength 2
+by that check and are not checked again.  OrthogonalArray.verify, the
+row-pair count, checks arrays read from CSV.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .field import FieldCtx
 from .graphs import Graph, _mask_of
 
 INFINITY_SLOPE = None  # sentinel for the vertical-line row
+_VERIFY_BINS = 1 << 17
 
 
 @dataclass
@@ -73,7 +77,10 @@ class OrthogonalArray:
     def verify(self):
         """Strength-2 check: every ordered symbol pair appears exactly
         once in every pair of distinct rows, counted by one bincount per
-        row pair."""
+        row against the later rows, each pair in its own range of n^2
+        bins; a bincount spans at most _VERIFY_BINS bins, so that up to
+        q = 49 it takes all later rows at once and above that its counts
+        stay in cache."""
         n = self.n
         ncols = self.num_columns
         for row in self.entries:
@@ -82,16 +89,22 @@ class OrthogonalArray:
             if row and (min(row) < 0 or max(row) >= n):
                 e = next(e for e in row if not 0 <= e < n)
                 raise OAVerificationFailed(f"symbol {e} outside [0, {n})")
-        arr = np.array(self.entries, dtype=np.int32)  # symbol pairs stay below ncols
-        for i in range(self.num_rows):
-            for j in range(i + 1, self.num_rows):
-                pairs = arr[i] * n + arr[j]
-                if (np.bincount(pairs, minlength=n * n) != 1).any():
-                    first = np.zeros(ncols, dtype=bool)
-                    first[np.unique(pairs, return_index=True)[1]] = True
-                    c = int(np.flatnonzero(~first)[0])
-                    raise OAVerificationFailed(
-                        f"rows ({i}, {j}) repeat symbol pair at column {c}")
+        arr = np.array(self.entries, dtype=np.int64)
+        step = max(1, _VERIFY_BINS // max(1, ncols))
+        for i in range(self.num_rows - 1):
+            for lo in range(i + 1, self.num_rows, step):
+                later = arr[lo:lo + step]
+                keys = arr[i] * n + later
+                keys += np.arange(len(later))[:, None] * ncols  # row lo + t in range t
+                counts = np.bincount(keys.ravel(), minlength=later.size)
+                if counts.all():  # n^2 pairs fill n^2 bins only once each
+                    continue
+                t = int(np.flatnonzero(~counts.reshape(len(later), -1).all(axis=1))[0])
+                first = np.zeros(ncols, dtype=bool)
+                first[np.unique(keys[t], return_index=True)[1]] = True
+                c = int(np.flatnonzero(~first)[0])
+                raise OAVerificationFailed(
+                    f"rows ({i}, {lo + t}) repeat symbol pair at column {c}")
         return True
 
     def subarray(self, row_positions: Sequence[int]) -> "OrthogonalArray":
@@ -109,26 +122,104 @@ def build_pointline_oa(ctx: FieldCtx, alpha: int) -> OrthogonalArray:
 
     alpha must lie outside F_q (Frobenius-checked).  Symbols are subfield
     elements ranked by label; columns are ordered lexicographically by
-    the (x, y) symbol pair.
+    the (x, y) symbol pair.  Certified strength 2 by _plane.
+    """
+    return _plane(ctx, alpha)[0]
+
+
+def _plane(ctx: FieldCtx, alpha: int) -> tuple[OrthogonalArray, np.ndarray, np.ndarray]:
+    """The full array, its column -> vertex map and its symbol table.
+
+    Row k of the array is one gather through the rank-addition table:
+    plus[y, rank(-k x)] at column (x, y); the row at infinity is
+    rank(x).  The map (x, y) -> x + y * alpha is certified a bijection
+    onto the field, and the rows scattered through it give the symbol
+    table.  Strength 2 is certified in O(n q) from that table: every
+    row is additive on the digit generators p^j, so it is a group
+    homomorphism F_(q^2) -> F_q, and every nonzero vertex has symbol 0
+    in exactly one row, so two rows' kernels meet only in 0.  Any two
+    rows together are then an injective homomorphism onto F_q^2, which
+    shows each symbol pair exactly once.
     """
     q = ctx.subfield_order
     if alpha == 0 or ctx.pow(alpha, q) == alpha:
         raise AlphaInSubfield(f"alpha label {alpha} lies in F_{q}")
-    sub = ctx.subfield_elements()
-    columns = [(x, y) for x in sub for y in sub]
+    sub, rank, plus = _subfield_ranks(ctx)
+    full = np.empty((q + 1, q * q), dtype=np.int16)
+    for k, slope in enumerate(sub.tolist()):  # row k holds y - slope * x
+        full[k] = plus[rank[ctx.mul_array(sub, ctx.neg(slope))]].ravel()
+    full[q] = np.repeat(np.arange(q), q)
 
-    labels = np.array(sub, dtype=np.int64)
-    xs, ys = np.repeat(labels, q), np.tile(labels, q)
-    symbol = np.zeros(ctx.order, dtype=np.int64)
-    symbol[labels] = np.arange(q)
-    # row k holds y + (-k) * x, for every column at once
-    entries = [symbol[ctx.add_array(ys, ctx.mul_array(xs, ctx.neg(k)))].tolist() for k in sub]
-    entries.append(symbol[xs].tolist())
-    row_labels: list = list(sub) + [INFINITY_SLOPE]
+    vertex = ctx.add_array(np.repeat(sub, q), ctx.mul_array(np.tile(sub, q), alpha))
+    if (np.bincount(vertex, minlength=ctx.order) != 1).any():
+        raise NotIsomorphicUnderF("(x, y) -> x + y*alpha is not a bijection onto the field")
+    symbol = np.empty_like(full)
+    symbol[:, vertex] = full
+    _certify_strength_two(ctx, plus, symbol)
 
-    oa = OrthogonalArray(q, entries, row_labels, columns)
-    oa.verify()
-    return oa
+    labels = sub.tolist()
+    oa = OrthogonalArray(q, full.tolist(), labels + [INFINITY_SLOPE],
+                         [(x, y) for x in labels for y in labels])
+    return oa, vertex, symbol
+
+
+def _subfield_ranks(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The subfield labels ascending, rank[z] (the index of z among them,
+    -1 off the subfield) and the rank-addition table plus[a, b], the rank
+    of sub[a] + sub[b]; raises OAVerificationFailed unless F_q is closed
+    under addition."""
+    sub = np.array(ctx.subfield_elements(), dtype=np.int64)
+    rank = np.full(ctx.order, -1, dtype=np.int16)  # q <= 2^10
+    rank[sub] = np.arange(len(sub))
+    plus = rank[ctx.add_array(sub[:, None], sub)]
+    if (plus < 0).any():
+        raise OAVerificationFailed("the subfield is not closed under addition")
+    return sub, rank, plus
+
+
+def _nonadditive(p: int, plus: np.ndarray,
+                 symbol: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """The first (row, vertex z, generator g) with symbol[row, z + g] !=
+    symbol[row, z] + symbol[row, g] in F_q, g a digit generator p^j, or
+    None.  Each row sigma is compared with its additive extension from
+    the generators, hat(z + d p^j) = hat(z) + d sigma(p^j) for z < p^j,
+    filled block by block through the rank-addition table plus.  hat is
+    a group homomorphism (p sigma(p^j) = 0 in F_q), so sigma = hat
+    certifies sigma additive; at the first vertex z > 0 where they
+    differ, the last digit step z - p^j -> z fails for sigma."""
+    n = symbol.shape[1]
+    hat = np.zeros_like(symbol)
+    place = 1
+    while place < n:
+        gen = symbol[:, [place]]  # sigma(p^j)
+        for d in range(1, p):
+            hat[:, d * place:(d + 1) * place] = plus[hat[:, (d - 1) * place:d * place], gen]
+        place *= p
+    wrong = hat != symbol
+    if not wrong.any():
+        return None
+    i, z = (int(t) for t in np.argwhere(wrong)[0])
+    if z == 0:  # sigma(0) != 0, so sigma(0 + 1) != sigma(0) + sigma(1)
+        return i, 0, 1
+    g = 1
+    while g * p <= z:  # the leading digit place of z
+        g *= p
+    return i, z - g, g
+
+
+def _certify_strength_two(ctx: FieldCtx, plus: np.ndarray, symbol: np.ndarray) -> None:
+    """Certify the (q + 1) x n symbol table of a point-line array strength
+    2: each row additive (_nonadditive) and each nonzero vertex at
+    symbol 0 in exactly one row.  Raises OAVerificationFailed."""
+    bad = _nonadditive(ctx.p, plus, symbol)
+    if bad is not None:
+        raise OAVerificationFailed(
+            f"row {bad[0]} symbols are not additive: vertex {bad[1]} plus {bad[2]}")
+    zeros = np.count_nonzero(symbol[:, 1:] == 0, axis=0)
+    bad = np.flatnonzero(zeros != 1)
+    if bad.size:
+        raise OAVerificationFailed(
+            f"vertex {bad[0] + 1} has symbol 0 in {zeros[bad[0]]} rows, not one")
 
 
 def default_alpha(ctx: FieldCtx, coset_indices) -> int:
@@ -190,18 +281,14 @@ def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelecti
     full array is built for it.  The map (x, y) -> x + y * alpha is
     certified a bijection onto the field; slopes are pairwise distinct
     and finite because every u_i is nonzero (alpha sits in an unused
-    coset).  Both are checked with typed errors.  The verified entries
-    are scattered through the bijection into the symbol table; every
-    symbol fills q columns of a strength-2 row, so one stable argsort
-    per row lists the q lines of that slope, each ascending.
+    coset).  Both are checked with typed errors.  The symbol table is
+    _plane's, certified strength 2; every symbol fills q columns of a
+    strength-2 row, so one stable argsort per row lists the q lines of
+    that slope, each ascending.
     """
     idx = tuple(sorted(set(int(i) for i in coset_indices)))
     alpha = default_alpha(ctx, idx)
-    oa = build_pointline_oa(ctx, alpha)
-    xy = np.array(oa.column_labels, dtype=np.int64)
-    vertex = ctx.add_array(xy[:, 0], ctx.mul_array(xy[:, 1], alpha))
-    if (np.bincount(vertex, minlength=ctx.order) != 1).any():
-        raise NotIsomorphicUnderF("(x, y) -> x + y*alpha is not a bijection onto the field")
+    oa, vertex, symbol = _plane(ctx, alpha)
     column = np.argsort(vertex)  # the inverse of the bijection
 
     rows = []
@@ -214,8 +301,6 @@ def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelecti
         raise CorrespondenceFailed("coset slopes are not pairwise distinct")
 
     q = oa.n
-    symbol = np.empty((oa.num_rows, ctx.order), dtype=np.int16)  # q <= 2^10
-    symbol[:, vertex] = np.array(oa.entries, dtype=np.int16)
     label = np.array(range(ctx.order), dtype=object)  # one int object per vertex, shared by its lines
     lines = [[tuple(cell) for cell in label[np.argsort(row, kind="stable")].reshape(q, q).tolist()]
              for row in symbol]
@@ -228,11 +313,12 @@ def line_eigenvalues(x: Graph, sel: SubarraySelection, rows: Sequence[int]) -> l
     the given parent rows, with e = 1 on the used rows and 0 elsewhere;
     return e q - m per row.  x carries its field, so row u is S + u for
     S = N(0) and (A chi_L)(u) = |S & (L - u)|.  Each row's symbols sigma
-    are checked additive, sigma(z + p^j) = sigma(z) + sigma(p^j) in F_q,
-    one gather per digit generator p^j; then L - u is the same-slope line
-    of intercept sigma(L) - sigma(u), and one bincount of sigma over S,
-    e (q - 1) at sigma(0) = 0 and m - e elsewhere, certifies every line
-    of the row (at vertex 0 it is the count itself, additive or not).
+    are checked additive, sigma(z + p^j) = sigma(z) + sigma(p^j) in F_q
+    for every digit generator p^j (_nonadditive, after the counts of
+    every row); then L - u is the same-slope line of intercept
+    sigma(L) - sigma(u), and one bincount of sigma over S, e (q - 1) at
+    sigma(0) = 0 and m - e elsewhere, certifies every line of the row
+    (at vertex 0 it is the count itself, additive or not).
     The counts sum to k, so passing also certifies k = m (q - 1).  Raises
     CertificationFailed.
     """
@@ -241,10 +327,7 @@ def line_eigenvalues(x: Graph, sel: SubarraySelection, rows: Sequence[int]) -> l
         raise CertificationFailed("graph is not certified translation invariant")
     if sel.symbol.shape[1] != n:
         raise CertificationFailed(f"graph has {n} vertices, the plane {sel.symbol.shape[1]} points")
-    sub = np.array(ctx.subfield_elements(), dtype=np.int64)  # ascending, so ranks by search
-    plus = np.searchsorted(sub, ctx.add_array(sub[:, None], sub))  # rank of sub[a] + sub[b]
-    gens = ctx.p ** np.arange(ctx.r)
-    moved = ctx.add_array(np.arange(n), gens[:, None])  # moved[j, z] = z + p^j
+    plus = _subfield_ranks(ctx)[2]
     nbrs = np.array(x.neighbors(0), dtype=np.int64)
     out = []
     for r in rows:
@@ -256,12 +339,11 @@ def line_eigenvalues(x: Graph, sel: SubarraySelection, rows: Sequence[int]) -> l
         if bad.size:
             raise CertificationFailed(
                 f"line {r}:{bad[0]} fails A chi = (m - e) 1 + (e q - m) chi at vertex 0")
-        bad = np.argwhere(sym[moved] != plus[sym, sym[gens][:, None]])
-        if bad.size:
-            j, z = bad[0]
-            raise CertificationFailed(
-                f"row {r} symbols are not additive: vertex {z} plus {gens[j]}")
         out.append(e * q - m)
+    bad = _nonadditive(ctx.p, plus, sel.symbol[list(rows)])
+    if bad is not None:
+        raise CertificationFailed(
+            f"row {rows[bad[0]]} symbols are not additive: vertex {bad[1]} plus {bad[2]}")
     return out
 
 

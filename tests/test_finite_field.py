@@ -328,3 +328,47 @@ def test_bad_inputs():
         ctx.inv(0)
     with pytest.raises(ZeroDivisionError):
         ctx.div(1, 0)
+
+
+@pytest.mark.parametrize("p,r,modulus", [(p, r, None) for p, r in SMALL_FIELDS] + [
+    (3, 2, (1, 0, 1)),  # x has order 4; the generator is label 4
+    (5, 2, (2, 0, 1)),  # x^2 + 2: x has order 8 of 24
+    (3, 4, (2, 0, 1, 0, 1)),  # x^4 + x^2 + 2: x has order 16 of 80
+])
+def test_exp_log_tables_match_polynomial_walk(p, r, modulus):
+    """The doubled tables equal the walk g^0, g^1, ... by polynomial
+    multiplication, also when the generator is not the class of x."""
+    ctx = create(p, r, modulus)
+    gen = _coords(ctx.generator, p, r)
+    cur, exp = _coords(1, p, r), []
+    for _ in range(ctx.order - 1):
+        exp.append(_label(cur, p))
+        cur = _poly_mod(_poly_mul(cur, gen, p), ctx.modulus, p)
+    if ctx.exp != exp or _label(cur, p) != 1:
+        pytest.fail(f"exp table of {ctx} differs from the polynomial walk")
+    log = [None] * ctx.order
+    for k, t in enumerate(exp):
+        log[t] = k
+    if ctx.log != log or ctx._exp_array.tolist() != exp or ctx._log_array.tolist() != [0] + log[1:]:
+        pytest.fail(f"log tables of {ctx} differ from the polynomial walk")
+
+
+RSS_SCRIPT = """
+import resource
+from peisert import create
+print("debug", __debug__)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+create(3, 12, (2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_table_doubling_peak_memory_at_3_12():
+    """GF(3^12), 531,441 labels: the peak grows by the exp/log lists and
+    arrays and little more (49 MB with blocked int64 products; the
+    polynomial walk grew 52.7 MB, an int64-concatenating doubling far
+    more).  The modulus is pinned: the default search at this degree
+    runs for minutes."""
+    growth = float(run_optimized(RSS_SCRIPT)[0])
+    if growth > 52:
+        pytest.fail(f"create(3, 12) raised peak RSS by {growth:.1f} MB")

@@ -4,6 +4,7 @@ import copy
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from peisert import (
@@ -33,7 +34,14 @@ from peisert.errors import (
     SearchTimeout,
 )
 from peisert.graphs import enumerate_maximal_cliques
-from peisert.oa import translate_to_zero
+from peisert.oa import (
+    _certify_strength_two,
+    _nonadditive,
+    _plane,
+    _subfield_ranks,
+    translate_to_zero,
+)
+from peisert.survey import ambient_field
 from test_graph_core import oracle_cases
 
 
@@ -317,3 +325,72 @@ def test_csv_round_trip():
         assert back.row_labels == arr.row_labels
         assert oa_to_csv(back) == text
         back.verify()
+
+
+def _entries_of(symbol, vertex, like):
+    """The array whose row r holds symbol[r] at the column of each vertex."""
+    return OrthogonalArray(like.n, symbol[:, vertex].tolist(), like.row_labels, like.column_labels)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_strength_two_certificate_agrees_with_verify_and_oracle(q):
+    """_plane certifies the full array from its symbol table in O(n q);
+    the row-pair check and the set oracle agree on it, and on tables
+    with one cell moved to another symbol, which all three reject."""
+    ctx = ambient_field(q)
+    arr, vertex, symbol = _plane(ctx, default_alpha(ctx, set()))
+    if _entries_of(symbol, vertex, arr).entries != arr.entries:
+        pytest.fail("the symbol table does not scatter the array")
+    if not (verdict(OrthogonalArray.verify, arr) is verdict(verify_oracle, arr) is True):
+        pytest.fail(f"q = {q}: certified array fails the row-pair check")
+    plus = _subfield_ranks(ctx)[2]
+    rng = random.Random(q)
+    for _ in range(3):
+        bad = symbol.copy()
+        r, z = rng.randrange(q + 1), rng.randrange(ctx.order)
+        bad[r, z] = (bad[r, z] + rng.randrange(1, q)) % q
+        with pytest.raises(OAVerificationFailed):
+            _certify_strength_two(ctx, plus, bad)
+        witness = _nonadditive(ctx.p, plus, bad)
+        if witness is not None:  # a vertex z and generator g where the row fails
+            i, z, g = witness
+            if bad[i, ctx.add(z, g)] == plus[bad[i, z], bad[i, g]]:
+                pytest.fail(f"q = {q}: witness {witness} is additive")
+        broken = _entries_of(bad, vertex, arr)
+        got = verdict(OrthogonalArray.verify, broken)
+        if got is True or got != verdict(verify_oracle, broken):
+            pytest.fail(f"q = {q}: row-pair check and oracle disagree on a moved cell")
+
+
+def test_strength_two_certificate_rejects_swapped_symbols():
+    """Two vertices' symbols swapped in one row keep every row a
+    partition into lines of q points, but the row is no longer additive;
+    a row repeated in place of another is additive, and then vertices
+    of the shared kernel read 0 in two rows."""
+    ctx = create(5, 2)
+    arr, vertex, symbol = _plane(ctx, default_alpha(ctx, set()))
+    plus = _subfield_ranks(ctx)[2]
+    for r in range(ctx.subfield_order + 1):
+        bad = symbol.copy()
+        a, b = 1, int(np.flatnonzero(bad[r] != bad[r, 1])[0])
+        bad[r, a], bad[r, b] = bad[r, b], bad[r, a]
+        with pytest.raises(OAVerificationFailed, match=rf"^row {r} symbols are not additive: "):
+            _certify_strength_two(ctx, plus, bad)
+        with pytest.raises(OAVerificationFailed, match=r"repeat symbol pair"):
+            _entries_of(bad, vertex, arr).verify()
+    bad = symbol.copy()
+    bad[1] = bad[0]
+    with pytest.raises(OAVerificationFailed, match=r"^vertex \d+ has symbol 0 in 2 rows, not one$"):
+        _certify_strength_two(ctx, plus, bad)
+    with pytest.raises(OAVerificationFailed, match=r"^rows \(0, 1\) repeat symbol pair"):
+        _entries_of(bad, vertex, arr).verify()
+
+
+def test_build_path_never_runs_the_row_pair_check(monkeypatch):
+    def refuse(self):
+        raise AssertionError("OrthogonalArray.verify called while building")
+
+    monkeypatch.setattr(OrthogonalArray, "verify", refuse)
+    ctx = create(7, 2)
+    build_pointline_oa(ctx, default_alpha(ctx, set()))
+    subarray_for_connection_set(ctx, (0, 3))

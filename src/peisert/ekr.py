@@ -3,11 +3,11 @@ from their balanced indicators, exact decompositions, strict audits, and
 subfield counterexamples.
 
 Each certificate takes the graph and its oa.SubarraySelection, which
-carries the field, the cosets, q, m and every line; only the adjacency,
-the SRG parameters and the field, the certificate of translation
-invariance, are read from the graph, and the selection is never rebuilt
-here.  Everything is exact.  Basis columns are stored as the integer
-vectors q*chi - 1, certified by oa.line_eigenvalues from N(0) with no
+carries the field, the cosets, q, m and the line table; only the
+adjacency, the SRG parameters and the field, the certificate of
+translation invariance, are read from the graph, and the selection is
+never rebuilt here.  Everything is exact.  Basis columns are stored as
+the integer vectors q*chi - 1, certified by oa.line_eigenvalues from N(0) with no
 n x n product.  A decomposition is read off the clique's line counts and
 certified by one integer identity per vertex; the only rational steps
 are the divisions by q and by q m.
@@ -39,11 +39,9 @@ from .graphs import (
     Graph,
     _Deadline,
     _bits,
-    _mask_of,
     _translates,
     build_cayley,
     color_classes,
-    is_clique,
     is_maximal_clique,
     srg_certify,
     transversal_cliques,
@@ -68,25 +66,21 @@ class CanonicalClique(NamedTuple):
     vertices: tuple[int, ...]
 
 
-def canonical_cliques(x: Graph, sel: SubarraySelection) -> list[CanonicalClique]:
-    """All m*q coset cliques, ordered by (coset, intercept).
+def canonical_cliques(sel: SubarraySelection) -> list[CanonicalClique]:
+    """All m*q coset cliques, ordered by (coset, intercept): the lines of
+    each used row of the symbol table, by one stable argsort per row.
 
-    Each is a line of the selection's table: the cells of the row whose
-    slope carries the coset.  Certifies that each one is a clique of x
-    and that each parallel class partitions the vertex set; raises
-    VerificationFailed otherwise.  Lines of the table come from a
-    certified bijection, so each has q distinct vertices.
+    Certifies nothing.  Strength 2 (oa._plane) makes each row a partition
+    into q lines of q.  oa.line_eigenvalues on the used rows counts q - 1
+    neighbors of 0 on the line through 0, so that line minus 0 lies in
+    N(0), and additivity and translation make every line a clique.
     """
+    q = sel.q
+    label = np.array(range(sel.ctx.order), dtype=object)  # one int object per vertex, shared by its lines
     out = []
     for i, row in zip(sel.coset_indices, sel.rows):
-        seen = 0
-        for sym, verts in enumerate(sel.lines[row]):
-            if not is_clique(x, verts):
-                raise VerificationFailed(f"coset line {i}:{sym} is not a clique")
-            seen |= _mask_of(verts)
-            out.append(CanonicalClique(i, sym, verts))
-        if seen != (1 << x.n) - 1:
-            raise VerificationFailed(f"parallel class {i} does not partition the vertices")
+        cells = label[np.argsort(sel.symbol[row], kind="stable")].reshape(q, q).tolist()
+        out.extend(CanonicalClique(i, sym, tuple(cell)) for sym, cell in enumerate(cells))
     return out
 
 
@@ -116,9 +110,9 @@ class EkrBasis:
 def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
     """Assemble and certify the clique eigenspace basis.
 
-    line_eigenvalues on the used rows gives A B = (q - m) B, and
-    canonical_cliques certifies that each parallel class partitions the
-    vertices, so it has one clique through the base vertex.  B^T B =
+    line_eigenvalues on the used rows gives A B = (q - m) B and makes the
+    canonical cliques cliques; each strength-2 row partitions the
+    vertices, so each class has one through the base vertex.  B^T B =
     I_m (x) q^2 (q I - J), entry q^2 (|L & L'| - 1), is fixed by three
     certified facts: the full array has strength 2 (lines of different
     slopes meet once), the column -> vertex map is a bijection (each
@@ -132,7 +126,7 @@ def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
         raise CertificationFailed(f"least eigenvalue {params.least_eigenvalue} != -{m}")
     line_eigenvalues(x, sel, sel.row_positions)
 
-    cliques = canonical_cliques(x, sel)
+    cliques = canonical_cliques(sel)
     basis_cliques = [cl for cl in cliques if 0 not in cl.vertices]
 
     symbol = sel.symbol[list(sel.rows)]
@@ -229,9 +223,11 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
     translation invariant, and the maximum cliques are the translates
     C + u of those through 0: the full list keeps C + u when u is its
     least vertex, which gives each clique once, and the list through v
-    is the C + v.  The canonical cliques are the used lines of the table;
-    finding each expected one in the list, which holds only cliques of x,
-    certifies it and attains omega = q.  The selection must carry the
+    is the C + v.  A found clique is canonical when a used row of the
+    symbol table is constant on it, so it is that line of q points; the
+    found cliques are distinct, so m q canonical ones (m through a given
+    vertex) are every expected line, which attains omega = q.  The
+    selection must carry the
     cosets of N(0), the connection set, or other lines would pass for
     canonical.  A timeout aborts with no verdict.
     """
@@ -255,13 +251,15 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
 
     through_0 = transversal_cliques(x, classes.values(), 0, deadline)
     cliques = _translation_closure(x.field, through_0, through_vertex, deadline)
-    canon_sets = {line for r in sel.row_positions for line in sel.lines[r]}
-    found = set(cliques)
-    if not all(c in found for c in canon_sets
-               if through_vertex is None or through_vertex in c):
+    members = np.array(cliques, dtype=np.int64).reshape(len(cliques), q)
+    canonical = np.zeros(len(cliques), dtype=bool)
+    for r in sel.row_positions:  # one gather per row: one (N, q) array at a time
+        sym = sel.symbol[r][members]
+        canonical |= (sym == sym[:, :1]).all(axis=1)
+    if np.count_nonzero(canonical) != (m if through_vertex is not None else m * q):
         raise CertificationFailed("a canonical clique is missing from the enumeration")
 
-    non_canonical = tuple(c for c in cliques if c not in canon_sets)
+    non_canonical = tuple(c for c, ok in zip(cliques, canonical.tolist()) if not ok)
     if non_canonical and q > (m - 1) ** 2:
         raise CertificationFailed("non-canonical maximum clique below the threshold")
     return AuditReport(q, through_vertex, len(cliques),
@@ -359,7 +357,7 @@ def build_counterexample(ctx: FieldCtx, subfield_order: int) -> Counterexample:
         raise CertificationFailed(f"Hoffman bound {g.srg.hoffman_bound()} != {q}")
 
     sel = subarray_for_connection_set(ctx, indices)
-    for canon in canonical_cliques(g, sel):
+    for canon in canonical_cliques(sel):
         if canon.vertices == clique:
             raise CanonicalAfterAll(f"C equals the coset clique {canon}")
     return Counterexample(q, subfield_order, t, len(indices), indices, clique, g, sel)

@@ -126,18 +126,20 @@ def _default_modulus(p: int, r: int) -> tuple[int, ...]:
 
     Candidates are ordered lexicographically by the ascending coefficient
     tuple (c0, ..., c_{r-1}); the leading coefficient is pinned to 1.
-    The search is a fixed function of (p, r), so it runs once per pair.
+    A primitive x has norm (-1)^r c0 generating GF(p)^*, so only those c0
+    are tried.  The search is a fixed function of (p, r), so it runs once
+    per pair.
     """
     n = p**r - 1
     n_factors = _prime_factors(n)
-    for lower in itertools.product(range(p), repeat=r):
-        if lower[0] == 0:
-            continue  # x divides the candidate
-        mod = lower + (1,)
-        if not _poly_is_irreducible(mod, p):
-            continue
-        if _element_has_full_order((0, 1), mod, p, n, n_factors):
-            return mod
+    for c0 in range(1, p):
+        norm = (-1) ** r * c0 % p
+        if all(pow(norm, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)):
+            for rest in itertools.product(range(p), repeat=r - 1):
+                mod = (c0, *rest, 1)
+                if _poly_is_irreducible(mod, p) and _element_has_full_order(
+                        (0, 1), mod, p, n, n_factors):
+                    return mod
     raise ReducibleModulus(f"no primitive polynomial found for p={p}, r={r}")
 
 

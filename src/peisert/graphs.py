@@ -140,7 +140,8 @@ def srg_certify(g: Graph) -> SrgParams:
     every row u the translate N(0) + u, so it is a Cayley graph: the pair
     (u, v) has the adjacency and the common neighbors of (0, v - u), and
     the n - 1 pairs through vertex 0 stand for all of them and give the
-    same first witness.  Any other graph is checked pair by pair.
+    same first witness; it is regular, so no degree is checked.  Any
+    other graph is checked vertex by vertex and pair by pair.
 
     Raises NotRegular / NotStronglyRegular with a witness.  Complete
     graphs come back flagged with mu = None; mu = 0 flags a disconnected
@@ -150,9 +151,10 @@ def srg_certify(g: Graph) -> SrgParams:
     if n < 2:
         raise NotStronglyRegular(f"{n} vertices: need at least one vertex pair")
     k = g.degree(0)
-    for v in range(1, n):
-        if g.degree(v) != k:
-            raise NotRegular(f"deg({v}) = {g.degree(v)} but deg(0) = {k}")
+    if g.field is None:  # else every row is N(0) + u, of degree k
+        for v in range(1, n):
+            if g.degree(v) != k:
+                raise NotRegular(f"deg({v}) = {g.degree(v)} but deg(0) = {k}")
 
     if k == n - 1:
         params = SrgParams(n, k, n - 2, None, ((k, 1), (-1, n - 1)), complete=True)

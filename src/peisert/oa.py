@@ -11,12 +11,11 @@ computed with FieldCtx.add_array and mul_array, never cell by cell.
 
 Selecting the rows whose slopes come from a connection-set decomposition
 c_i = u_i + v_i*alpha realizes the Cayley graph as the block graph of the
-subarray; the realization is certified edge by edge, never assumed.  The
-selection carries the column -> vertex map, the symbol table (the full
-array indexed by vertex) and the line table (each cell as a vertex set);
-line_eigenvalues certifies A chi_L on the lines of the symbol table for
-both the clique-module basis and the diagonalizer, reading the graph
-only through N(0) and its translation certificate.  Only
+subarray; the realization is certified, never assumed.  The selection
+carries the column -> vertex map and the symbol table (the full array
+indexed by vertex), the one line table: the lines of a slope are the
+cells of its row.  verify_isomorphism and line_eigenvalues read the
+graph only through N(0) and its translation certificate.  Only
 canonical_correspondence derives lines from field arithmetic, and it
 checks them against the table.  The selection is built once per graph:
 the certificates here and in ekr and whd take it and never rebuild it.
@@ -247,9 +246,8 @@ class SubarraySelection:
     parent (and of the subarray, which keeps its columns) to the Cayley
     label x + y * alpha.  symbol[r, z] is the parent entry of row r at
     the column of vertex z: the intercept rank of the slope-r line
-    through z.  lines[r][s] holds the sorted vertex labels with symbol s
-    in row r: the line of that slope with intercept the s-th element of
-    F_q.
+    through z.  The line with intercept the s-th element of F_q is the q
+    vertices where row r reads s (_plane).
     """
     ctx: FieldCtx
     coset_indices: tuple[int, ...]
@@ -259,7 +257,6 @@ class SubarraySelection:
     subarray: OrthogonalArray
     vertex_of_column: list[int]
     symbol: np.ndarray
-    lines: list[list[tuple[int, ...]]]
 
     @property
     def q(self) -> int:
@@ -282,9 +279,7 @@ def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelecti
     certified a bijection onto the field; slopes are pairwise distinct
     and finite because every u_i is nonzero (alpha sits in an unused
     coset).  Both are checked with typed errors.  The symbol table is
-    _plane's, certified strength 2; every symbol fills q columns of a
-    strength-2 row, so one stable argsort per row lists the q lines of
-    that slope, each ascending.
+    _plane's, certified strength 2.
     """
     idx = tuple(sorted(set(int(i) for i in coset_indices)))
     alpha = default_alpha(ctx, idx)
@@ -299,13 +294,8 @@ def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelecti
         rows.append(oa.row_labels.index(ctx.div(v, u)))
     if len(set(rows)) != len(idx):
         raise CorrespondenceFailed("coset slopes are not pairwise distinct")
-
-    q = oa.n
-    label = np.array(range(ctx.order), dtype=object)  # one int object per vertex, shared by its lines
-    lines = [[tuple(cell) for cell in label[np.argsort(row, kind="stable")].reshape(q, q).tolist()]
-             for row in symbol]
     return SubarraySelection(ctx, idx, alpha, oa, tuple(rows), oa.subarray(sorted(rows)),
-                             vertex.tolist(), symbol, lines)
+                             vertex.tolist(), symbol)
 
 
 def line_eigenvalues(x: Graph, sel: SubarraySelection, rows: Sequence[int]) -> list[int]:
@@ -322,12 +312,11 @@ def line_eigenvalues(x: Graph, sel: SubarraySelection, rows: Sequence[int]) -> l
     The counts sum to k, so passing also certifies k = m (q - 1).  Raises
     CertificationFailed.
     """
-    q, m, n, ctx = sel.q, sel.m, x.n, sel.ctx
+    q, m, n = sel.q, sel.m, x.n
     if x.field is None:
         raise CertificationFailed("graph is not certified translation invariant")
     if sel.symbol.shape[1] != n:
         raise CertificationFailed(f"graph has {n} vertices, the plane {sel.symbol.shape[1]} points")
-    plus = _subfield_ranks(ctx)[2]
     nbrs = np.array(x.neighbors(0), dtype=np.int64)
     out = []
     for r in rows:
@@ -340,11 +329,16 @@ def line_eigenvalues(x: Graph, sel: SubarraySelection, rows: Sequence[int]) -> l
             raise CertificationFailed(
                 f"line {r}:{bad[0]} fails A chi = (m - e) 1 + (e q - m) chi at vertex 0")
         out.append(e * q - m)
-    bad = _nonadditive(ctx.p, plus, sel.symbol[list(rows)])
+    _certify_additive(sel, rows)
+    return out
+
+
+def _certify_additive(sel: SubarraySelection, rows: Sequence[int]) -> None:
+    """Raise CertificationFailed unless the given rows are additive."""
+    bad = _nonadditive(sel.ctx.p, _subfield_ranks(sel.ctx)[2], sel.symbol[list(rows)])
     if bad is not None:
         raise CertificationFailed(
             f"row {rows[bad[0]]} symbols are not additive: vertex {bad[1]} plus {bad[2]}")
-    return out
 
 
 # ----- block graphs --------------------------------------------------------
@@ -366,46 +360,49 @@ def block_graph(oa: OrthogonalArray) -> Graph:
 
 def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
     """Certify that (x, y) -> x + y*alpha maps the block graph of the
-    selected subarray onto the Cayley graph.  The image of the block graph
-    is the union of cliques on the table cells of the selected rows.
-    Returns the vertex map (block column position -> Cayley label);
-    raises NotIsomorphicUnderF with a witness pair otherwise."""
+    selected subarray onto the Cayley graph x; return the vertex map
+    (block column position -> Cayley label).  With the used rows checked
+    additive, u and v share a used line exactly when v - u lies in Z, the
+    nonzero vertices at symbol 0 in some used row; x carries its field,
+    so row u is N(0) + u, and the image is x exactly when Z = N(0).
+    Raises CertificationFailed on a graph without its field or a
+    nonadditive row, else NotIsomorphicUnderF with the pair (0, w), w
+    least in the symmetric difference of Z and N(0)."""
     ncols = sel.subarray.num_columns
     if ncols != x.n:
         raise NotIsomorphicUnderF(f"block graph has {ncols} vertices, the graph {x.n}")
-    image = [0] * x.n
-    for r in sel.row_positions:
-        for line in sel.lines[r]:
-            mask = _mask_of(line)
-            for z in line:
-                image[z] |= mask
-    for v in range(x.n):
-        row = image[v] & ~(1 << v)
-        if row != x.adj[v]:
-            diff = row ^ x.adj[v]
-            w = (diff & -diff).bit_length() - 1
-            raise NotIsomorphicUnderF(
-                f"pair ({v}, {w}) adjacent in exactly one of the graphs")
+    if x.field is None:
+        raise CertificationFailed("graph is not certified translation invariant")
+    _certify_additive(sel, sel.row_positions)
+    joined = (sel.symbol[list(sel.row_positions)] == 0).any(axis=0)
+    joined[0] = False
+    adjacent = np.zeros(x.n, dtype=bool)
+    adjacent[x.neighbors(0)] = True
+    diff = np.flatnonzero(joined != adjacent)
+    if diff.size:
+        raise NotIsomorphicUnderF(f"pair (0, {diff[0]}) adjacent in exactly one of the graphs")
     return list(sel.vertex_of_column)
 
 
 def canonical_correspondence(sel: SubarraySelection) -> dict:
     """Match every used line of the table with its coset clique
     c_i * F_q + delta * alpha, derived here from field arithmetic (q x q
-    cells per coset, one sorted row per delta) and compared as vertex
-    sets; raises CorrespondenceFailed otherwise."""
+    cells per coset, one sorted row per delta), returned by (coset,
+    symbol).  A cell of q distinct vertices all at its symbol in the row
+    is the whole line (_plane puts q cells at each symbol); raises
+    CorrespondenceFailed otherwise."""
     ctx = sel.ctx
     sub = np.array(ctx.subfield_elements(), dtype=np.int64)
     shifts = ctx.mul_array(sub, sel.alpha)[:, None]  # delta * alpha, one per symbol
     out = {}
     for coset, r in zip(sel.coset_indices, sel.rows):
         cells = np.sort(ctx.add_array(shifts, ctx.mul_array(sub, ctx.gen_pow(coset))), axis=1)
-        for sym, cell in enumerate(cells.tolist()):
-            coset_clique = tuple(cell)
-            if coset_clique != sel.lines[r][sym]:
-                raise CorrespondenceFailed(
-                    f"row {sel.parent.row_labels[r]} symbol {sym}: line and coset clique differ")
-            out[(coset, sym)] = coset_clique
+        bad = (sel.symbol[r][cells] != np.arange(len(sub))[:, None]).any(axis=1)
+        bad |= (np.diff(cells, axis=1) <= 0).any(axis=1)
+        if bad.any():
+            raise CorrespondenceFailed(f"row {sel.parent.row_labels[r]} symbol "
+                                       f"{np.flatnonzero(bad)[0]}: line and coset clique differ")
+        out.update(((coset, sym), tuple(cell)) for sym, cell in enumerate(cells.tolist()))
     return out
 
 

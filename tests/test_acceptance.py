@@ -201,7 +201,7 @@ def test_criterion_09_eigenfunctions(sweep):
     reports, _ = sweep
     for r in reports:
         x, q, m = r.graph, r.q, r.m
-        cliques = canonical_cliques(x, r.selection)
+        cliques = canonical_cliques(r.selection)
         by_coset = {}
         for c in cliques:
             by_coset.setdefault(c.coset, []).append(c)

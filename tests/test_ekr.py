@@ -106,11 +106,49 @@ def line_oracle(ctx, alpha, slope, delta):
     return tuple(sorted(pts))
 
 
+def lines_of(sel, r):
+    """The q lines of row r of the symbol table, by symbol."""
+    return [tuple(np.flatnonzero(sel.symbol[r] == s).tolist()) for s in range(sel.q)]
+
+
 def assert_table_matches_oracle(ctx, sel):
     sub = ctx.subfield_elements()
-    assert len(sel.lines) == len(sub) + 1
+    assert sel.symbol.shape == (len(sub) + 1, ctx.order)
     for r, slope in enumerate(sel.parent.row_labels):
-        assert [line_oracle(ctx, sel.alpha, slope, delta) for delta in sub] == sel.lines[r]
+        assert [line_oracle(ctx, sel.alpha, slope, delta) for delta in sub] == lines_of(sel, r)
+
+
+def used_lines_oracle(sel):
+    """The lines of the used rows, from field arithmetic."""
+    return [line_oracle(sel.ctx, sel.alpha, sel.parent.row_labels[r], delta)
+            for r in sel.row_positions for delta in sel.ctx.subfield_elements()]
+
+
+def isomorphism_oracle(x, lines):
+    """Edge-by-edge check of the block graph image, the union of cliques
+    on the given used lines, against every row of x; returns the first
+    witness message, or None when the image is x."""
+    image = [0] * x.n
+    for line in lines:
+        mask = _mask_of(line)
+        for z in line:
+            image[z] |= mask
+    for v in range(x.n):
+        row = image[v] & ~(1 << v)
+        if row != x.adj[v]:
+            diff = row ^ x.adj[v]
+            w = (diff & -diff).bit_length() - 1
+            return f"pair ({v}, {w}) adjacent in exactly one of the graphs"
+    return None
+
+
+def assert_isomorphism_matches_oracle(x, sel, lines):
+    want = isomorphism_oracle(x, lines)
+    if want is None:
+        assert verify_isomorphism(x, sel) == sel.vertex_of_column
+    else:
+        with pytest.raises(NotIsomorphicUnderF, match=f"^{re.escape(want)}$"):
+            verify_isomorphism(x, sel)
 
 
 def build(q, idx, modulus=None):
@@ -126,7 +164,7 @@ def build(q, idx, modulus=None):
 
 def test_canonical_cliques_are_coset_translates():
     ctx, x, sel = build(3, (0, 2))
-    cliques = canonical_cliques(x, sel)
+    cliques = canonical_cliques(sel)
     assert len(cliques) == 2 * 3  # m * q
     sub = ctx.subfield_elements()
     for c in cliques:
@@ -144,7 +182,7 @@ def test_canonical_cliques_are_coset_translates():
         ctx, x, sel = build(q, idx, PINNED81 if q == 9 else None)
         assert_table_matches_oracle(ctx, sel)
         slope_of = {i: sel.parent.row_labels[r] for i, r in zip(sel.coset_indices, sel.rows)}
-        for c in canonical_cliques(x, sel):
+        for c in canonical_cliques(sel):
             assert c.vertices == line_oracle(ctx, sel.alpha, slope_of[c.coset],
                                              ctx.subfield_elements()[c.intercept])
 
@@ -164,22 +202,32 @@ def test_canonical_cliques_are_coset_translates():
 
 
 def test_corrupted_line_table_rejected():
-    ctx, x, sel = build(5, (0, 1))
-    r = sel.row_positions[0]
-    a, b = sel.lines[r][0], sel.lines[r][1]
-    sel.lines[r][0] = tuple(sorted(a[1:] + b[:1]))
-    sel.lines[r][1] = tuple(sorted(b[1:] + a[:1]))
-    with pytest.raises(CorrespondenceFailed):
-        canonical_correspondence(sel)
-    with pytest.raises(VerificationFailed, match="is not a clique"):
-        canonical_cliques(x, sel)
-    with pytest.raises(NotIsomorphicUnderF):
-        verify_isomorphism(x, sel)
+    """Two vertices' symbols swapped in a used row, once on the line
+    through 0 and once both outside N(0) + {0}, where only additivity
+    sees the swap: every certificate that reads the table rejects it."""
+    for near in (True, False):
+        ctx, x, sel = build(5, (0, 1))
+        r = sel.row_positions[0]
+        row = sel.symbol[r]
+        if near:
+            a, b = int(np.flatnonzero(row == 0)[1]), int(np.flatnonzero(row == 1)[0])
+        else:
+            far = [v for v in range(1, x.n) if not x.is_adjacent(0, v)]
+            a, b = next((a, b) for a, b in combinations(far, 2) if row[a] != row[b])
+        row[a], row[b] = row[b], row[a]
+        with pytest.raises(CorrespondenceFailed):
+            canonical_correspondence(sel)
+        with pytest.raises(CertificationFailed, match=f"^row {r} symbols are not additive: "):
+            verify_isomorphism(x, sel)
+        with pytest.raises(CertificationFailed):
+            build_ekr_basis(x, sel)
+        with pytest.raises(CertificationFailed, match="^a canonical clique is missing"):
+            strict_ekr_audit(x, sel)
 
 
 def test_canonical_cliques_partition_per_coset():
     ctx, x, sel = build(5, (0, 1, 2))
-    cliques = canonical_cliques(x, sel)
+    cliques = canonical_cliques(sel)
     assert len(cliques) == 15
     by_coset = {}
     for c in cliques:
@@ -194,7 +242,7 @@ def test_canonical_cliques_partition_per_coset():
 def test_balanced_indicator_eigenvector():
     ctx, x, sel = build(3, (0, 2))
     q, m = 3, 2
-    for c in canonical_cliques(x, sel):
+    for c in canonical_cliques(sel):
         g = balanced_indicator(c.vertices, x.n)
         assert eigenfunction_check(x, g, q - m)
         chi = indicator(c.vertices, x.n)
@@ -206,7 +254,7 @@ def test_balanced_indicator_eigenvector():
 
 def test_class_sums_vanish():
     ctx, x, sel = build(5, (0, 2, 3))
-    cliques = canonical_cliques(x, sel)
+    cliques = canonical_cliques(sel)
     by_coset = {}
     for c in cliques:
         by_coset.setdefault(c.coset, []).append(
@@ -221,7 +269,7 @@ def test_class_sums_vanish():
 def test_eigenfunction_difference_identity():
     # f = chi_base - chi_other equals the scaled-vector difference / q
     ctx, x, sel = build(3, (0, 1))
-    cliques = canonical_cliques(x, sel)
+    cliques = canonical_cliques(sel)
     q, m = 3, 2
     for coset in (0, 1):
         group = [c for c in cliques if c.coset == coset]
@@ -495,10 +543,20 @@ def test_decompose_rejects_non_maximum():
 
 def assert_audit_matches_enumeration(x, sel, through=(None, 0, 1)):
     """The transversal audit lists exactly the q-cliques that the generic
-    branch-and-bound finds: in full, through 0, and through vertex 1."""
+    branch-and-bound finds: in full, through 0, and through vertex 1.  It
+    splits them as the set of used lines from field arithmetic does,
+    each line through the vertex found, and verify_isomorphism agrees
+    with the edge-by-edge check on those lines."""
+    lines = used_lines_oracle(sel)
+    line_set = set(lines)
+    assert_isomorphism_matches_oracle(x, sel, lines)
     for v in through:
         want = enumerate_max_cliques(x, target=sel.q, through_vertex=v)
-        assert strict_ekr_audit(x, sel, through_vertex=v).cliques == want, (sel.coset_indices, v)
+        report = strict_ekr_audit(x, sel, through_vertex=v)
+        assert report.cliques == want, (sel.coset_indices, v)
+        assert set(want) >= {c for c in lines if v is None or v in c}
+        assert report.non_canonical == tuple(c for c in want if c not in line_set)
+        assert report.canonical_count == len(want) - len(report.non_canonical)
 
 
 def test_audit_matches_enumeration_on_survey_graphs():
@@ -519,6 +577,20 @@ def test_audit_matches_enumeration_on_counterexamples():
     assert_audit_matches_enumeration(ce9.graph, ce9.selection)
     ce25 = build_counterexample(create(5, 4), 5)
     assert_audit_matches_enumeration(ce25.graph, ce25.selection, through=(0,))
+
+
+def test_isomorphism_matches_oracle_on_wrong_cosets():
+    checked = 0
+    for q, idx in [(3, (0, 2)), (5, (0, 1, 4)), (9, (0, 1, 2, 3, 4))]:
+        ctx, x, sel = build(q, idx, PINNED81 if q == 9 else None)
+        lines = used_lines_oracle(sel)
+        for other in [(0,), (0, 1), (0, 3), tuple(range(q))]:
+            if other != idx:
+                assert_isomorphism_matches_oracle(build_cayley(ctx, other), sel, lines)
+                checked += 1
+        with pytest.raises(CertificationFailed, match="^graph is not certified translation invariant$"):
+            verify_isomorphism(Graph(x.n, x.adj), sel)
+    assert checked == 12
 
 
 def test_audit_paley9_strict():
@@ -639,31 +711,40 @@ def run_optimized(script: str) -> list[str]:
 
 
 BROKEN_CLIQUE_SCRIPT = """
-from peisert import Graph, build_cayley, canonical_cliques, create, subarray_for_connection_set
-from peisert.errors import VerificationFailed
+from peisert import Graph, build_cayley, build_ekr_basis, canonical_cliques, create
+from peisert import strict_ekr_audit, subarray_for_connection_set
+from peisert.errors import PeisertError
 print("debug", __debug__)
 ctx = create(3, 2)
 g = build_cayley(ctx, (0, 2))
 sel = subarray_for_connection_set(ctx, (0, 2))
-u, v = canonical_cliques(g, sel)[0].vertices[:2]
+u, v = canonical_cliques(sel)[0].vertices[:2]
 rows = list(g.adj)
 rows[u] &= ~(1 << v)
 rows[v] &= ~(1 << u)
-for field in (ctx, None):
+try:
+    Graph(g.n, rows, ctx)
+    print("accepted Graph")
+except PeisertError as e:
+    print("rejected Graph", e)
+for certify in (build_ekr_basis, strict_ekr_audit):
     try:
-        canonical_cliques(Graph(g.n, rows, field), sel)
-        print("accepted")
-    except VerificationFailed as e:
-        print("rejected", e)
+        certify(Graph(g.n, rows), sel)
+        print("accepted", certify.__name__)
+    except PeisertError as e:
+        print("rejected", certify.__name__, e)
 """
 
 
 def test_broken_canonical_clique_rejected_under_optimize():
-    """The clique certificate must not rest on assert, which -O strips."""
+    """The clique certificate must not rest on assert, which -O strips:
+    a graph missing an edge of a canonical line is refused with its
+    field, and without it by the basis and the audit."""
     lines = run_optimized(BROKEN_CLIQUE_SCRIPT)
-    assert len(lines) == 2
-    assert re.fullmatch(r"rejected row \d+ is not the translate N\(0\) \+ \d+", lines[0])
-    assert lines[1] == "rejected coset line 0:0 is not a clique"
+    assert len(lines) == 3
+    assert re.fullmatch(r"rejected Graph row \d+ is not the translate N\(0\) \+ \d+", lines[0])
+    assert re.fullmatch(r"rejected build_ekr_basis deg\(\d+\) = 4 but deg\(0\) = 3", lines[1])
+    assert lines[2] == "rejected strict_ekr_audit graph is not certified translation invariant"
 
 
 LINE_CHECK_SCRIPT = """
@@ -785,10 +866,10 @@ ctx = create(5, 2)
 g = build_cayley(ctx, (0, 1))
 srg_certify(g)
 sel = subarray_for_connection_set(ctx, (0, 1))
-r = sel.row_positions[0]  # one vertex traded between two used lines
-a, b = sel.lines[r][0], sel.lines[r][1]
-sel.lines[r][0] = tuple(sorted(a[1:] + b[:1]))
-sel.lines[r][1] = tuple(sorted(b[1:] + a[:1]))
+row = sel.symbol[sel.row_positions[0]]  # one vertex traded between two used lines
+a = next(v for v in range(1, g.n) if row[v] == 0)
+b = next(v for v in range(g.n) if row[v] == 1)
+row[a], row[b] = row[b], row[a]
 try:
     strict_ekr_audit(g, sel)
     print("accepted")

@@ -4,6 +4,7 @@ Expected constants below were computed once with an independent sympy
 session (minimal polynomials, discrete logs) and frozen.
 """
 
+import itertools
 import random
 from itertools import product
 
@@ -20,7 +21,12 @@ from peisert.errors import (
     OverflowingOrder,
     ReducibleModulus,
 )
-from peisert.field import _default_modulus
+from peisert.field import (
+    _default_modulus,
+    _element_has_full_order,
+    _poly_is_irreducible,
+    _prime_factors,
+)
 from peisert.survey import ambient_field, field_params
 from test_ekr import run_optimized
 
@@ -53,6 +59,26 @@ def test_default_modulus_memoised():
             assert cached == _default_modulus.__wrapped__(p, degree)
             assert _default_modulus(p, degree) is cached
         assert ambient_field(q).modulus == _default_modulus(p, 2 * r)
+
+
+def unfiltered_default_modulus(p, r):
+    """Oracle: the least monic irreducible of degree r with x primitive,
+    trying every candidate with a nonzero constant term in order."""
+    n = p**r - 1
+    for lower in itertools.product(range(p), repeat=r):
+        mod = lower + (1,)
+        if lower[0] and _poly_is_irreducible(mod, p) and _element_has_full_order(
+                (0, 1), mod, p, n, _prime_factors(n)):
+            return mod
+
+
+def test_norm_filter_keeps_the_least_primitive_modulus():
+    pairs = [(p, r) for p in (3, 5, 7, 11, 13) for r in range(1, 7) if p**r <= 3**8]
+    assert len(pairs) == 21
+    for p, r in pairs:
+        assert _default_modulus.__wrapped__(p, r) == unfiltered_default_modulus(p, r), (p, r)
+    # the unfiltered search takes about 24 s here, trial-dividing every c0 = 1 candidate
+    assert _default_modulus.__wrapped__(7, 6) == (3, 0, 0, 0, 1, 1, 1)
 
 
 def test_prime_field_tables():

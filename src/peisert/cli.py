@@ -64,7 +64,11 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def default_budget() -> float:
-    return float(os.environ.get("PEISERT_BUDGET", graphs.DEFAULT_BUDGET))
+    raw = os.environ.get("PEISERT_BUDGET", graphs.DEFAULT_BUDGET)
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"PEISERT_BUDGET={raw!r} is not a number of seconds") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -538,9 +542,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 3

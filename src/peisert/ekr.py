@@ -219,17 +219,17 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
     coloring is proper (verify_coloring) with q colors, so omega <= q and
     every clique of size q meets each of its classes exactly once; the
     transversal search through vertex 0 lists every one of them through
-    0.  The graph carries its field, so its constructor certified it
-    translation invariant, and the maximum cliques are the translates
+    0.  The graph carries its field, so it was built translation
+    invariant (Graph.cayley), and the maximum cliques are the translates
     C + u of those through 0: the full list keeps C + u when u is its
     least vertex, which gives each clique once, and the list through v
     is the C + v.  A found clique is canonical when a used row of the
     symbol table is constant on it, so it is that line of q points; the
     found cliques are distinct, so m q canonical ones (m through a given
     vertex) are every expected line, which attains omega = q.  The
-    selection must carry the
-    cosets of N(0), the connection set, or other lines would pass for
-    canonical.  A timeout aborts with no verdict.
+    selection must carry the cosets of N(0), the connection set, or
+    other lines would pass for canonical.  A timeout aborts with no
+    verdict.
     """
     q, m = sel.q, sel.m
     if x.n != sel.ctx.order or sel.coset_indices != tuple(

@@ -144,7 +144,10 @@ def _default_modulus(p: int, r: int) -> tuple[int, ...]:
 
 
 class FieldCtx:
-    """GF(p^r) with exp/log tables keyed by integer labels."""
+    """GF(p^r) with exp/log tables keyed by integer labels.
+
+    The tables are kept once, as int64 arrays.  Scalar operations index
+    them and return Python ints, which bitset code may shift safely."""
 
     def __init__(self, p: int, r: int, modulus: Optional[Sequence[int]] = None):
         if p < 3 or _prime_factors(p) != (p,):
@@ -176,9 +179,6 @@ class FieldCtx:
         self.generator = self._label_of_poly(gen_poly)
 
         self._exp_array, self._log_array = self._build_tables(gen_poly)
-        self.exp = self._exp_array.tolist()
-        self.log: list[Optional[int]] = self._log_array.tolist()
-        self.log[0] = None
         self._subfield: Optional[tuple[int, ...]] = None
 
     # ----- construction ------------------------------------------------
@@ -254,7 +254,7 @@ class FieldCtx:
 
     def neg(self, a: int) -> int:
         """a * (-1); -1 = g^((p^r - 1) / 2) since p is odd."""
-        return self.mul(a, self.exp[(self.order - 1) // 2])
+        return self.mul(a, self.gen_pow((self.order - 1) // 2))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -277,20 +277,18 @@ class FieldCtx:
         a = np.asarray(a, dtype=np.int64)
         if c == 0:
             return np.zeros_like(a)
-        logs = self._log_array[a] + self.log[c]
+        logs = self._log_array[a] + self._log_array[c]
         return np.where(a != 0, self._exp_array[logs % (self.order - 1)], 0)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        n = self.order - 1
-        return self.exp[(self.log[a] + self.log[b]) % n]
+        return self.gen_pow(self._log_array[a] + self._log_array[b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        n = self.order - 1
-        return self.exp[(n - self.log[a]) % n]
+        return self.gen_pow(-self._log_array[a])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -302,16 +300,16 @@ class FieldCtx:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        return self.exp[(self.log[a] * e) % (self.order - 1)]
+        return self.gen_pow(int(self._log_array[a]) * e)
 
     def dlog(self, a: int) -> int:
         """Discrete log base the generator; LogOfZero on the zero element."""
         if a == 0:
             raise LogOfZero("dlog(0) is undefined")
-        return self.log[a]
+        return int(self._log_array[a])
 
     def gen_pow(self, k: int) -> int:
-        return self.exp[k % (self.order - 1)]
+        return int(self._exp_array[k % (self.order - 1)])
 
     # ----- quadratic-extension structure ---------------------------------
 
@@ -338,7 +336,7 @@ class FieldCtx:
         if self.p**s != m or self.r % s != 0:
             raise NotProperSubfield(f"{m} is not p^s with s | {self.r}")
         step = (self.order - 1) // (m - 1)
-        return tuple(sorted({0} | {self.exp[k * step] for k in range(m - 1)}))
+        return (0, *np.sort(self._exp_array[::step]).tolist())
 
     def coset_index(self, a: int) -> int:
         """Index in [0, q] of the F_q^* multiplicative coset containing a."""
@@ -350,8 +348,7 @@ class FieldCtx:
         q = self.subfield_order
         if not 0 <= index <= q:
             raise IndexOutOfRange(f"coset index {index} outside [0, {q}]")
-        return tuple(sorted(self.exp[(index + k * (q + 1)) % (self.order - 1)]
-                            for k in range(q - 1)))
+        return tuple(np.sort(self._exp_array[index::q + 1]).tolist())
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, r={self.r}, modulus={list(self.modulus)})"

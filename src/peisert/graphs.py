@@ -2,9 +2,10 @@
 
 Adjacency rows are Python ints used as bitsets, which keeps the common
 neighbor counts, clique search and complement operations exact.  A graph
-given its field checks once, when built, that each row u is N(0) + u:
-adding one base-p digit place permutes a bitset by two shifts and three
-masks, so the n translates cost O(n) big-int operations whatever k.
+that carries its field is built from its connection set S alone, as the
+translates u + S: adding one base-p digit place permutes a bitset by two
+shifts and three masks, so the n rows cost O(n) big-int operations
+whatever k.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     BadDivisor,
@@ -50,27 +53,30 @@ def _mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Undirected graph; adj[v] is the neighbor bitset of vertex v.
 
-    Only the cached srg is settable.  Given a field, the constructor
-    raises VerificationFailed unless it has n elements and each row u is
-    N(0) + u, so `field is not None` certifies translation invariance."""
+    Graph(n, adj) takes any rows and carries no field.  Graph.cayley(field,
+    S) is the one way to a graph with a field: it checks S loopless and
+    symmetric and builds row u as u + S, so `field is not None` certifies
+    an undirected Cayley graph on GF(q^2)+ with N(0) = S.  Only the cached
+    srg is settable."""
 
     __slots__ = ("n", "adj", "srg", "field")
 
-    def __init__(self, n: int, adj: Iterable[int], field: Optional[FieldCtx] = None):
+    def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
         if len(adj) != n:
             raise LengthMismatch(f"{len(adj)} adjacency rows for {n} vertices")
-        if field is not None:
-            if field.order != n:
-                raise VerificationFailed(f"field of order {field.order} for {n} vertices")
-            rows = tuple(_translates(field, _bits(adj[0])))
-            if rows != adj:
-                u = next(u for u in range(n) if rows[u] != adj[u])
-                raise VerificationFailed(f"row {u} is not the translate N(0) + {u}")
         self.n = n
         self.adj = adj
-        self.field = field
+        self.field: Optional[FieldCtx] = None
         self.srg: Optional[SrgParams] = None
+
+    @classmethod
+    def cayley(cls, field: FieldCtx, labels: Iterable[int]) -> "Graph":
+        """Cay(GF(q^2)+, S) for the labels S; raises VerificationFailed
+        unless check_symmetric_set accepts S."""
+        g = cls(field.order, _translates(field, check_symmetric_set(field, labels)))
+        object.__setattr__(g, "field", field)  # the one place a field is set
+        return g
 
     def __setattr__(self, name, value):
         if name != "srg" and hasattr(self, name):
@@ -136,8 +142,8 @@ class SrgParams:
 def srg_certify(g: Graph) -> SrgParams:
     """Verify A^2 = kI + lambda*A + mu*(J - I - A) on every vertex pair.
 
-    A graph that carries its field was certified at construction to have
-    every row u the translate N(0) + u, so it is a Cayley graph: the pair
+    A graph that carries its field was built with every row u the
+    translate N(0) + u (Graph.cayley), so it is a Cayley graph: the pair
     (u, v) has the adjacency and the common neighbors of (0, v - u), and
     the n - 1 pairs through vertex 0 stand for all of them and give the
     same first witness; it is regular, so no degree is checked.  Any
@@ -217,15 +223,20 @@ def connection_set(ctx: FieldCtx, coset_indices: Iterable[int]) -> list[int]:
     return sorted(x for i in set(coset_indices) for x in ctx.coset_elements(i))
 
 
-def check_symmetric_set(ctx: FieldCtx, labels: Iterable[int]) -> None:
-    """Raise VerificationFailed unless 0 is outside S and S = -S, which
-    makes Cay(GF(q^2)+, S) loopless and undirected."""
-    s = set(labels)
-    if 0 in s:
-        raise VerificationFailed("connection set contains 0, so every vertex has a loop")
-    for x in sorted(s):
-        if ctx.neg(x) not in s:
-            raise VerificationFailed(f"connection set holds {x} but not its negative {ctx.neg(x)}")
+def check_symmetric_set(ctx: FieldCtx, labels: Iterable[int]) -> list[int]:
+    """S as ascending Python ints; raises VerificationFailed unless S is a
+    set of nonzero field labels with S = -S, which makes Cay(GF(q^2)+, S)
+    loopless and undirected."""
+    s = np.array(sorted(set(labels)), dtype=np.int64)
+    bad = s[(s <= 0) | (s >= ctx.order)]  # 0 would put a loop at every vertex
+    if bad.size:
+        raise VerificationFailed(f"connection set contains {bad[0]}, not a nonzero field label")
+    neg = ctx.mul_array(s, ctx.neg(1))
+    missing = np.flatnonzero(np.bincount(s, minlength=ctx.order)[neg] == 0)
+    if missing.size:
+        x = missing[0]
+        raise VerificationFailed(f"connection set holds {s[x]} but not its negative {neg[x]}")
+    return s.tolist()
 
 
 def _translates(ctx: FieldCtx, labels: Iterable[int]) -> list[int]:
@@ -262,9 +273,9 @@ def build_cayley(ctx: FieldCtx, coset_indices: Iterable[int]) -> Graph:
     """Cayley graph on GF(q^2)+ whose connection set is a union of
     F_q^* cosets including F_q^* itself (index 0).
 
-    Vertex i is the field element with label i; row u is u + S, checked by
-    the constructor given ctx.  Symmetry follows from -1 lying in F_q^*,
-    and check_symmetric_set certifies it on S before the rows are built.
+    Vertex i is the field element with label i; row u is u + S
+    (Graph.cayley).  Symmetry follows from -1 lying in F_q^*, and
+    check_symmetric_set certifies it on S before the rows are built.
     """
     q = ctx.subfield_order
     idx = sorted(set(int(i) for i in coset_indices))
@@ -276,9 +287,7 @@ def build_cayley(ctx: FieldCtx, coset_indices: Iterable[int]) -> Graph:
     if len(idx) > q:
         raise TooManyCosets(f"m = {len(idx)} exceeds q = {q}")
 
-    s_labels = connection_set(ctx, idx)
-    check_symmetric_set(ctx, s_labels)
-    return Graph(ctx.order, _translates(ctx, s_labels), ctx)
+    return Graph.cayley(ctx, connection_set(ctx, idx))
 
 
 def family_cosets(ctx: FieldCtx, name: str, d: Optional[int] = None) -> frozenset[int]:

@@ -9,20 +9,19 @@ is one gather through the q x q addition table of subfield ranks, and
 the column -> vertex map and the coset cliques are whole label arrays
 computed with FieldCtx.add_array and mul_array, never cell by cell.
 
-Selecting the rows whose slopes come from a connection-set decomposition
-c_i = u_i + v_i*alpha realizes the Cayley graph as the block graph of the
-subarray; the realization is certified, never assumed.  The selection
-carries the column -> vertex map and the symbol table (the full array
-indexed by vertex), the one line table: the lines of a slope are the
-cells of its row.  verify_isomorphism and line_eigenvalues read the
-graph only through N(0) and its translation certificate.  Only
+An array is fixed by its symbol table: symbol[r, z] is the entry of row
+r at the column of vertex z, the intercept rank of the slope-r line
+through z.  _plane builds the table and the column -> vertex map once
+and certifies the table strength 2 in O(n q); subarrays and translates
+are strength 2 by that check.  A SubarraySelection realizes a connection
+set as the block graph of the rows carrying its cosets, the row of coset
+i being the one where g^i reads 0.  It keeps only the map and the table,
+and builds its list-form subarray on request.  verify_isomorphism and
+line_eigenvalues read the graph only through N(0) and its field.  Only
 canonical_correspondence derives lines from field arithmetic, and it
 checks them against the table.  The selection is built once per graph:
 the certificates here and in ekr and whd take it and never rebuild it.
-The full array is certified strength 2 once, at build, in O(n q) from
-its symbol table (_plane); its subarrays and translates are strength 2
-by that check and are not checked again.  OrthogonalArray.verify, the
-row-pair count, checks arrays read from CSV.
+OrthogonalArray.verify, the row-pair count, checks arrays read from CSV.
 """
 
 from __future__ import annotations
@@ -106,15 +105,6 @@ class OrthogonalArray:
                     f"rows ({i}, {lo + t}) repeat symbol pair at column {c}")
         return True
 
-    def subarray(self, row_positions: Sequence[int]) -> "OrthogonalArray":
-        """The given rows; any rows of a strength-2 array are strength 2."""
-        return OrthogonalArray(
-            self.n,
-            [list(self.entries[i]) for i in row_positions],
-            [self.row_labels[i] for i in row_positions],
-            self.column_labels,
-        )
-
 
 def build_pointline_oa(ctx: FieldCtx, alpha: int) -> OrthogonalArray:
     """The full OA(q + 1, q) of the affine plane coordinates by alpha.
@@ -123,11 +113,20 @@ def build_pointline_oa(ctx: FieldCtx, alpha: int) -> OrthogonalArray:
     elements ranked by label; columns are ordered lexicographically by
     the (x, y) symbol pair.  Certified strength 2 by _plane.
     """
-    return _plane(ctx, alpha)[0]
+    return _list_array(ctx, *_plane(ctx, alpha), range(ctx.subfield_order + 1))
 
 
-def _plane(ctx: FieldCtx, alpha: int) -> tuple[OrthogonalArray, np.ndarray, np.ndarray]:
-    """The full array, its column -> vertex map and its symbol table.
+def _list_array(ctx: FieldCtx, vertex, symbol: np.ndarray, rows) -> OrthogonalArray:
+    """The given rows of a symbol table as a list-form array, with the
+    (x, y) columns in the order of the column -> vertex map."""
+    labels = list(ctx.subfield_elements())
+    slopes = labels + [INFINITY_SLOPE]
+    return OrthogonalArray(len(labels), symbol[list(rows)][:, vertex].tolist(),
+                           [slopes[r] for r in rows], [(x, y) for x in labels for y in labels])
+
+
+def _plane(ctx: FieldCtx, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column -> vertex map and the symbol table of the full array.
 
     Row k of the array is one gather through the rank-addition table:
     plus[y, rank(-k x)] at column (x, y); the row at infinity is
@@ -155,11 +154,7 @@ def _plane(ctx: FieldCtx, alpha: int) -> tuple[OrthogonalArray, np.ndarray, np.n
     symbol = np.empty_like(full)
     symbol[:, vertex] = full
     _certify_strength_two(ctx, plus, symbol)
-
-    labels = sub.tolist()
-    oa = OrthogonalArray(q, full.tolist(), labels + [INFINITY_SLOPE],
-                         [(x, y) for x in labels for y in labels])
-    return oa, vertex, symbol
+    return vertex, symbol
 
 
 def _subfield_ranks(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,23 +233,18 @@ def default_alpha(ctx: FieldCtx, coset_indices) -> int:
 class SubarraySelection:
     """Rows of the full array realizing one connection set.
 
-    rows[j] is the parent row of coset coset_indices[j]: the row whose
-    slope is v / u for the decomposition g^i = u + v * alpha.  The
-    parent's rows are the field slopes ascending with the row at
-    infinity last; row_positions lists the used rows in that order, and
-    the subarray keeps it.  vertex_of_column sends column (x, y) of the
-    parent (and of the subarray, which keeps its columns) to the Cayley
-    label x + y * alpha.  symbol[r, z] is the parent entry of row r at
-    the column of vertex z: the intercept rank of the slope-r line
-    through z.  The line with intercept the s-th element of F_q is the q
-    vertices where row r reads s (_plane).
+    symbol[r, z] is the entry of row r at the column of vertex z: the
+    intercept rank of the slope-r line through z, field slopes ascending
+    and the row at infinity last.  The line of intercept the s-th element
+    of F_q is the q vertices where row r reads s.  rows[j] is the row of
+    coset i = coset_indices[j], where g^i = u + v * alpha reads 0: slope
+    v / u.  vertex_of_column sends column (x, y) of the full array and
+    of the subarray to the Cayley label x + y * alpha.
     """
     ctx: FieldCtx
     coset_indices: tuple[int, ...]
     alpha: int
-    parent: OrthogonalArray
     rows: tuple[int, ...]
-    subarray: OrthogonalArray
     vertex_of_column: list[int]
     symbol: np.ndarray
 
@@ -270,32 +260,31 @@ class SubarraySelection:
     def row_positions(self) -> tuple[int, ...]:
         return tuple(sorted(self.rows))
 
+    @property
+    def subarray(self) -> OrthogonalArray:
+        """The used rows as a list-form array, built on each call."""
+        return _list_array(self.ctx, self.vertex_of_column, self.symbol, self.row_positions)
+
 
 def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelection:
     """Select the rows whose slopes carry the given cosets.
 
     alpha is the least-labeled element of the least free coset, and the
-    full array is built for it.  The map (x, y) -> x + y * alpha is
-    certified a bijection onto the field; slopes are pairwise distinct
-    and finite because every u_i is nonzero (alpha sits in an unused
-    coset).  Both are checked with typed errors.  The symbol table is
-    _plane's, certified strength 2.
+    symbol table is _plane's for it, certified strength 2: every nonzero
+    vertex reads 0 in exactly one row, the row of its coset.  A coset on
+    the alpha axis or sharing its row raises CorrespondenceFailed.
     """
     idx = tuple(sorted(set(int(i) for i in coset_indices)))
     alpha = default_alpha(ctx, idx)
-    oa, vertex, symbol = _plane(ctx, alpha)
-    column = np.argsort(vertex)  # the inverse of the bijection
-
-    rows = []
-    for i in idx:
-        u, v = oa.column_labels[column[ctx.gen_pow(i)]]  # g^i, the coset representative
-        if u == 0:
-            raise CorrespondenceFailed(f"coset {i} representative lies on the alpha axis")
-        rows.append(oa.row_labels.index(ctx.div(v, u)))
+    vertex, symbol = _plane(ctx, alpha)
+    reps = [ctx.gen_pow(i) for i in idx]  # g^i, the coset representatives
+    rows = tuple(np.argmax(symbol[:, reps] == 0, axis=0).tolist())
+    if ctx.subfield_order in rows:  # the row at infinity
+        i = idx[rows.index(ctx.subfield_order)]
+        raise CorrespondenceFailed(f"coset {i} representative lies on the alpha axis")
     if len(set(rows)) != len(idx):
         raise CorrespondenceFailed("coset slopes are not pairwise distinct")
-    return SubarraySelection(ctx, idx, alpha, oa, tuple(rows), oa.subarray(sorted(rows)),
-                             vertex.tolist(), symbol)
+    return SubarraySelection(ctx, idx, alpha, rows, vertex.tolist(), symbol)
 
 
 def line_eigenvalues(x: Graph, sel: SubarraySelection, rows: Sequence[int]) -> list[int]:
@@ -368,7 +357,7 @@ def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
     Raises CertificationFailed on a graph without its field or a
     nonadditive row, else NotIsomorphicUnderF with the pair (0, w), w
     least in the symmetric difference of Z and N(0)."""
-    ncols = sel.subarray.num_columns
+    ncols = len(sel.vertex_of_column)
     if ncols != x.n:
         raise NotIsomorphicUnderF(f"block graph has {ncols} vertices, the graph {x.n}")
     if x.field is None:
@@ -400,7 +389,7 @@ def canonical_correspondence(sel: SubarraySelection) -> dict:
         bad = (sel.symbol[r][cells] != np.arange(len(sub))[:, None]).any(axis=1)
         bad |= (np.diff(cells, axis=1) <= 0).any(axis=1)
         if bad.any():
-            raise CorrespondenceFailed(f"row {sel.parent.row_labels[r]} symbol "
+            raise CorrespondenceFailed(f"row {ctx.subfield_elements()[r]} symbol "
                                        f"{np.flatnonzero(bad)[0]}: line and coset clique differ")
         out.update(((coset, sym), tuple(cell)) for sym, cell in enumerate(cells.tolist()))
     return out
@@ -441,10 +430,11 @@ def noncanonical_clique_bound(sel: SubarraySelection, *,
     and keep every parallel class, so column 0 stands for every column."""
     from .graphs import enumerate_maximal_cliques
 
-    g = block_graph(sel.subarray)
+    array = sel.subarray
+    g = block_graph(array)
     m = sel.m
     column = 0
-    zero = np.array(translate_to_zero(sel.subarray, column).entries) == 0
+    zero = np.array(translate_to_zero(array, column).entries) == 0
     zero[:, column] = False  # column 0 meets itself in every row
     twice = np.flatnonzero(zero.sum(axis=0) > 1)
     if twice.size:

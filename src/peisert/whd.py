@@ -148,7 +148,7 @@ def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
     diffs = (ind[:, :-1] - ind[:, 1:]).reshape((q + 1) * (q - 1), n)
     P = np.concatenate([np.ones((n, 1), dtype=np.int8), diffs.T], axis=1)
     diagonal = (0,) + tuple(k - t for t in thetas for _ in range(q - 1))
-    used = tuple(sel.parent.row_labels[r] for r in sel.row_positions)
+    used = tuple(sel.ctx.subfield_elements()[r] for r in sel.row_positions)
     return WhdCertificate(P, diagonal, used)
 
 

@@ -273,6 +273,13 @@ def test_exit_code_timeouts(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_exit_code_malformed_budget_variable(capsys, monkeypatch):
+    monkeypatch.setenv("PEISERT_BUDGET", "abc")
+    assert main(["survey", "--q", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "input error: PEISERT_BUDGET='abc' is not a number of seconds\n")
+
+
 # the "bad input" group of errors.py, which exits 3
 INPUT_ERROR_NAMES = {
     "NonPrimeCharacteristic", "ReducibleModulus", "OverflowingOrder", "LogOfZero",

@@ -111,16 +111,22 @@ def lines_of(sel, r):
     return [tuple(np.flatnonzero(sel.symbol[r] == s).tolist()) for s in range(sel.q)]
 
 
+def slopes(ctx):
+    """The slope of each row of the symbol table: the subfield labels
+    ascending, then the row at infinity."""
+    return list(ctx.subfield_elements()) + [INFINITY_SLOPE]
+
+
 def assert_table_matches_oracle(ctx, sel):
     sub = ctx.subfield_elements()
     assert sel.symbol.shape == (len(sub) + 1, ctx.order)
-    for r, slope in enumerate(sel.parent.row_labels):
+    for r, slope in enumerate(slopes(ctx)):
         assert [line_oracle(ctx, sel.alpha, slope, delta) for delta in sub] == lines_of(sel, r)
 
 
 def used_lines_oracle(sel):
     """The lines of the used rows, from field arithmetic."""
-    return [line_oracle(sel.ctx, sel.alpha, sel.parent.row_labels[r], delta)
+    return [line_oracle(sel.ctx, sel.alpha, slopes(sel.ctx)[r], delta)
             for r in sel.row_positions for delta in sel.ctx.subfield_elements()]
 
 
@@ -181,7 +187,7 @@ def test_canonical_cliques_are_coset_translates():
     for q, idx in [(3, (0, 2)), (5, (0, 1, 4)), (7, (0, 3)), (9, (0, 1, 2, 3, 4))]:
         ctx, x, sel = build(q, idx, PINNED81 if q == 9 else None)
         assert_table_matches_oracle(ctx, sel)
-        slope_of = {i: sel.parent.row_labels[r] for i, r in zip(sel.coset_indices, sel.rows)}
+        slope_of = {i: slopes(ctx)[r] for i, r in zip(sel.coset_indices, sel.rows)}
         for c in canonical_cliques(sel):
             assert c.vertices == line_oracle(ctx, sel.alpha, slope_of[c.coset],
                                              ctx.subfield_elements()[c.intercept])
@@ -722,14 +728,24 @@ u, v = canonical_cliques(sel)[0].vertices[:2]
 rows = list(g.adj)
 rows[u] &= ~(1 << v)
 rows[v] &= ~(1 << u)
-try:
-    Graph(g.n, rows, ctx)
-    print("accepted Graph")
-except PeisertError as e:
-    print("rejected Graph", e)
 for certify in (build_ekr_basis, strict_ekr_audit):
     try:
         certify(Graph(g.n, rows), sel)
+        print("accepted", certify.__name__)
+    except PeisertError as e:
+        print("rejected", certify.__name__, e)
+
+# with its field: S loses the difference of an edge of a canonical line,
+# so every translate of that line misses an edge
+ctx = create(5, 2)
+g = build_cayley(ctx, (0, 2))
+sel = subarray_for_connection_set(ctx, (0, 2))
+u, v = canonical_cliques(sel)[0].vertices[:2]
+d = ctx.sub(v, u)
+g = Graph.cayley(ctx, [s for s in g.neighbors(0) if s not in (d, ctx.neg(d))])
+for certify in (build_ekr_basis, strict_ekr_audit):
+    try:
+        certify(g, sel)
         print("accepted", certify.__name__)
     except PeisertError as e:
         print("rejected", certify.__name__, e)
@@ -738,20 +754,22 @@ for certify in (build_ekr_basis, strict_ekr_audit):
 
 def test_broken_canonical_clique_rejected_under_optimize():
     """The clique certificate must not rest on assert, which -O strips:
-    a graph missing an edge of a canonical line is refused with its
-    field, and without it by the basis and the audit."""
+    a graph missing an edge of a canonical line is refused by the basis
+    and the audit, without its field and with it."""
     lines = run_optimized(BROKEN_CLIQUE_SCRIPT)
-    assert len(lines) == 3
-    assert re.fullmatch(r"rejected Graph row \d+ is not the translate N\(0\) \+ \d+", lines[0])
-    assert re.fullmatch(r"rejected build_ekr_basis deg\(\d+\) = 4 but deg\(0\) = 3", lines[1])
-    assert lines[2] == "rejected strict_ekr_audit graph is not certified translation invariant"
+    assert len(lines) == 4
+    assert re.fullmatch(r"rejected build_ekr_basis deg\(\d+\) = 4 but deg\(0\) = 3", lines[0])
+    assert lines[1] == "rejected strict_ekr_audit graph is not certified translation invariant"
+    assert re.fullmatch(r"rejected build_ekr_basis non-adjacent pair \(0, \d+\) has \d+ common "
+                        r"neighbors, expected \d+", lines[2])
+    assert lines[3] == "rejected strict_ekr_audit a canonical clique is missing from the enumeration"
 
 
 LINE_CHECK_SCRIPT = """
 from itertools import product
 from peisert import Graph, build_cayley, build_ekr_basis, build_whd, create, srg_certify
 from peisert import subarray_for_connection_set
-from peisert.errors import CertificationFailed, VerificationFailed
+from peisert.errors import CertificationFailed
 print("debug", __debug__)
 
 def attempt(build, g, sel):
@@ -764,8 +782,8 @@ def attempt(build, g, sel):
 ctx = create(5, 2)
 sel = subarray_for_connection_set(ctx, (0, 1))
 
-# (a) 2-switch u-v, w-z to u-w, v-z: regular; with its field the graph is
-# refused at construction, and without it the srg is kept from the good graph
+# (a) 2-switch u-v, w-z to u-w, v-z: regular, and no Cayley graph, so it
+# has no field; the srg is kept from the good graph
 g = build_cayley(ctx, (0, 1))
 u, v, w, z = next((u, v, w, z) for u, v, w, z in product(range(g.n), repeat=4)
                   if len({u, v, w, z}) == 4
@@ -775,11 +793,6 @@ rows = list(g.adj)
 for a, b, add in ((u, v, False), (w, z, False), (u, w, True), (v, z, True)):
     for s, t in ((a, b), (b, a)):
         rows[s] = rows[s] | 1 << t if add else rows[s] & ~(1 << t)
-try:
-    Graph(g.n, rows, ctx)
-    print("accepted Graph")
-except VerificationFailed as e:
-    print("rejected Graph", e)
 switched = Graph(g.n, rows)
 switched.srg = srg_certify(g)
 attempt(build_ekr_basis, switched, sel)
@@ -798,12 +811,11 @@ attempt(build_whd, g, sel)
 
 def test_line_check_rejects_switched_graph_and_swapped_symbols():
     lines = run_optimized(LINE_CHECK_SCRIPT)
-    assert len(lines) == 4
-    assert re.fullmatch(r"rejected Graph row \d+ is not the translate N\(0\) \+ \d+", lines[0])
-    assert lines[1] == "rejected build_ekr_basis graph is not certified translation invariant"
-    assert lines[2] == "rejected build_whd graph is not certified translation invariant"
-    assert lines[3].startswith("rejected build_whd line ")
-    assert "fails A chi = (m - e) 1 + (e q - m) chi at vertex 0" in lines[3]
+    assert len(lines) == 3
+    assert lines[0] == "rejected build_ekr_basis graph is not certified translation invariant"
+    assert lines[1] == "rejected build_whd graph is not certified translation invariant"
+    assert lines[2].startswith("rejected build_whd line ")
+    assert "fails A chi = (m - e) 1 + (e q - m) chi at vertex 0" in lines[2]
 
 
 CORRUPTED_SUM_SCRIPT = """
@@ -909,8 +921,9 @@ w = next(v for v in g.neighbors(1) if v != 0)  # drop the edge {1, w}; N(0) is k
 rows = list(g.adj)
 rows[1] ^= 1 << w
 rows[w] ^= 1 << 1
-try:
-    Graph(g.n, rows, ctx)
+s = g.neighbors(0)
+try:  # with its field, the graph is built from S, and an asymmetric S is refused
+    Graph.cayley(ctx, s[1:])
     print("accepted")
 except VerificationFailed as e:
     print("rejected", e)
@@ -927,7 +940,7 @@ def test_audit_rejects_broken_coloring_and_translation_under_optimize():
     assert len(lines) == 3
     assert re.fullmatch(r"rejected unused-slope coloring gives both ends of edge "
                         r"\(\d+, \d+\) one color", lines[0])
-    assert lines[1] == "rejected row 1 is not the translate N(0) + 1"
+    assert re.fullmatch(r"rejected connection set holds \d+ but not its negative \d+", lines[1])
     assert lines[2] == "rejected graph is not certified translation invariant"
 
 

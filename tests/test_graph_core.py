@@ -214,7 +214,7 @@ def test_digit_shift_translates_match_scalar_oracle_where_high_digits_wrap():
             s = sorted(set(half) | {ctx.neg(x) for x in half})
             rows = cayley_rows_oracle(ctx, s)
             assert _translates(ctx, s) == rows, (ctx, s)
-            assert Graph(ctx.order, rows, ctx).field is ctx
+            assert Graph.cayley(ctx, s).adj == tuple(rows), (ctx, s)
 
 
 def test_symmetry_check_rejects_asymmetric_connection_set():
@@ -338,7 +338,7 @@ def test_srg_by_translation_matches_pair_loop():
     for _ in range(20):
         half = rng.sample(range(1, ctx.order), rng.randint(1, 8))
         s = sorted(set(half) | {ctx.neg(x) for x in half})
-        g = Graph(ctx.order, cayley_rows_oracle(ctx, s), ctx)
+        g = Graph.cayley(ctx, s)
         assert verdict(g) == verdict(Graph(g.n, g.adj))
 
 
@@ -359,32 +359,31 @@ def two_switched_rows(g: Graph) -> list[int]:
 
 
 def test_srg_rejects_two_switched_cayley_graph():
-    # with its field the constructor rejects the switched rows; without it
+    # the switched rows are no Cayley graph, so they carry no field and
     # the pair loop runs, since the pairs through 0 keep their counts
     g = build_cayley(create(5, 2), (0, 1))
-    rows = two_switched_rows(g)
-    with pytest.raises(VerificationFailed, match=r"is not the translate N\(0\) \+ "):
-        Graph(g.n, rows, g.field)
-    switched = Graph(g.n, rows)
+    switched = Graph(g.n, two_switched_rows(g))
     assert {switched.degree(x) for x in range(g.n)} == {8}
     with pytest.raises(NotStronglyRegular):
         srg_certify(switched)
 
 
 def test_graph_with_field_rejects_rows_that_are_not_translates():
-    ctx = create(5, 2)
-    g = build_cayley(ctx, (0, 1))
-    assert Graph(g.n, list(g.adj), ctx).adj == g.adj
-    with pytest.raises(VerificationFailed, match="field of order 25 for 9 vertices"):
-        Graph(9, build_cayley(create(3, 2), (0,)).adj, ctx)
-    with pytest.raises(VerificationFailed, match=r"row 1 is not the translate N\(0\) \+ 1$"):
-        Graph(g.n, (g.adj[0],) * g.n, ctx)  # every row N(0): regular, not a Cayley graph
-    rows = two_switched_rows(g)
-    first = min(u for u in range(g.n) if rows[u] != g.adj[u])
-    with pytest.raises(VerificationFailed, match=rf"row {first} is not the translate"):
-        Graph(g.n, rows, ctx)
+    # a field graph is built from S alone, so no rows can be given with a
+    # field; a bad S is refused instead
+    ctx = create(3, 2)
+    with pytest.raises(TypeError):
+        Graph(9, _translates(ctx, [1]), ctx)
+    for s, message in (([1], "holds 1 but not its negative 2$"),
+                       ([0, 1, 2], "contains 0"),
+                       ([1, 2, 9], "contains 9, not a nonzero field label$"),
+                       ([-1, 1], "contains -1, not a nonzero field label$")):
+        with pytest.raises(VerificationFailed, match=message):
+            Graph.cayley(ctx, s)
+    g = build_cayley(create(5, 2), (0, 1))
+    assert Graph.cayley(g.field, g.neighbors(0)).adj == g.adj
     # the switched rows pass without the field, as any graph does
-    assert Graph(g.n, rows).field is None
+    assert Graph(g.n, two_switched_rows(g)).field is None
 
 
 def test_graph_fields_are_fixed_at_construction():

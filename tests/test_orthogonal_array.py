@@ -12,6 +12,7 @@ from peisert import (
     OrthogonalArray,
     block_graph,
     build_cayley,
+    build_counterexample,
     build_pointline_oa,
     canonical_correspondence,
     create,
@@ -27,10 +28,13 @@ from peisert import (
     verify_coloring,
     verify_isomorphism,
 )
+from peisert import oa
 from peisert.errors import (
     AlphaInSubfield,
+    CorrespondenceFailed,
     NotIsomorphicUnderF,
     OAVerificationFailed,
+    ReducibleModulus,
     SearchTimeout,
 )
 from peisert.graphs import enumerate_maximal_cliques
@@ -170,13 +174,55 @@ def test_subarray_selection_rows():
     sel.subarray.verify()
     # the slope of coset i solves c_i = u + v*alpha, slope = v/u
     for i, r in zip(sel.coset_indices, sel.rows):
-        slope = sel.parent.row_labels[r]
+        slope = ctx.subfield_elements()[r]
         c = ctx.gen_pow(i)
         for u in ctx.subfield_elements():
             for v in ctx.subfield_elements():
                 if ctx.add(u, ctx.mul(v, sel.alpha)) == c:
                     assert u != 0
                     assert ctx.div(v, u) == slope
+
+
+def slope_rows_oracle(ctx, sel):
+    """The row of each coset by field arithmetic: g^i = u + v * alpha
+    solved over F_q x F_q, and the slope v / u ranked among the subfield
+    labels (None when u = 0, on the alpha axis)."""
+    sub = ctx.subfield_elements()
+    rows = []
+    for i in sel.coset_indices:
+        c = ctx.gen_pow(i)
+        (u, v), = [(u, v) for u in sub for v in sub if ctx.add(u, ctx.mul(v, sel.alpha)) == c]
+        rows.append(None if u == 0 else sub.index(ctx.div(v, u)))
+    return tuple(rows)
+
+
+def test_selection_rows_match_slope_oracle(monkeypatch):
+    """The row where g^i reads 0 is the slope v / u of g^i = u + v alpha:
+    on every index set with a free coset at q = 3 and 5 under every monic
+    irreducible quadratic modulus, and on both subfield counterexamples.
+    An alpha taken from a used coset puts that coset on the alpha axis."""
+    checked = 0
+    for p in (3, 5):
+        for c0, c1 in product(range(p), repeat=2):
+            try:
+                ctx = create(p, 2, (c0, c1, 1))
+            except ReducibleModulus:
+                continue
+            for size in range(p + 1):
+                for idx in combinations(range(p + 1), size):
+                    if set(range(1, p + 1)) <= set(idx):
+                        continue  # no free coset for alpha
+                    sel = subarray_for_connection_set(ctx, idx)
+                    if sel.rows != slope_rows_oracle(ctx, sel):
+                        pytest.fail(f"{ctx} {idx}: rows {sel.rows}")
+                    checked += 1
+    for p, subfield in ((3, 3), (5, 5)):
+        ce = build_counterexample(create(p, 4), subfield)
+        assert ce.selection.rows == slope_rows_oracle(ce.selection.ctx, ce.selection)
+    assert checked == 3 * 14 + 10 * 62
+    monkeypatch.setattr(oa, "default_alpha", lambda ctx, idx: min(ctx.coset_elements(2)))
+    with pytest.raises(CorrespondenceFailed, match="^coset 2 representative lies on the alpha axis$"):
+        subarray_for_connection_set(create(5, 2), (0, 2))
 
 
 def test_block_graph_of_full_array_is_complete():
@@ -332,14 +378,27 @@ def _entries_of(symbol, vertex, like):
     return OrthogonalArray(like.n, symbol[:, vertex].tolist(), like.row_labels, like.column_labels)
 
 
+def array_oracle(ctx, alpha):
+    """The full array cell by cell from scalar field arithmetic: row k
+    holds the rank of y - k x at column (x, y), the row at infinity the
+    rank of x, and column (x, y) is the vertex x + y alpha."""
+    sub = ctx.subfield_elements()
+    cols = [(x, y) for x in sub for y in sub]
+    rows = [[sub.index(ctx.sub(y, ctx.mul(k, x))) for x, y in cols] for k in sub]
+    rows.append([sub.index(x) for x, _ in cols])
+    return rows, [ctx.add(x, ctx.mul(y, alpha)) for x, y in cols]
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
 def test_strength_two_certificate_agrees_with_verify_and_oracle(q):
     """_plane certifies the full array from its symbol table in O(n q);
     the row-pair check and the set oracle agree on it, and on tables
     with one cell moved to another symbol, which all three reject."""
     ctx = ambient_field(q)
-    arr, vertex, symbol = _plane(ctx, default_alpha(ctx, set()))
-    if _entries_of(symbol, vertex, arr).entries != arr.entries:
+    alpha = default_alpha(ctx, set())
+    vertex, symbol = _plane(ctx, alpha)
+    arr = build_pointline_oa(ctx, alpha)
+    if (arr.entries, vertex.tolist()) != array_oracle(ctx, alpha):
         pytest.fail("the symbol table does not scatter the array")
     if not (verdict(OrthogonalArray.verify, arr) is verdict(verify_oracle, arr) is True):
         pytest.fail(f"q = {q}: certified array fails the row-pair check")
@@ -368,7 +427,8 @@ def test_strength_two_certificate_rejects_swapped_symbols():
     a row repeated in place of another is additive, and then vertices
     of the shared kernel read 0 in two rows."""
     ctx = create(5, 2)
-    arr, vertex, symbol = _plane(ctx, default_alpha(ctx, set()))
+    vertex, symbol = _plane(ctx, default_alpha(ctx, set()))
+    arr = build_pointline_oa(ctx, default_alpha(ctx, set()))
     plus = _subfield_ranks(ctx)[2]
     for r in range(ctx.subfield_order + 1):
         bad = symbol.copy()

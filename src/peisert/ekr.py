@@ -3,14 +3,15 @@ from their balanced indicators, exact decompositions, strict audits, and
 subfield counterexamples.
 
 Each certificate takes the graph and its oa.SubarraySelection, which
-carries the field, the cosets, q, m and the line table; only the
-adjacency, the SRG parameters and the field, the certificate of
-translation invariance, are read from the graph, and the selection is
-never rebuilt here.  Everything is exact.  Basis columns are stored as
-the integer vectors q*chi - 1, certified by oa.line_eigenvalues from N(0) with no
-n x n product.  A decomposition is read off the clique's line counts and
-certified by one integer identity per vertex; the only rational steps
-are the divisions by q and by q m.
+carries the field, the cosets, q, m and the certified, read-only line
+table, and is never rebuilt here.  The basis and the audit first run
+oa.verify_isomorphism, the one check that pairs the graph with the
+selection; what it implies, the line eigenvalues, the spectrum
+{k, q - m, -m} and the proper unused-slope coloring, is not checked
+again.  Everything is exact.  Basis columns are stored as the integer
+vectors q*chi - 1, with no n x n product.  A decomposition is read off
+the clique's line counts and certified by one integer identity per
+vertex; the only rational steps are the divisions by q and by q m.
 """
 
 from __future__ import annotations
@@ -45,13 +46,12 @@ from .graphs import (
     is_maximal_clique,
     srg_certify,
     transversal_cliques,
-    verify_coloring,
 )
 from .oa import (
     SubarraySelection,
-    line_eigenvalues,
     subarray_for_connection_set,
     unused_slope_coloring,
+    verify_isomorphism,
 )
 
 
@@ -71,9 +71,8 @@ def canonical_cliques(sel: SubarraySelection) -> list[CanonicalClique]:
     each used row of the symbol table, by one stable argsort per row.
 
     Certifies nothing.  Strength 2 (oa._plane) makes each row a partition
-    into q lines of q.  oa.line_eigenvalues on the used rows counts q - 1
-    neighbors of 0 on the line through 0, so that line minus 0 lies in
-    N(0), and additivity and translation make every line a clique.
+    into q lines of q.  Once oa.verify_isomorphism pairs a graph with the
+    selection, the used lines are cliques of that graph.
     """
     q = sel.q
     label = np.array(range(sel.ctx.order), dtype=object)  # one int object per vertex, shared by its lines
@@ -110,9 +109,11 @@ class EkrBasis:
 def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
     """Assemble and certify the clique eigenspace basis.
 
-    line_eigenvalues on the used rows gives A B = (q - m) B and makes the
-    canonical cliques cliques; each strength-2 row partitions the
-    vertices, so each class has one through the base vertex.  B^T B =
+    verify_isomorphism pairs x with sel, which gives A chi_L = (m - 1) 1
+    + (q - m) chi_L on every used line L: so A B = (q - m) B, the
+    canonical cliques are cliques, and A has spectrum {k, q - m, -m}.
+    Each strength-2 row partitions the vertices, so each class has one
+    line through the base vertex.  B^T B =
     I_m (x) q^2 (q I - J), entry q^2 (|L & L'| - 1), is fixed by three
     certified facts: the full array has strength 2 (lines of different
     slopes meet once), the column -> vertex map is a bijection (each
@@ -120,12 +121,8 @@ def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
     one slope are disjoint).  It is nonsingular, so B has full column
     rank m (q - 1) and spans every difference chi_base - chi_other.
     """
-    params = x.srg if x.srg is not None else srg_certify(x)
+    verify_isomorphism(x, sel)
     q, m = sel.q, sel.m
-    if params.least_eigenvalue != -m:
-        raise CertificationFailed(f"least eigenvalue {params.least_eigenvalue} != -{m}")
-    line_eigenvalues(x, sel, sel.row_positions)
-
     cliques = canonical_cliques(sel)
     basis_cliques = [cl for cl in cliques if 0 not in cl.vertices]
 
@@ -162,6 +159,9 @@ def decompose_clique(x: Graph, basis: EkrBasis, clique: Sequence[int]) -> Decomp
     """
     q, m = basis.q, basis.m
     cl = tuple(sorted(set(clique)))
+    outside = [v for v in cl if not 0 <= v < x.n]
+    if outside:
+        raise IndexOutOfRange(f"vertex {outside[0]} outside [0, {x.n})")
     if len(cl) != q or not is_maximal_clique(x, cl):
         raise NotMaximumClique(f"{cl} is not a maximum clique (|C| must be {q})")
     params = x.srg if x.srg is not None else srg_certify(x)
@@ -215,8 +215,8 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
     """Exhaustively enumerate maximum cliques and split them into
     canonical and not.
 
-    Completeness rests on three certified facts.  The unused-slope
-    coloring is proper (verify_coloring) with q colors, so omega <= q and
+    Completeness rests on what verify_isomorphism, run first, certifies.
+    The unused-slope coloring is proper with q colors, so omega <= q and
     every clique of size q meets each of its classes exactly once; the
     transversal search through vertex 0 lists every one of them through
     0.  The graph carries its field, so it was built translation
@@ -224,31 +224,19 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
     C + u of those through 0: the full list keeps C + u when u is its
     least vertex, which gives each clique once, and the list through v
     is the C + v.  A found clique is canonical when a used row of the
-    symbol table is constant on it, so it is that line of q points; the
-    found cliques are distinct, so m q canonical ones (m through a given
-    vertex) are every expected line, which attains omega = q.  The
-    selection must carry the cosets of N(0), the connection set, or
-    other lines would pass for canonical.  A timeout aborts with no
-    verdict.
+    symbol table, whose lines are those of the cosets of N(0), is
+    constant on it, so it is that line of q points; the found cliques
+    are distinct, so m q canonical ones (m through a given vertex) are
+    every expected line, which attains omega = q.  A timeout aborts with
+    no verdict.
     """
+    verify_isomorphism(x, sel)
     q, m = sel.q, sel.m
-    if x.n != sel.ctx.order or sel.coset_indices != tuple(
-            sorted({sel.ctx.coset_index(v) for v in x.neighbors(0)})):
-        raise CertificationFailed(f"selection cosets {sel.coset_indices} are not the graph's")
     if through_vertex is not None and not 0 <= through_vertex < x.n:
         raise IndexOutOfRange(f"vertex {through_vertex} outside [0, {x.n})")
     deadline = _Deadline(budget)
 
-    colors = unused_slope_coloring(sel)
-    clash = verify_coloring(x, colors)
-    if clash is not None:
-        raise CertificationFailed(f"unused-slope coloring gives both ends of edge {clash} one color")
-    classes = color_classes(colors)
-    if len(classes) != q:
-        raise CertificationFailed(f"unused-slope coloring has {len(classes)} colors, not {q}")
-    if x.field is None:
-        raise CertificationFailed("graph is not certified translation invariant")
-
+    classes = color_classes(unused_slope_coloring(sel))
     through_0 = transversal_cliques(x, classes.values(), 0, deadline)
     cliques = _translation_closure(x.field, through_0, through_vertex, deadline)
     members = np.array(cliques, dtype=np.int64).reshape(len(cliques), q)

@@ -297,7 +297,7 @@ def family_cosets(ctx: FieldCtx, name: str, d: Optional[int] = None) -> frozense
     paley    squares of GF(q^2)
     peisert  exponents 0, 1 mod 4 (needs q = 3 mod 4)
     gp       d-th powers, d | q + 1, d > 1
-    gpstar   exponents with residue mod d below d/2, d | q + 1, d even
+    gpstar   exponents with residue mod d below d/2, d | q + 1, d > 0 even
     """
     q = ctx.subfield_order
     n = ctx.order - 1
@@ -316,8 +316,8 @@ def family_cosets(ctx: FieldCtx, name: str, d: Optional[int] = None) -> frozense
         indices = frozenset(range(0, q + 1, d))
         member = lambda e: e % d == 0
     elif name == "gpstar":
-        if d is None or d % 2 != 0 or (q + 1) % d != 0:
-            raise BadDivisor(f"gpstar needs even d dividing q + 1 = {q + 1}, got {d}")
+        if d is None or d <= 0 or d % 2 != 0 or (q + 1) % d != 0:
+            raise BadDivisor(f"gpstar needs even d > 0 dividing q + 1 = {q + 1}, got {d}")
         half = d // 2
         indices = frozenset(i for i in range(q + 1) if i % d < half)
         member = lambda e: e % d < half

@@ -15,9 +15,12 @@ through z.  _plane builds the table and the column -> vertex map once
 and certifies the table strength 2 in O(n q); subarrays and translates
 are strength 2 by that check.  A SubarraySelection realizes a connection
 set as the block graph of the rows carrying its cosets, the row of coset
-i being the one where g^i reads 0.  It keeps only the map and the table,
-and builds its list-form subarray on request.  verify_isomorphism and
-line_eigenvalues read the graph only through N(0) and its field.  Only
+i being the one where g^i reads 0.  It is built from the field and the
+cosets alone, runs _plane itself and holds its table read-only, so it is
+certified once and never altered.  verify_isomorphism pairs it with a
+graph, reading the graph only through N(0) and its field; that check
+implies the line eigenvalues, the valency and the unused-slope coloring,
+which ekr and whd therefore never re-check.  Only
 canonical_correspondence derives lines from field arithmetic, and it
 checks them against the table.  The selection is built once per graph:
 the certificates here and in ekr and whd take it and never rebuild it.
@@ -28,8 +31,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -229,24 +232,43 @@ def default_alpha(ctx: FieldCtx, coset_indices) -> int:
     return min(ctx.coset_elements(free[0]))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SubarraySelection:
     """Rows of the full array realizing one connection set.
 
-    symbol[r, z] is the entry of row r at the column of vertex z: the
-    intercept rank of the slope-r line through z, field slopes ascending
-    and the row at infinity last.  The line of intercept the s-th element
-    of F_q is the q vertices where row r reads s.  rows[j] is the row of
-    coset i = coset_indices[j], where g^i = u + v * alpha reads 0: slope
-    v / u.  vertex_of_column sends column (x, y) of the full array and
-    of the subarray to the Cayley label x + y * alpha.
+    Built from the field and the cosets alone: alpha is default_alpha's, and
+    vertex_of_column and symbol are _plane's, certified here, so a selection
+    never holds an uncertified table.  symbol is an array over immutable
+    bytes, which no flag makes writeable again.  symbol[r, z] is the entry
+    of row r at the column of vertex z: the intercept rank of the slope-r
+    line through z, field slopes ascending and the row at infinity last.
+    rows[j] is the row of coset i = coset_indices[j], where g^i = u + v *
+    alpha reads 0: slope v / u; a coset on the alpha axis or sharing its row
+    raises CorrespondenceFailed.  vertex_of_column sends column (x, y) of
+    the full array and of the subarray to the Cayley label x + y * alpha.
     """
     ctx: FieldCtx
     coset_indices: tuple[int, ...]
-    alpha: int
-    rows: tuple[int, ...]
-    vertex_of_column: list[int]
-    symbol: np.ndarray
+    alpha: int = field(init=False)
+    rows: tuple[int, ...] = field(init=False)
+    vertex_of_column: tuple[int, ...] = field(init=False)
+    symbol: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        ctx, idx = self.ctx, self.coset_indices
+        alpha = default_alpha(ctx, idx)
+        vertex, symbol = _plane(ctx, alpha)
+        reps = [ctx.gen_pow(i) for i in idx]  # g^i, the coset representatives
+        rows = tuple(np.argmax(symbol[:, reps] == 0, axis=0).tolist())
+        if ctx.subfield_order in rows:  # the row at infinity
+            i = idx[rows.index(ctx.subfield_order)]
+            raise CorrespondenceFailed(f"coset {i} representative lies on the alpha axis")
+        if len(set(rows)) != len(idx):
+            raise CorrespondenceFailed("coset slopes are not pairwise distinct")
+        symbol = np.frombuffer(symbol.tobytes(), symbol.dtype).reshape(symbol.shape)
+        for name, value in (("alpha", alpha), ("rows", rows),
+                            ("vertex_of_column", tuple(vertex.tolist())), ("symbol", symbol)):
+            object.__setattr__(self, name, value)
 
     @property
     def q(self) -> int:
@@ -267,67 +289,8 @@ class SubarraySelection:
 
 
 def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelection:
-    """Select the rows whose slopes carry the given cosets.
-
-    alpha is the least-labeled element of the least free coset, and the
-    symbol table is _plane's for it, certified strength 2: every nonzero
-    vertex reads 0 in exactly one row, the row of its coset.  A coset on
-    the alpha axis or sharing its row raises CorrespondenceFailed.
-    """
-    idx = tuple(sorted(set(int(i) for i in coset_indices)))
-    alpha = default_alpha(ctx, idx)
-    vertex, symbol = _plane(ctx, alpha)
-    reps = [ctx.gen_pow(i) for i in idx]  # g^i, the coset representatives
-    rows = tuple(np.argmax(symbol[:, reps] == 0, axis=0).tolist())
-    if ctx.subfield_order in rows:  # the row at infinity
-        i = idx[rows.index(ctx.subfield_order)]
-        raise CorrespondenceFailed(f"coset {i} representative lies on the alpha axis")
-    if len(set(rows)) != len(idx):
-        raise CorrespondenceFailed("coset slopes are not pairwise distinct")
-    return SubarraySelection(ctx, idx, alpha, rows, vertex.tolist(), symbol)
-
-
-def line_eigenvalues(x: Graph, sel: SubarraySelection, rows: Sequence[int]) -> list[int]:
-    """Certify A chi_L = (m - e) 1 + (e q - m) chi_L for every line L of
-    the given parent rows, with e = 1 on the used rows and 0 elsewhere;
-    return e q - m per row.  x carries its field, so row u is S + u for
-    S = N(0) and (A chi_L)(u) = |S & (L - u)|.  Each row's symbols sigma
-    are checked additive, sigma(z + p^j) = sigma(z) + sigma(p^j) in F_q
-    for every digit generator p^j (_nonadditive, after the counts of
-    every row); then L - u is the same-slope line of intercept
-    sigma(L) - sigma(u), and one bincount of sigma over S, e (q - 1) at
-    sigma(0) = 0 and m - e elsewhere, certifies every line of the row
-    (at vertex 0 it is the count itself, additive or not).
-    The counts sum to k, so passing also certifies k = m (q - 1).  Raises
-    CertificationFailed.
-    """
-    q, m, n = sel.q, sel.m, x.n
-    if x.field is None:
-        raise CertificationFailed("graph is not certified translation invariant")
-    if sel.symbol.shape[1] != n:
-        raise CertificationFailed(f"graph has {n} vertices, the plane {sel.symbol.shape[1]} points")
-    nbrs = np.array(x.neighbors(0), dtype=np.int64)
-    out = []
-    for r in rows:
-        e = int(r in sel.row_positions)
-        sym = sel.symbol[r]
-        want = np.full(q, m - e)
-        want[sym[0]] = e * (q - 1)
-        bad = np.flatnonzero(np.bincount(sym[nbrs], minlength=q) != want)
-        if bad.size:
-            raise CertificationFailed(
-                f"line {r}:{bad[0]} fails A chi = (m - e) 1 + (e q - m) chi at vertex 0")
-        out.append(e * q - m)
-    _certify_additive(sel, rows)
-    return out
-
-
-def _certify_additive(sel: SubarraySelection, rows: Sequence[int]) -> None:
-    """Raise CertificationFailed unless the given rows are additive."""
-    bad = _nonadditive(sel.ctx.p, _subfield_ranks(sel.ctx)[2], sel.symbol[list(rows)])
-    if bad is not None:
-        raise CertificationFailed(
-            f"row {rows[bad[0]]} symbols are not additive: vertex {bad[1]} plus {bad[2]}")
+    """The selection of the given cosets, as a sorted tuple."""
+    return SubarraySelection(ctx, tuple(sorted(set(int(i) for i in coset_indices))))
 
 
 # ----- block graphs --------------------------------------------------------
@@ -350,19 +313,28 @@ def block_graph(oa: OrthogonalArray) -> Graph:
 def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
     """Certify that (x, y) -> x + y*alpha maps the block graph of the
     selected subarray onto the Cayley graph x; return the vertex map
-    (block column position -> Cayley label).  With the used rows checked
-    additive, u and v share a used line exactly when v - u lies in Z, the
-    nonzero vertices at symbol 0 in some used row; x carries its field,
-    so row u is N(0) + u, and the image is x exactly when Z = N(0).
-    Raises CertificationFailed on a graph without its field or a
-    nonadditive row, else NotIsomorphicUnderF with the pair (0, w), w
-    least in the symmetric difference of Z and N(0)."""
+    (block column position -> Cayley label).  This is the one check that
+    pairs a graph with a selection: x carries its field, so row u is
+    N(0) + u, and N(0) is Z, the nonzero vertices at symbol 0 in some
+    used row.
+
+    The table is strength 2 (_plane): every row is additive onto F_q with
+    a kernel K_r of q points, and two kernels meet only in 0.  So u and v
+    share a used line exactly when v - u is in Z, and the image is x.  A
+    line L = K_r + t meets N(0) in e (q - 1) points when t is in K_r and
+    in m - e otherwise, with e = 1 on used rows and 0 elsewhere; as L - u
+    is a line of row r, A chi_L = (m - e) 1 + (e q - m) chi_L.  So k =
+    m (q - 1), differences of lines of one row are eigenvectors at q - m
+    on used rows and -m on the rest, and the lines of an unused row (its
+    kernel meets N(0) only in 0) color x properly with q colors.  Raises
+    NotIsomorphicUnderF on a size mismatch or with the pair (0, w), w
+    least in the symmetric difference of Z and N(0), and
+    CertificationFailed on a graph without its field."""
     ncols = len(sel.vertex_of_column)
     if ncols != x.n:
         raise NotIsomorphicUnderF(f"block graph has {ncols} vertices, the graph {x.n}")
     if x.field is None:
         raise CertificationFailed("graph is not certified translation invariant")
-    _certify_additive(sel, sel.row_positions)
     joined = (sel.symbol[list(sel.row_positions)] == 0).any(axis=0)
     joined[0] = False
     adjacent = np.zeros(x.n, dtype=bool)

@@ -126,7 +126,7 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
     # omega = q (coset cliques meet the Hoffman bound), so q colors pin chi
     chromatic = len(set(colors))
 
-    audit = ekr.strict_ekr_audit(x, sel, budget=budget)  # certifies `colors` proper
+    audit = ekr.strict_ekr_audit(x, sel, budget=budget)  # pairing certified `colors` proper
     basis = ekr.build_ekr_basis(x, sel)
     decs = [ekr.decompose_clique(x, basis, c) for c in audit.cliques]
     cert = whd.build_whd(x, sel)

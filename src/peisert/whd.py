@@ -6,8 +6,9 @@ ordered so that non-consecutive columns are orthogonal; equivalently the
 column non-orthogonality graph is a disjoint union of simple paths.  The
 builder takes consecutive differences of line indicators across all
 q + 1 slopes, giving q^2 integer eigenvectors of the Cayley graph that
-assemble into such a matrix, certified by oa.line_eigenvalues from N(0)
-and the graph's translation certificate, with no n x n product.
+assemble into such a matrix.  Their eigenvalues are a closed form in q
+and m, certified by oa.verify_isomorphism, which pairs the graph with
+its selection; no n x n product is formed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import BadEntries, MalformedFile, NotSquare
 from .graphs import Graph
-from .oa import SubarraySelection, line_eigenvalues
+from .oa import SubarraySelection, verify_isomorphism
 
 
 @dataclass
@@ -129,21 +130,22 @@ def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
 
     The columns after the ones column are differences of consecutive
     line indicators, read off the symbol table row by row (field slopes
-    ascending, infinity last).  line_eigenvalues on all q + 1 rows makes
-    the graph regular of valency k = m (q - 1) and every difference
-    column an eigenvector of A (q - m on used slopes, -m on the rest),
-    so L P = P D for L = k I - A.  P^T P = n (+) (q + 1) copies of
-    q tridiag(-1, 2, -1) is fixed by three certified facts: the full
-    array has strength 2 (lines of different slopes meet once), the
-    column -> vertex map is a bijection (each line has q vertices), and
-    each row partitions the plane (lines of one slope are disjoint).  A
-    tridiagonal Gram matrix makes the natural ordering admissible
-    (entries are in {-1, 0, 1} by construction), and a nonsingular one
-    gives full rank.
+    ascending, infinity last).  verify_isomorphism pairs x with sel,
+    which makes the graph regular of valency k = m (q - 1) and every
+    difference column an eigenvector of A, at the closed form q - m on
+    used slopes and -m on the rest, so L P = P D for L = k I - A.
+    P^T P = n (+) (q + 1) copies of q tridiag(-1, 2, -1) is fixed by
+    three certified facts: the full array has strength 2 (lines of
+    different slopes meet once), the column -> vertex map is a bijection
+    (each line has q vertices), and each row partitions the plane (lines
+    of one slope are disjoint).  A tridiagonal Gram matrix makes the
+    natural ordering admissible (entries are in {-1, 0, 1} by
+    construction), and a nonsingular one gives full rank.
     """
+    verify_isomorphism(x, sel)
     q, m, n = sel.q, sel.m, x.n
     k = m * (q - 1)
-    thetas = line_eigenvalues(x, sel, range(q + 1))
+    thetas = [q - m if r in sel.row_positions else -m for r in range(q + 1)]
     ind = (sel.symbol[:, None] == np.arange(q)[:, None]).astype(np.int8)  # slope, intercept, vertex
     diffs = (ind[:, :-1] - ind[:, 1:]).reshape((q + 1) * (q - 1), n)
     P = np.concatenate([np.ones((n, 1), dtype=np.int8), diffs.T], axis=1)

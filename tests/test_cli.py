@@ -212,6 +212,13 @@ def test_exit_code_input_errors(capsys):
     capsys.readouterr()
     assert main(["survey", "--q", "11"]) == 3
     capsys.readouterr()
+    for d in ("0", "-2"):  # no division by zero, and no empty family for a negative d
+        assert main(["graph", "srg", "--q", "3", "--family", "gpstar", "--d", d]) == 3
+        assert capsys.readouterr().err == (
+            f"input error: gpstar needs even d > 0 dividing q + 1 = 4, got {d}\n")
+    for clique, v in (("9,10,11", 9), ("0,1,-1", -1)):  # refused before any bitset operation
+        assert main(["ekr", "decompose", "--q", "3", "--cosets", "0,2", "--clique", clique]) == 3
+        assert capsys.readouterr().err == f"input error: vertex {v} outside [0, 9)\n"
 
 
 # `oa build --q 3` with its header cut to 4 of the 9 column labels

@@ -28,6 +28,8 @@ from peisert import (
     strict_ekr_audit,
     subarray_for_connection_set,
     survey,
+    unused_slope_coloring,
+    verify_coloring,
     verify_isomorphism,
 )
 from peisert.errors import (
@@ -38,12 +40,13 @@ from peisert.errors import (
     NotIsomorphicUnderF,
     NotMaximumClique,
     NotProperSubfield,
+    OAVerificationFailed,
     ReducibleModulus,
     SearchTimeout,
     VerificationFailed,
 )
 from peisert.graphs import _mask_of
-from peisert.oa import INFINITY_SLOPE
+from peisert.oa import INFINITY_SLOPE, _certify_strength_two, _subfield_ranks
 
 PINNED81 = (-1, 0, 0, -1, 1)
 
@@ -151,10 +154,23 @@ def isomorphism_oracle(x, lines):
 def assert_isomorphism_matches_oracle(x, sel, lines):
     want = isomorphism_oracle(x, lines)
     if want is None:
-        assert verify_isomorphism(x, sel) == sel.vertex_of_column
+        assert verify_isomorphism(x, sel) == list(sel.vertex_of_column)
     else:
         with pytest.raises(NotIsomorphicUnderF, match=f"^{re.escape(want)}$"):
             verify_isomorphism(x, sel)
+
+
+def assert_table_fault_refused(sel, r, fault):
+    """A fault written into the selection's table is refused twice over:
+    the write raises, as the table is read-only, and the strength-2
+    certificate that built the table names row r on a faulty copy."""
+    with pytest.raises(ValueError, match="read-only"):
+        fault(sel.symbol)
+    bad = sel.symbol.copy()
+    fault(bad)
+    with pytest.raises(OAVerificationFailed, match=rf"^row {r} symbols are not additive: "):
+        _certify_strength_two(sel.ctx, _subfield_ranks(sel.ctx)[2], bad)
+    return bad
 
 
 def build(q, idx, modulus=None):
@@ -210,7 +226,10 @@ def test_canonical_cliques_are_coset_translates():
 def test_corrupted_line_table_rejected():
     """Two vertices' symbols swapped in a used row, once on the line
     through 0 and once both outside N(0) + {0}, where only additivity
-    sees the swap: every certificate that reads the table rejects it."""
+    sees the swap: the selection's table refuses both, and so does the
+    strength-2 certificate on a copy.  canonical_correspondence checks
+    the table against field arithmetic on its own, so it refuses the
+    copy even when it is forced past the selection."""
     for near in (True, False):
         ctx, x, sel = build(5, (0, 1))
         r = sel.row_positions[0]
@@ -220,15 +239,13 @@ def test_corrupted_line_table_rejected():
         else:
             far = [v for v in range(1, x.n) if not x.is_adjacent(0, v)]
             a, b = next((a, b) for a, b in combinations(far, 2) if row[a] != row[b])
-        row[a], row[b] = row[b], row[a]
+
+        def swap(table):
+            table[r, [a, b]] = table[r, [b, a]]
+        bad = assert_table_fault_refused(sel, r, swap)
+        object.__setattr__(sel, "symbol", bad)
         with pytest.raises(CorrespondenceFailed):
             canonical_correspondence(sel)
-        with pytest.raises(CertificationFailed, match=f"^row {r} symbols are not additive: "):
-            verify_isomorphism(x, sel)
-        with pytest.raises(CertificationFailed):
-            build_ekr_basis(x, sel)
-        with pytest.raises(CertificationFailed, match="^a canonical clique is missing"):
-            strict_ekr_audit(x, sel)
 
 
 def test_canonical_cliques_partition_per_coset():
@@ -552,10 +569,16 @@ def assert_audit_matches_enumeration(x, sel, through=(None, 0, 1)):
     branch-and-bound finds: in full, through 0, and through vertex 1.  It
     splits them as the set of used lines from field arithmetic does,
     each line through the vertex found, and verify_isomorphism agrees
-    with the edge-by-edge check on those lines."""
+    with the edge-by-edge check on those lines.  The unused-slope
+    coloring is proper with q colors, and the selection carries the
+    cosets of N(0)."""
     lines = used_lines_oracle(sel)
     line_set = set(lines)
     assert_isomorphism_matches_oracle(x, sel, lines)
+    # what the pairing implies, and so the audit does not check itself
+    colors = unused_slope_coloring(sel)
+    assert verify_coloring(x, colors) is None and len(set(colors)) == sel.q
+    assert tuple(sorted({sel.ctx.coset_index(v) for v in x.neighbors(0)})) == sel.coset_indices
     for v in through:
         want = enumerate_max_cliques(x, target=sel.q, through_vertex=v)
         report = strict_ekr_audit(x, sel, through_vertex=v)
@@ -631,12 +654,15 @@ def test_audit_through_vertex_case_study():
 
 def test_audit_rejects_selection_of_other_cosets():
     # with cosets (0, 1) the class-2 lines would count as non-canonical;
-    # at equal m only the cosets of N(0) tell the selections apart
+    # at equal m only the cosets of N(0) tell the selections apart, and
+    # the pairing check names the pair where the graphs differ
     for q, graph_idx, sel_idx in [(3, (0, 1, 2), (0, 1)), (5, (0, 1), (0, 2))]:
         ctx, x, _ = build(q, graph_idx)
-        want = re.escape(f"selection cosets {sel_idx} are not the graph's")
-        with pytest.raises(CertificationFailed, match=want):
-            strict_ekr_audit(x, subarray_for_connection_set(ctx, sel_idx))
+        assert {ctx.coset_index(v) for v in x.neighbors(0)} == set(graph_idx)
+        sel = subarray_for_connection_set(ctx, sel_idx)
+        want = isomorphism_oracle(x, used_lines_oracle(sel))
+        with pytest.raises(NotIsomorphicUnderF, match=f"^{re.escape(want)}$"):
+            strict_ekr_audit(x, sel)
 
 
 def test_audit_rejects_vertex_outside_graph():
@@ -716,6 +742,27 @@ def run_optimized(script: str) -> list[str]:
     return lines[1:]
 
 
+# defines refuse(sel, fault): print whether the selection's table takes
+# the fault, then whether the strength-2 certificate takes a faulty copy
+TABLE_FAULT_PRELUDE = """
+from peisert.errors import OAVerificationFailed
+from peisert.oa import _certify_strength_two, _subfield_ranks
+
+def refuse(sel, fault):
+    try:
+        fault(sel.symbol)
+        print("accepted write")
+    except ValueError as e:
+        print("refused write:", e)
+    bad = sel.symbol.copy()
+    fault(bad)
+    try:
+        _certify_strength_two(sel.ctx, _subfield_ranks(sel.ctx)[2], bad)
+        print("accepted table")
+    except OAVerificationFailed as e:
+        print("rejected table:", e)
+"""
+
 BROKEN_CLIQUE_SCRIPT = """
 from peisert import Graph, build_cayley, build_ekr_basis, canonical_cliques, create
 from peisert import strict_ekr_audit, subarray_for_connection_set
@@ -755,17 +802,20 @@ for certify in (build_ekr_basis, strict_ekr_audit):
 def test_broken_canonical_clique_rejected_under_optimize():
     """The clique certificate must not rest on assert, which -O strips:
     a graph missing an edge of a canonical line is refused by the basis
-    and the audit, without its field and with it."""
+    and the audit, without its field and with it.  Both run the pairing
+    check first, which names the missing difference of the edge."""
     lines = run_optimized(BROKEN_CLIQUE_SCRIPT)
     assert len(lines) == 4
-    assert re.fullmatch(r"rejected build_ekr_basis deg\(\d+\) = 4 but deg\(0\) = 3", lines[0])
-    assert lines[1] == "rejected strict_ekr_audit graph is not certified translation invariant"
-    assert re.fullmatch(r"rejected build_ekr_basis non-adjacent pair \(0, \d+\) has \d+ common "
-                        r"neighbors, expected \d+", lines[2])
-    assert lines[3] == "rejected strict_ekr_audit a canonical clique is missing from the enumeration"
+    for line, name in zip(lines, ["build_ekr_basis", "strict_ekr_audit"] * 2):
+        assert line.startswith(f"rejected {name} ")
+    assert {line.split(" ", 2)[2] for line in lines[:2]} == {
+        "graph is not certified translation invariant"}
+    witness = {line.split(" ", 2)[2] for line in lines[2:]}
+    assert len(witness) == 1
+    assert re.fullmatch(r"pair \(0, \d+\) adjacent in exactly one of the graphs", witness.pop())
 
 
-LINE_CHECK_SCRIPT = """
+LINE_CHECK_SCRIPT = TABLE_FAULT_PRELUDE + """
 from itertools import product
 from peisert import Graph, build_cayley, build_ekr_basis, build_whd, create, srg_certify
 from peisert import subarray_for_connection_set
@@ -799,23 +849,25 @@ attempt(build_ekr_basis, switched, sel)
 attempt(build_whd, switched, sel)
 
 # (b) two vertices' symbols swapped in an unused row
-g = build_cayley(ctx, (0, 1))
-srg_certify(g)
 r = next(r for r in range(sel.q + 1) if r not in sel.row_positions)
 row = sel.symbol[r]
-u, w = 0, int(next(t for t in range(g.n) if row[t] != row[0]))
-row[u], row[w] = row[w], row[u]
-attempt(build_whd, g, sel)
+u, w = 0, int(next(t for t in range(sel.ctx.order) if row[t] != row[0]))
+print("row", r)
+
+def swap(table):
+    table[r, [u, w]] = table[r, [w, u]]
+refuse(sel, swap)
 """
 
 
 def test_line_check_rejects_switched_graph_and_swapped_symbols():
     lines = run_optimized(LINE_CHECK_SCRIPT)
-    assert len(lines) == 3
+    assert len(lines) == 5
     assert lines[0] == "rejected build_ekr_basis graph is not certified translation invariant"
     assert lines[1] == "rejected build_whd graph is not certified translation invariant"
-    assert lines[2].startswith("rejected build_whd line ")
-    assert "fails A chi = (m - e) 1 + (e q - m) chi at vertex 0" in lines[2]
+    r = lines[2].removeprefix("row ")
+    assert lines[3] == "refused write: assignment destination is read-only"
+    assert lines[4] == f"rejected table: row {r} symbols are not additive: vertex 0 plus 1"
 
 
 CORRUPTED_SUM_SCRIPT = """
@@ -869,33 +921,36 @@ def test_swapped_intercept_rejected_under_optimize():
     assert lines[0].startswith("rejected line counts fail the module identity at vertex ")
 
 
-NON_CLIQUE_LINE_SCRIPT = """
-from peisert import build_cayley, create, srg_certify, strict_ekr_audit
-from peisert import subarray_for_connection_set
-from peisert.errors import CertificationFailed
+NON_CLIQUE_LINE_SCRIPT = TABLE_FAULT_PRELUDE + """
+from peisert import create, subarray_for_connection_set
 print("debug", __debug__)
 ctx = create(5, 2)
-g = build_cayley(ctx, (0, 1))
-srg_certify(g)
 sel = subarray_for_connection_set(ctx, (0, 1))
-row = sel.symbol[sel.row_positions[0]]  # one vertex traded between two used lines
-a = next(v for v in range(1, g.n) if row[v] == 0)
-b = next(v for v in range(g.n) if row[v] == 1)
-row[a], row[b] = row[b], row[a]
-try:
-    strict_ekr_audit(g, sel)
-    print("accepted")
-except CertificationFailed as e:
-    print("rejected", e)
+r = sel.row_positions[0]
+row = sel.symbol[r]  # one vertex traded between two used lines
+a = next(v for v in range(1, ctx.order) if row[v] == 0)
+b = next(v for v in range(ctx.order) if row[v] == 1)
+print("row", r)
+
+def trade(table):
+    table[r, [a, b]] = table[r, [b, a]]
+refuse(sel, trade)
 """
 
 
 def test_audit_rejects_non_clique_line_under_optimize():
-    assert run_optimized(NON_CLIQUE_LINE_SCRIPT) == [
-        "rejected a canonical clique is missing from the enumeration"]
+    """A used line that is no clique never reaches the audit: the
+    selection's table refuses the trade, and the strength-2 certificate
+    refuses the traded copy."""
+    lines = run_optimized(NON_CLIQUE_LINE_SCRIPT)
+    assert len(lines) == 3
+    r = lines[0].removeprefix("row ")
+    assert lines[1] == "refused write: assignment destination is read-only"
+    assert re.fullmatch(rf"rejected table: row {r} symbols are not additive: "
+                        r"vertex \d+ plus \d+", lines[2])
 
 
-BROKEN_AUDIT_INPUT_SCRIPT = """
+BROKEN_AUDIT_INPUT_SCRIPT = TABLE_FAULT_PRELUDE + """
 from peisert import Graph, build_cayley, create, ekr, srg_certify, strict_ekr_audit
 from peisert import subarray_for_connection_set
 from peisert.errors import CertificationFailed, VerificationFailed
@@ -910,13 +965,11 @@ g = build_cayley(ctx, (0, 1))
 srg_certify(g)
 sel = subarray_for_connection_set(ctx, (0, 1))
 free = next(r for r in range(sel.q + 1) if r not in sel.row_positions)
-sel.symbol[free, 7] = (sel.symbol[free, 7] + 1) % sel.q  # vertex 7 moves to another line
-try:
-    strict_ekr_audit(g, sel)
-    print("accepted")
-except CertificationFailed as e:
-    print("rejected", e)
-sel = subarray_for_connection_set(ctx, (0, 1))
+print("row", free)
+
+def move(table):  # vertex 7 moves to another line of the coloring row
+    table[free, 7] = (table[free, 7] + 1) % sel.q
+refuse(sel, move)
 w = next(v for v in g.neighbors(1) if v != 0)  # drop the edge {1, w}; N(0) is kept
 rows = list(g.adj)
 rows[1] ^= 1 << w
@@ -937,11 +990,13 @@ except CertificationFailed as e:
 
 def test_audit_rejects_broken_coloring_and_translation_under_optimize():
     lines = run_optimized(BROKEN_AUDIT_INPUT_SCRIPT)
-    assert len(lines) == 3
-    assert re.fullmatch(r"rejected unused-slope coloring gives both ends of edge "
-                        r"\(\d+, \d+\) one color", lines[0])
-    assert re.fullmatch(r"rejected connection set holds \d+ but not its negative \d+", lines[1])
-    assert lines[2] == "rejected graph is not certified translation invariant"
+    assert len(lines) == 5
+    r = lines[0].removeprefix("row ")
+    assert lines[1] == "refused write: assignment destination is read-only"
+    assert re.fullmatch(rf"rejected table: row {r} symbols are not additive: "
+                        r"vertex \d+ plus \d+", lines[2])
+    assert re.fullmatch(r"rejected connection set holds \d+ but not its negative \d+", lines[3])
+    assert lines[4] == "rejected graph is not certified translation invariant"
 
 
 TABLE_CELL_SCRIPT = """

@@ -14,6 +14,8 @@ from peisert import (
     Graph,
     build_cayley,
     build_counterexample,
+    build_ekr_basis,
+    build_whd,
     connection_set,
     create,
     enumerate_max_cliques,
@@ -21,10 +23,12 @@ from peisert import (
     family_cosets,
     from_dimacs,
     srg_certify,
+    strict_ekr_audit,
     subarray_for_connection_set,
     survey,
     to_dimacs,
     verify_coloring,
+    verify_isomorphism,
 )
 from peisert.errors import (
     CertificationFailed,
@@ -45,8 +49,7 @@ from peisert.graphs import (
     family_cosets as _families,
     from_edges,
 )
-from peisert.oa import line_eigenvalues
-from test_ekr import clique_regularity, run_optimized
+from test_ekr import assert_table_fault_refused, clique_regularity, run_optimized
 
 
 # ----- oracles ---------------------------------------------------------------
@@ -567,17 +570,19 @@ def test_dense_adjacency_matches_loop(r, idx):
 
 def test_line_eigenvalues_match_dense_product():
     """A chi_L by the dense product, for every line of every row, is
-    (m - e) 1 + (e q - m) chi_L with e = 1 exactly on the used rows."""
+    (m - e) 1 + (e q - m) chi_L with e = 1 exactly on the used rows: the
+    closed form that verify_isomorphism implies, and the eigenvalue that
+    build_whd's diagonal gives each row's q - 1 columns."""
     for ctx, idx in oracle_cases():
         g = build_cayley(ctx, idx)
         sel = subarray_for_connection_set(ctx, idx)
         q, m = sel.q, len(idx)
-        rows = range(q + 1)
-        thetas = line_eigenvalues(g, sel, rows)
+        diagonal = build_whd(g, sel).diagonal  # runs verify_isomorphism first
         a = dense_adjacency(g)
-        for r, theta in zip(rows, thetas):
+        for r in range(q + 1):
             e = int(r in sel.row_positions)
-            assert theta == e * q - m
+            theta = e * q - m
+            assert diagonal[1 + r * (q - 1):1 + (r + 1) * (q - 1)] == (m * (q - 1) - theta,) * (q - 1)
             chi = (sel.symbol[r][:, None] == np.arange(q)).astype(np.int64)  # vertex, line
             assert np.array_equal(a @ chi, (m - e) + theta * chi), (ctx, idx, r)
             assert chi.sum(axis=0).tolist() == [q] * q  # each line has q points
@@ -585,8 +590,9 @@ def test_line_eigenvalues_match_dense_product():
 
 def test_line_check_rejects_symbols_swapped_outside_the_connection_set():
     """Two vertices outside S + {0}, S = N(0), swapped in an unused row
-    keep every count over S, so only the additivity check can see the
-    swap; the dense product shows that the lines are broken."""
+    keep every count over S, yet the dense product shows that the lines
+    are broken.  The selection's table refuses the swap, and the
+    strength-2 certificate that built it refuses the swapped copy."""
     ctx = create(5, 2)
     g = build_cayley(ctx, (0, 1))
     sel = subarray_for_connection_set(ctx, (0, 1))
@@ -595,18 +601,23 @@ def test_line_check_rejects_symbols_swapped_outside_the_connection_set():
     row = sel.symbol[r]
     far = [v for v in range(1, g.n) if not g.is_adjacent(0, v)]
     a, b = next((a, b) for a, b in combinations(far, 2) if row[a] != row[b])
+    row = row.copy()
     row[a], row[b] = row[b], row[a]
     assert np.bincount(row[g.neighbors(0)], minlength=q).tolist() == [0] + [m] * (q - 1)
     chi = (row[:, None] == np.arange(q)).astype(np.int64)
     assert not np.array_equal(dense_adjacency(g) @ chi, m - m * chi)
-    with pytest.raises(CertificationFailed, match=rf"^row {r} symbols are not additive: "):
-        line_eigenvalues(g, sel, [r])
+
+    def swap(table):
+        table[r, [a, b]] = table[r, [b, a]]
+    assert_table_fault_refused(sel, r, swap)
 
 
 def test_line_check_needs_the_translation_certificate():
     ctx = create(3, 2)
     g = build_cayley(ctx, (0, 2))
     sel = subarray_for_connection_set(ctx, (0, 2))
-    line_eigenvalues(g, sel, range(sel.q + 1))
-    with pytest.raises(CertificationFailed, match="^graph is not certified translation invariant$"):
-        line_eigenvalues(Graph(g.n, g.adj), sel, sel.row_positions)
+    build_whd(g, sel)
+    for certify in (verify_isomorphism, build_ekr_basis, strict_ekr_audit, build_whd):
+        with pytest.raises(CertificationFailed,
+                           match="^graph is not certified translation invariant$"):
+            certify(Graph(g.n, g.adj), sel)

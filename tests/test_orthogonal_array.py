@@ -1,6 +1,7 @@
 """Point-line arrays, subarrays, block graphs, and the clique bound."""
 
 import copy
+import dataclasses
 import random
 from itertools import combinations, product
 
@@ -10,6 +11,7 @@ import pytest
 from peisert import (
     INFINITY_SLOPE,
     OrthogonalArray,
+    SubarraySelection,
     block_graph,
     build_cayley,
     build_counterexample,
@@ -444,6 +446,28 @@ def test_strength_two_certificate_rejects_swapped_symbols():
         _certify_strength_two(ctx, plus, bad)
     with pytest.raises(OAVerificationFailed, match=r"^rows \(0, 1\) repeat symbol pair"):
         _entries_of(bad, vertex, arr).verify()
+
+
+def test_selection_holds_only_its_certified_table():
+    """A selection is built from its field and cosets alone: its table
+    cannot be passed in, replaced or written, and replacing the cosets
+    builds and certifies a new table."""
+    ctx = create(5, 2)
+    sel = subarray_for_connection_set(ctx, (0, 2))
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(sel, symbol=sel.symbol.copy())
+    with pytest.raises(TypeError):
+        SubarraySelection(ctx, (0, 2), symbol=sel.symbol.copy())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sel.symbol = sel.symbol.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        sel.symbol[0, 0] = 1
+    for table in (sel.symbol, sel.symbol.base):
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            table.flags.writeable = True
+    assert isinstance(sel.vertex_of_column, tuple)
+    other = dataclasses.replace(sel, coset_indices=(0, 1))
+    assert other.rows == slope_rows_oracle(ctx, other) != sel.rows
 
 
 def test_build_path_never_runs_the_row_pair_check(monkeypatch):

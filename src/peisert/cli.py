@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -171,8 +172,10 @@ def cmd_graph_srg(args) -> int:
 
 
 def cmd_graph_cliques(args) -> int:
-    _, _, g, _ = _certified_graph(args)
-    cliques = graphs.enumerate_max_cliques(g, target=args.target,
+    _, _, g, params = _certified_graph(args)
+    # the graph holds coset 0, so its clique F_q attains the Hoffman bound
+    target = math.floor(params.hoffman_bound()) if args.target is None else args.target
+    cliques = graphs.enumerate_max_cliques(g, target=target,
                                            through_vertex=args.through,
                                            budget=args.budget)
     return _emit(dict(_graph_config(args), command="graph cliques",
@@ -250,7 +253,7 @@ def cmd_ekr_counterexample(args) -> int:
     result = {
         "q": ce.q, "subfield": ce.subfield_order, "summands": ce.t, "m": ce.m,
         "indices": list(ce.coset_indices), "clique": list(ce.clique),
-        "srg": _srg_json(ce.graph.srg),
+        "srg": _srg_json(ce.srg),
     }
     try:
         audit = ekr.strict_ekr_audit(ce.graph, ce.selection, budget=args.budget)

@@ -8,7 +8,8 @@ table, and is never rebuilt here.  The basis and the audit first run
 oa.verify_isomorphism, the one check that pairs the graph with the
 selection; what it implies, the line eigenvalues, the spectrum
 {k, q - m, -m} and the proper unused-slope coloring, is not checked
-again.  Everything is exact.  Basis columns are stored as the integer
+again; a decomposition checks by N(0) that its graph is the paired one.
+Everything is exact.  Basis columns are stored as the integer
 vectors q*chi - 1, with no n x n product.  A decomposition is read off
 the clique's line counts and certified by one integer identity per
 vertex; the only rational steps are the divisions by q and by q m.
@@ -38,6 +39,7 @@ from .field import FieldCtx
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
+    SrgParams,
     _Deadline,
     _bits,
     _translates,
@@ -94,7 +96,8 @@ class EkrBasis:
     balanced indicator), ordered by (coset, intercept).  build_ekr_basis
     certifies them eigenvectors at q - m; their Gram matrix is
     I_m (x) q^2 (q I - J), so they are orthogonal across parallel
-    classes and of full column rank m*(q - 1).
+    classes and of full column rank m*(q - 1).  base_neighbors is N(0),
+    as a bitset, of the graph the basis was paired with.
     """
     base_vertex: int
     q: int
@@ -104,6 +107,7 @@ class EkrBasis:
     symbol: np.ndarray
     matrix: np.ndarray
     rank: int
+    base_neighbors: int
 
 
 def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
@@ -130,7 +134,7 @@ def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
     intercepts = np.array([cl.intercept for cl in basis_cliques])
     columns = symbol[np.repeat(np.arange(m), q - 1)]  # q - 1 basis cliques per class
     B = np.where(np.ascontiguousarray(columns.T) == intercepts, q - 1, -1)
-    return EkrBasis(0, q, m, cliques, basis_cliques, symbol, B, B.shape[1])
+    return EkrBasis(0, q, m, cliques, basis_cliques, symbol, B, B.shape[1], x.adj[0])
 
 
 @dataclass
@@ -155,18 +159,19 @@ def decompose_clique(x: Graph, basis: EkrBasis, clique: Sequence[int]) -> Decomp
     sum_b c_{L_b(v)} = q [v in C] + m - 1, checked by one bincount per
     used row and one gather (NonZeroResidual otherwise).  The identity
     also makes the unbalanced lift chi_C = sum_L (u + b_L) chi_L exact,
-    with u = (1 - m + sum_b c_{L_b}) / (q m).
+    with u = (1 - m + sum_b c_{L_b}) / (q m).  CertificationFailed unless
+    x has its field, n vertices and N(0) = basis.base_neighbors: that
+    fixes x as the paired graph (Graph.cayley), whose Hoffman bound is q.
     """
     q, m = basis.q, basis.m
+    if x.field is None or x.n != basis.symbol.shape[1] or x.adj[0] != basis.base_neighbors:
+        raise CertificationFailed("graph is not the one the basis was paired with")
     cl = tuple(sorted(set(clique)))
     outside = [v for v in cl if not 0 <= v < x.n]
     if outside:
         raise IndexOutOfRange(f"vertex {outside[0]} outside [0, {x.n})")
     if len(cl) != q or not is_maximal_clique(x, cl):
         raise NotMaximumClique(f"{cl} is not a maximum clique (|C| must be {q})")
-    params = x.srg if x.srg is not None else srg_certify(x)
-    if params.hoffman_bound() != q:  # q-cliques are maximum
-        raise CertificationFailed(f"Hoffman bound {params.hoffman_bound()} != {q}")
 
     members = np.array(cl)
     classes = np.arange(m)[:, None]
@@ -283,6 +288,7 @@ class Counterexample:
     clique: tuple[int, ...]
     graph: Graph
     selection: SubarraySelection
+    srg: SrgParams  # certified by build_counterexample
 
 
 def subfield_direct_sum(ctx: FieldCtx,
@@ -338,14 +344,14 @@ def build_counterexample(ctx: FieldCtx, subfield_order: int) -> Counterexample:
     q = ctx.subfield_order
     t, clique, indices = subfield_direct_sum(ctx, subfield_order)
     g = build_cayley(ctx, indices)
-    srg_certify(g)
+    params = srg_certify(g)
     if not is_maximal_clique(g, clique):
         raise NotMaximumClique("direct-sum construction is not even maximal")
-    if g.srg.hoffman_bound() != q:  # |C| = q meets the bound, so C is maximum
-        raise CertificationFailed(f"Hoffman bound {g.srg.hoffman_bound()} != {q}")
+    if params.hoffman_bound() != q:  # |C| = q meets the bound, so C is maximum
+        raise CertificationFailed(f"Hoffman bound {params.hoffman_bound()} != {q}")
 
     sel = subarray_for_connection_set(ctx, indices)
     for canon in canonical_cliques(sel):
         if canon.vertices == clique:
             raise CanonicalAfterAll(f"C equals the coset clique {canon}")
-    return Counterexample(q, subfield_order, t, len(indices), indices, clique, g, sel)
+    return Counterexample(q, subfield_order, t, len(indices), indices, clique, g, sel, params)

@@ -56,10 +56,10 @@ class Graph:
     Graph(n, adj) takes any rows and carries no field.  Graph.cayley(field,
     S) is the one way to a graph with a field: it checks S loopless and
     symmetric and builds row u as u + S, so `field is not None` certifies
-    an undirected Cayley graph on GF(q^2)+ with N(0) = S.  Only the cached
-    srg is settable."""
+    an undirected Cayley graph on GF(q^2)+ with N(0) = S.  No attribute
+    is settable after construction."""
 
-    __slots__ = ("n", "adj", "srg", "field")
+    __slots__ = ("n", "adj", "field")
 
     def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
@@ -68,7 +68,6 @@ class Graph:
         self.n = n
         self.adj = adj
         self.field: Optional[FieldCtx] = None
-        self.srg: Optional[SrgParams] = None
 
     @classmethod
     def cayley(cls, field: FieldCtx, labels: Iterable[int]) -> "Graph":
@@ -79,7 +78,7 @@ class Graph:
         return g
 
     def __setattr__(self, name, value):
-        if name != "srg" and hasattr(self, name):
+        if hasattr(self, name):
             raise AttributeError(f"Graph.{name} is fixed at construction")
         object.__setattr__(self, name, value)
 
@@ -151,7 +150,7 @@ def srg_certify(g: Graph) -> SrgParams:
 
     Raises NotRegular / NotStronglyRegular with a witness.  Complete
     graphs come back flagged with mu = None; mu = 0 flags a disconnected
-    union of cliques.  The result is cached on the graph.
+    union of cliques.  The graph is left unchanged.
     """
     n = g.n
     if n < 2:
@@ -163,9 +162,7 @@ def srg_certify(g: Graph) -> SrgParams:
                 raise NotRegular(f"deg({v}) = {g.degree(v)} but deg(0) = {k}")
 
     if k == n - 1:
-        params = SrgParams(n, k, n - 2, None, ((k, 1), (-1, n - 1)), complete=True)
-        g.srg = params
-        return params
+        return SrgParams(n, k, n - 2, None, ((k, 1), (-1, n - 1)), complete=True)
 
     lam = mu = None
     for u in (0,) if g.field is not None else range(n):
@@ -210,10 +207,8 @@ def srg_certify(g: Graph) -> SrgParams:
         raise NotStronglyRegular(
             f"trace k + {f}*{theta} + {fg}*{tau} of A is not 0")
 
-    params = SrgParams(n, k, lam, mu, ((k, 1), (theta, f), (tau, fg)),
-                       disconnected=(mu == 0))
-    g.srg = params
-    return params
+    return SrgParams(n, k, lam, mu, ((k, 1), (theta, f), (tau, fg)),
+                     disconnected=(mu == 0))
 
 
 # ----- Cayley construction ----------------------------------------------
@@ -404,7 +399,7 @@ def _color_sort(P: int, adj: list[int]) -> tuple[list[int], list[int]]:
     return order, bounds
 
 
-def _max_clique_size(adj, start_size, P, deadline, cap=None) -> int:
+def _max_clique_size(adj, start_size, P, deadline) -> int:
     best = start_size
 
     def expand(size, cand):
@@ -421,8 +416,6 @@ def _max_clique_size(adj, start_size, P, deadline, cap=None) -> int:
             else:
                 if size + 1 > best:
                     best = size + 1
-            if cap is not None and best >= cap:
-                return
             cand &= ~(1 << v)
 
     expand(start_size, P)
@@ -454,8 +447,8 @@ def enumerate_max_cliques(g: Graph,
                           budget: Optional[float] = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     """All cliques of maximum size, or of size exactly `target`.
 
-    Deterministic: the result is lexicographically sorted.  When the graph
-    carries an SRG certificate the Hoffman bound caps the search.  Raises
+    Deterministic: the result is lexicographically sorted.  Without a
+    target, branch and bound first finds the clique number.  Raises
     IndexOutOfRange for a through_vertex outside [0, n), and SearchTimeout
     if the budget runs out; no partial output is returned.
     """
@@ -466,10 +459,6 @@ def enumerate_max_cliques(g: Graph,
         return []
     full = (1 << g.n) - 1
 
-    cap = None
-    if g.srg is not None and not g.srg.complete and g.srg.least_eigenvalue < 0:
-        cap = math.floor(g.srg.hoffman_bound())
-
     if through_vertex is not None:
         seed = [through_vertex]
         P0 = g.adj[through_vertex]
@@ -478,7 +467,7 @@ def enumerate_max_cliques(g: Graph,
         P0 = full
 
     if target is None:
-        target = _max_clique_size(g.adj, len(seed), P0, deadline, cap)
+        target = _max_clique_size(g.adj, len(seed), P0, deadline)
     if target > g.n or target <= 0:
         return []
 

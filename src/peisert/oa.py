@@ -20,7 +20,8 @@ cosets alone, runs _plane itself and holds its table read-only, so it is
 certified once and never altered.  verify_isomorphism pairs it with a
 graph, reading the graph only through N(0) and its field; that check
 implies the line eigenvalues, the valency and the unused-slope coloring,
-which ekr and whd therefore never re-check.  Only
+which ekr and whd therefore never re-check; the clique bound searches
+the paired graph, so only `oa blockgraph` builds a block graph.  Only
 canonical_correspondence derives lines from field arithmetic, and it
 checks them against the table.  The selection is built once per graph:
 the certificates here and in ekr and whd take it and never rebuild it.
@@ -40,6 +41,7 @@ from .errors import (
     AlphaInSubfield,
     CertificationFailed,
     CorrespondenceFailed,
+    IndexOutOfRange,
     MalformedFile,
     NoFreeCoset,
     NotIsomorphicUnderF,
@@ -47,7 +49,7 @@ from .errors import (
     OAVerificationFailed,
 )
 from .field import FieldCtx
-from .graphs import Graph, _mask_of
+from .graphs import Graph, _mask_of, enumerate_maximal_cliques
 
 INFINITY_SLOPE = None  # sentinel for the vertical-line row
 _VERIFY_BINS = 1 << 17
@@ -243,7 +245,8 @@ class SubarraySelection:
     of row r at the column of vertex z: the intercept rank of the slope-r
     line through z, field slopes ascending and the row at infinity last.
     rows[j] is the row of coset i = coset_indices[j], where g^i = u + v *
-    alpha reads 0: slope v / u; a coset on the alpha axis or sharing its row
+    alpha reads 0: slope v / u; an index outside [0, q] raises
+    IndexOutOfRange, and a coset on the alpha axis or sharing its row
     raises CorrespondenceFailed.  vertex_of_column sends column (x, y) of
     the full array and of the subarray to the Cayley label x + y * alpha.
     """
@@ -256,6 +259,9 @@ class SubarraySelection:
 
     def __post_init__(self):
         ctx, idx = self.ctx, self.coset_indices
+        for i in idx:
+            if not 0 <= i <= ctx.subfield_order:
+                raise IndexOutOfRange(f"coset index {i} outside [0, {ctx.subfield_order}]")
         alpha = default_alpha(ctx, idx)
         vertex, symbol = _plane(ctx, alpha)
         reps = [ctx.gen_pow(i) for i in idx]  # g^i, the coset representatives
@@ -390,36 +396,31 @@ def translate_to_zero(oa: OrthogonalArray, column: int) -> OrthogonalArray:
     return OrthogonalArray(n, entries, list(oa.row_labels), oa.column_labels)
 
 
-def noncanonical_clique_bound(sel: SubarraySelection, *,
+def noncanonical_clique_bound(x: Graph, sel: SubarraySelection, *,
                               budget: Optional[float] = None) -> dict:
-    """Enumerate maximal cliques of the block graph through column 0 and
-    check every non-canonical one against the (m - 1)^2 size bound, with
-    its members other than column 0 grouped by the row where each agrees
-    with column 0: its zero in translate_to_zero(subarray, 0), read once
-    per column (distinct columns of an OA agree in at most one row, which
-    is checked).  A cell through column 0, the canonical clique, is one
+    """Check every non-canonical maximal clique through column 0 of the
+    selected subarray's block graph against the (m - 1)^2 size bound, its
+    members other than column 0 grouped by the subarray row where each
+    agrees with column 0.  verify_isomorphism, run first, maps the block
+    graph onto x, and column 0 is vertex 0, so the cliques are those of x
+    through 0, mapped back to columns.  Rows are additive, so a column
+    agrees with column 0 in the used row where its vertex reads 0, unique
+    by strength 2.  A cell through column 0, the canonical clique, is one
     part of q - 1 columns.  Translations of the plane permute the columns
     and keep every parallel class, so column 0 stands for every column."""
-    from .graphs import enumerate_maximal_cliques
-
-    array = sel.subarray
-    g = block_graph(array)
-    m = sel.m
-    column = 0
-    zero = np.array(translate_to_zero(array, column).entries) == 0
-    zero[:, column] = False  # column 0 meets itself in every row
-    twice = np.flatnonzero(zero.sum(axis=0) > 1)
-    if twice.size:
-        raise OAVerificationFailed(f"column {twice[0]} agrees with {column} in more than one row")
-    row_of = zero.argmax(axis=0).tolist()
-    cliques = enumerate_maximal_cliques(g, through_vertex=column, budget=budget)
-    bound = (m - 1) ** 2
+    vertex_of = verify_isomorphism(x, sel)
+    column_of = [0] * x.n
+    for col, v in enumerate(vertex_of):
+        column_of[v] = col
+    row_of = (sel.symbol[list(sel.row_positions)] == 0).argmax(axis=0).tolist()
+    found = enumerate_maximal_cliques(x, through_vertex=0, budget=budget)
+    cliques = sorted(tuple(sorted(column_of[v] for v in c)) for c in found)
+    bound = (sel.m - 1) ** 2
     noncanonical = []
     for c in cliques:
         parts: dict[int, list[int]] = {}
-        for v in c:
-            if v != column:
-                parts.setdefault(row_of[v], []).append(v)
+        for col in c[1:]:  # c[0] is column 0
+            parts.setdefault(row_of[vertex_of[col]], []).append(col)
         if len(parts) == 1 and len(c) == sel.q:
             continue
         if len(c) > bound:

@@ -130,7 +130,7 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
     basis = ekr.build_ekr_basis(x, sel)
     decs = [ekr.decompose_clique(x, basis, c) for c in audit.cliques]
     cert = whd.build_whd(x, sel)
-    bound = oa.noncanonical_clique_bound(sel, budget=budget)
+    bound = oa.noncanonical_clique_bound(x, sel, budget=budget)
 
     return GraphReport(name or f"q{q}_" + "-".join(map(str, idx)), q, len(idx),
                        idx, x, sel, params, mapping, colors, True, chromatic,

@@ -42,9 +42,9 @@ def _as_matrix(matrix) -> np.ndarray:
 
 
 def nonorthogonality_edges(matrix: np.ndarray) -> list[tuple[int, int]]:
-    gram = matrix.T @ matrix
-    n = gram.shape[0]
-    return [(i, j) for i in range(n) for j in range(i + 1, n) if gram[i, j] != 0]
+    """Column pairs (i, j), i < j, with a nonzero inner product, row-major."""
+    i, j = np.nonzero(np.triu(matrix.T @ matrix, 1))
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def is_weakly_hadamard(matrix) -> WeakHadamardResult:

@@ -206,6 +206,9 @@ def test_exit_code_input_errors(capsys):
     capsys.readouterr()
     assert main(["graph", "srg", "--q", "3", "--cosets", "0,9"]) == 3
     capsys.readouterr()
+    for i in ("-1", "9", "5", "4"):  # -1 once built the array of coset 3
+        assert main(["oa", "build", "--q", "3", "--cosets", f"0,{i}"]) == 3
+        assert capsys.readouterr().err == f"input error: coset index {i} outside [0, 3]\n"
     assert main(["oa", "verify", "/no/such/file.csv"]) == 3
     capsys.readouterr()
     assert main(["nosuchcommand"]) == 3

@@ -441,7 +441,7 @@ def clique_regularity(g: Graph, clique: Sequence[int]) -> bool:
     Only defined for Hoffman-tight cliques of a certified SRG with
     integral least eigenvalue -m; anything else raises ValueError.
     """
-    params = g.srg if g.srg is not None else srg_certify(g)
+    params = srg_certify(g)
     if params.complete or params.mu is None:
         raise ValueError("complete graph has no Hoffman-tight cliques")
     m = -params.least_eigenvalue
@@ -560,6 +560,27 @@ def test_decompose_rejects_non_maximum():
         decompose_clique(x, basis, (0, 1))  # too small
     with pytest.raises(NotMaximumClique):
         decompose_clique(x, basis, (0, 3, 4))  # not a clique
+
+
+def test_decompose_refuses_a_graph_the_basis_was_not_paired_with():
+    """The basis records N(0) of its graph; a decomposition over it is
+    refused for another graph, even one in which the clique is maximum:
+    here F_5 is a 5-clique of the graph of cosets (0, 2) and of the
+    switched graph, whose row 0 is the paired graph's."""
+    from test_graph_core import two_switched_rows  # it imports this module
+
+    ctx, x, sel = build(5, (0, 1))
+    basis = build_ekr_basis(x, sel)
+    clique = tuple(ctx.subfield_elements())
+    decompose_clique(x, basis, clique)
+    others = [build_cayley(ctx, (0, 2)),
+              Graph(x.n, two_switched_rows(x)),
+              build_cayley(create(7, 2), (0, 1))]
+    assert others[1].adj[0] == x.adj[0] and others[1].field is None
+    for other in others:
+        with pytest.raises(CertificationFailed,
+                           match="^graph is not the one the basis was paired with$"):
+            decompose_clique(other, basis, clique)
 
 
 # ----- audits ------------------------------------------------------------------
@@ -701,7 +722,7 @@ def test_counterexample_q25():
     ce = build_counterexample(ctx, 5)
     assert ce.q == 25 and ce.m == 6
     assert ce.coset_indices == (0, 1, 6, 18, 23, 24)
-    p = ce.graph.srg
+    p = ce.srg
     assert (p.n, p.k, p.lam, p.mu) == (625, 144, 43, 30)
     assert ce.clique in strict_ekr_audit(
         ce.graph, ce.selection, through_vertex=0).non_canonical
@@ -817,7 +838,7 @@ def test_broken_canonical_clique_rejected_under_optimize():
 
 LINE_CHECK_SCRIPT = TABLE_FAULT_PRELUDE + """
 from itertools import product
-from peisert import Graph, build_cayley, build_ekr_basis, build_whd, create, srg_certify
+from peisert import Graph, build_cayley, build_ekr_basis, build_whd, create
 from peisert import subarray_for_connection_set
 from peisert.errors import CertificationFailed
 print("debug", __debug__)
@@ -833,7 +854,7 @@ ctx = create(5, 2)
 sel = subarray_for_connection_set(ctx, (0, 1))
 
 # (a) 2-switch u-v, w-z to u-w, v-z: regular, and no Cayley graph, so it
-# has no field; the srg is kept from the good graph
+# has no field
 g = build_cayley(ctx, (0, 1))
 u, v, w, z = next((u, v, w, z) for u, v, w, z in product(range(g.n), repeat=4)
                   if len({u, v, w, z}) == 4
@@ -844,7 +865,6 @@ for a, b, add in ((u, v, False), (w, z, False), (u, w, True), (v, z, True)):
     for s, t in ((a, b), (b, a)):
         rows[s] = rows[s] | 1 << t if add else rows[s] & ~(1 << t)
 switched = Graph(g.n, rows)
-switched.srg = srg_certify(g)
 attempt(build_ekr_basis, switched, sel)
 attempt(build_whd, switched, sel)
 

@@ -24,6 +24,7 @@ CASES = {
     "whd_build_q7_peisert": ["whd", "build", "--q", "7", "--family", "peisert"],
     "oa_build_q5": ["oa", "build", "--q", "5"],
     "oa_build_q7_peisert": ["oa", "build", "--q", "7", "--family", "peisert"],
+    "graph_cliques_q7_peisert": ["graph", "cliques", "--q", "7", "--family", "peisert"],
 }
 
 

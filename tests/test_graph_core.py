@@ -395,7 +395,11 @@ def test_graph_fields_are_fixed_at_construction():
         with pytest.raises(AttributeError, match=f"Graph.{name} is fixed at construction"):
             setattr(g, name, value)
     assert isinstance(g.adj, tuple)
-    assert srg_certify(g) is g.srg  # the cached certificate is the one settable slot
+    with pytest.raises(AttributeError):  # no slot left to cache a certificate in
+        setattr(g, "srg", srg_certify(g))
+    adj, field = g.adj, g.field
+    srg_certify(g)
+    assert g.adj is adj and g.field is field and not hasattr(g, "srg")
 
 
 def test_srg_complete_graph_flag():
@@ -410,8 +414,7 @@ def test_hoffman_bound_and_clique_regularity():
     assert params.hoffman_bound() == 3
     assert clique_regularity(g, (0, 1, 2))
     pg = petersen()
-    srg_certify(pg)  # (10, 3, 0, 1)
-    assert pg.srg.least_eigenvalue == -2
+    assert srg_certify(pg).least_eigenvalue == -2  # (10, 3, 0, 1)
     with pytest.raises(ValueError, match=r"\|C\| = 2 but Hoffman bound is 5/2"):
         clique_regularity(pg, (0, 1))  # bound 5/2 is not an integer
 

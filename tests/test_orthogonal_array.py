@@ -309,10 +309,45 @@ def test_zero_rows_partition():
             assert sum(row[col] == 0 for row in arr.entries) == 1
 
 
+def bound_oracle(sel):
+    """The (m - 1)^2 bound as first written: the block graph rebuilt from
+    the list-form subarray, its maximal cliques through column 0, and
+    each non-canonical one's members other than column 0 grouped by the
+    row where they agree with column 0, their zero in
+    translate_to_zero(subarray, 0)."""
+    array = sel.subarray
+    zero = np.array(translate_to_zero(array, 0).entries) == 0
+    zero[:, 0] = False  # column 0 meets itself in every row
+    assert (zero.sum(axis=0) <= 1).all()  # distinct columns agree in one row at most
+    row_of = zero.argmax(axis=0).tolist()
+    cliques = enumerate_maximal_cliques(block_graph(array), through_vertex=0)
+    bound = (sel.m - 1) ** 2
+    noncanonical = []
+    for c in cliques:
+        parts = {}
+        for col in c[1:]:
+            parts.setdefault(row_of[col], []).append(col)
+        if len(parts) == 1 and len(c) == sel.q:
+            continue
+        if len(c) > bound:
+            return {"ok": False, "witness": c, "bound": bound, "maximal_through": len(cliques)}
+        noncanonical.append({"clique": c, "parts": {r: tuple(p) for r, p in parts.items()}})
+    return {"ok": True, "bound": bound, "maximal_through": len(cliques),
+            "noncanonical": noncanonical}
+
+
+def assert_bound_matches_oracle(ctx, idx):
+    """The bound on the paired graph returns the oracle's dict, with the
+    same key order and the same Python types throughout."""
+    sel = subarray_for_connection_set(ctx, idx)
+    res = noncanonical_clique_bound(build_cayley(ctx, idx), sel)
+    want = bound_oracle(sel)
+    assert res == want and repr(res) == repr(want), (ctx.modulus, idx)
+    return res
+
+
 def test_noncanonical_clique_bound_gp81():
-    ctx = create(3, 4)
-    sel = subarray_for_connection_set(ctx, (0, 1, 2, 3, 4))
-    res = noncanonical_clique_bound(sel)
+    res = assert_bound_matches_oracle(create(3, 4), (0, 1, 2, 3, 4))
     assert res["ok"]
     assert res["bound"] == 16  # (m - 1)^2
     assert res["maximal_through"] == 289
@@ -325,42 +360,36 @@ def test_noncanonical_clique_bound_gp81():
 
 def test_bound_parts_match_agreement_rows_on_survey_graphs():
     """Every survey graph at q <= 9 (and every index set at q = 3, 5 under
-    every modulus): the non-canonical cliques are the maximal cliques
-    through column 0 that are not a cell through column 0, and each
-    one's parts are its members grouped by the row where they agree with
-    column 0, both recomputed here from the subarray's entries."""
+    every modulus): the bound, run on the Cayley graph, returns the dict
+    of the block-graph oracle."""
+    checked = 0
     for ctx, idx in oracle_cases():
-        sel = subarray_for_connection_set(ctx, idx)
-        entries = sel.subarray.entries
-        cells = {frozenset(c for c, e in enumerate(row) if e == row[0]) for row in entries}
-        cliques = enumerate_maximal_cliques(block_graph(sel.subarray), through_vertex=0)
-        res = noncanonical_clique_bound(sel)
-        assert res["ok"] and res["maximal_through"] == len(cliques)
-        assert [item["clique"] for item in res["noncanonical"]] == [
-            c for c in cliques if frozenset(c) not in cells]
-        for item in res["noncanonical"]:
-            parts = {}
-            for c in item["clique"]:
-                if c == 0:
-                    continue
-                rows = [r for r, row in enumerate(entries) if row[c] == row[0]]
-                assert len(rows) == 1
-                parts.setdefault(rows[0], []).append(c)
-            assert list(item["parts"].items()) == [(r, tuple(p)) for r, p in parts.items()]
+        assert assert_bound_matches_oracle(ctx, idx)["ok"]
+        checked += 1
+    assert checked == 37 + 3 * 7 + 10 * 31
 
 
 def test_noncanonical_clique_bound_small():
     ctx = create(3, 2)
-    sel = subarray_for_connection_set(ctx, (0, 2))
-    res = noncanonical_clique_bound(sel)
+    res = noncanonical_clique_bound(build_cayley(ctx, (0, 2)),
+                                    subarray_for_connection_set(ctx, (0, 2)))
     assert res["ok"] and res["bound"] == 1
+
+
+def test_bound_refuses_a_graph_of_other_cosets():
+    ctx = create(5, 2)
+    sel = subarray_for_connection_set(ctx, (0, 2))
+    with pytest.raises(NotIsomorphicUnderF,
+                       match=r"^pair \(0, \d+\) adjacent in exactly one of the graphs$"):
+        noncanonical_clique_bound(build_cayley(ctx, (0, 1)), sel)
 
 
 def test_bound_budget():
     ctx = create(3, 4)
-    sel = subarray_for_connection_set(ctx, (0, 1, 2, 3, 4))
+    idx = (0, 1, 2, 3, 4)
     with pytest.raises(SearchTimeout):
-        noncanonical_clique_bound(sel, budget=0)
+        noncanonical_clique_bound(build_cayley(ctx, idx),
+                                  subarray_for_connection_set(ctx, idx), budget=0)
 
 
 def test_csv_round_trip():

@@ -49,6 +49,7 @@ from .ekr import (
     build_ekr_basis,
     canonical_cliques,
     decompose_clique,
+    decompose_cliques,
     strict_ekr_audit,
 )
 from .whd import (
@@ -74,8 +75,8 @@ __all__ = [
     "build_counterexample", "build_ekr_basis", "build_pointline_oa",
     "build_whd", "canonical_cliques", "canonical_correspondence",
     "check_ordering", "connection_set", "create", "decompose_clique",
-    "default_alpha", "enumerate_max_cliques", "enumerate_maximal_cliques",
-    "family_cosets", "from_dimacs", "is_weakly_hadamard",
+    "decompose_cliques", "default_alpha", "enumerate_max_cliques",
+    "enumerate_maximal_cliques", "family_cosets", "from_dimacs", "is_weakly_hadamard",
     "noncanonical_clique_bound", "oa_from_csv", "oa_to_csv", "run_sweep",
     "srg_certify", "strict_ekr_audit", "subarray_for_connection_set",
     "to_dimacs", "unused_slope_coloring", "verify_coloring",

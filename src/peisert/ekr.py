@@ -10,19 +10,22 @@ selection; what it implies, the line eigenvalues, the spectrum
 {k, q - m, -m} and the proper unused-slope coloring, is not checked
 again; a decomposition checks by N(0) that its graph is the paired one.
 Everything is exact.  Basis columns are stored as the integer
-vectors q*chi - 1, with no n x n product.  A decomposition is read off
-the clique's line counts and certified by one integer identity per
-vertex; the only rational steps are the divisions by q and by q m.
+vectors q*chi - 1, with no n x n product.  Decompositions are batched:
+decompose_cliques reads every clique's line counts c_L = |L & C| with one
+bincount and certifies them by one integer identity per vertex, checked
+by one gather per chunk of cliques; decompose_clique is the batch of one.
+Summed over C, the identity is the pair count sum_L c_L (c_L - 1) =
+q (q - 1), which holds iff C is a clique, so no per-clique bitset walk
+runs.  The only rational steps are the divisions by q and by q m.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from .graphs import (
     _translates,
     build_cayley,
     color_classes,
+    is_clique,
     is_maximal_clique,
     srg_certify,
     transversal_cliques,
@@ -55,6 +59,8 @@ from .oa import (
     unused_slope_coloring,
     verify_isomorphism,
 )
+
+_GATHER_BYTES = 4 << 20  # cap on one chunk's (cliques, m, n) int64 gather in decompose_cliques
 
 
 class CanonicalClique(NamedTuple):
@@ -97,7 +103,9 @@ class EkrBasis:
     certifies them eigenvectors at q - m; their Gram matrix is
     I_m (x) q^2 (q I - J), so they are orthogonal across parallel
     classes and of full column rank m*(q - 1).  base_neighbors is N(0),
-    as a bitset, of the graph the basis was paired with.
+    as a bitset, of the graph the basis was paired with.  line_keys
+    holds (coset, intercept) of all_cliques, the keys of every
+    Decomposition.unbalanced.
     """
     base_vertex: int
     q: int
@@ -108,6 +116,7 @@ class EkrBasis:
     matrix: np.ndarray
     rank: int
     base_neighbors: int
+    line_keys: tuple[tuple[int, int], ...]
 
 
 def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
@@ -134,7 +143,8 @@ def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
     intercepts = np.array([cl.intercept for cl in basis_cliques])
     columns = symbol[np.repeat(np.arange(m), q - 1)]  # q - 1 basis cliques per class
     B = np.where(np.ascontiguousarray(columns.T) == intercepts, q - 1, -1)
-    return EkrBasis(0, q, m, cliques, basis_cliques, symbol, B, B.shape[1], x.adj[0])
+    return EkrBasis(0, q, m, cliques, basis_cliques, symbol, B, B.shape[1], x.adj[0],
+                    tuple((cl.coset, cl.intercept) for cl in cliques))
 
 
 @dataclass
@@ -147,57 +157,108 @@ class Decomposition:
     unbalanced: dict[tuple[int, int], Fraction]  # over all m*q canonical cliques
 
 
+class _Fractions(dict):
+    """Memo k -> Fraction(k, den), each built on first use."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, k: int) -> Fraction:
+        value = self[k] = Fraction(k, self.den)
+        return value
+
+
 def decompose_clique(x: Graph, basis: EkrBasis, clique: Sequence[int]) -> Decomposition:
-    """Exact coefficients of a maximum clique's balanced indicator over
-    the basis, read off its line counts c_L = |L & C|.
+    """decompose_cliques on the one clique."""
+    return decompose_cliques(x, basis, [clique])[0]
+
+
+def decompose_cliques(x: Graph, basis: EkrBasis,
+                      cliques: Iterable[Sequence[int]]) -> list[Decomposition]:
+    """Exact coefficients of each maximum clique's balanced indicator over
+    the basis, read off its line counts c_L = |L & C|, in input order.
 
     Let L_b(v) be the class-b line through v and L_b = L_b(base).  For
     w = q chi_C - 1, B^T w = q^2 (c_L - 1); the certified Gram matrix
     inverts per class to (I + J) / q^3, and each class's counts sum to q,
     so the projection has b_L = (c_L - c_{L_b}) / q.  As (B b)(v) =
     sum_b c_{L_b(v)} - m, the residual is zero iff every vertex v has
-    sum_b c_{L_b(v)} = q [v in C] + m - 1, checked by one bincount per
-    used row and one gather (NonZeroResidual otherwise).  The identity
-    also makes the unbalanced lift chi_C = sum_L (u + b_L) chi_L exact,
-    with u = (1 - m + sum_b c_{L_b}) / (q m).  CertificationFailed unless
-    x has its field, n vertices and N(0) = basis.base_neighbors: that
-    fixes x as the paired graph (Graph.cayley), whose Hoffman bound is q.
+    sum_b c_{L_b(v)} = q [v in C] + m - 1 (NonZeroResidual otherwise).
+    Each chunk of cliques takes one bincount for all its count tables and
+    one gather for the identity, the gather capped at _GATHER_BYTES.  The
+    identity also makes the unbalanced lift chi_C = sum_L (u + b_L) chi_L
+    exact, with u = (1 - m + sum_b c_{L_b}) / (q m).
+
+    Summed over the q vertices of C, the identity reads sum_L c_L (c_L -
+    1) = q (q - 1) over the used lines: the ordered pairs of C that share
+    a used line.  Distinct points share at most one line (strength 2)
+    and two vertices of the paired graph are adjacent iff they share a
+    used line, so that holds iff C is a clique, and no bitset walk runs;
+    a q-clique is maximum, as the certified q-coloring gives omega <= q.
+    The counts speak through the line table, so a clique that fails the
+    pair count is checked against x's own adjacency: a set that is not a
+    clique of x is NotMaximumClique (the caller's error), a clique of x
+    means the table is not the paired one (NonZeroResidual).
+
+    The first clique that fails raises the error decompose_clique raises
+    on it.  CertificationFailed unless x has its field, n vertices and
+    N(0) = basis.base_neighbors: that fixes x as the paired graph
+    (Graph.cayley).  Coefficients and lifts are Fractions shared through
+    per-call memos keyed by integer numerator.
     """
-    q, m = basis.q, basis.m
-    if x.field is None or x.n != basis.symbol.shape[1] or x.adj[0] != basis.base_neighbors:
+    q, m, n = basis.q, basis.m, x.n
+    if x.field is None or n != basis.symbol.shape[1] or x.adj[0] != basis.base_neighbors:
         raise CertificationFailed("graph is not the one the basis was paired with")
-    cl = tuple(sorted(set(clique)))
-    outside = [v for v in cl if not 0 <= v < x.n]
-    if outside:
-        raise IndexOutOfRange(f"vertex {outside[0]} outside [0, {x.n})")
-    if len(cl) != q or not is_maximal_clique(x, cl):
-        raise NotMaximumClique(f"{cl} is not a maximum clique (|C| must be {q})")
+    sets, refused = [], None
+    for clique in cliques:
+        cl = tuple(sorted(set(clique)))
+        if cl and not (0 <= cl[0] and cl[-1] < n):
+            refused = IndexOutOfRange(f"vertex {next(v for v in cl if not 0 <= v < n)} "
+                                      f"outside [0, {n})")
+            break
+        if len(cl) != q:
+            refused = NotMaximumClique(f"{cl} is not a maximum clique (|C| must be {q})")
+            break
+        sets.append(cl)
 
-    members = np.array(cl)
-    classes = np.arange(m)[:, None]
-    counts = np.bincount((basis.symbol[:, members] + q * classes).ravel(),
-                         minlength=m * q).reshape(m, q)
-    want = np.full(x.n, m - 1)
-    want[members] += q
-    bad = np.flatnonzero(counts[classes, basis.symbol].sum(axis=0) != want)
-    if bad.size:
-        raise NonZeroResidual(f"line counts fail the module identity at vertex {bad[0]}")
+    lines = basis.symbol + q * np.arange(m)[:, None]  # b q + intercept of L_b(v)
+    at_base = basis.symbol[:, basis.base_vertex]
+    off_base = np.arange(q) != at_base[:, None]
+    coeff_of = _Fractions(q)  # b_L = t / q
+    lift_of = _Fractions(q * m)  # u + b_L = k / (q m)
+    step = max(1, _GATHER_BYTES // (8 * m * n))
+    out = []
+    for lo in range(0, len(sets), step):
+        chunk = sets[lo:lo + step]
+        members = np.array(chunk, dtype=np.int64)
+        rows = np.arange(len(chunk))[:, None]
+        counts = np.bincount((lines.T[members] + m * q * rows[:, :, None]).ravel(),
+                             minlength=len(chunk) * m * q).reshape(len(chunk), m * q)
+        resid = counts[:, lines].sum(axis=1) - (m - 1)
+        resid[rows, members] -= q
+        failed = np.flatnonzero(resid.any(axis=1))
+        if failed.size:
+            i = failed[0]
+            if (counts[i] * (counts[i] - 1)).sum() != q * (q - 1) and not is_clique(x, chunk[i]):
+                raise NotMaximumClique(f"{chunk[i]} is not a maximum clique (|C| must be {q})")
+            raise NonZeroResidual("line counts fail the module identity at vertex "
+                                  f"{np.flatnonzero(resid[i])[0]}")
 
-    at_base = basis.symbol[:, [basis.base_vertex]]
-    base = counts[classes, at_base]  # c_{L_b}
-    diff = counts - base  # q b_L, zero on the lines through the base
-    nums = diff[np.arange(q) != at_base].tolist()
-    lift = 1 - m + int(base.sum())  # q m u
-    # one Fraction per distinct value: b_L = t / q and u + b_L = (lift + m t) / (q m)
-    tally = Counter(nums)
-    coeff_of = {t: Fraction(t, q) for t in tally}
-    lift_of = {t: Fraction(lift + m * t, q * m) for t in [0, *coeff_of]}
-
-    coeffs = [coeff_of[t] for t in nums]
-    hist = {coeff_of[t]: count for t, count in tally.items()}
-    unbalanced = dict(zip(((c.coset, c.intercept) for c in basis.all_cliques),
-                          (lift_of[t] for t in diff.ravel().tolist())))
-    return Decomposition(cl, coeffs, True, tally.get(0, 0), hist, unbalanced)
+        counts = counts.reshape(len(chunk), m, q)
+        base = counts[:, np.arange(m), at_base]  # c_{L_b}
+        diff = counts - base[:, :, None]  # q b_L, zero on the lines through the base
+        nums = diff[:, off_base]
+        lifts = (1 - m + base.sum(axis=1))[:, None] + m * diff.reshape(len(chunk), m * q)
+        for cl, row, lift in zip(chunk, nums.tolist(), lifts.tolist()):
+            tally = Counter(row)
+            out.append(Decomposition(
+                cl, list(map(coeff_of.__getitem__, row)), True, tally.get(0, 0),
+                {coeff_of[t]: count for t, count in tally.items()},
+                dict(zip(basis.line_keys, map(lift_of.__getitem__, lift)))))
+    if refused is not None:
+        raise refused
+    return out
 
 
 @dataclass
@@ -291,13 +352,23 @@ class Counterexample:
     srg: SrgParams  # certified by build_counterexample
 
 
-def subfield_direct_sum(ctx: FieldCtx,
-                        subfield_order: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Direct sum C = K + g K + ... + g^(t-1) K for a proper subfield K
-    of F_q; returns t, C sorted, and the cosets that C \\ {0} meets.
+def subfield_clique(ctx: FieldCtx,
+                    subfield_order: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """A K-linear q-set C for a proper subfield K of F_q, s = |K| and
+    q = s^t, that meets exactly m = (q - 1) / (s - 1) cosets, 0 among
+    them; returns t, C sorted, and the cosets that C \\ {0} meets.
 
-    Verifies: |C| = q, C - C = C, and the index set has size exactly
-    (q - 1) / (|K| - 1) and contains 0.
+    C is first the direct sum K + g K + ... + g^(t-1) K.  A K-span is an
+    additive group by construction, so C - C = C needs no check.  Its m
+    K-lines through 0 each lie in one coset of F_q^*, and 1 in C lies in
+    coset 0, so a K-span meets at most m cosets, 0 among them; more, or
+    no coset 0, means K is not the subfield.  It meets fewer when two
+    of its K-lines share a coset (q = 81, s = 3 and q = 125, s = 5), and
+    then C is the graph of x -> x^s, {x + x^s g : x in F_q}, scaled by
+    (1 + g)^(-1) into coset 0.  That is K-linear, as (x + y)^s = x^s +
+    y^s and k^s = k on K, and has q points, as g is not in F_q; its
+    differences d (1 + d^(s-1) g) have the m directions of the (s-1)-th
+    powers d^(s-1).  Verifies |C| = q and the m cosets including 0.
     """
     q = ctx.subfield_order
     K = ctx.subfield_of_order(subfield_order)
@@ -306,47 +377,40 @@ def subfield_direct_sum(ctx: FieldCtx,
     t = round(math.log(q, subfield_order))  # |K|^t = q
     if subfield_order ** t != q:
         raise NotProperSubfield(f"F_{subfield_order} does not fill F_{q}")
-
-    gens = [ctx.gen_pow(j) for j in range(t)]
-    if len({ctx.coset_index(g) for g in gens}) != t:
-        raise VerificationFailed("generators g^0 .. g^(t-1) share a coset")
-
-    cset = set()
-    for combo in itertools.product(K, repeat=t):
-        z = 0
-        for gj, kj in zip(gens, combo):
-            z = ctx.add(z, ctx.mul(gj, kj))
-        cset.add(z)
-    if len(cset) != q:
-        raise VerificationFailed(f"direct sum has {len(cset)} elements, not {q}")
-
-    indices = tuple(sorted({ctx.coset_index(z) for z in cset if z != 0}))
     m = (q - 1) // (subfield_order - 1)
+
+    span = np.zeros(1, dtype=np.int64)
+    for j in range(t):  # every sum of the span so far and g^j K
+        span = ctx.add_array(span[:, None], ctx.mul_array(K, ctx.gen_pow(j))).ravel()
+    kind, clique = "direct sum", sorted(set(span.tolist()))
+    indices = sorted({ctx.coset_index(z) for z in clique if z != 0})
+    if len(clique) == q and len(indices) < m and 0 in indices:  # two K-lines share a coset
+        sub, g = ctx.subfield_elements(), ctx.generator
+        powers = ctx.mul_array([ctx.pow(x, subfield_order) for x in sub], g)
+        graph = ctx.mul_array(ctx.add_array(sub, powers), ctx.inv(ctx.add(1, g)))
+        kind, clique = "graph of x^s", sorted(set(graph.tolist()))
+        indices = sorted({ctx.coset_index(z) for z in clique if z != 0})
+    if len(clique) != q:
+        raise VerificationFailed(f"{kind} has {len(clique)} elements, not {q}")
     if len(indices) != m or 0 not in indices:
         raise VerificationFailed(
-            f"direct sum meets cosets {list(indices)}, expected {m} cosets including 0")
-
-    # closure under subtraction (C is an additive group)
-    for a in cset:
-        for b in cset:
-            if ctx.sub(a, b) not in cset:
-                raise VerificationFailed(f"{a} - {b} leaves the direct sum")
-    return t, tuple(sorted(cset)), indices
+            f"{kind} meets cosets {indices}, expected {m} cosets including 0")
+    return t, tuple(clique), tuple(indices)
 
 
 def build_counterexample(ctx: FieldCtx, subfield_order: int) -> Counterexample:
-    """The subfield direct sum C as a non-canonical maximum clique of
-    the graph on the cosets it meets.
+    """The subfield clique C (subfield_clique) as a non-canonical maximum
+    clique of the graph on the cosets it meets.
 
-    Verifies, beyond subfield_direct_sum: C is a maximal clique meeting
+    Verifies, beyond subfield_clique: C is a maximal clique meeting
     the Hoffman bound q, and C differs from every canonical clique.
     """
     q = ctx.subfield_order
-    t, clique, indices = subfield_direct_sum(ctx, subfield_order)
+    t, clique, indices = subfield_clique(ctx, subfield_order)
     g = build_cayley(ctx, indices)
     params = srg_certify(g)
     if not is_maximal_clique(g, clique):
-        raise NotMaximumClique("direct-sum construction is not even maximal")
+        raise NotMaximumClique("subfield clique is not even maximal")
     if params.hoffman_bound() != q:  # |C| = q meets the bound, so C is maximum
         raise CertificationFailed(f"Hoffman bound {params.hoffman_bound()} != {q}")
 

@@ -173,9 +173,10 @@ class FieldCtx:
         self.order = order
         self.modulus = mod
 
-        n = order - 1
-        n_factors = _prime_factors(n)
-        gen_poly = self._find_generator_poly(n, n_factors)
+        if modulus is None:  # _default_modulus certified x primitive
+            gen_poly = _poly_mod((0, 1), mod, p)
+        else:
+            gen_poly = self._find_generator_poly()
         self.generator = self._label_of_poly(gen_poly)
 
         self._exp_array, self._log_array = self._build_tables(gen_poly)
@@ -183,8 +184,10 @@ class FieldCtx:
 
     # ----- construction ------------------------------------------------
 
-    def _find_generator_poly(self, n, n_factors):
+    def _find_generator_poly(self):
         # x first; otherwise the least label with full multiplicative order
+        n = self.order - 1
+        n_factors = _prime_factors(n)
         x = _poly_mod((0, 1), self.modulus, self.p)
         if _element_has_full_order(x, self.modulus, self.p, n, n_factors):
             return x

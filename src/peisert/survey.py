@@ -128,7 +128,7 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
 
     audit = ekr.strict_ekr_audit(x, sel, budget=budget)  # pairing certified `colors` proper
     basis = ekr.build_ekr_basis(x, sel)
-    decs = [ekr.decompose_clique(x, basis, c) for c in audit.cliques]
+    decs = ekr.decompose_cliques(x, basis, audit.cliques)
     cert = whd.build_whd(x, sel)
     bound = oa.noncanonical_clique_bound(x, sel, budget=budget)
 
@@ -149,7 +149,7 @@ def run_sweep(q_values=Q_CHOICES, minimum: int = 10, seed: int = DEFAULT_SEED,
         ctx = ambient_field(q)
         extra: tuple[tuple[int, ...], ...] = ()
         if q == 9:
-            _, _, cosets = ekr.subfield_direct_sum(ctx, 3)
+            _, _, cosets = ekr.subfield_clique(ctx, 3)
             extra = (cosets,)
         for name, idx in sweep_index_sets(ctx, minimum, seed, extra):
             reports.append(analyze_graph(ctx, idx, f"q{q}:{name}:" + "-".join(map(str, idx)),

@@ -15,6 +15,7 @@ import pytest
 import peisert
 from peisert import (
     Graph,
+    ekr,
     build_cayley,
     build_counterexample,
     build_ekr_basis,
@@ -22,6 +23,7 @@ from peisert import (
     canonical_correspondence,
     create,
     decompose_clique,
+    decompose_cliques,
     enumerate_max_cliques,
     run_sweep,
     srg_certify,
@@ -508,10 +510,22 @@ def dense_projection(x, basis, clique):
     return coeffs, hist, unbalanced
 
 
-def assert_matches_dense_projection(x, basis, cliques):
-    """Coefficients, histogram and lift equal the oracle's, in order."""
-    for c in cliques:
-        dec = decompose_clique(x, basis, c)
+def assert_same_decomposition(dec, other):
+    """Equal in every field, with the histogram and lift in equal order."""
+    assert dec == other
+    assert list(dec.histogram.items()) == list(other.histogram.items())
+    assert list(dec.unbalanced.items()) == list(other.unbalanced.items())
+
+
+def assert_matches_dense_projection(x, basis, cliques, decs=None):
+    """The batch decompositions (decs, or decompose_cliques on cliques)
+    equal, in order, decompose_clique's on each clique and the oracle's
+    coefficients, histogram and lift."""
+    if decs is None:
+        decs = decompose_cliques(x, basis, cliques)
+    assert len(decs) == len(cliques)
+    for c, dec in zip(cliques, decs):
+        assert_same_decomposition(dec, decompose_clique(x, basis, c))
         coeffs, hist, unbalanced = dense_projection(x, basis, c)
         assert dec.residual_zero
         assert dec.coefficients == coeffs
@@ -525,7 +539,55 @@ def test_line_counts_match_dense_projection_on_survey_graphs():
     assert len(reports) == 37
     for r in reports:
         assert [d.clique for d in r.decompositions] == r.audit.cliques
-        assert_matches_dense_projection(r.graph, r.basis, r.audit.cliques)
+        assert_matches_dense_projection(r.graph, r.basis, r.audit.cliques, r.decompositions)
+
+
+def test_batch_matches_per_clique_and_dense_projection_at_q19_to_25(monkeypatch):
+    # the m = 2 graphs at q = 19, 23, 25 and the q = 25 subfield-5 graph;
+    # one clique per chunk gives the same list as the default cap
+    cases = [(q, (0, c)) for q, c in ((19, 3), (23, 11), (25, 7))]
+    cases.append((25, build_counterexample(create(5, 4), 5).coset_indices))
+    for q, idx in cases:
+        x = build_cayley(survey.ambient_field(q), idx)
+        sel = subarray_for_connection_set(x.field, idx)
+        basis = build_ekr_basis(x, sel)
+        cliques = strict_ekr_audit(x, sel).cliques
+        decs = decompose_cliques(x, basis, cliques)
+        assert_matches_dense_projection(x, basis, cliques, decs)
+        with monkeypatch.context() as patch:
+            patch.setattr(ekr, "_GATHER_BYTES", 1)
+            for dec, other in zip(decs, decompose_cliques(x, basis, cliques), strict=True):
+                assert_same_decomposition(dec, other)
+
+
+def bad_cliques(x, basis):
+    """A clique of each kind a batch must refuse, with its error."""
+    good = basis.basis_cliques[0].vertices
+    far = next(v for v in range(x.n) if v != good[0] and not x.is_adjacent(good[0], v))
+    return [(good[:-1], NotMaximumClique),  # q - 1 vertices
+            (good[:-1] + (far,), NotMaximumClique),  # q vertices, not a clique
+            (good[:-1] + (x.n,), IndexOutOfRange),
+            (good[:-1] + (good[0],), NotMaximumClique)]  # a repeated vertex
+
+
+@pytest.mark.parametrize("gather_bytes", [ekr._GATHER_BYTES, 1])
+def test_batch_raises_the_per_clique_error_of_its_first_bad_clique(monkeypatch, gather_bytes):
+    monkeypatch.setattr(ekr, "_GATHER_BYTES", gather_bytes)
+    ctx, x, sel = build(9, (0, 1, 7, 8))
+    basis = build_ekr_basis(x, sel)
+    good = strict_ekr_audit(x, sel).cliques[:6]
+    assert decompose_cliques(x, basis, []) == []
+    bad = bad_cliques(x, basis)
+    for clique, error in bad:
+        with pytest.raises(error) as single:
+            decompose_clique(x, basis, clique)
+        for at in (0, 3, len(good)):
+            with pytest.raises(error) as batch:
+                decompose_cliques(x, basis, good[:at] + [clique] + good[at:])
+            assert str(batch.value) == str(single.value)
+    for (first, error), (second, _) in combinations(bad, 2):
+        with pytest.raises(error):
+            decompose_cliques(x, basis, good[:2] + [first] + good[2:4] + [second])
 
 
 def test_line_counts_match_dense_projection_under_every_modulus():
@@ -726,6 +788,23 @@ def test_counterexample_q25():
     assert (p.n, p.k, p.lam, p.mu) == (625, 144, 43, 30)
     assert ce.clique in strict_ekr_audit(
         ce.graph, ce.selection, through_vertex=0).non_canonical
+
+
+@pytest.mark.parametrize("q, s", [(81, 3), (81, 9), (125, 5)])
+def test_counterexample_at_every_subfield(q, s):
+    """At q = 81, s = 3 and q = 125, s = 5 the direct sum meets too few
+    cosets and C is the graph of x -> x^s; at q = 81, s = 9 it is the
+    direct sum.  Either way C is a K-linear q-set holding K, and the
+    audit through 0 finds it non-canonical."""
+    ctx = survey.ambient_field(q)
+    ce = build_counterexample(ctx, s)
+    assert ce.m == (q - 1) // (s - 1) and 0 in ce.coset_indices
+    K = ctx.subfield_of_order(s)
+    C = np.array(ce.clique)
+    assert len(set(ce.clique)) == q and set(K) <= set(ce.clique)
+    for k in K[1:]:  # C + k C = C
+        assert np.isin(ctx.add_array(C[:, None], ctx.mul_array(C, k)), C).all()
+    assert ce.clique in strict_ekr_audit(ce.graph, ce.selection, through_vertex=0).non_canonical
 
 
 def test_counterexample_rejects_improper_subfield():
@@ -933,6 +1012,37 @@ try:
 except NonZeroResidual as e:
     print("rejected", e)
 """
+
+
+BATCH_ERRORS_SCRIPT = """
+from peisert import build_cayley, build_ekr_basis, create, decompose_clique, decompose_cliques
+from peisert import strict_ekr_audit, subarray_for_connection_set
+print("debug", __debug__)
+ctx = create(3, 4)
+x = build_cayley(ctx, (0, 1, 7, 8))
+sel = subarray_for_connection_set(ctx, (0, 1, 7, 8))
+basis = build_ekr_basis(x, sel)
+good = strict_ekr_audit(x, sel).cliques[:6]
+print(decompose_cliques(x, basis, []))
+line = basis.basis_cliques[0].vertices
+far = next(v for v in range(x.n) if v != line[0] and not x.is_adjacent(line[0], v))
+for clique in (line[:-1], line[:-1] + (far,), line[:-1] + (x.n,), line[:-1] + (line[0],)):
+    raised = []
+    for run in (lambda: decompose_clique(x, basis, clique),
+                lambda: decompose_cliques(x, basis, good[:3] + [clique] + good[3:])):
+        try:
+            run()
+            raised.append("accepted")
+        except Exception as e:
+            raised.append(f"{type(e).__name__}: {e}")
+    print(raised[0] == raised[1], raised[1].split(":")[0])
+"""
+
+
+def test_batch_errors_under_optimize():
+    lines = run_optimized(BATCH_ERRORS_SCRIPT)
+    assert lines == ["[]", "True NotMaximumClique", "True NotMaximumClique",
+                     "True IndexOutOfRange", "True NotMaximumClique"]
 
 
 def test_swapped_intercept_rejected_under_optimize():

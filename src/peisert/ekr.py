@@ -44,8 +44,6 @@ from .graphs import (
     Graph,
     SrgParams,
     _Deadline,
-    _bits,
-    _translates,
     build_cayley,
     color_classes,
     is_clique,
@@ -105,7 +103,9 @@ class EkrBasis:
     classes and of full column rank m*(q - 1).  base_neighbors is N(0),
     as a bitset, of the graph the basis was paired with.  line_keys
     holds (coset, intercept) of all_cliques, the keys of every
-    Decomposition.unbalanced.
+    Decomposition.unbalanced.  Every decomposition against the basis
+    shares its Fraction memos coeff_of, t -> t / q, and lift_of, k -> k /
+    (q m); they are caches, not fields.
     """
     base_vertex: int
     q: int
@@ -117,6 +117,10 @@ class EkrBasis:
     rank: int
     base_neighbors: int
     line_keys: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        self.coeff_of = _Fractions(self.q)
+        self.lift_of = _Fractions(self.q * self.m)
 
 
 def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
@@ -205,7 +209,7 @@ def decompose_cliques(x: Graph, basis: EkrBasis,
     on it.  CertificationFailed unless x has its field, n vertices and
     N(0) = basis.base_neighbors: that fixes x as the paired graph
     (Graph.cayley).  Coefficients and lifts are Fractions shared through
-    per-call memos keyed by integer numerator.
+    the basis's memos keyed by integer numerator.
     """
     q, m, n = basis.q, basis.m, x.n
     if x.field is None or n != basis.symbol.shape[1] or x.adj[0] != basis.base_neighbors:
@@ -225,8 +229,7 @@ def decompose_cliques(x: Graph, basis: EkrBasis,
     lines = basis.symbol + q * np.arange(m)[:, None]  # b q + intercept of L_b(v)
     at_base = basis.symbol[:, basis.base_vertex]
     off_base = np.arange(q) != at_base[:, None]
-    coeff_of = _Fractions(q)  # b_L = t / q
-    lift_of = _Fractions(q * m)  # u + b_L = k / (q m)
+    coeff_of, lift_of = basis.coeff_of, basis.lift_of  # b_L = t / q, u + b_L = k / (q m)
     step = max(1, _GATHER_BYTES // (8 * m * n))
     out = []
     for lo in range(0, len(sets), step):
@@ -289,7 +292,12 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
     invariant (Graph.cayley), and the maximum cliques are the translates
     C + u of those through 0: the full list keeps C + u when u is its
     least vertex, which gives each clique once, and the list through v
-    is the C + v.  A found clique is canonical when a used row of the
+    is the C + v.  Labels add digit by digit mod p with no carry, so
+    for c != 0 with top nonzero digit j, c + u > u iff u_j < p - c_j; as
+    0 is in C, min(C + u) = u iff u lies in the digit box u_j < p -
+    max{c_j : top(c) = j}.  _translation_closure enumerates those boxes
+    and hands back the sorted (cliques, q) array that the canonical test
+    gathers from.  A found clique is canonical when a used row of the
     symbol table, whose lines are those of the cosets of N(0), is
     constant on it, so it is that line of q points; the found cliques
     are distinct, so m q canonical ones (m through a given vertex) are
@@ -304,15 +312,17 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
 
     classes = color_classes(unused_slope_coloring(sel))
     through_0 = transversal_cliques(x, classes.values(), 0, deadline)
-    cliques = _translation_closure(x.field, through_0, through_vertex, deadline)
-    members = np.array(cliques, dtype=np.int64).reshape(len(cliques), q)
-    canonical = np.zeros(len(cliques), dtype=bool)
+    members = _translation_closure(
+        x.field, np.array(through_0, dtype=np.int64).reshape(len(through_0), q),
+        through_vertex, deadline)
+    canonical = np.zeros(len(members), dtype=bool)
     for r in sel.row_positions:  # one gather per row: one (N, q) array at a time
         sym = sel.symbol[r][members]
         canonical |= (sym == sym[:, :1]).all(axis=1)
     if np.count_nonzero(canonical) != (m if through_vertex is not None else m * q):
         raise CertificationFailed("a canonical clique is missing from the enumeration")
 
+    cliques = list(map(tuple, members.tolist()))
     non_canonical = tuple(c for c, ok in zip(cliques, canonical.tolist()) if not ok)
     if non_canonical and q > (m - 1) ** 2:
         raise CertificationFailed("non-canonical maximum clique below the threshold")
@@ -320,23 +330,45 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
                        len(cliques) - len(non_canonical), non_canonical, cliques)
 
 
-def _translation_closure(ctx: FieldCtx, through_0: list[tuple[int, ...]],
-                         through_vertex: Optional[int], deadline) -> list[tuple[int, ...]]:
-    """The translates C + v of the cliques C through 0, sorted: those with
-    v = through_vertex, one add_array, or, for the full list, those whose
-    least vertex is v, read off the rows of _translates(ctx, C)."""
+def _translation_closure(ctx: FieldCtx, through_0: np.ndarray,
+                         through_vertex: Optional[int], deadline) -> np.ndarray:
+    """The translates C + u of the cliques C through 0 (the rows of
+    through_0), each row sorted and the rows in lexicographic order: those
+    with u = through_vertex, or, for the full list, those whose least
+    vertex is u.
+
+    The full list rests on the digit rule.  Labels add digit by digit
+    mod p with no carry, so for c != 0 with top nonzero digit j, c + u
+    agrees with u above digit j and differs at j: c + u > u iff c_j + u_j
+    < p, that is u_j < p - c_j.  As 0 is in C, min(C + u) = u iff every
+    c in C \\ {0} has c + u > u, iff u lies in the digit box u_j < b_j(C)
+    = p - max{c_j : top(c) = j} (b_j = p when no c has top digit j).
+    The bounds of all cliques come from one (T0, q, r) digit comparison;
+    each box is enumerated in mixed radix and one add_array moves every
+    kept (C, u) pair.  For the N cliques listed, memory is O(N q + T0 q
+    r) and the work is r digit passes over N q labels and one row sort,
+    never T0 x n.  Raises SearchTimeout, and returns nothing, once the
+    deadline has passed.
+    """
+    deadline.check()
     if through_vertex is not None:
-        if not through_0:
-            return []
-        moved = ctx.add_array(np.array(through_0, dtype=np.int64), through_vertex)
-        return sorted(tuple(c) for c in np.sort(moved, axis=1).tolist())
-    out = []
-    for c in through_0:
-        deadline.check()
-        out.extend(tuple(_bits(row)) for v, row in enumerate(_translates(ctx, c))
-                   if (row & -row).bit_length() == v + 1)
-    out.sort()
-    return out
+        moved = ctx.add_array(through_0, through_vertex)
+    else:
+        p, r = ctx.p, ctx.r
+        places = p ** np.arange(r)
+        top = np.count_nonzero(through_0[:, :, None] >= places, axis=2) - 1  # -1 at c = 0
+        lead = through_0 // places[np.maximum(top, 0)]  # digit top(c) of c
+        b = p - np.where(top[:, :, None] == np.arange(r), lead[:, :, None], 0).max(axis=1)
+        sizes = b.prod(axis=1)
+        owner = np.repeat(np.arange(len(b)), sizes)
+        k = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        u = np.zeros_like(k)
+        for j in range(r):  # mixed radix: digit j of u runs over [0, b_j)
+            u += k % b[owner, j] * places[j]
+            k //= b[owner, j]
+        moved = ctx.add_array(through_0[owner], u[:, None])
+    moved.sort(axis=1)
+    return moved[np.lexsort(moved.T[::-1])]
 
 
 @dataclass

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -47,7 +48,7 @@ from peisert.errors import (
     SearchTimeout,
     VerificationFailed,
 )
-from peisert.graphs import _mask_of
+from peisert.graphs import _Deadline, _bits, _mask_of, _translates, color_classes, transversal_cliques
 from peisert.oa import INFINITY_SLOPE, _certify_strength_two, _subfield_ranks
 
 PINNED81 = (-1, 0, 0, -1, 1)
@@ -759,6 +760,125 @@ def test_audit_budget():
     ctx, x, sel = build(9, (0, 1, 2, 3, 4), PINNED81)
     with pytest.raises(SearchTimeout):
         strict_ekr_audit(x, sel, budget=0)
+
+
+def cliques_through_0(x, sel):
+    """The transversal search through 0 that strict_ekr_audit runs, as a
+    (T0, q) array."""
+    classes = color_classes(unused_slope_coloring(sel)).values()
+    found = transversal_cliques(x, classes, 0, _Deadline(None))
+    return np.array(found, dtype=np.int64).reshape(len(found), sel.q)
+
+
+def translation_closure_oracle(ctx, through_0, through_vertex=None):
+    """The translates C + v read off the rows of _translates(ctx, C): row
+    v when v = through_vertex, or, for the full list, every row whose
+    least set bit is v."""
+    out = []
+    for c in through_0.tolist():
+        rows = _translates(ctx, c)
+        if through_vertex is not None:
+            out.append(tuple(_bits(rows[through_vertex])))
+        else:
+            out.extend(tuple(_bits(row)) for v, row in enumerate(rows)
+                       if (row & -row).bit_length() == v + 1)
+    return sorted(out)
+
+
+def closure_cases():
+    """The survey graphs, the subfield counterexamples at q = 9, 25, 27
+    and 49, q = 49 with m = 13 and q = 81 with m = 9: fields of r = 2, 4,
+    6 and 8 base-p digits, so a clique's top digits vary."""
+    for q in survey.Q_CHOICES:
+        ctx = survey.ambient_field(q)
+        extra = (build_counterexample(ctx, 3).coset_indices,) if q == 9 else ()
+        for _, idx in survey.sweep_index_sets(ctx, 10, survey.DEFAULT_SEED, extra):
+            yield ctx, idx
+    for q, s in [(9, 3), (25, 5), (27, 3), (49, 7)]:
+        ctx = survey.ambient_field(q)
+        yield ctx, build_counterexample(ctx, s).coset_indices
+    for q, m in [(49, 13), (81, 9)]:
+        yield survey.ambient_field(q), tuple(range(m))
+
+
+def test_translation_closure_matches_bitset_oracle():
+    """The digit-box closure lists what the bitset walk lists, rows and
+    order, in full and through vertices 1 and n - 1."""
+    checked = 0
+    for ctx, idx in closure_cases():
+        x, sel = build_cayley(ctx, idx), subarray_for_connection_set(ctx, idx)
+        through_0 = cliques_through_0(x, sel)
+        for v in (None, 1, x.n - 1):
+            got = ekr._translation_closure(ctx, through_0, v, _Deadline(None))
+            want = translation_closure_oracle(ctx, through_0, v)
+            assert got.dtype == np.int64 and got.shape == (len(want), sel.q)
+            assert list(map(tuple, got.tolist())) == want, (ctx, idx, v)
+        checked += 1
+    assert checked == 37 + 6
+
+
+def top_digit(c, p):
+    """(j, c_j) for the top nonzero base-p digit of c > 0."""
+    j = 0
+    while c >= p ** (j + 1):
+        j += 1
+    return j, c // p ** j
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27, 49])
+def test_digit_rule(q):
+    """add(c, u) > u iff u_j < p - c_j at the top nonzero digit j of c:
+    every pair c != 0, u at q <= 9, a seeded sample of pairs above."""
+    ctx = survey.ambient_field(q)
+    p, n = ctx.p, ctx.order
+    if q <= 9:
+        pairs = list(product(range(1, n), range(n)))
+    else:
+        rng = np.random.default_rng(q)
+        pairs = list(zip(rng.integers(1, n, 20000).tolist(), rng.integers(0, n, 20000).tolist()))
+    sums = ctx.add_array(*np.array(pairs).T).tolist()
+    for (c, u), s in zip(pairs, sums):
+        j, cj = top_digit(c, p)
+        assert (s > u) == (u // p ** j % p < p - cj), (q, c, u)
+
+
+CLOSURE_DEADLINE_SCRIPT = """
+import time
+import numpy as np
+from peisert import build_cayley, create, ekr, subarray_for_connection_set
+from peisert.errors import SearchTimeout
+from peisert.graphs import _Deadline
+print("debug", __debug__)
+ctx = create(3, 4)
+x = build_cayley(ctx, (0, 1, 7, 8))
+through_0 = np.array(ekr.strict_ekr_audit(x, subarray_for_connection_set(ctx, (0, 1, 7, 8)),
+                                          through_vertex=0).cliques)
+for v in (None, 5):
+    expired = _Deadline(60.0)
+    expired.t = time.monotonic() - 1
+    out = None
+    try:
+        out = ekr._translation_closure(ctx, through_0, v, expired)
+    except SearchTimeout as e:
+        print("SearchTimeout", e, out)
+    print("live", len(ekr._translation_closure(ctx, through_0, v, _Deadline(60.0))))
+"""
+
+
+def test_translation_closure_honours_an_expired_deadline():
+    """An expired deadline raises SearchTimeout before any translate is
+    listed, under python and under python -O."""
+    ctx = create(3, 4)
+    x = build_cayley(ctx, (0, 1, 7, 8))
+    through_0 = cliques_through_0(x, subarray_for_connection_set(ctx, (0, 1, 7, 8)))
+    for v in (None, 5):
+        expired = _Deadline(60.0)
+        expired.t = time.monotonic() - 1
+        with pytest.raises(SearchTimeout, match="^clique search exceeded its budget$"):
+            ekr._translation_closure(ctx, through_0, v, expired)
+    assert run_optimized(CLOSURE_DEADLINE_SCRIPT) == [
+        "SearchTimeout clique search exceeded its budget None", "live 72",
+        "SearchTimeout clique search exceeded its budget None", "live 8"]
 
 
 # ----- counterexamples ---------------------------------------------------------

@@ -16,19 +16,22 @@ bincount and certifies them by one integer identity per vertex, checked
 by one gather per chunk of cliques; decompose_clique is the batch of one.
 Summed over C, the identity is the pair count sum_L c_L (c_L - 1) =
 q (q - 1), which holds iff C is a clique, so no per-clique bitset walk
-runs.  The only rational steps are the divisions by q and by q m.
+runs.  A decomposition keeps its integer count table; the only
+rational steps, the divisions by q and by q m, run when a reader first
+asks for its coefficients, histogram or lift.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .derived import derived, read_only
 from .errors import (
     CanonicalAfterAll,
     CertificationFailed,
@@ -89,38 +92,55 @@ def canonical_cliques(sel: SubarraySelection) -> list[CanonicalClique]:
     return out
 
 
-@dataclass
+def _basis_matrix(basis: EkrBasis) -> np.ndarray:
+    """B, n x m (q - 1) int64: column j is q chi - 1 of basis_cliques[j]."""
+    q, m = basis.q, basis.m
+    intercepts = np.array([cl.intercept for cl in basis.basis_cliques])
+    columns = basis.symbol[np.repeat(np.arange(m), q - 1)]  # q - 1 basis cliques per class
+    return np.where(np.ascontiguousarray(columns.T) == intercepts, q - 1, -1)
+
+
+@dataclass(frozen=True)
 class EkrBasis:
     """Balanced indicators of the canonical cliques missing the base
     vertex 0.
 
     symbol holds the m used rows of the selection's symbol table in
-    coset order: symbol[b, v] is the intercept of the class-b line
-    through v.  matrix columns hold q*chi - 1 (so column / q is the
-    balanced indicator), ordered by (coset, intercept).  build_ekr_basis
-    certifies them eigenvectors at q - m; their Gram matrix is
-    I_m (x) q^2 (q I - J), so they are orthogonal across parallel
-    classes and of full column rank m*(q - 1).  base_neighbors is N(0),
-    as a bitset, of the graph the basis was paired with.  line_keys
-    holds (coset, intercept) of all_cliques, the keys of every
-    Decomposition.unbalanced.  Every decomposition against the basis
-    shares its Fraction memos coeff_of, t -> t / q, and lift_of, k -> k /
-    (q m); they are caches, not fields.
+    coset order, read-only: symbol[b, v] is the intercept of the class-b
+    line through v.  matrix, derived from symbol on first read, holds the
+    columns q*chi - 1 (so column / q is the balanced indicator), ordered
+    by (coset, intercept).  build_ekr_basis certifies them eigenvectors
+    at q - m; their Gram matrix is I_m (x) q^2 (q I - J), so they are
+    orthogonal across parallel classes and of full column rank m*(q -
+    1).  base_neighbors is N(0), as a bitset, of the graph the basis was
+    paired with.  line_keys holds (coset, intercept) of all_cliques, the
+    keys of every Decomposition.unbalanced.  The line tables that
+    decompose_cliques reads (lines, at_base, off_base) are built once
+    from symbol, and every decomposition against the basis shares its
+    Fraction memos coeff_of, t -> t / q, and lift_of, k -> k / (q m);
+    they are caches, not fields.
     """
     base_vertex: int
     q: int
     m: int
     all_cliques: list[CanonicalClique]
     basis_cliques: list[CanonicalClique]
-    symbol: np.ndarray
-    matrix: np.ndarray
+    symbol: np.ndarray = field(compare=False)
     rank: int
     base_neighbors: int
     line_keys: tuple[tuple[int, int], ...]
+    matrix: np.ndarray = derived(_basis_matrix, compare=False)
 
     def __post_init__(self):
-        self.coeff_of = _Fractions(self.q)
-        self.lift_of = _Fractions(self.q * self.m)
+        q, m = self.q, self.m
+        symbol = read_only(self.symbol)
+        at_base = symbol[:, self.base_vertex]
+        for name, value in (("symbol", symbol),
+                            ("lines", symbol + q * np.arange(m)[:, None]),  # b q + intercept
+                            ("at_base", at_base),
+                            ("off_base", np.arange(q) != at_base[:, None]),
+                            ("coeff_of", _Fractions(q)), ("lift_of", _Fractions(q * m))):
+            object.__setattr__(self, name, value)
 
 
 def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
@@ -142,23 +162,61 @@ def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
     q, m = sel.q, sel.m
     cliques = canonical_cliques(sel)
     basis_cliques = [cl for cl in cliques if 0 not in cl.vertices]
+    return EkrBasis(0, q, m, cliques, basis_cliques, sel.symbol[list(sel.rows)], m * (q - 1),
+                    x.adj[0], tuple((cl.coset, cl.intercept) for cl in cliques))
 
-    symbol = sel.symbol[list(sel.rows)]
-    intercepts = np.array([cl.intercept for cl in basis_cliques])
-    columns = symbol[np.repeat(np.arange(m), q - 1)]  # q - 1 basis cliques per class
-    B = np.where(np.ascontiguousarray(columns.T) == intercepts, q - 1, -1)
-    return EkrBasis(0, q, m, cliques, basis_cliques, symbol, B, B.shape[1], x.adj[0],
-                    tuple((cl.coset, cl.intercept) for cl in cliques))
+
+def _shifted_counts(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
+    """The base counts c_{L_b} and the (m, q) table c_L - c_{L_b} = q b_L."""
+    basis = dec.basis
+    counts = dec.counts.astype(np.int64)
+    base = counts[np.arange(basis.m), basis.at_base]
+    return base, counts - base[:, None]
+
+
+def _numerators(dec: Decomposition) -> list[int]:
+    """q b_L over the basis cliques, in basis order."""
+    return _shifted_counts(dec)[1][dec.basis.off_base].tolist()
+
+
+def _coefficients(dec: Decomposition) -> list[Fraction]:
+    return list(map(dec.basis.coeff_of.__getitem__, _numerators(dec)))
+
+
+def _histogram(dec: Decomposition) -> dict[Fraction, int]:
+    coeff_of = dec.basis.coeff_of
+    return {coeff_of[t]: count for t, count in Counter(_numerators(dec)).items()}
+
+
+def _unbalanced(dec: Decomposition) -> dict[tuple[int, int], Fraction]:
+    basis = dec.basis
+    base, diff = _shifted_counts(dec)
+    lift = (1 - basis.m + base.sum()) + basis.m * diff.ravel()  # q m (u + b_L)
+    return dict(zip(basis.line_keys, map(basis.lift_of.__getitem__, lift.tolist())))
 
 
 @dataclass
 class Decomposition:
+    """An exact decomposition, kept as its certified line counts.
+
+    counts is the read-only (m, q) table c_L = |L & C| of the basis's
+    used lines, by (class, intercept).  coefficients (aligned with
+    basis.basis_cliques), histogram and unbalanced (over all m*q
+    canonical cliques) are derived from it on first read, with the
+    basis's Fraction memos.  basis is the EkrBasis the counts were read
+    against; it is an init-only argument, not a field.
+    """
     clique: tuple[int, ...]
-    coefficients: list[Fraction]  # aligned with basis.basis_cliques
     residual_zero: bool
     zero_count: int
-    histogram: dict[Fraction, int]
-    unbalanced: dict[tuple[int, int], Fraction]  # over all m*q canonical cliques
+    counts: np.ndarray = field(compare=False)
+    coefficients: list[Fraction] = derived(_coefficients)
+    histogram: dict[Fraction, int] = derived(_histogram)
+    unbalanced: dict[tuple[int, int], Fraction] = derived(_unbalanced)
+    basis: InitVar[Optional[EkrBasis]] = None
+
+    def __post_init__(self, basis):
+        self.basis = basis
 
 
 class _Fractions(dict):
@@ -208,8 +266,9 @@ def decompose_cliques(x: Graph, basis: EkrBasis,
     The first clique that fails raises the error decompose_clique raises
     on it.  CertificationFailed unless x has its field, n vertices and
     N(0) = basis.base_neighbors: that fixes x as the paired graph
-    (Graph.cayley).  Coefficients and lifts are Fractions shared through
-    the basis's memos keyed by integer numerator.
+    (Graph.cayley).  Each Decomposition keeps its count table, as int16
+    (c_L <= q <= 1024), and its zero count; the Fractions are built only
+    when a reader asks for them.
     """
     q, m, n = basis.q, basis.m, x.n
     if x.field is None or n != basis.symbol.shape[1] or x.adj[0] != basis.base_neighbors:
@@ -226,10 +285,7 @@ def decompose_cliques(x: Graph, basis: EkrBasis,
             break
         sets.append(cl)
 
-    lines = basis.symbol + q * np.arange(m)[:, None]  # b q + intercept of L_b(v)
-    at_base = basis.symbol[:, basis.base_vertex]
-    off_base = np.arange(q) != at_base[:, None]
-    coeff_of, lift_of = basis.coeff_of, basis.lift_of  # b_L = t / q, u + b_L = k / (q m)
+    lines = basis.lines
     step = max(1, _GATHER_BYTES // (8 * m * n))
     out = []
     for lo in range(0, len(sets), step):
@@ -248,17 +304,11 @@ def decompose_cliques(x: Graph, basis: EkrBasis,
             raise NonZeroResidual("line counts fail the module identity at vertex "
                                   f"{np.flatnonzero(resid[i])[0]}")
 
-        counts = counts.reshape(len(chunk), m, q)
-        base = counts[:, np.arange(m), at_base]  # c_{L_b}
-        diff = counts - base[:, :, None]  # q b_L, zero on the lines through the base
-        nums = diff[:, off_base]
-        lifts = (1 - m + base.sum(axis=1))[:, None] + m * diff.reshape(len(chunk), m * q)
-        for cl, row, lift in zip(chunk, nums.tolist(), lifts.tolist()):
-            tally = Counter(row)
-            out.append(Decomposition(
-                cl, list(map(coeff_of.__getitem__, row)), True, tally.get(0, 0),
-                {coeff_of[t]: count for t, count in tally.items()},
-                dict(zip(basis.line_keys, map(lift_of.__getitem__, lift)))))
+        table = read_only(counts.astype(np.int16).reshape(len(chunk), m, q))
+        base = table[:, np.arange(m), basis.at_base]  # c_{L_b}
+        zeros = np.count_nonzero(table == base[:, :, None], axis=(1, 2)) - m  # b_L = 0 off base
+        out.extend(Decomposition(cl, True, z, t, basis=basis)
+                   for cl, z, t in zip(chunk, zeros.tolist(), table))
     if refused is not None:
         raise refused
     return out

@@ -37,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 
+from .derived import read_only
 from .errors import (
     AlphaInSubfield,
     CertificationFailed,
@@ -271,9 +272,9 @@ class SubarraySelection:
             raise CorrespondenceFailed(f"coset {i} representative lies on the alpha axis")
         if len(set(rows)) != len(idx):
             raise CorrespondenceFailed("coset slopes are not pairwise distinct")
-        symbol = np.frombuffer(symbol.tobytes(), symbol.dtype).reshape(symbol.shape)
         for name, value in (("alpha", alpha), ("rows", rows),
-                            ("vertex_of_column", tuple(vertex.tolist())), ("symbol", symbol)):
+                            ("vertex_of_column", tuple(vertex.tolist())),
+                            ("symbol", read_only(symbol))):
             object.__setattr__(self, name, value)
 
     @property

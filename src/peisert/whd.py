@@ -13,11 +13,12 @@ its selection; no n x n product is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .derived import derived
 from .errors import BadEntries, MalformedFile, NotSquare
 from .graphs import Graph
 from .oa import SubarraySelection, verify_isomorphism
@@ -107,22 +108,38 @@ def check_ordering(matrix, ordering: Sequence[int]) -> bool:
     return True
 
 
+def _whd_matrix(cert: WhdCertificate) -> np.ndarray:
+    """P, n x n int8: the ones column, then per row r of the symbol table
+    the q - 1 differences chi_(r, s) - chi_(r, s + 1) of its lines."""
+    symbol = cert.symbol
+    q, n = symbol.shape[0] - 1, symbol.shape[1]
+    P = np.ones((n, n), dtype=np.int8)
+    for r, row in enumerate(symbol):  # one slope at a time: a q x n indicator
+        ind = (row == np.arange(q)[:, None]).view(np.int8)
+        P[:, 1 + r * (q - 1):1 + (r + 1) * (q - 1)] = (ind[:-1] - ind[1:]).T
+    return P
+
+
 @dataclass
 class WhdCertificate:
     """Weakly Hadamard P with L P = P D for the Laplacian of the graph.
 
-    Column 0 is all ones; the rest are consecutive line-indicator
-    differences, slope by slope (field slopes ascending, infinity last).
-    diagonal records, per column, the exact eigenvalue under the
-    Laplacian L = k I - A.  build_whd certifies every column an
-    eigenvector of A, hence L P = P D; P^T P is a closed form that gives
-    full rank and certifies the natural column order admissible.  matrix
-    holds int8 entries (n^2 bytes, 43 MB at q = 81); cast it to a wider
-    type before any product, or the sums wrap.
+    symbol is the selection's read-only (q + 1) x n symbol table, which
+    fixes P.  matrix, P, is derived from it on first read: column 0 is
+    all ones, the rest are consecutive line-indicator differences, slope
+    by slope (field slopes ascending, infinity last).  diagonal records,
+    per column, the exact eigenvalue under the Laplacian L = k I - A.
+    build_whd certifies every column an eigenvector of A, hence L P = P
+    D; P^T P is a closed form that gives full rank and certifies the
+    natural column order admissible.  P holds int8 entries (n^2 bytes,
+    43 MB at q = 81), built only when read; cast it to a wider type
+    before any product, or the sums wrap.  == compares the diagonal and
+    the used slopes, not the arrays.
     """
-    matrix: np.ndarray
+    symbol: np.ndarray = field(compare=False)
     diagonal: tuple[int, ...]
     used_slopes: tuple[int, ...]
+    matrix: np.ndarray = derived(_whd_matrix, compare=False)
 
 
 def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
@@ -143,22 +160,20 @@ def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
     construction), and a nonsingular one gives full rank.
     """
     verify_isomorphism(x, sel)
-    q, m, n = sel.q, sel.m, x.n
+    q, m = sel.q, sel.m
     k = m * (q - 1)
     thetas = [q - m if r in sel.row_positions else -m for r in range(q + 1)]
-    ind = (sel.symbol[:, None] == np.arange(q)[:, None]).astype(np.int8)  # slope, intercept, vertex
-    diffs = (ind[:, :-1] - ind[:, 1:]).reshape((q + 1) * (q - 1), n)
-    P = np.concatenate([np.ones((n, 1), dtype=np.int8), diffs.T], axis=1)
     diagonal = (0,) + tuple(k - t for t in thetas for _ in range(q - 1))
     used = tuple(sel.ctx.subfield_elements()[r] for r in sel.row_positions)
-    return WhdCertificate(P, diagonal, used)
+    return WhdCertificate(sel.symbol, diagonal, used)
 
 
 def whd_to_csv(cert: WhdCertificate) -> str:
-    """First line the Laplacian diagonal, then the matrix rows."""
+    """First line the Laplacian diagonal, then the matrix rows, each row
+    joined from the strings of its entries -1, 0, 1."""
+    text = np.array(["-1", "0", "1"], dtype=object)
     lines = [",".join(str(d) for d in cert.diagonal)]
-    for row in cert.matrix:
-        lines.append(",".join(str(int(e)) for e in row))
+    lines.extend(",".join(text[row + 1].tolist()) for row in cert.matrix)
     return "\n".join(lines) + "\n"
 
 

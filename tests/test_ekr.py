@@ -1,5 +1,6 @@
 """Canonical cliques, the clique module basis, decompositions, audits."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -16,10 +17,12 @@ import pytest
 import peisert
 from peisert import (
     Graph,
+    cli,
     ekr,
     build_cayley,
     build_counterexample,
     build_ekr_basis,
+    build_whd,
     canonical_cliques,
     canonical_correspondence,
     create,
@@ -543,14 +546,19 @@ def test_line_counts_match_dense_projection_on_survey_graphs():
         assert_matches_dense_projection(r.graph, r.basis, r.audit.cliques, r.decompositions)
 
 
-def test_batch_matches_per_clique_and_dense_projection_at_q19_to_25(monkeypatch):
-    # the m = 2 graphs at q = 19, 23, 25 and the q = 25 subfield-5 graph;
-    # one clique per chunk gives the same list as the default cap
+def q19_to_25_graphs():
+    """The m = 2 graphs at q = 19, 23, 25 and the q = 25 subfield-5 graph,
+    with their selections."""
     cases = [(q, (0, c)) for q, c in ((19, 3), (23, 11), (25, 7))]
     cases.append((25, build_counterexample(create(5, 4), 5).coset_indices))
     for q, idx in cases:
         x = build_cayley(survey.ambient_field(q), idx)
-        sel = subarray_for_connection_set(x.field, idx)
+        yield x, subarray_for_connection_set(x.field, idx)
+
+
+def test_batch_matches_per_clique_and_dense_projection_at_q19_to_25(monkeypatch):
+    # one clique per chunk gives the same list as the default cap
+    for x, sel in q19_to_25_graphs():
         basis = build_ekr_basis(x, sel)
         cliques = strict_ekr_audit(x, sel).cliques
         decs = decompose_cliques(x, basis, cliques)
@@ -644,6 +652,91 @@ def test_decompose_refuses_a_graph_the_basis_was_not_paired_with():
         with pytest.raises(CertificationFailed,
                            match="^graph is not the one the basis was paired with$"):
             decompose_clique(other, basis, clique)
+
+
+# ----- derived fields ----------------------------------------------------------
+
+def basis_matrix_oracle(sel, basis):
+    """B column by column: q chi - 1 of each basis clique's line, the line
+    from field arithmetic by its coset's slope and its intercept."""
+    ctx = sel.ctx
+    row_of = dict(zip(sel.coset_indices, sel.rows))
+    B = np.full((ctx.order, len(basis.basis_cliques)), -1, dtype=np.int64)
+    for j, cl in enumerate(basis.basis_cliques):
+        line = line_oracle(ctx, sel.alpha, slopes(ctx)[row_of[cl.coset]],
+                           ctx.subfield_elements()[cl.intercept])
+        B[list(line), j] = sel.q - 1
+    return B
+
+
+def test_basis_matrix_matches_line_oracle():
+    # the survey graphs, then the m = 2 graphs at q = 19, 23, 25 and the
+    # q = 25 subfield-5 graph; the decompositions' derived values meet
+    # dense_projection on the same graphs in the tests above
+    pairs = [(r.selection, r.basis) for r in run_sweep()]
+    pairs += [(sel, build_ekr_basis(x, sel)) for x, sel in q19_to_25_graphs()]
+    for sel, basis in pairs:
+        assert "matrix" not in vars(basis)
+        B = basis.matrix
+        assert B.dtype == np.int64 and B is basis.matrix
+        assert np.array_equal(B, basis_matrix_oracle(sel, basis))
+
+
+def derived_values(q=5, idx=(0, 1, 3)):
+    """The decomposition of one basis line, its basis and the WHD
+    certificate of one graph, each derived field still unbuilt."""
+    ctx, x, sel = build(q, idx)
+    basis = build_ekr_basis(x, sel)
+    dec = decompose_clique(x, basis, basis.all_cliques[-1].vertices)
+    return x, dec, basis, build_whd(x, sel)
+
+
+def test_derived_fields_keep_a_passed_value():
+    for built in (False, True):
+        x, dec, basis, cert = derived_values()
+        for obj, name in ((dec, "coefficients"), (dec, "histogram"), (dec, "unbalanced"),
+                          (basis, "matrix"), (cert, "matrix")):
+            own = getattr(obj, name) if built else None
+            passed = object()
+            assert getattr(dataclasses.replace(obj, **{name: passed}), name) is passed
+            if built:
+                assert getattr(obj, name) is own
+    x, dec, basis, cert = derived_values()
+    kept = ekr.Decomposition(dec.clique, True, dec.zero_count, dec.counts, coefficients=[1])
+    assert kept.coefficients == [1]
+
+
+def test_derived_fields_compare_by_value():
+    x, dec, basis, cert = derived_values()
+    _, dec2, basis2, cert2 = derived_values()
+    assert dec == dec2 and basis == basis2 and cert == cert2
+    assert dec.coefficients == dec2.coefficients and dec.unbalanced == dec2.unbalanced
+    coeffs = list(dec.coefficients)
+    coeffs[0] += 1
+    assert dataclasses.replace(dec, coefficients=coeffs) != dec
+    lift = dict(dec.unbalanced)
+    lift[next(iter(lift))] += 1
+    assert dataclasses.replace(dec, unbalanced=lift) != dec
+    assert decompose_clique(x, basis, basis.all_cliques[0].vertices) != dec
+    _, _, other_basis, other_cert = derived_values(5, (0, 1, 4))
+    assert other_basis != basis and other_cert != cert
+
+
+def test_survey_builds_no_fractions_or_matrices(monkeypatch, capsys):
+    """peisert survey reads the decomposition count, residual_zero and the
+    WHD diagonal only, so no Fraction and no dense matrix is built."""
+    reports = []
+    sweep = survey.run_sweep
+    monkeypatch.setattr(survey, "run_sweep", lambda *args: reports.extend(sweep(*args)) or reports)
+    assert cli.main(["survey"]) == 0
+    assert '"count": 37' in capsys.readouterr().out
+    assert len(reports) == 37
+    for r in reports:
+        assert "matrix" not in vars(r.basis) and "matrix" not in vars(r.whd_cert)
+        for dec in r.decompositions:
+            assert not {"coefficients", "histogram", "unbalanced"} & set(vars(dec))
+    dec = reports[-1].decompositions[-1]
+    assert dec.coefficients is dec.coefficients and "coefficients" in vars(dec)
 
 
 # ----- audits ------------------------------------------------------------------
@@ -1112,6 +1205,7 @@ def test_corrupted_direct_sum_rejected_under_optimize():
 
 
 SWAPPED_INTERCEPT_SCRIPT = """
+import dataclasses
 from peisert import build_cayley, build_ekr_basis, create, decompose_clique, srg_certify
 from peisert import subarray_for_connection_set
 from peisert.errors import NonZeroResidual
@@ -1122,15 +1216,21 @@ srg_certify(g)
 basis = build_ekr_basis(g, subarray_for_connection_set(ctx, (0, 1, 3)))
 clique = basis.basis_cliques[0].vertices
 decompose_clique(g, basis, clique)
-row = basis.symbol[0]  # two vertices' intercepts swapped in one used row
 u = clique[0]
-w = next(v for v in range(g.n) if row[v] != row[u])
-row[u], row[w] = row[w], row[u]
-try:
-    decompose_clique(g, basis, clique)
-    print("accepted")
-except NonZeroResidual as e:
-    print("rejected", e)
+w = next(v for v in range(g.n) if basis.symbol[0, v] != basis.symbol[0, u])
+try:  # the basis's table takes no write
+    basis.symbol[0, u] = basis.symbol[0, w]
+    print("accepted write")
+except ValueError as e:
+    print("refused write:", e)
+swapped = basis.symbol.copy()  # two vertices' intercepts swapped in one used row
+swapped[0, [u, w]] = swapped[0, [w, u]]
+for b in (dataclasses.replace(basis, symbol=swapped), basis):
+    try:
+        decompose_clique(g, b, clique)
+        print("accepted")
+    except NonZeroResidual as e:
+        print("rejected", e)
 """
 
 
@@ -1166,9 +1266,14 @@ def test_batch_errors_under_optimize():
 
 
 def test_swapped_intercept_rejected_under_optimize():
+    """The basis's symbol table refuses an in-place write; the same swap
+    made on a copy and passed through dataclasses.replace fails the module
+    identity, and the original basis still decomposes the clique."""
     lines = run_optimized(SWAPPED_INTERCEPT_SCRIPT)
-    assert len(lines) == 1
-    assert lines[0].startswith("rejected line counts fail the module identity at vertex ")
+    assert len(lines) == 3
+    assert lines[0] == "refused write: assignment destination is read-only"
+    assert lines[1].startswith("rejected line counts fail the module identity at vertex ")
+    assert lines[2] == "accepted"
 
 
 NON_CLIQUE_LINE_SCRIPT = TABLE_FAULT_PRELUDE + """

@@ -16,6 +16,7 @@ from peisert import (
     check_ordering,
     create,
     is_weakly_hadamard,
+    run_sweep,
     srg_certify,
     subarray_for_connection_set,
     whd_from_csv,
@@ -23,7 +24,14 @@ from peisert import (
 )
 from peisert.errors import BadEntries, NotSquare
 from peisert.whd import nonorthogonality_edges
-from test_ekr import eigenfunction_check, run_optimized
+from test_ekr import (
+    eigenfunction_check,
+    indicator,
+    line_oracle,
+    q19_to_25_graphs,
+    run_optimized,
+    slopes,
+)
 
 
 def brute_weakly_hadamard(matrix) -> bool:
@@ -208,6 +216,31 @@ def test_whd_full_m_equals_q():
     for d in cert.diagonal:
         tally[d] = tally.get(d, 0) + 1
     assert tally == {0: 1, 6: 6, 9: 2}  # k = 6, q - m = 0
+
+
+def whd_matrix_oracle(sel):
+    """P from the line indicators: the ones column, then per slope
+    (field slopes ascending, infinity last) the differences of
+    consecutive intercepts' lines, each line from field arithmetic."""
+    ctx = sel.ctx
+    cols = [np.ones(ctx.order, dtype=np.int64)]
+    for slope in slopes(ctx):
+        chi = [np.array(indicator(line_oracle(ctx, sel.alpha, slope, delta), ctx.order))
+               for delta in ctx.subfield_elements()]
+        cols.extend(a - b for a, b in zip(chi, chi[1:]))
+    return np.column_stack(cols)
+
+
+def test_whd_matrix_matches_line_indicator_oracle():
+    # the survey graphs, the m = 2 graphs at q = 19, 23, 25 and the q = 25
+    # subfield-5 graph
+    pairs = [(r.selection, r.whd_cert) for r in run_sweep()]
+    pairs += [(sel, build_whd(x, sel)) for x, sel in q19_to_25_graphs()]
+    for sel, cert in pairs:
+        assert "matrix" not in vars(cert)
+        P = cert.matrix
+        assert P.dtype == np.int8 and P is cert.matrix
+        assert np.array_equal(P, whd_matrix_oracle(sel))
 
 
 def test_whd_csv_round_trip():

@@ -12,13 +12,13 @@ again; a decomposition checks by N(0) that its graph is the paired one.
 Everything is exact.  Basis columns are stored as the integer
 vectors q*chi - 1, with no n x n product.  Decompositions are batched:
 decompose_cliques reads every clique's line counts c_L = |L & C| with one
-bincount and certifies them by one integer identity per vertex, checked
-by one gather per chunk of cliques; decompose_clique is the batch of one.
-Summed over C, the identity is the pair count sum_L c_L (c_L - 1) =
-q (q - 1), which holds iff C is a clique, so no per-clique bitset walk
-runs.  A decomposition keeps its integer count table; the only
-rational steps, the divisions by q and by q m, run when a reader first
-asks for its coefficients, histogram or lift.
+bincount per chunk of cliques; decompose_clique is the batch of one.  The
+pair count P = sum_L c_L (c_L - 1) is the one certificate: the module
+identity's residual r has sum_v r(v)^2 = q (q (q - 1) - P) by three facts
+_plane certifies once per selection (lines of different used rows meet
+once, every line has q points, two points share at most one used line),
+and P = q (q - 1) iff C is a clique.  A decomposition keeps its integer
+count table; the Fractions are built when a reader asks.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .graphs import (
     build_cayley,
     color_classes,
     is_clique,
-    is_maximal_clique,
     srg_certify,
     transversal_cliques,
 )
@@ -61,7 +60,7 @@ from .oa import (
     verify_isomorphism,
 )
 
-_GATHER_BYTES = 4 << 20  # cap on one chunk's (cliques, m, n) int64 gather in decompose_cliques
+_GATHER_BYTES = 4 << 20  # cap on one chunk's (cliques, q, m) keys and (cliques, m q) counts
 
 
 class CanonicalClique(NamedTuple):
@@ -105,38 +104,44 @@ class EkrBasis:
     """Balanced indicators of the canonical cliques missing the base
     vertex 0.
 
-    symbol holds the m used rows of the selection's symbol table in
-    coset order, read-only: symbol[b, v] is the intercept of the class-b
-    line through v.  matrix, derived from symbol on first read, holds the
-    columns q*chi - 1 (so column / q is the balanced indicator), ordered
-    by (coset, intercept).  build_ekr_basis certifies them eigenvectors
-    at q - m; their Gram matrix is I_m (x) q^2 (q I - J), so they are
-    orthogonal across parallel classes and of full column rank m*(q -
-    1).  base_neighbors is N(0), as a bitset, of the graph the basis was
-    paired with.  line_keys holds (coset, intercept) of all_cliques, the
-    keys of every Decomposition.unbalanced.  The line tables that
-    decompose_cliques reads (lines, at_base, off_base) are built once
-    from symbol, and every decomposition against the basis shares its
-    Fraction memos coeff_of, t -> t / q, and lift_of, k -> k / (q m);
-    they are caches, not fields.
+    selection is the certified SubarraySelection the basis was built
+    from.  symbol, its m used rows in coset order, read-only (symbol[b,
+    v] is the intercept of the class-b line through v), and the tables
+    decompose_cliques reads, lines[v, b] = b q + symbol[b, v], at_base
+    and off_base, are built from it once.  The identity sum_v r(v)^2 = q
+    (q (q - 1) - P) (decompose_cliques) needs lines of different used
+    rows to meet once, every line to have q points and two points to
+    share at most one used line; _plane certified all three when it
+    built the selection's table, so a basis holds no uncertified table
+    and certifies none again.  matrix, derived from symbol on first
+    read, holds the columns q*chi - 1 (so column / q is the balanced
+    indicator), ordered by (coset, intercept).  build_ekr_basis
+    certifies them eigenvectors at q - m; their Gram matrix is I_m (x)
+    q^2 (q I - J), so they are orthogonal across parallel classes and of
+    full column rank m*(q - 1).  base_neighbors is N(0), as a bitset, of
+    the graph the basis was paired with.  line_keys holds (coset,
+    intercept) of all_cliques, the keys of every
+    Decomposition.unbalanced.  Every decomposition against the basis
+    shares its Fraction memos coeff_of, t -> t / q, and lift_of, k -> k
+    / (q m).  The tables and memos are not fields.
     """
     base_vertex: int
     q: int
     m: int
     all_cliques: list[CanonicalClique]
     basis_cliques: list[CanonicalClique]
-    symbol: np.ndarray = field(compare=False)
+    selection: SubarraySelection = field(compare=False)
     rank: int
     base_neighbors: int
     line_keys: tuple[tuple[int, int], ...]
     matrix: np.ndarray = derived(_basis_matrix, compare=False)
 
     def __post_init__(self):
-        q, m = self.q, self.m
-        symbol = read_only(self.symbol)
+        q, m, sel = self.q, self.m, self.selection
+        symbol = read_only(sel.symbol[list(sel.rows)])
         at_base = symbol[:, self.base_vertex]
         for name, value in (("symbol", symbol),
-                            ("lines", symbol + q * np.arange(m)[:, None]),  # b q + intercept
+                            ("lines", np.ascontiguousarray((symbol + q * np.arange(m)[:, None]).T)),
                             ("at_base", at_base),
                             ("off_base", np.arange(q) != at_base[:, None]),
                             ("coeff_of", _Fractions(q)), ("lift_of", _Fractions(q * m))):
@@ -162,8 +167,8 @@ def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
     q, m = sel.q, sel.m
     cliques = canonical_cliques(sel)
     basis_cliques = [cl for cl in cliques if 0 not in cl.vertices]
-    return EkrBasis(0, q, m, cliques, basis_cliques, sel.symbol[list(sel.rows)], m * (q - 1),
-                    x.adj[0], tuple((cl.coset, cl.intercept) for cl in cliques))
+    return EkrBasis(0, q, m, cliques, basis_cliques, sel, m * (q - 1), x.adj[0],
+                    tuple((cl.coset, cl.intercept) for cl in cliques))
 
 
 def _shifted_counts(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -245,23 +250,27 @@ def decompose_cliques(x: Graph, basis: EkrBasis,
     w = q chi_C - 1, B^T w = q^2 (c_L - 1); the certified Gram matrix
     inverts per class to (I + J) / q^3, and each class's counts sum to q,
     so the projection has b_L = (c_L - c_{L_b}) / q.  As (B b)(v) =
-    sum_b c_{L_b(v)} - m, the residual is zero iff every vertex v has
-    sum_b c_{L_b(v)} = q [v in C] + m - 1 (NonZeroResidual otherwise).
-    Each chunk of cliques takes one bincount for all its count tables and
-    one gather for the identity, the gather capped at _GATHER_BYTES.  The
-    identity also makes the unbalanced lift chi_C = sum_L (u + b_L) chi_L
-    exact, with u = (1 - m + sum_b c_{L_b}) / (q m).
+    sum_b c_{L_b(v)} - m, the projection is exact iff the residual r(v) =
+    sum_b c_{L_b(v)} - q [v in C] - (m - 1) is zero at every vertex, and
+    then so is the unbalanced lift chi_C = sum_L (u + b_L) chi_L, with
+    u = (1 - m + sum_b c_{L_b}) / (q m).
 
-    Summed over the q vertices of C, the identity reads sum_L c_L (c_L -
-    1) = q (q - 1) over the used lines: the ordered pairs of C that share
-    a used line.  Distinct points share at most one line (strength 2)
-    and two vertices of the paired graph are adjacent iff they share a
-    used line, so that holds iff C is a clique, and no bitset walk runs;
-    a q-clique is maximum, as the certified q-coloring gives omega <= q.
-    The counts speak through the line table, so a clique that fails the
-    pair count is checked against x's own adjacency: a set that is not a
-    clique of x is NotMaximumClique (the caller's error), a clique of x
-    means the table is not the paired one (NonZeroResidual).
+    The pair count P = sum_L c_L (c_L - 1) decides that identity: with
+    s(v) = sum_b c_{L_b(v)}, the three facts _plane certified for the
+    selection's table (lines of different used rows meet once, every
+    line has q points, two points share at most one used line) give
+    sum_v s = m q^2, sum_{v in C} s = P + m q and sum_v s^2 = q (P + m q)
+    + m (m - 1) q^2, so sum_v r(v)^2 = q (q (q - 1) - P).  P counts the
+    ordered pairs of C on a used line, and the paired graph joins two
+    vertices iff they share one, so P = q (q - 1) iff C is a clique; a
+    q-clique is maximum, as the certified q-coloring gives omega <= q.
+    One bincount per chunk of cliques, its (cliques, q, m) keys and
+    (cliques, m q) counts capped at _GATHER_BYTES, reads every count
+    table; no array spans the n vertices.  A clique that fails the pair
+    count is checked against x's own adjacency: a non-clique of x is
+    NotMaximumClique (the caller's error); a clique of x means the table
+    is not the paired one, NonZeroResidual at the first v in C with s(v)
+    != q + m - 1, which exists as sum_{v in C} r(v) = P - q (q - 1).
 
     The first clique that fails raises the error decompose_clique raises
     on it.  CertificationFailed unless x has its field, n vertices and
@@ -286,23 +295,21 @@ def decompose_cliques(x: Graph, basis: EkrBasis,
         sets.append(cl)
 
     lines = basis.lines
-    step = max(1, _GATHER_BYTES // (8 * m * n))
+    step = max(1, _GATHER_BYTES // (8 * m * q))
     out = []
     for lo in range(0, len(sets), step):
         chunk = sets[lo:lo + step]
-        members = np.array(chunk, dtype=np.int64)
-        rows = np.arange(len(chunk))[:, None]
-        counts = np.bincount((lines.T[members] + m * q * rows[:, :, None]).ravel(),
-                             minlength=len(chunk) * m * q).reshape(len(chunk), m * q)
-        resid = counts[:, lines].sum(axis=1) - (m - 1)
-        resid[rows, members] -= q
-        failed = np.flatnonzero(resid.any(axis=1))
+        keys = lines[np.array(chunk)]  # (cliques, q, m)
+        keys += m * q * np.arange(len(chunk))[:, None, None]
+        counts = np.bincount(keys.ravel(), minlength=len(chunk) * m * q).reshape(len(chunk), m * q)
+        failed = np.flatnonzero((counts * (counts - 1)).sum(axis=1) != q * (q - 1))
         if failed.size:
-            i = failed[0]
-            if (counts[i] * (counts[i] - 1)).sum() != q * (q - 1) and not is_clique(x, chunk[i]):
-                raise NotMaximumClique(f"{chunk[i]} is not a maximum clique (|C| must be {q})")
+            cl, c = chunk[failed[0]], counts[failed[0]]
+            if not is_clique(x, cl):
+                raise NotMaximumClique(f"{cl} is not a maximum clique (|C| must be {q})")
+            seen = c[lines[list(cl)]].sum(axis=1)  # sum_b c_{L_b(v)}, v in C
             raise NonZeroResidual("line counts fail the module identity at vertex "
-                                  f"{np.flatnonzero(resid[i])[0]}")
+                                  f"{cl[np.flatnonzero(seen != q + m - 1)[0]]}")
 
         table = read_only(counts.astype(np.int16).reshape(len(chunk), m, q))
         base = table[:, np.arange(m), basis.at_base]  # c_{L_b}
@@ -484,15 +491,15 @@ def build_counterexample(ctx: FieldCtx, subfield_order: int) -> Counterexample:
     """The subfield clique C (subfield_clique) as a non-canonical maximum
     clique of the graph on the cosets it meets.
 
-    Verifies, beyond subfield_clique: C is a maximal clique meeting
-    the Hoffman bound q, and C differs from every canonical clique.
+    Verifies, beyond subfield_clique: C is a clique meeting the Hoffman
+    bound q, so a maximum one, and C differs from every canonical clique.
     """
     q = ctx.subfield_order
     t, clique, indices = subfield_clique(ctx, subfield_order)
     g = build_cayley(ctx, indices)
     params = srg_certify(g)
-    if not is_maximal_clique(g, clique):
-        raise NotMaximumClique("subfield clique is not even maximal")
+    if not is_clique(g, clique):
+        raise NotMaximumClique("subfield clique is not a clique")
     if params.hoffman_bound() != q:  # |C| = q meets the bound, so C is maximum
         raise CertificationFailed(f"Hoffman bound {params.hoffman_bound()} != {q}")
 

@@ -355,16 +355,6 @@ def is_clique(g: Graph, vertices: Sequence[int]) -> bool:
     return all((g.adj[v] & mask).bit_count() == len(vertices) - 1 for v in vertices)
 
 
-def is_maximal_clique(g: Graph, vertices: Sequence[int]) -> bool:
-    if not is_clique(g, vertices):
-        return False
-    mask = _mask_of(vertices)
-    common = (1 << g.n) - 1
-    for v in vertices:
-        common &= g.adj[v]
-    return common & ~mask == 0
-
-
 # ----- clique search ------------------------------------------------------
 
 class _Deadline:

@@ -43,8 +43,11 @@ def _as_matrix(matrix) -> np.ndarray:
 
 
 def nonorthogonality_edges(matrix: np.ndarray) -> list[tuple[int, int]]:
-    """Column pairs (i, j), i < j, with a nonzero inner product, row-major."""
-    i, j = np.nonzero(np.triu(matrix.T @ matrix, 1))
+    """Column pairs (i, j), i < j, with a nonzero inner product, row-major.
+    The Gram runs in float64 BLAS (numpy has none for integers), exactly:
+    entries in {-1, 0, 1} bound every partial sum by the row count, << 2^53."""
+    a = matrix.astype(np.float64)
+    i, j = np.nonzero(np.triu(a.T @ a, 1))
     return list(zip(i.tolist(), j.tolist()))
 
 

@@ -43,6 +43,7 @@ from peisert.errors import (
     CorrespondenceFailed,
     IndexOutOfRange,
     LengthMismatch,
+    NonZeroResidual,
     NotIsomorphicUnderF,
     NotMaximumClique,
     NotProperSubfield,
@@ -51,7 +52,8 @@ from peisert.errors import (
     SearchTimeout,
     VerificationFailed,
 )
-from peisert.graphs import _Deadline, _bits, _mask_of, _translates, color_classes, transversal_cliques
+from peisert.graphs import (_Deadline, _bits, _mask_of, _translates, color_classes, is_clique,
+                            transversal_cliques)
 from peisert.oa import INFINITY_SLOPE, _certify_strength_two, _subfield_ranks
 
 PINNED81 = (-1, 0, 0, -1, 1)
@@ -654,6 +656,91 @@ def test_decompose_refuses_a_graph_the_basis_was_not_paired_with():
             decompose_clique(other, basis, clique)
 
 
+def module_identity_oracle(basis, sets):
+    """The module identity at every vertex, by one (sets, m, n) gather per
+    32 sets, as decompose_cliques checked it before the pair count: the
+    (sets, m q) count tables c_L = |L & C| over the basis's selection and
+    the residuals r(v) = sum_b c_{L_b(v)} - q [v in C] - (m - 1)."""
+    q, m, sel = basis.q, basis.m, basis.selection
+    lines = sel.symbol[list(sel.rows)] + q * np.arange(m)[:, None]
+    out = []
+    for lo in range(0, len(sets), 32):
+        members = np.array(sets[lo:lo + 32], dtype=np.int64)
+        rows = np.arange(len(members))[:, None]
+        counts = np.bincount((lines.T[members] + m * q * rows[:, :, None]).ravel(),
+                             minlength=len(members) * m * q).reshape(len(members), m * q)
+        resid = counts[:, lines].sum(axis=1) - (m - 1)
+        resid[rows, members] -= q
+        out.append((counts, resid))
+    return np.concatenate([c for c, _ in out]), np.concatenate([r for _, r in out])
+
+
+def identity_cases():
+    """(graph, selection, audited maximum cliques): the 37 survey graphs
+    (m = 1 among them), the m = 2 graphs at q = 19, 23, 25, the q = 25
+    subfield-5 graph and q = 49 with m = 13."""
+    for r in run_sweep():
+        yield r.graph, r.selection, r.audit.cliques
+    ctx = survey.ambient_field(49)
+    graphs = [*q19_to_25_graphs(), (build_cayley(ctx, tuple(range(13))),
+                                    subarray_for_connection_set(ctx, tuple(range(13))))]
+    for x, sel in graphs:
+        yield x, sel, strict_ekr_audit(x, sel).cliques
+
+
+def test_pair_count_decides_the_module_identity():
+    """Against the per-vertex oracle: sum_v r(v)^2 = q (q (q - 1) - P) for
+    every set, with P the pair count of the oracle's table, and
+    decompose_cliques accepts a q-set exactly when r is zero, with the
+    oracle's table; a rejected set is no clique.  The sets are every
+    audited maximum clique, seeded random q-sets and canonical cliques
+    with one vertex moved off.  Over a certified selection of other
+    cosets, which x was not paired with, a clique of x passes exactly
+    when r is zero, and NonZeroResidual names the first v in C with r(v)
+    != 0."""
+    rng = np.random.default_rng(2024)
+    graphs_checked = sets_checked = residuals_named = 0
+    for x, sel, cliques in identity_cases():
+        basis = build_ekr_basis(x, sel)
+        q, m, n = basis.q, basis.m, x.n
+        sets = [tuple(c) for c in cliques]
+        sets += [tuple(sorted(rng.choice(n, q, replace=False).tolist())) for _ in range(16)]
+        for j in rng.choice(len(basis.all_cliques), 16):
+            line = basis.all_cliques[j].vertices
+            off = rng.choice(np.setdiff1d(np.arange(n), line))
+            sets.append(tuple(sorted(line[1:] + (int(off),))))
+        counts, resid = module_identity_oracle(basis, sets)
+        pairs = (counts * (counts - 1)).sum(axis=1)
+        assert np.array_equal((resid ** 2).sum(axis=1), q * (q * (q - 1) - pairs))
+        zero = ~resid.any(axis=1)
+        assert zero[:len(cliques)].all()
+        decs = decompose_cliques(x, basis, [c for c, z in zip(sets, zero) if z])
+        assert [d.clique for d in decs] == [c for c, z in zip(sets, zero) if z]
+        assert all(np.array_equal(d.counts.ravel(), c) for d, c in zip(decs, counts[zero]))
+        for c in (c for c, z in zip(sets, zero) if not z):
+            with pytest.raises(NotMaximumClique):
+                decompose_clique(x, basis, c)
+            assert not is_clique(x, c)
+        sets_checked += len(sets)
+
+        other = tuple(sorted((i + 1) % (q + 1) for i in sel.coset_indices))
+        if q <= 25 and set(range(1, q + 1)) - set(other):
+            moved = dataclasses.replace(basis, selection=subarray_for_connection_set(x.field, other))
+            counts, resid = module_identity_oracle(moved, cliques)
+            for c, r in zip(cliques, resid):
+                if not r.any():
+                    assert decompose_clique(x, moved, c).residual_zero
+                    continue
+                v = next(v for v in c if r[v])
+                with pytest.raises(NonZeroResidual,
+                                   match=f"^line counts fail the module identity at vertex {v}$"):
+                    decompose_clique(x, moved, c)
+                residuals_named += 1
+        graphs_checked += 1
+    assert (graphs_checked, sets_checked) == (37 + 4 + 1, 1942 + 42 * 32)
+    assert residuals_named > 900
+
+
 # ----- derived fields ----------------------------------------------------------
 
 def basis_matrix_oracle(sel, basis):
@@ -1215,7 +1302,7 @@ g = build_cayley(ctx, (0, 1, 3))
 srg_certify(g)
 basis = build_ekr_basis(g, subarray_for_connection_set(ctx, (0, 1, 3)))
 clique = basis.basis_cliques[0].vertices
-decompose_clique(g, basis, clique)
+print("clique", *clique)
 u = clique[0]
 w = next(v for v in range(g.n) if basis.symbol[0, v] != basis.symbol[0, u])
 try:  # the basis's table takes no write
@@ -1225,7 +1312,13 @@ except ValueError as e:
     print("refused write:", e)
 swapped = basis.symbol.copy()  # two vertices' intercepts swapped in one used row
 swapped[0, [u, w]] = swapped[0, [w, u]]
-for b in (dataclasses.replace(basis, symbol=swapped), basis):
+try:  # the table is read from a selection, never passed in
+    dataclasses.replace(basis, symbol=swapped)
+    print("accepted table")
+except TypeError:
+    print("refused table")
+other = subarray_for_connection_set(ctx, (1, 2, 4))  # certified, but not paired with g
+for b in (dataclasses.replace(basis, selection=other), basis):
     try:
         decompose_clique(g, b, clique)
         print("accepted")
@@ -1266,14 +1359,19 @@ def test_batch_errors_under_optimize():
 
 
 def test_swapped_intercept_rejected_under_optimize():
-    """The basis's symbol table refuses an in-place write; the same swap
-    made on a copy and passed through dataclasses.replace fails the module
-    identity, and the original basis still decomposes the clique."""
+    """The basis's symbol table refuses an in-place write, and the basis
+    takes no table but its selection's, which _plane certified.  A
+    certified selection of other cosets, which g was not paired with,
+    fails the module identity at a vertex of the clique, and the
+    original basis still decomposes the clique."""
     lines = run_optimized(SWAPPED_INTERCEPT_SCRIPT)
-    assert len(lines) == 3
-    assert lines[0] == "refused write: assignment destination is read-only"
-    assert lines[1].startswith("rejected line counts fail the module identity at vertex ")
-    assert lines[2] == "accepted"
+    assert len(lines) == 5
+    clique = lines[0].split()[1:]
+    assert lines[1] == "refused write: assignment destination is read-only"
+    assert lines[2] == "refused table"
+    prefix = "rejected line counts fail the module identity at vertex "
+    assert lines[3].startswith(prefix) and lines[3].removeprefix(prefix) in clique
+    assert lines[4] == "accepted"
 
 
 NON_CLIQUE_LINE_SCRIPT = TABLE_FAULT_PRELUDE + """

@@ -3,22 +3,23 @@ from their balanced indicators, exact decompositions, strict audits, and
 subfield counterexamples.
 
 Each certificate takes the graph and its oa.SubarraySelection, which
-carries the field, the cosets, q, m and the certified, read-only line
-table, and is never rebuilt here.  The basis and the audit first run
-oa.verify_isomorphism, the one check that pairs the graph with the
-selection; what it implies, the line eigenvalues, the spectrum
+carries the field, the cosets, q, m, N(0) and the certified, read-only
+line table, and is never rebuilt here.  The basis and the audit first
+run oa.verify_isomorphism, and a decomposition runs the same oa.is_paired
+check against its basis's selection: that one check pairs the graph with
+the selection, and what it implies, the line eigenvalues, the spectrum
 {k, q - m, -m} and the proper unused-slope coloring, is not checked
-again; a decomposition checks by N(0) that its graph is the paired one.
-Everything is exact.  Basis columns are stored as the integer
-vectors q*chi - 1, with no n x n product.  Decompositions are batched:
-decompose_cliques reads every clique's line counts c_L = |L & C| with one
-bincount per chunk of cliques; decompose_clique is the batch of one.  The
-pair count P = sum_L c_L (c_L - 1) is the one certificate: the module
-identity's residual r has sum_v r(v)^2 = q (q (q - 1) - P) by three facts
-_plane certifies once per selection (lines of different used rows meet
-once, every line has q points, two points share at most one used line),
-and P = q (q - 1) iff C is a clique.  A decomposition keeps its integer
-count table; the Fractions are built when a reader asks.
+again.  An EkrBasis is built from its selection alone.  Everything is
+exact.  Basis columns are stored as the integer vectors q*chi - 1, with
+no n x n product.  Decompositions are batched: decompose_cliques reads
+every clique's line counts c_L = |L & C| with one bincount per chunk of
+cliques; decompose_clique is the batch of one.  The pair count P = sum_L
+c_L (c_L - 1) is the one certificate: the module identity's residual r
+has sum_v r(v)^2 = q (q (q - 1) - P) by three facts _plane certifies
+once per selection (lines of different used rows meet once, every line
+has q points, two points share at most one used line), and on the paired
+graph P = q (q - 1) iff C is a clique.  A decomposition keeps its
+integer count table; the Fractions are built when a reader asks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .errors import (
     CanonicalAfterAll,
     CertificationFailed,
     IndexOutOfRange,
-    NonZeroResidual,
     NotMaximumClique,
     NotProperSubfield,
     VerificationFailed,
@@ -55,6 +55,7 @@ from .graphs import (
 )
 from .oa import (
     SubarraySelection,
+    is_paired,
     subarray_for_connection_set,
     unused_slope_coloring,
     verify_isomorphism,
@@ -102,73 +103,73 @@ def _basis_matrix(basis: EkrBasis) -> np.ndarray:
 @dataclass(frozen=True)
 class EkrBasis:
     """Balanced indicators of the canonical cliques missing the base
-    vertex 0.
+    vertex 0, built from the certified SubarraySelection alone.
 
-    selection is the certified SubarraySelection the basis was built
-    from.  symbol, its m used rows in coset order, read-only (symbol[b,
-    v] is the intercept of the class-b line through v), and the tables
-    decompose_cliques reads, lines[v, b] = b q + symbol[b, v], at_base
-    and off_base, are built from it once.  The identity sum_v r(v)^2 = q
-    (q (q - 1) - P) (decompose_cliques) needs lines of different used
-    rows to meet once, every line to have q points and two points to
-    share at most one used line; _plane certified all three when it
-    built the selection's table, so a basis holds no uncertified table
-    and certifies none again.  matrix, derived from symbol on first
-    read, holds the columns q*chi - 1 (so column / q is the balanced
-    indicator), ordered by (coset, intercept).  build_ekr_basis
-    certifies them eigenvectors at q - m; their Gram matrix is I_m (x)
-    q^2 (q I - J), so they are orthogonal across parallel classes and of
-    full column rank m*(q - 1).  base_neighbors is N(0), as a bitset, of
-    the graph the basis was paired with.  line_keys holds (coset,
-    intercept) of all_cliques, the keys of every
-    Decomposition.unbalanced.  Every decomposition against the basis
-    shares its Fraction memos coeff_of, t -> t / q, and lift_of, k -> k
-    / (q m).  The tables and memos are not fields.
+    Every other field is derived from selection in __post_init__, so
+    none can disagree with it or be passed to dataclasses.replace:
+    all_cliques and basis_cliques (canonical_cliques), q, m, rank m (q -
+    1) and line_keys, the (coset, intercept) of all_cliques, which key
+    every Decomposition.unbalanced.  So are symbol, the m used rows in
+    coset order, read-only (symbol[b, v] is the intercept of the class-b
+    line through v), and the tables decompose_cliques reads, lines[v, b]
+    = b q + symbol[b, v], at_base and off_base.  The identity sum_v
+    r(v)^2 = q (q (q - 1) - P) (decompose_cliques) needs lines of
+    different used rows to meet once, every line to have q points and
+    two points to share at most one used line; _plane certified all
+    three when it built the selection's table, so a basis holds no
+    uncertified table and certifies none again.  matrix, derived from
+    symbol on first read, holds the columns q*chi - 1 (so column / q is
+    the balanced indicator), ordered by (coset, intercept).
+    build_ekr_basis certifies them eigenvectors at q - m; their Gram
+    matrix is I_m (x) q^2 (q I - J), so they are orthogonal across
+    parallel classes and of full column rank m*(q - 1).  Decompositions
+    against the basis share its Fraction memos coeff_of, t -> t / q, and
+    lift_of, k -> k / (q m).  The tables and memos are not fields.
     """
-    base_vertex: int
-    q: int
-    m: int
-    all_cliques: list[CanonicalClique]
-    basis_cliques: list[CanonicalClique]
     selection: SubarraySelection = field(compare=False)
-    rank: int
-    base_neighbors: int
-    line_keys: tuple[tuple[int, int], ...]
     matrix: np.ndarray = derived(_basis_matrix, compare=False)
+    base_vertex: int = field(init=False)
+    q: int = field(init=False)
+    m: int = field(init=False)
+    all_cliques: list[CanonicalClique] = field(init=False)
+    basis_cliques: list[CanonicalClique] = field(init=False)
+    rank: int = field(init=False)
+    line_keys: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
-        q, m, sel = self.q, self.m, self.selection
+        sel = self.selection
+        q, m = sel.q, sel.m
+        cliques = canonical_cliques(sel)
         symbol = read_only(sel.symbol[list(sel.rows)])
-        at_base = symbol[:, self.base_vertex]
-        for name, value in (("symbol", symbol),
+        at_base = symbol[:, 0]
+        for name, value in (("base_vertex", 0), ("q", q), ("m", m), ("rank", m * (q - 1)),
+                            ("all_cliques", cliques),
+                            ("basis_cliques", [cl for cl in cliques if 0 not in cl.vertices]),
+                            ("line_keys", tuple((cl.coset, cl.intercept) for cl in cliques)),
+                            ("symbol", symbol), ("at_base", at_base),
                             ("lines", np.ascontiguousarray((symbol + q * np.arange(m)[:, None]).T)),
-                            ("at_base", at_base),
                             ("off_base", np.arange(q) != at_base[:, None]),
                             ("coeff_of", _Fractions(q)), ("lift_of", _Fractions(q * m))):
             object.__setattr__(self, name, value)
 
 
 def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
-    """Assemble and certify the clique eigenspace basis.
+    """Certify the clique eigenspace basis of x: verify_isomorphism(x,
+    sel), then EkrBasis(sel).
 
-    verify_isomorphism pairs x with sel, which gives A chi_L = (m - 1) 1
-    + (q - m) chi_L on every used line L: so A B = (q - m) B, the
-    canonical cliques are cliques, and A has spectrum {k, q - m, -m}.
-    Each strength-2 row partitions the vertices, so each class has one
-    line through the base vertex.  B^T B =
-    I_m (x) q^2 (q I - J), entry q^2 (|L & L'| - 1), is fixed by three
-    certified facts: the full array has strength 2 (lines of different
-    slopes meet once), the column -> vertex map is a bijection (each
-    line has q vertices), and each row partitions the plane (lines of
-    one slope are disjoint).  It is nonsingular, so B has full column
+    The pairing gives A chi_L = (m - 1) 1 + (q - m) chi_L on every used
+    line L: so A B = (q - m) B, the canonical cliques are cliques, and A
+    has spectrum {k, q - m, -m}.  Each strength-2 row partitions the
+    vertices, so each class has one line through the base vertex.  B^T
+    B = I_m (x) q^2 (q I - J), entry q^2 (|L & L'| - 1), is fixed by
+    three certified facts: the full array has strength 2 (lines of
+    different slopes meet once), the column -> vertex map is a bijection
+    (each line has q vertices), and each row partitions the plane (lines
+    of one slope are disjoint).  It is nonsingular, so B has full column
     rank m (q - 1) and spans every difference chi_base - chi_other.
     """
     verify_isomorphism(x, sel)
-    q, m = sel.q, sel.m
-    cliques = canonical_cliques(sel)
-    basis_cliques = [cl for cl in cliques if 0 not in cl.vertices]
-    return EkrBasis(0, q, m, cliques, basis_cliques, sel, m * (q - 1), x.adj[0],
-                    tuple((cl.coset, cl.intercept) for cl in cliques))
+    return EkrBasis(sel)
 
 
 def _shifted_counts(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -262,25 +263,22 @@ def decompose_cliques(x: Graph, basis: EkrBasis,
     sum_v s = m q^2, sum_{v in C} s = P + m q and sum_v s^2 = q (P + m q)
     + m (m - 1) q^2, so sum_v r(v)^2 = q (q (q - 1) - P).  P counts the
     ordered pairs of C on a used line, and the paired graph joins two
-    vertices iff they share one, so P = q (q - 1) iff C is a clique; a
-    q-clique is maximum, as the certified q-coloring gives omega <= q.
-    One bincount per chunk of cliques, its (cliques, q, m) keys and
-    (cliques, m q) counts capped at _GATHER_BYTES, reads every count
-    table; no array spans the n vertices.  A clique that fails the pair
-    count is checked against x's own adjacency: a non-clique of x is
-    NotMaximumClique (the caller's error); a clique of x means the table
-    is not the paired one, NonZeroResidual at the first v in C with s(v)
-    != q + m - 1, which exists as sum_{v in C} r(v) = P - q (q - 1).
+    vertices iff they share one, so P = q (q - 1) iff C is a clique of
+    x; a q-clique is maximum, as the certified q-coloring gives omega <=
+    q.  A set that fails the pair count is therefore no clique of x, and
+    raises NotMaximumClique.  One bincount per chunk of cliques, its
+    (cliques, q, m) keys and (cliques, m q) counts capped at
+    _GATHER_BYTES, reads every count table; no array spans the n
+    vertices.
 
     The first clique that fails raises the error decompose_clique raises
-    on it.  CertificationFailed unless x has its field, n vertices and
-    N(0) = basis.base_neighbors: that fixes x as the paired graph
-    (Graph.cayley).  Each Decomposition keeps its count table, as int16
-    (c_L <= q <= 1024), and its zero count; the Fractions are built only
-    when a reader asks for them.
+    on it.  CertificationFailed unless x passes oa.is_paired against
+    basis.selection, the check build_ekr_basis ran.  Each Decomposition
+    keeps its count table, as int16 (c_L <= q <= 1024), and its zero
+    count; the Fractions are built only when a reader asks for them.
     """
     q, m, n = basis.q, basis.m, x.n
-    if x.field is None or n != basis.symbol.shape[1] or x.adj[0] != basis.base_neighbors:
+    if not is_paired(x, basis.selection):
         raise CertificationFailed("graph is not the one the basis was paired with")
     sets, refused = [], None
     for clique in cliques:
@@ -304,12 +302,7 @@ def decompose_cliques(x: Graph, basis: EkrBasis,
         counts = np.bincount(keys.ravel(), minlength=len(chunk) * m * q).reshape(len(chunk), m * q)
         failed = np.flatnonzero((counts * (counts - 1)).sum(axis=1) != q * (q - 1))
         if failed.size:
-            cl, c = chunk[failed[0]], counts[failed[0]]
-            if not is_clique(x, cl):
-                raise NotMaximumClique(f"{cl} is not a maximum clique (|C| must be {q})")
-            seen = c[lines[list(cl)]].sum(axis=1)  # sum_b c_{L_b(v)}, v in C
-            raise NonZeroResidual("line counts fail the module identity at vertex "
-                                  f"{cl[np.flatnonzero(seen != q + m - 1)[0]]}")
+            raise NotMaximumClique(f"{chunk[failed[0]]} is not a maximum clique (|C| must be {q})")
 
         table = read_only(counts.astype(np.int16).reshape(len(chunk), m, q))
         base = table[:, np.arange(m), basis.at_base]  # c_{L_b}

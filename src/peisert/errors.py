@@ -126,10 +126,6 @@ class CorrespondenceFailed(PeisertError):
     """A line clique and its coset clique disagree under the correspondence."""
 
 
-class NonZeroResidual(PeisertError):
-    """An exact linear solve left a nonzero residual."""
-
-
 class CanonicalAfterAll(PeisertError):
     """A clique constructed to be non-canonical matched a coset clique."""
 

@@ -361,6 +361,8 @@ class _Deadline:
     __slots__ = ("t",)
 
     def __init__(self, budget: Optional[float]):
+        if budget is not None and math.isnan(budget):  # NaN compares false, so never expires
+            raise ValueError("budget is not a number of seconds")
         if budget is not None and budget <= 0:
             raise SearchTimeout("zero budget")
         self.t = None if budget is None else time.monotonic() + budget
@@ -438,10 +440,13 @@ def enumerate_max_cliques(g: Graph,
     """All cliques of maximum size, or of size exactly `target`.
 
     Deterministic: the result is lexicographically sorted.  Without a
-    target, branch and bound first finds the clique number.  Raises
+    target, branch and bound first finds the clique number; a target
+    above n gives no cliques.  Raises ValueError for a target below 1,
     IndexOutOfRange for a through_vertex outside [0, n), and SearchTimeout
     if the budget runs out; no partial output is returned.
     """
+    if target is not None and target < 1:
+        raise ValueError(f"clique size target {target} is not positive")
     if through_vertex is not None and not 0 <= through_vertex < g.n:
         raise IndexOutOfRange(f"vertex {through_vertex} outside [0, {g.n})")
     deadline = _Deadline(budget)
@@ -458,7 +463,7 @@ def enumerate_max_cliques(g: Graph,
 
     if target is None:
         target = _max_clique_size(g.adj, len(seed), P0, deadline)
-    if target > g.n or target <= 0:
+    if target > g.n:
         return []
 
     out: list[tuple[int, ...]] = []

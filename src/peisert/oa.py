@@ -17,11 +17,12 @@ are strength 2 by that check.  A SubarraySelection realizes a connection
 set as the block graph of the rows carrying its cosets, the row of coset
 i being the one where g^i reads 0.  It is built from the field and the
 cosets alone, runs _plane itself and holds its table read-only, so it is
-certified once and never altered.  verify_isomorphism pairs it with a
-graph, reading the graph only through N(0) and its field; that check
-implies the line eigenvalues, the valency and the unused-slope coloring,
-which ekr and whd therefore never re-check; the clique bound searches
-the paired graph, so only `oa blockgraph` builds a block graph.  Only
+certified once and never altered, and holds N(0) of its block graph.
+is_paired, the one check that pairs it with a graph (by the graph's
+field, n and N(0)), implies the line eigenvalues, the valency and the
+unused-slope coloring, which ekr and whd therefore never re-check; the
+clique bound searches the paired graph, so only `oa blockgraph` builds a
+block graph.  Only
 canonical_correspondence derives lines from field arithmetic, and it
 checks them against the table.  The selection is built once per graph:
 the certificates here and in ekr and whd take it and never rebuild it.
@@ -250,6 +251,8 @@ class SubarraySelection:
     IndexOutOfRange, and a coset on the alpha axis or sharing its row
     raises CorrespondenceFailed.  vertex_of_column sends column (x, y) of
     the full array and of the subarray to the Cayley label x + y * alpha.
+    neighbors is N(0) of the block graph as a bitset: the vertices v > 0
+    at symbol 0 in some used row.
     """
     ctx: FieldCtx
     coset_indices: tuple[int, ...]
@@ -257,6 +260,7 @@ class SubarraySelection:
     rows: tuple[int, ...] = field(init=False)
     vertex_of_column: tuple[int, ...] = field(init=False)
     symbol: np.ndarray = field(init=False)
+    neighbors: int = field(init=False, repr=False)
 
     def __post_init__(self):
         ctx, idx = self.ctx, self.coset_indices
@@ -272,9 +276,11 @@ class SubarraySelection:
             raise CorrespondenceFailed(f"coset {i} representative lies on the alpha axis")
         if len(set(rows)) != len(idx):
             raise CorrespondenceFailed("coset slopes are not pairwise distinct")
+        zero = (symbol[list(rows), 1:] == 0).any(axis=0)  # at vertices 1, 2, ...
+        neighbors = int.from_bytes(np.packbits(zero, bitorder="little"), "little") << 1
         for name, value in (("alpha", alpha), ("rows", rows),
                             ("vertex_of_column", tuple(vertex.tolist())),
-                            ("symbol", read_only(symbol))):
+                            ("symbol", read_only(symbol)), ("neighbors", neighbors)):
             object.__setattr__(self, name, value)
 
     @property
@@ -317,38 +323,37 @@ def block_graph(oa: OrthogonalArray) -> Graph:
     return Graph(ncols, adj)
 
 
+def is_paired(x: Graph, sel: SubarraySelection) -> bool:
+    """The one pairing check: x carries its field, so row u is N(0) + u
+    (Graph.cayley), has sel's n vertices, and N(0) = sel.neighbors."""
+    return x.field is not None and x.n == sel.ctx.order and x.adj[0] == sel.neighbors
+
+
 def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
-    """Certify that (x, y) -> x + y*alpha maps the block graph of the
-    selected subarray onto the Cayley graph x; return the vertex map
-    (block column position -> Cayley label).  This is the one check that
-    pairs a graph with a selection: x carries its field, so row u is
-    N(0) + u, and N(0) is Z, the nonzero vertices at symbol 0 in some
-    used row.
+    """Certify by is_paired that (x, y) -> x + y*alpha maps the block
+    graph of the selected subarray onto the Cayley graph x; return the
+    vertex map (block column position -> Cayley label).
 
     The table is strength 2 (_plane): every row is additive onto F_q with
     a kernel K_r of q points, and two kernels meet only in 0.  So u and v
-    share a used line exactly when v - u is in Z, and the image is x.  A
-    line L = K_r + t meets N(0) in e (q - 1) points when t is in K_r and
-    in m - e otherwise, with e = 1 on used rows and 0 elsewhere; as L - u
-    is a line of row r, A chi_L = (m - e) 1 + (e q - m) chi_L.  So k =
-    m (q - 1), differences of lines of one row are eigenvectors at q - m
-    on used rows and -m on the rest, and the lines of an unused row (its
-    kernel meets N(0) only in 0) color x properly with q colors.  Raises
-    NotIsomorphicUnderF on a size mismatch or with the pair (0, w), w
-    least in the symmetric difference of Z and N(0), and
+    share a used line exactly when v - u is in sel.neighbors, and the
+    image is x.  A line L = K_r + t meets N(0) in e (q - 1) points when t
+    is in K_r and in m - e otherwise, with e = 1 on used rows and 0
+    elsewhere; as L - u is a line of row r, A chi_L = (m - e) 1 + (e q -
+    m) chi_L.  So k = m (q - 1), differences of lines of one row are
+    eigenvectors at q - m on used rows and -m on the rest, and the lines
+    of an unused row (its kernel meets N(0) only in 0) color x properly
+    with q colors.  Raises NotIsomorphicUnderF on a size mismatch or with
+    the pair (0, w), w least in exactly one of the two N(0), and
     CertificationFailed on a graph without its field."""
-    ncols = len(sel.vertex_of_column)
-    if ncols != x.n:
-        raise NotIsomorphicUnderF(f"block graph has {ncols} vertices, the graph {x.n}")
-    if x.field is None:
-        raise CertificationFailed("graph is not certified translation invariant")
-    joined = (sel.symbol[list(sel.row_positions)] == 0).any(axis=0)
-    joined[0] = False
-    adjacent = np.zeros(x.n, dtype=bool)
-    adjacent[x.neighbors(0)] = True
-    diff = np.flatnonzero(joined != adjacent)
-    if diff.size:
-        raise NotIsomorphicUnderF(f"pair (0, {diff[0]}) adjacent in exactly one of the graphs")
+    if not is_paired(x, sel):
+        if x.n != sel.ctx.order:
+            raise NotIsomorphicUnderF(f"block graph has {sel.ctx.order} vertices, the graph {x.n}")
+        if x.field is None:
+            raise CertificationFailed("graph is not certified translation invariant")
+        diff = x.adj[0] ^ sel.neighbors
+        raise NotIsomorphicUnderF(f"pair (0, {(diff & -diff).bit_length() - 1}) "
+                                  "adjacent in exactly one of the graphs")
     return list(sel.vertex_of_column)
 
 

@@ -283,6 +283,46 @@ def test_exit_code_timeouts(capsys, monkeypatch):
     capsys.readouterr()
 
 
+# every command that takes --budget, on a small case
+BUDGET_COMMANDS = {
+    "graph cliques": ["graph", "cliques", "--q", "3", "--family", "paley"],
+    "ekr audit": ["ekr", "audit", "--q", "3", "--family", "paley"],
+    "ekr counterexample": ["ekr", "counterexample", "--q", "9", "--subfield", "3"],
+    "reproduce-81": ["reproduce-81"],
+    "survey": ["survey", "--q", "3"],
+}
+
+
+@pytest.mark.parametrize("command", list(BUDGET_COMMANDS))
+def test_exit_code_nan_budget(capsys, monkeypatch, command):
+    """NaN compares false with every deadline, so it would never expire:
+    it is refused as input before any search takes a step (every step
+    checks its deadline)."""
+    checks = []
+    monkeypatch.setattr(graphs._Deadline, "check", lambda self: checks.append(self))
+    assert main(BUDGET_COMMANDS[command] + ["--budget", "nan"]) == 3
+    assert capsys.readouterr().err == "input error: budget is not a number of seconds\n"
+    assert checks == []
+
+
+def test_exit_code_nan_budget_variable(capsys, monkeypatch):
+    monkeypatch.setenv("PEISERT_BUDGET", "nan")
+    assert main(BUDGET_COMMANDS["ekr audit"]) == 3
+    assert capsys.readouterr().err == "input error: budget is not a number of seconds\n"
+
+
+@pytest.mark.parametrize("target", ["0", "-3"])
+def test_exit_code_nonpositive_clique_target(capsys, target):
+    assert main(BUDGET_COMMANDS["graph cliques"] + ["--target", target]) == 3
+    assert capsys.readouterr().err == (
+        f"input error: clique size target {target} is not positive\n")
+
+
+def test_clique_target_above_n_finds_none(capsys):
+    report = run_json(capsys, *BUDGET_COMMANDS["graph cliques"], "--target", "10")
+    assert (report["result"]["count"], report["result"]["size"]) == (0, 0)
+
+
 def test_exit_code_malformed_budget_variable(capsys, monkeypatch):
     monkeypatch.setenv("PEISERT_BUDGET", "abc")
     assert main(["survey", "--q", "3"]) == 3

@@ -16,6 +16,7 @@ import pytest
 
 import peisert
 from peisert import (
+    EkrBasis,
     Graph,
     cli,
     ekr,
@@ -43,7 +44,6 @@ from peisert.errors import (
     CorrespondenceFailed,
     IndexOutOfRange,
     LengthMismatch,
-    NonZeroResidual,
     NotIsomorphicUnderF,
     NotMaximumClique,
     NotProperSubfield,
@@ -636,8 +636,8 @@ def test_decompose_rejects_non_maximum():
 
 
 def test_decompose_refuses_a_graph_the_basis_was_not_paired_with():
-    """The basis records N(0) of its graph; a decomposition over it is
-    refused for another graph, even one in which the clique is maximum:
+    """The basis's selection holds N(0) of its block graph; a decomposition
+    over it is refused for another graph, even one in which the clique is maximum:
     here F_5 is a 5-clique of the graph of cosets (0, 2) and of the
     switched graph, whose row 0 is the paired graph's."""
     from test_graph_core import two_switched_rows  # it imports this module
@@ -695,11 +695,11 @@ def test_pair_count_decides_the_module_identity():
     oracle's table; a rejected set is no clique.  The sets are every
     audited maximum clique, seeded random q-sets and canonical cliques
     with one vertex moved off.  Over a certified selection of other
-    cosets, which x was not paired with, a clique of x passes exactly
-    when r is zero, and NonZeroResidual names the first v in C with r(v)
-    != 0."""
+    cosets, which x was not paired with, the identity still holds with
+    the moved table's pair count, and every clique of x is refused as
+    unpaired."""
     rng = np.random.default_rng(2024)
-    graphs_checked = sets_checked = residuals_named = 0
+    graphs_checked = sets_checked = unpaired_refused = 0
     for x, sel, cliques in identity_cases():
         basis = build_ekr_basis(x, sel)
         q, m, n = basis.q, basis.m, x.n
@@ -727,18 +727,16 @@ def test_pair_count_decides_the_module_identity():
         if q <= 25 and set(range(1, q + 1)) - set(other):
             moved = dataclasses.replace(basis, selection=subarray_for_connection_set(x.field, other))
             counts, resid = module_identity_oracle(moved, cliques)
-            for c, r in zip(cliques, resid):
-                if not r.any():
-                    assert decompose_clique(x, moved, c).residual_zero
-                    continue
-                v = next(v for v in c if r[v])
-                with pytest.raises(NonZeroResidual,
-                                   match=f"^line counts fail the module identity at vertex {v}$"):
+            pairs = (counts * (counts - 1)).sum(axis=1)
+            assert np.array_equal((resid ** 2).sum(axis=1), q * (q * (q - 1) - pairs))
+            for c in cliques:
+                with pytest.raises(CertificationFailed,
+                                   match="^graph is not the one the basis was paired with$"):
                     decompose_clique(x, moved, c)
-                residuals_named += 1
+                unpaired_refused += 1
         graphs_checked += 1
     assert (graphs_checked, sets_checked) == (37 + 4 + 1, 1942 + 42 * 32)
-    assert residuals_named > 900
+    assert unpaired_refused == 1278
 
 
 # ----- derived fields ----------------------------------------------------------
@@ -767,6 +765,26 @@ def test_basis_matrix_matches_line_oracle():
         B = basis.matrix
         assert B.dtype == np.int64 and B is basis.matrix
         assert np.array_equal(B, basis_matrix_oracle(sel, basis))
+
+
+def test_basis_is_built_from_its_selection_alone():
+    """EkrBasis(sel) is build_ekr_basis less the pairing check; a basis
+    re-pointed at another selection by dataclasses.replace equals the one
+    built for that selection's graph; and a field derived from the
+    selection takes no value."""
+    for q, idx, other in ((5, (0, 1, 3), (0, 1, 4)), (9, (0, 1, 7, 8), (0, 2, 5)),
+                          (25, (0, 7), (0, 3, 11))):
+        ctx = survey.ambient_field(q)
+        sel, moved = (subarray_for_connection_set(ctx, i) for i in (idx, other))
+        basis = build_ekr_basis(build_cayley(ctx, idx), sel)
+        assert EkrBasis(sel) == basis and not hasattr(basis, "base_neighbors")
+        repointed = dataclasses.replace(basis, selection=moved)
+        built = build_ekr_basis(build_cayley(ctx, other), moved)
+        assert repointed == built != basis and repointed.selection is moved
+        assert np.array_equal(repointed.lines, built.lines)
+    for name in ("base_vertex", "q", "m", "all_cliques", "basis_cliques", "rank", "line_keys"):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(basis, **{name: getattr(basis, name)})
 
 
 def derived_values(q=5, idx=(0, 1, 3)):
@@ -1295,7 +1313,7 @@ SWAPPED_INTERCEPT_SCRIPT = """
 import dataclasses
 from peisert import build_cayley, build_ekr_basis, create, decompose_clique, srg_certify
 from peisert import subarray_for_connection_set
-from peisert.errors import NonZeroResidual
+from peisert.errors import CertificationFailed
 print("debug", __debug__)
 ctx = create(5, 2)
 g = build_cayley(ctx, (0, 1, 3))
@@ -1322,7 +1340,7 @@ for b in (dataclasses.replace(basis, selection=other), basis):
     try:
         decompose_clique(g, b, clique)
         print("accepted")
-    except NonZeroResidual as e:
+    except CertificationFailed as e:
         print("rejected", e)
 """
 
@@ -1360,17 +1378,14 @@ def test_batch_errors_under_optimize():
 
 def test_swapped_intercept_rejected_under_optimize():
     """The basis's symbol table refuses an in-place write, and the basis
-    takes no table but its selection's, which _plane certified.  A
-    certified selection of other cosets, which g was not paired with,
-    fails the module identity at a vertex of the clique, and the
-    original basis still decomposes the clique."""
+    takes no table but its selection's, which _plane certified.  A basis
+    re-pointed at a certified selection of other cosets refuses g as
+    unpaired, and the original basis still decomposes the clique."""
     lines = run_optimized(SWAPPED_INTERCEPT_SCRIPT)
     assert len(lines) == 5
-    clique = lines[0].split()[1:]
     assert lines[1] == "refused write: assignment destination is read-only"
     assert lines[2] == "refused table"
-    prefix = "rejected line counts fail the module identity at vertex "
-    assert lines[3].startswith(prefix) and lines[3].removeprefix(prefix) in clique
+    assert lines[3] == "rejected graph is not the one the basis was paired with"
     assert lines[4] == "accepted"
 
 
@@ -1453,7 +1468,7 @@ def test_audit_rejects_broken_coloring_and_translation_under_optimize():
 
 
 TABLE_CELL_SCRIPT = """
-import dataclasses
+from types import SimpleNamespace
 from peisert import build_cayley, build_ekr_basis, cli, create, decompose_clique
 from peisert import subarray_for_connection_set
 from peisert.errors import ReproductionMismatch
@@ -1465,7 +1480,7 @@ dec = decompose_clique(g, basis, basis.basis_cliques[0].vertices)
 for cells, cut in ((cli.CASE_STUDY_CELLS, 1),  # a basis clique missing
                    ([cli.CASE_STUDY_CELLS[0]] * 8, 0)):  # one row repeated
     cli.CASE_STUDY_CELLS = cells
-    short = dataclasses.replace(basis, basis_cliques=basis.basis_cliques[cut:])
+    short = SimpleNamespace(basis_cliques=basis.basis_cliques[cut:])  # the table reads no more
     try:
         cli._case_study_table(ctx, short, dec)
         print("accepted")

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import random
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -33,13 +34,14 @@ from peisert import (
 from peisert import oa
 from peisert.errors import (
     AlphaInSubfield,
+    CertificationFailed,
     CorrespondenceFailed,
     NotIsomorphicUnderF,
     OAVerificationFailed,
     ReducibleModulus,
     SearchTimeout,
 )
-from peisert.graphs import enumerate_maximal_cliques
+from peisert.graphs import Graph, _mask_of, enumerate_maximal_cliques
 from peisert.oa import (
     _certify_strength_two,
     _nonadditive,
@@ -48,7 +50,8 @@ from peisert.oa import (
     translate_to_zero,
 )
 from peisert.survey import ambient_field
-from test_graph_core import oracle_cases
+from test_ekr import q19_to_25_graphs
+from test_graph_core import oracle_cases, two_switched_rows
 
 
 def strength2_oracle(arr) -> bool:
@@ -260,6 +263,72 @@ def test_isomorphism_rejects_wrong_graph():
     other = build_cayley(ctx, (0, 1))
     with pytest.raises(NotIsomorphicUnderF):
         verify_isomorphism(other, sel)
+
+
+def numpy_pairing_oracle(x, sel):
+    """The pairing as two n-length masks: N(0) of the block graph, the
+    nonzero vertices at symbol 0 in some used row, as a bitset, and the
+    witness message for x, the least vertex in exactly one of that set
+    and x's N(0), or None when there is none."""
+    joined = (sel.symbol[list(sel.row_positions)] == 0).any(axis=0)
+    joined[0] = False
+    adjacent = np.zeros(x.n, dtype=bool)
+    adjacent[x.neighbors(0)] = True
+    diff = np.flatnonzero(joined != adjacent)
+    witness = f"pair (0, {diff[0]}) adjacent in exactly one of the graphs" if diff.size else None
+    return _mask_of(np.flatnonzero(joined).tolist()), witness
+
+
+def pairing_cases():
+    """(graph, selection) pairs: each survey graph at q <= 9, each index
+    set under each monic irreducible quadratic modulus at q = 3 and 5 and
+    each m = 2 graph at q = 19 to 25 with its own selection; each with
+    the selection of other cosets of its field (its last coset swapped
+    for the least free one) and, where its order has another field, with
+    the selection of its cosets there; and, at q <= 5 with m <= q - 2,
+    the graph with two rows switched, which keeps N(0) but not the
+    field."""
+    cases = [(build_cayley(ctx, idx), subarray_for_connection_set(ctx, idx))
+             for ctx, idx in oracle_cases()]
+    cases += q19_to_25_graphs()
+    fields = {}
+    for x, _ in cases:
+        fields.setdefault(x.field.order, {})[id(x.field)] = x.field
+    for x, sel in cases:
+        ctx, idx, q = x.field, sel.coset_indices, sel.q
+        yield x, sel
+        free = min(set(range(1, q + 1)) - set(idx))
+        yield x, subarray_for_connection_set(ctx, idx[:-1] + (free,))
+        other = next((f for f in fields[ctx.order].values() if f is not ctx), None)
+        if other is not None:
+            yield x, subarray_for_connection_set(other, idx)
+        if q <= 5 and sel.m <= q - 2:
+            yield Graph(x.n, two_switched_rows(x)), sel
+
+
+def test_pairing_check_matches_numpy_oracle():
+    """sel.neighbors is the oracle's N(0), and verify_isomorphism returns
+    the vertex map exactly when the oracle finds no witness and the graph
+    carries its field; otherwise it raises the oracle's witness, or
+    CertificationFailed for a graph without its field."""
+    counts = {"paired": 0, "witness": 0, "no field": 0}
+    for x, sel in pairing_cases():
+        mask, witness = numpy_pairing_oracle(x, sel)
+        assert sel.neighbors == mask
+        if x.field is None:
+            assert witness is None
+            with pytest.raises(CertificationFailed,
+                               match="^graph is not certified translation invariant$"):
+                verify_isomorphism(x, sel)
+            counts["no field"] += 1
+        elif witness is None:
+            assert verify_isomorphism(x, sel) == list(sel.vertex_of_column)
+            counts["paired"] += 1
+        else:
+            with pytest.raises(NotIsomorphicUnderF, match=f"^{re.escape(witness)}$"):
+                verify_isomorphism(x, sel)
+            counts["witness"] += 1
+    assert counts == {"paired": 444, "witness": 650, "no field": 174}
 
 
 def test_canonical_correspondence_counts():

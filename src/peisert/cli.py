@@ -65,6 +65,7 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def default_budget() -> float:
+    """PEISERT_BUDGET, or the default; read only by commands that take --budget."""
     raw = os.environ.get("PEISERT_BUDGET", graphs.DEFAULT_BUDGET)
     try:
         return float(raw)
@@ -352,7 +353,7 @@ def cmd_reproduce_81(args) -> int:
 
     sel = oa.subarray_for_connection_set(ctx, idx)
     full = ekr.strict_ekr_audit(g, sel, budget=args.budget)
-    through_0 = [c for c in full.cliques if 0 in c]
+    through_0 = list(full.through_0)
     non_canonical_0 = [c for c in full.non_canonical if 0 in c]
     canonical_0 = len(through_0) - len(non_canonical_0)
     if full.omega != 9 or len(through_0) != 9:
@@ -449,8 +450,8 @@ def cmd_survey(args) -> int:
             "omega": r.audit.omega,
             "strict_ekr": r.audit.strict,
             "maximum_cliques": r.audit.clique_count,
-            "decompositions": len(r.decompositions),
-            "all_residual_zero": all(d.residual_zero for d in r.decompositions),
+            "decompositions": r.audit.clique_count,
+            "all_residual_zero": all(d.residual_zero for d in r.decompositions_through_0),
             "basis_rank": r.basis.rank,
             "whd_diagonal_tally": _tally(r.whd_cert.diagonal),
             "bound_ok": r.bound_check["ok"],
@@ -486,7 +487,7 @@ def build_parser() -> _Parser:
     _add_graph_args(gc)
     gc.add_argument("--target", type=int)
     gc.add_argument("--through", type=int)
-    gc.add_argument("--budget", type=float, default=default_budget())
+    gc.add_argument("--budget", type=float)
     gc.set_defaults(func=cmd_graph_cliques)
 
     o = sub.add_parser("oa").add_subparsers(dest="sub", required=True)
@@ -506,7 +507,7 @@ def build_parser() -> _Parser:
     ea = e.add_parser("audit")
     _add_graph_args(ea)
     ea.add_argument("--through", type=int)
-    ea.add_argument("--budget", type=float, default=default_budget())
+    ea.add_argument("--budget", type=float)
     ea.set_defaults(func=cmd_ekr_audit)
     ed = e.add_parser("decompose")
     _add_graph_args(ed)
@@ -516,7 +517,7 @@ def build_parser() -> _Parser:
     ec.add_argument("--q", type=int, required=True)
     ec.add_argument("--subfield", type=int, required=True)
     ec.add_argument("--modulus", type=str)
-    ec.add_argument("--budget", type=float, default=default_budget())
+    ec.add_argument("--budget", type=float)
     ec.set_defaults(func=cmd_ekr_counterexample)
 
     w = sub.add_parser("whd").add_subparsers(dest="sub", required=True)
@@ -530,7 +531,7 @@ def build_parser() -> _Parser:
     wv.set_defaults(func=cmd_whd_verify)
 
     r81 = sub.add_parser("reproduce-81")
-    r81.add_argument("--budget", type=float, default=default_budget())
+    r81.add_argument("--budget", type=float)
     r81.add_argument("--table-out", type=str)
     r81.set_defaults(func=cmd_reproduce_81)
 
@@ -538,7 +539,7 @@ def build_parser() -> _Parser:
     sv.add_argument("--q", type=str, default="3,5,7,9")
     sv.add_argument("--minimum", type=int, default=10)
     sv.add_argument("--seed", type=int, default=survey.DEFAULT_SEED)
-    sv.add_argument("--budget", type=float, default=default_budget())
+    sv.add_argument("--budget", type=float)
     sv.set_defaults(func=cmd_survey)
     return p
 
@@ -546,6 +547,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if "budget" in vars(args) and args.budget is None:
+            args.budget = default_budget()
         return args.func(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 3

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -112,10 +113,11 @@ class EkrBasis:
     every Decomposition.unbalanced.  So are symbol, the m used rows in
     coset order, read-only (symbol[b, v] is the intercept of the class-b
     line through v), and the tables decompose_cliques reads, lines[v, b]
-    = b q + symbol[b, v], at_base and off_base.  The identity sum_v
-    r(v)^2 = q (q (q - 1) - P) (decompose_cliques) needs lines of
-    different used rows to meet once, every line to have q points and
-    two points to share at most one used line; _plane certified all
+    = b q + symbol[b, v], at_base, base_keys = b q + at_base[b] and
+    off_base.  The identity sum_v r(v)^2 = q (q (q - 1) - P)
+    (decompose_cliques) needs lines of different used rows to meet
+    once, every line to have q points and two points to share at most
+    one used line; _plane certified all
     three when it built the selection's table, so a basis holds no
     uncertified table and certifies none again.  matrix, derived from
     symbol on first read, holds the columns q*chi - 1 (so column / q is
@@ -148,6 +150,7 @@ class EkrBasis:
                             ("line_keys", tuple((cl.coset, cl.intercept) for cl in cliques)),
                             ("symbol", symbol), ("at_base", at_base),
                             ("lines", np.ascontiguousarray((symbol + q * np.arange(m)[:, None]).T)),
+                            ("base_keys", q * np.arange(m) + at_base),
                             ("off_base", np.arange(q) != at_base[:, None]),
                             ("coeff_of", _Fractions(q)), ("lift_of", _Fractions(q * m))):
             object.__setattr__(self, name, value)
@@ -297,16 +300,17 @@ def decompose_cliques(x: Graph, basis: EkrBasis,
     out = []
     for lo in range(0, len(sets), step):
         chunk = sets[lo:lo + step]
-        keys = lines[np.array(chunk)]  # (cliques, q, m)
+        keys = lines.take(np.array(chunk, dtype=np.intp), axis=0)  # (cliques, q, m)
         keys += m * q * np.arange(len(chunk))[:, None, None]
         counts = np.bincount(keys.ravel(), minlength=len(chunk) * m * q).reshape(len(chunk), m * q)
-        failed = np.flatnonzero((counts * (counts - 1)).sum(axis=1) != q * (q - 1))
+        failed = ((counts * (counts - 1)).sum(axis=1) != q * (q - 1)).nonzero()[0]
         if failed.size:
             raise NotMaximumClique(f"{chunk[failed[0]]} is not a maximum clique (|C| must be {q})")
 
-        table = read_only(counts.astype(np.int16).reshape(len(chunk), m, q))
-        base = table[:, np.arange(m), basis.at_base]  # c_{L_b}
-        zeros = np.count_nonzero(table == base[:, :, None], axis=(1, 2)) - m  # b_L = 0 off base
+        base = counts.take(basis.base_keys, axis=1)  # c_{L_b}
+        table = counts.reshape(len(chunk), m, q)
+        zeros = (table == base[:, :, None]).sum(axis=(1, 2)) - m  # b_L = 0 off base
+        table = read_only(table.astype(np.int16))
         out.extend(Decomposition(cl, True, z, t, basis=basis)
                    for cl, z, t in zip(chunk, zeros.tolist(), table))
     if refused is not None:
@@ -314,45 +318,64 @@ def decompose_cliques(x: Graph, basis: EkrBasis,
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuditReport:
+    """A strict-EKR audit, kept as its T0 maximum cliques through 0.
+
+    through_0 holds them sorted, and ctx is the field whose translates
+    carry them to every other maximum clique.  cliques, every maximum
+    clique (through through_vertex when it is set) sorted, is not a
+    field: it is built from through_0 by one _translation_closure on
+    first read and cached on this object, so dataclasses.replace never
+    copies it.
+    """
     omega: int
     through_vertex: Optional[int]
     clique_count: int
     canonical_count: int
     non_canonical: tuple[tuple[int, ...], ...]
-    cliques: list[tuple[int, ...]]  # every enumerated maximum clique, sorted
+    through_0: tuple[tuple[int, ...], ...]
+    ctx: FieldCtx = field(compare=False, repr=False)
 
     @property
     def strict(self) -> bool:
         return not self.non_canonical
+
+    @cached_property
+    def cliques(self) -> list[tuple[int, ...]]:
+        rows = np.array(self.through_0, dtype=np.int64).reshape(len(self.through_0), self.omega)
+        closure = _translation_closure(self.ctx, rows, self.through_vertex, _Deadline(None))
+        return list(map(tuple, closure.tolist()))
 
 
 def strict_ekr_audit(x: Graph, sel: SubarraySelection,
                      through_vertex: Optional[int] = None,
                      budget: Optional[float] = DEFAULT_BUDGET) -> AuditReport:
     """Exhaustively enumerate maximum cliques and split them into
-    canonical and not.
+    canonical and not, working on the cliques through 0.
 
     Completeness rests on what verify_isomorphism, run first, certifies.
     The unused-slope coloring is proper with q colors, so omega <= q and
     every clique of size q meets each of its classes exactly once; the
     transversal search through vertex 0 lists every one of them through
-    0.  The graph carries its field, so it was built translation
-    invariant (Graph.cayley), and the maximum cliques are the translates
-    C + u of those through 0: the full list keeps C + u when u is its
+    0, T0 in all.  The graph carries its field, so it was built
+    translation invariant (Graph.cayley), and the maximum cliques are
+    the translates C + u of those through 0, each arising once per
+    vertex: counting (clique, vertex) pairs gives N q = n T0, so N = q
+    T0 with n = q^2, and T0 cliques pass through any given vertex.
+    Translation maps each line to a line of the same slope, so the
+    translates of a clique through 0 are canonical iff it is, and the
+    canonicity test reads the T0 cliques only: a used row of the symbol
+    table, whose lines are those of the cosets of N(0), reads 0 at
+    vertex 0, so a clique through 0 is canonical iff that row reads 0 on
+    all of it, which makes it that line of q points.  The found cliques
+    are distinct, so exactly m canonical ones through 0 are every
+    expected line, which attains omega = q; a search that lost one is
+    refused.  Only the non-canonical cliques are translated, by
+    _translation_closure: for the full list it keeps C + u when u is its
     least vertex, which gives each clique once, and the list through v
-    is the C + v.  Labels add digit by digit mod p with no carry, so
-    for c != 0 with top nonzero digit j, c + u > u iff u_j < p - c_j; as
-    0 is in C, min(C + u) = u iff u lies in the digit box u_j < p -
-    max{c_j : top(c) = j}.  _translation_closure enumerates those boxes
-    and hands back the sorted (cliques, q) array that the canonical test
-    gathers from.  A found clique is canonical when a used row of the
-    symbol table, whose lines are those of the cosets of N(0), is
-    constant on it, so it is that line of q points; the found cliques
-    are distinct, so m q canonical ones (m through a given vertex) are
-    every expected line, which attains omega = q.  A timeout aborts with
-    no verdict.
+    is the C + v.  The full list of cliques is built on first read of
+    AuditReport.cliques.  A timeout aborts with no verdict.
     """
     verify_isomorphism(x, sel)
     q, m = sel.q, sel.m
@@ -362,22 +385,19 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
 
     classes = color_classes(unused_slope_coloring(sel))
     through_0 = transversal_cliques(x, classes.values(), 0, deadline)
-    members = _translation_closure(
-        x.field, np.array(through_0, dtype=np.int64).reshape(len(through_0), q),
-        through_vertex, deadline)
-    canonical = np.zeros(len(members), dtype=bool)
-    for r in sel.row_positions:  # one gather per row: one (N, q) array at a time
-        sym = sel.symbol[r][members]
-        canonical |= (sym == sym[:, :1]).all(axis=1)
-    if np.count_nonzero(canonical) != (m if through_vertex is not None else m * q):
+    members = np.array(through_0, dtype=np.int64).reshape(len(through_0), q)
+    rows = np.array(sel.rows)[:, None, None]
+    canonical = (sel.symbol[rows, members] == 0).all(axis=2).any(axis=0)  # (m, T0, q) gather
+    if np.count_nonzero(canonical) != m:
         raise CertificationFailed("a canonical clique is missing from the enumeration")
-
-    cliques = list(map(tuple, members.tolist()))
-    non_canonical = tuple(c for c, ok in zip(cliques, canonical.tolist()) if not ok)
-    if non_canonical and q > (m - 1) ** 2:
+    if not canonical.all() and q > (m - 1) ** 2:
         raise CertificationFailed("non-canonical maximum clique below the threshold")
-    return AuditReport(q, through_vertex, len(cliques),
-                       len(cliques) - len(non_canonical), non_canonical, cliques)
+
+    moved = _translation_closure(x.field, members[~canonical], through_vertex, deadline)
+    count = len(through_0) if through_vertex is not None else q * len(through_0)
+    non_canonical = tuple(map(tuple, moved.tolist()))
+    return AuditReport(q, through_vertex, count, count - len(non_canonical), non_canonical,
+                       tuple(through_0), x.field)
 
 
 def _translation_closure(ctx: FieldCtx, through_0: np.ndarray,

@@ -481,6 +481,19 @@ def _collect_transversals(adj, R, classes, out, deadline):
         out.append(tuple(sorted(R)))
         return
     sizes = [c.bit_count() for c in classes]
+    if 1 in sizes:  # a transversal uses a class's only candidate: take them all at once
+        forced = [c.bit_length() - 1 for c, size in zip(classes, sizes) if size == 1]
+        both, row = sum(1 << v for v in forced), -1
+        for v in forced:
+            if adj[v] & both != both ^ 1 << v:
+                return
+            row &= adj[v]
+        nxt = [c & row for c, size in zip(classes, sizes) if size > 1]
+        if all(nxt):
+            R.extend(forced)
+            _collect_transversals(adj, R, nxt, out, deadline)
+            del R[len(R) - len(forced):]
+        return
     i = sizes.index(min(sizes))
     rest = classes[:i] + classes[i + 1:]
     for v in _bits(classes[i]):
@@ -498,11 +511,16 @@ def transversal_cliques(g: Graph, classes: Iterable[int], through_vertex: int,
     sorted.
 
     Each class keeps the candidates adjacent to every vertex chosen so
-    far.  The search branches on the class with the fewest and abandons a
-    branch as soon as some class has none.  When the classes are those of
-    a proper coloring by omega colors, every maximum clique meets each
-    class once, so these are all the maximum cliques through the vertex.
-    Raises SearchTimeout when the deadline passes.
+    far.  When some classes have one candidate left, a transversal of
+    this branch must use each of those vertices, so the search takes
+    them all in one step: it abandons the branch unless they are
+    pairwise adjacent, ANDs their rows into the other classes, and
+    recurses once.  Otherwise it branches on the class with the fewest.
+    Either way a branch ends as soon as some class has none, so no
+    transversal is lost and none is listed twice.  When the classes are
+    those of a proper coloring by omega colors, every maximum clique
+    meets each class once, so these are all the maximum cliques through
+    the vertex.  Raises SearchTimeout when the deadline passes.
     """
     nbrs = g.adj[through_vertex]
     cand = [c & nbrs for c in classes if not (c >> through_vertex) & 1]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import ekr, graphs, oa, whd
+from .derived import derived
 from .errors import WrongCharacteristicResidue
 from .field import FieldCtx, _prime_factors, create
 
@@ -89,9 +90,21 @@ def sweep_index_sets(ctx: FieldCtx, minimum: int = 10,
                   key=lambda pair: (len(pair[1]), pair[1]))
 
 
+def _decompose_all(report: GraphReport) -> list[ekr.Decomposition]:
+    return ekr.decompose_cliques(report.graph, report.basis, report.audit.cliques)
+
+
 @dataclass
 class GraphReport:
-    """Everything the acceptance criteria need for one graph."""
+    """Everything the acceptance criteria need for one graph.
+
+    decompositions_through_0 decomposes the audit's cliques through 0.
+    decompositions, one per maximum clique in the order of
+    audit.cliques, is derived: decompose_cliques builds it on first
+    read, unless a list was passed in.  dataclasses.replace copies it
+    as it stands, so a copy given another graph, basis or audit needs
+    decompositions passed too.
+    """
     name: str
     q: int
     m: int
@@ -105,15 +118,27 @@ class GraphReport:
     chromatic: int
     audit: ekr.AuditReport
     basis: ekr.EkrBasis
-    decompositions: list[ekr.Decomposition]
+    decompositions_through_0: list[ekr.Decomposition]
     whd_cert: whd.WhdCertificate
     bound_check: dict
+    decompositions: list[ekr.Decomposition] = derived(_decompose_all)
 
 
 def analyze_graph(ctx: FieldCtx, indices, name: str = "",
                   budget: Optional[float] = graphs.DEFAULT_BUDGET) -> GraphReport:
     """Run the full stack on one connection set.  A clique search that
-    runs out of budget raises SearchTimeout; nothing after it runs."""
+    runs out of budget raises SearchTimeout; nothing after it runs.
+
+    Only the T0 maximum cliques through 0 are decomposed; every maximum
+    clique is a translate C + u of one of them.  Translation by u moves
+    each line to the line of the same slope through its translate, so
+    C + u has C's count table with each row's intercepts permuted: the
+    pair count P, and with it residual_zero, is the same on the whole
+    orbit, and so is the verdict of decompose_cliques.  zero_count is
+    not, as it reads the counts of the lines through the base vertex;
+    the listed decompositions, built on first read, keep it exact for
+    every clique.
+    """
     q = ctx.subfield_order
     idx = tuple(sorted(set(int(i) for i in indices)))
     x = graphs.build_cayley(ctx, idx)
@@ -128,7 +153,7 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
 
     audit = ekr.strict_ekr_audit(x, sel, budget=budget)  # pairing certified `colors` proper
     basis = ekr.build_ekr_basis(x, sel)
-    decs = ekr.decompose_cliques(x, basis, audit.cliques)
+    decs = ekr.decompose_cliques(x, basis, audit.through_0)
     cert = whd.build_whd(x, sel)
     bound = oa.noncanonical_clique_bound(x, sel, budget=budget)
 

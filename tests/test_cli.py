@@ -324,10 +324,16 @@ def test_clique_target_above_n_finds_none(capsys):
 
 
 def test_exit_code_malformed_budget_variable(capsys, monkeypatch):
+    """Only the commands that take --budget read PEISERT_BUDGET, and an
+    explicit --budget overrides it."""
     monkeypatch.setenv("PEISERT_BUDGET", "abc")
-    assert main(["survey", "--q", "3"]) == 3
-    assert capsys.readouterr().err == (
-        "input error: PEISERT_BUDGET='abc' is not a number of seconds\n")
+    for argv in (["survey", "--q", "3"], BUDGET_COMMANDS["ekr audit"]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "input error: PEISERT_BUDGET='abc' is not a number of seconds\n")
+    assert main(["field", "inspect", "--p", "3", "--r", "2"]) == 0
+    assert main(BUDGET_COMMANDS["ekr audit"] + ["--budget", "60"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # the "bad input" group of errors.py, which exits 3

@@ -541,11 +541,26 @@ def assert_matches_dense_projection(x, basis, cliques, decs=None):
 
 
 def test_line_counts_match_dense_projection_on_survey_graphs():
+    """analyze_graph decomposes the cliques through 0; the decompositions
+    it lists on read are decompose_cliques on every audited clique, in
+    order, with equal count tables, and agree with dense_projection."""
     reports = run_sweep()
     assert len(reports) == 37
     for r in reports:
-        assert [d.clique for d in r.decompositions] == r.audit.cliques
-        assert_matches_dense_projection(r.graph, r.basis, r.audit.cliques, r.decompositions)
+        assert "decompositions" not in vars(r)
+        through_0 = r.decompositions_through_0
+        assert [d.clique for d in through_0] == list(r.audit.through_0)
+        listed = r.decompositions
+        assert [d.clique for d in listed] == r.audit.cliques
+        want = decompose_cliques(r.graph, r.basis, r.audit.cliques)
+        for dec, other in zip(listed, want, strict=True):
+            assert_same_decomposition(dec, other)
+            assert np.array_equal(dec.counts, other.counts)
+        by_clique = {d.clique: d for d in listed}
+        for dec in through_0:
+            assert_same_decomposition(dec, by_clique[dec.clique])
+            assert np.array_equal(dec.counts, by_clique[dec.clique].counts)
+        assert_matches_dense_projection(r.graph, r.basis, r.audit.cliques, listed)
 
 
 def q19_to_25_graphs():
@@ -828,8 +843,10 @@ def test_derived_fields_compare_by_value():
 
 
 def test_survey_builds_no_fractions_or_matrices(monkeypatch, capsys):
-    """peisert survey reads the decomposition count, residual_zero and the
-    WHD diagonal only, so no Fraction and no dense matrix is built."""
+    """peisert survey reads the clique count, residual_zero of the
+    decompositions through 0 and the WHD diagonal only, so no Fraction,
+    no dense matrix and no list of every clique or its decomposition is
+    built."""
     reports = []
     sweep = survey.run_sweep
     monkeypatch.setattr(survey, "run_sweep", lambda *args: reports.extend(sweep(*args)) or reports)
@@ -837,6 +854,7 @@ def test_survey_builds_no_fractions_or_matrices(monkeypatch, capsys):
     assert '"count": 37' in capsys.readouterr().out
     assert len(reports) == 37
     for r in reports:
+        assert "decompositions" not in vars(r) and "cliques" not in vars(r.audit)
         assert "matrix" not in vars(r.basis) and "matrix" not in vars(r.whd_cert)
         for dec in r.decompositions:
             assert not {"coefficients", "histogram", "unbalanced"} & set(vars(dec))
@@ -1077,6 +1095,83 @@ def test_translation_closure_honours_an_expired_deadline():
     assert run_optimized(CLOSURE_DEADLINE_SCRIPT) == [
         "SearchTimeout clique search exceeded its budget None", "live 72",
         "SearchTimeout clique search exceeded its budget None", "live 8"]
+
+
+def full_list_audit_oracle(x, sel, through_vertex=None):
+    """The audit over the full list: every translate of every clique
+    through 0 (the bitset walk), each tested for canonicity by a used
+    row constant on it; (clique_count, canonical_count, non_canonical,
+    cliques)."""
+    cliques = translation_closure_oracle(x.field, cliques_through_0(x, sel), through_vertex)
+    members = np.array(cliques, dtype=np.int64).reshape(len(cliques), sel.q)
+    canonical = np.zeros(len(members), dtype=bool)
+    for r in sel.row_positions:
+        sym = sel.symbol[r][members]
+        canonical |= (sym == sym[:, :1]).all(axis=1)
+    assert np.count_nonzero(canonical) == sel.m * (1 if through_vertex is not None else sel.q)
+    non_canonical = tuple(c for c, ok in zip(cliques, canonical.tolist()) if not ok)
+    return len(cliques), len(cliques) - len(non_canonical), non_canonical, cliques
+
+
+def test_audit_per_orbit_matches_full_list_oracle():
+    """Counts, non-canonical cliques and the listed cliques agree with the
+    full-list audit on every oracle case, in full and through three
+    nonzero vertices."""
+    from test_graph_core import oracle_cases  # it imports this module
+
+    checked = 0
+    for ctx, idx in oracle_cases():
+        x, sel = build_cayley(ctx, idx), subarray_for_connection_set(ctx, idx)
+        for v in (None, 1, x.n // 2, x.n - 1):
+            report = strict_ekr_audit(x, sel, through_vertex=v)
+            assert report.through_0 == tuple(map(tuple, cliques_through_0(x, sel).tolist()))
+            assert (report.clique_count, report.canonical_count, report.non_canonical,
+                    report.cliques) == full_list_audit_oracle(x, sel, v), (ctx, idx, v)
+        checked += 1
+    assert checked == 37 + 3 * 7 + 10 * 31
+
+
+def test_audit_cliques_are_built_on_read_and_not_copied():
+    ctx, x, sel = build(9, (0, 1, 2, 3, 4), PINNED81)
+    report = strict_ekr_audit(x, sel)
+    assert "cliques" not in {f.name for f in dataclasses.fields(report)}
+    assert "cliques" not in vars(report)
+    full = report.cliques
+    assert report.cliques is full and len(full) == report.clique_count == 81
+    moved = dataclasses.replace(report, through_vertex=5)
+    assert "cliques" not in vars(moved)
+    assert moved.cliques == strict_ekr_audit(x, sel, through_vertex=5).cliques
+    assert moved.cliques == [c for c in full if 5 in c]
+
+
+DROPPED_LINE_SCRIPT = """
+from peisert import build_cayley, create, ekr, strict_ekr_audit, subarray_for_connection_set
+from peisert.errors import CertificationFailed
+print("debug", __debug__)
+search = ekr.transversal_cliques
+
+def drop_a_line(*args):  # the line through 0 of the first used row
+    found = search(*args)
+    return [c for c in found if sel.symbol[sel.row_positions[0]][list(c)].any()]
+
+ekr.transversal_cliques = drop_a_line
+for q, idx in [(3, (0, 2)), (9, (0, 1, 7, 8))]:
+    ctx = create(3, 2 if q == 3 else 4)
+    x = build_cayley(ctx, idx)
+    sel = subarray_for_connection_set(ctx, idx)
+    for v in (None, 0, 5):
+        try:
+            report = strict_ekr_audit(x, sel, through_vertex=v)
+            print("accepted", q, v, report.clique_count)
+        except CertificationFailed as e:
+            print("rejected", q, v, e)
+"""
+
+
+def test_audit_refuses_a_search_that_drops_a_line_under_optimize():
+    lines = run_optimized(DROPPED_LINE_SCRIPT)
+    assert lines == [f"rejected {q} {v} a canonical clique is missing from the enumeration"
+                     for q in (3, 9) for v in (None, 0, 5)]
 
 
 # ----- counterexamples ---------------------------------------------------------

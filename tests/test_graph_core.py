@@ -27,6 +27,7 @@ from peisert import (
     subarray_for_connection_set,
     survey,
     to_dimacs,
+    unused_slope_coloring,
     verify_coloring,
     verify_isomorphism,
 )
@@ -44,10 +45,14 @@ from peisert.errors import (
     VerificationFailed,
 )
 from peisert.graphs import (
+    _Deadline,
+    _bits,
     _translates,
     check_symmetric_set,
+    color_classes,
     family_cosets as _families,
     from_edges,
+    transversal_cliques,
 )
 from test_ekr import assert_table_fault_refused, clique_regularity, run_optimized
 
@@ -153,6 +158,30 @@ def oracle_cases():
             for size in range(p):
                 for rest in combinations(range(1, p + 1), size):
                     yield ctx, (0,) + rest
+
+
+def plain_transversals(g: Graph, classes, through_vertex: int) -> list[tuple[int, ...]]:
+    """transversal_cliques without propagation: each recursion level
+    takes one vertex of the class with the fewest candidates, also when
+    a class has a single candidate."""
+    def collect(R, classes, out):
+        if not classes:
+            out.append(tuple(sorted(R)))
+            return
+        sizes = [c.bit_count() for c in classes]
+        i = sizes.index(min(sizes))
+        rest = classes[:i] + classes[i + 1:]
+        for v in _bits(classes[i]):
+            nxt = [c & g.adj[v] for c in rest]
+            if all(nxt):
+                collect(R + [v], nxt, out)
+
+    nbrs = g.adj[through_vertex]
+    cand = [c & nbrs for c in classes if not (c >> through_vertex) & 1]
+    out: list[tuple[int, ...]] = []
+    if all(cand):
+        collect([through_vertex], cand, out)
+    return sorted(out)
 
 
 def petersen() -> Graph:
@@ -481,6 +510,43 @@ def test_search_budget_exhaustion():
         enumerate_max_cliques(g, budget=0)
     with pytest.raises(SearchTimeout):
         enumerate_maximal_cliques(g, budget=0)
+
+
+def assert_transversals_match_plain_search(ctx, idx, through=(0,)):
+    x = build_cayley(ctx, idx)
+    classes = list(color_classes(unused_slope_coloring(
+        subarray_for_connection_set(ctx, idx))).values())
+    for v in through:
+        got = transversal_cliques(x, classes, v, _Deadline(None))
+        assert got == plain_transversals(x, classes, v), (ctx, idx, v)
+
+
+def test_propagating_search_matches_plain_search_on_oracle_cases():
+    checked = 0
+    for ctx, idx in oracle_cases():
+        assert_transversals_match_plain_search(ctx, idx, (0, ctx.order - 1))
+        checked += 1
+    assert checked == 37 + 3 * 7 + 10 * 31
+
+
+@pytest.mark.parametrize("q, s", [(9, 3), (25, 5), (27, 3), (49, 7), (81, 3), (81, 9)])
+def test_propagating_search_matches_plain_search_on_counterexamples(q, s):
+    ctx = survey.ambient_field(q)
+    assert_transversals_match_plain_search(ctx, build_counterexample(ctx, s).coset_indices)
+
+
+def test_forced_vertices_that_are_not_adjacent_end_the_branch():
+    """Classes {0}, {1}, {2}, {3}, {4, 5} through 0: 1, 2 and 3 are then
+    forced, and all three are adjacent to 4.  Without the edge {1, 2}
+    there is no transversal, although ANDing the three rows into the
+    last class leaves it vertex 4; with the edge, (0, 1, 2, 3, 4) is the
+    one transversal."""
+    classes = [1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4 | 1 << 5]
+    edges = [(0, v) for v in range(1, 6)] + [(1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+    for extra, want in (([], []), ([(1, 2)], [(0, 1, 2, 3, 4)])):
+        g = from_edges(6, edges + extra)
+        assert transversal_cliques(g, classes, 0, _Deadline(None)) == want
+        assert plain_transversals(g, classes, 0) == want
 
 
 # ----- colorings and serialization --------------------------------------------

@@ -5,7 +5,8 @@ set is a union of multiplicative cosets of GF(q)*, realizes them as
 block graphs of point-line orthogonal arrays, and certifies their
 strongly regular parameters, clique structure, Erdos-Ko-Rado behaviour,
 chromatic number, and weakly Hadamard diagonalizability with integer
-and rational arithmetic throughout.
+and rational arithmetic, save one exact float64 step: the column Gram
+of a {-1, 0, 1} matrix (whd.nonorthogonality_edges), all sums < 2^53.
 """
 
 from .errors import PeisertError, SearchTimeout, VerificationFailed

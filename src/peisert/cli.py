@@ -120,6 +120,13 @@ def _certified_graph(args):
     return ctx, idx, g, graphs.srg_certify(g)
 
 
+def _paired(args):
+    """The options' Cayley graph and selection; the pairing check each
+    caller's certificate runs implies the SRG, so none is certified."""
+    ctx, idx = _resolve_graph(args)
+    return graphs.build_cayley(ctx, idx), oa.subarray_for_connection_set(ctx, idx)
+
+
 def _graph_config(args) -> dict:
     return {"q": args.q, "cosets": args.cosets, "family": args.family,
             "d": args.d, "modulus": args.modulus}
@@ -220,8 +227,7 @@ def cmd_oa_blockgraph(args) -> int:
 
 
 def cmd_ekr_audit(args) -> int:
-    ctx, idx, g, _ = _certified_graph(args)
-    sel = oa.subarray_for_connection_set(ctx, idx)
+    g, sel = _paired(args)
     report = ekr.strict_ekr_audit(g, sel, through_vertex=args.through,
                                   budget=args.budget)
     return _emit(dict(_graph_config(args), command="ekr audit",
@@ -233,8 +239,7 @@ def cmd_ekr_audit(args) -> int:
 
 
 def cmd_ekr_decompose(args) -> int:
-    ctx, idx, g, _ = _certified_graph(args)
-    sel = oa.subarray_for_connection_set(ctx, idx)
+    g, sel = _paired(args)
     basis = ekr.build_ekr_basis(g, sel)
     clique = tuple(sorted(_parse_ints(args.clique)))
     dec = ekr.decompose_clique(g, basis, clique)
@@ -270,8 +275,7 @@ def cmd_ekr_counterexample(args) -> int:
 
 
 def cmd_whd_build(args) -> int:
-    ctx, idx, g, _ = _certified_graph(args)
-    sel = oa.subarray_for_connection_set(ctx, idx)
+    g, sel = _paired(args)
     cert = whd.build_whd(g, sel)
     config = dict(_graph_config(args), command="whd build")
     return _write_or_print(whd.whd_to_csv(cert), args.out, config,
@@ -310,7 +314,7 @@ def _case_study_table(ctx, basis, dec) -> tuple[list[list[dict]], bool]:
     shaded cells and 0 elsewhere.
     """
     sub = ctx.subfield_elements()
-    coeff_of = {cl.vertices: b for cl, b in zip(basis.basis_cliques, dec.coefficients)}
+    value_of = {cl.vertices: b for cl, b in zip(basis.basis_cliques, dec.coefficients)}
     label_of = {cl.vertices: (cl.coset, cl.intercept) for cl in basis.basis_cliques}
     table = []
     match = True
@@ -322,10 +326,10 @@ def _case_study_table(ctx, basis, dec) -> tuple[list[list[dict]], bool]:
                         ctx.mul(c2, ctx.gen_pow(2)))
             rep = ctx.gen_pow(j)
             verts = tuple(sorted(ctx.add(ctx.mul(rep, u), t) for u in sub))
-            if verts not in coeff_of:
+            if verts not in value_of:
                 raise ReproductionMismatch(f"table cell ({i}, {j}) is not a basis clique")
             seen.add(verts)
-            value = coeff_of[verts]
+            value = value_of[verts]
             expected = Fraction(-1, 3) if CASE_STUDY_SHADED[i][j] else Fraction(0)
             cell_ok = value == expected
             match = match and cell_ok

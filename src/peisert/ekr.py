@@ -117,16 +117,14 @@ class EkrBasis:
     off_base.  The identity sum_v r(v)^2 = q (q (q - 1) - P)
     (decompose_cliques) needs lines of different used rows to meet
     once, every line to have q points and two points to share at most
-    one used line; _plane certified all
-    three when it built the selection's table, so a basis holds no
-    uncertified table and certifies none again.  matrix, derived from
-    symbol on first read, holds the columns q*chi - 1 (so column / q is
-    the balanced indicator), ordered by (coset, intercept).
-    build_ekr_basis certifies them eigenvectors at q - m; their Gram
-    matrix is I_m (x) q^2 (q I - J), so they are orthogonal across
-    parallel classes and of full column rank m*(q - 1).  Decompositions
-    against the basis share its Fraction memos coeff_of, t -> t / q, and
-    lift_of, k -> k / (q m).  The tables and memos are not fields.
+    one used line; _plane certified all three when it built the
+    selection's table, so a basis holds no uncertified table and
+    certifies none again.  matrix, derived from symbol on first read,
+    holds the columns q*chi - 1 (so column / q is the balanced
+    indicator), ordered by (coset, intercept).  build_ekr_basis
+    certifies them eigenvectors at q - m; their Gram matrix is I_m (x)
+    q^2 (q I - J), so they are orthogonal across parallel classes and of
+    full column rank m*(q - 1).  The tables are not fields.
     """
     selection: SubarraySelection = field(compare=False)
     matrix: np.ndarray = derived(_basis_matrix, compare=False)
@@ -151,8 +149,7 @@ class EkrBasis:
                             ("symbol", symbol), ("at_base", at_base),
                             ("lines", np.ascontiguousarray((symbol + q * np.arange(m)[:, None]).T)),
                             ("base_keys", q * np.arange(m) + at_base),
-                            ("off_base", np.arange(q) != at_base[:, None]),
-                            ("coeff_of", _Fractions(q)), ("lift_of", _Fractions(q * m))):
+                            ("off_base", np.arange(q) != at_base[:, None])):
             object.__setattr__(self, name, value)
 
 
@@ -189,19 +186,18 @@ def _numerators(dec: Decomposition) -> list[int]:
 
 
 def _coefficients(dec: Decomposition) -> list[Fraction]:
-    return list(map(dec.basis.coeff_of.__getitem__, _numerators(dec)))
+    return [Fraction(t, dec.basis.q) for t in _numerators(dec)]
 
 
 def _histogram(dec: Decomposition) -> dict[Fraction, int]:
-    coeff_of = dec.basis.coeff_of
-    return {coeff_of[t]: count for t, count in Counter(_numerators(dec)).items()}
+    return {Fraction(t, dec.basis.q): count for t, count in Counter(_numerators(dec)).items()}
 
 
 def _unbalanced(dec: Decomposition) -> dict[tuple[int, int], Fraction]:
     basis = dec.basis
     base, diff = _shifted_counts(dec)
     lift = (1 - basis.m + base.sum()) + basis.m * diff.ravel()  # q m (u + b_L)
-    return dict(zip(basis.line_keys, map(basis.lift_of.__getitem__, lift.tolist())))
+    return {key: Fraction(k, basis.q * basis.m) for key, k in zip(basis.line_keys, lift.tolist())}
 
 
 @dataclass
@@ -211,9 +207,9 @@ class Decomposition:
     counts is the read-only (m, q) table c_L = |L & C| of the basis's
     used lines, by (class, intercept).  coefficients (aligned with
     basis.basis_cliques), histogram and unbalanced (over all m*q
-    canonical cliques) are derived from it on first read, with the
-    basis's Fraction memos.  basis is the EkrBasis the counts were read
-    against; it is an init-only argument, not a field.
+    canonical cliques) are derived from it on first read.  basis is the
+    EkrBasis the counts were read against; it is an init-only argument,
+    not a field.
     """
     clique: tuple[int, ...]
     residual_zero: bool
@@ -226,18 +222,6 @@ class Decomposition:
 
     def __post_init__(self, basis):
         self.basis = basis
-
-
-class _Fractions(dict):
-    """Memo k -> Fraction(k, den), each built on first use."""
-
-    def __init__(self, den: int):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, k: int) -> Fraction:
-        value = self[k] = Fraction(k, self.den)
-        return value
 
 
 def decompose_clique(x: Graph, basis: EkrBasis, clique: Sequence[int]) -> Decomposition:

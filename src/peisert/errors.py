@@ -69,10 +69,6 @@ class NoFreeCoset(InputError):
     """No coset left over for alpha; impossible when m <= q."""
 
 
-class NoUnusedSlope(InputError):
-    """All q + 1 slopes are used, so no slope row yields a coloring."""
-
-
 class LengthMismatch(InputError):
     """A vector or coloring has the wrong length."""
 

@@ -47,11 +47,10 @@ from .errors import (
     MalformedFile,
     NoFreeCoset,
     NotIsomorphicUnderF,
-    NoUnusedSlope,
     OAVerificationFailed,
 )
 from .field import FieldCtx
-from .graphs import Graph, _mask_of, enumerate_maximal_cliques
+from .graphs import DEFAULT_BUDGET, Graph, _mask_of, enumerate_maximal_cliques
 
 INFINITY_SLOPE = None  # sentinel for the vertical-line row
 _VERIFY_BINS = 1 << 17
@@ -383,12 +382,10 @@ def unused_slope_coloring(sel: SubarraySelection) -> list[int]:
     """Proper q-coloring of the Cayley graph by the least unused slope.
 
     Field slopes rank below infinity; the color of vertex z is the symbol
-    of the unused-slope line through z.
+    of the unused-slope line through z.  Some slope is unused, as
+    SubarraySelection refuses any coset on the row at infinity.
     """
-    free = [r for r in range(sel.q + 1) if r not in sel.row_positions]
-    if not free:
-        raise NoUnusedSlope("all q + 1 slopes consumed")
-    return sel.symbol[free[0]].tolist()
+    return sel.symbol[min(set(range(sel.q + 1)) - set(sel.rows))].tolist()
 
 
 # ----- non-canonical clique bound ------------------------------------------
@@ -403,7 +400,7 @@ def translate_to_zero(oa: OrthogonalArray, column: int) -> OrthogonalArray:
 
 
 def noncanonical_clique_bound(x: Graph, sel: SubarraySelection, *,
-                              budget: Optional[float] = None) -> dict:
+                              budget: Optional[float] = DEFAULT_BUDGET) -> dict:
     """Check every non-canonical maximal clique through column 0 of the
     selected subarray's block graph against the (m - 1)^2 size bound, its
     members other than column 0 grouped by the subarray row where each

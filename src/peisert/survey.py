@@ -126,8 +126,8 @@ class GraphReport:
 
 def analyze_graph(ctx: FieldCtx, indices, name: str = "",
                   budget: Optional[float] = graphs.DEFAULT_BUDGET) -> GraphReport:
-    """Run the full stack on one connection set.  A clique search that
-    runs out of budget raises SearchTimeout; nothing after it runs.
+    """Run the full stack on one connection set.  The audit and the bound
+    share the budget; a search that runs out raises SearchTimeout.
 
     Only the T0 maximum cliques through 0 are decomposed; every maximum
     clique is a translate C + u of one of them.  Translation by u moves
@@ -139,6 +139,7 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
     the listed decompositions, built on first read, keep it exact for
     every clique.
     """
+    deadline = graphs._Deadline(budget)
     q = ctx.subfield_order
     idx = tuple(sorted(set(int(i) for i in indices)))
     x = graphs.build_cayley(ctx, idx)
@@ -151,11 +152,11 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
     # omega = q (coset cliques meet the Hoffman bound), so q colors pin chi
     chromatic = len(set(colors))
 
-    audit = ekr.strict_ekr_audit(x, sel, budget=budget)  # pairing certified `colors` proper
+    audit = ekr.strict_ekr_audit(x, sel, budget=deadline.left())  # pairing: `colors` is proper
     basis = ekr.build_ekr_basis(x, sel)
     decs = ekr.decompose_cliques(x, basis, audit.through_0)
     cert = whd.build_whd(x, sel)
-    bound = oa.noncanonical_clique_bound(x, sel, budget=budget)
+    bound = oa.noncanonical_clique_bound(x, sel, budget=deadline.left())
 
     return GraphReport(name or f"q{q}_" + "-".join(map(str, idx)), q, len(idx),
                        idx, x, sel, params, mapping, colors, True, chromatic,
@@ -164,11 +165,11 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
 
 def run_sweep(q_values=Q_CHOICES, minimum: int = 10, seed: int = DEFAULT_SEED,
               budget: Optional[float] = graphs.DEFAULT_BUDGET) -> list[GraphReport]:
-    """Analyze every selected index set for each q.
-
-    The q = 9 sweep always includes the subfield counterexample type so
-    a strict-EKR failure is exercised.
+    """Analyze every selected index set for each q, each given the time
+    left of the one budget.  The q = 9 sweep always includes the subfield
+    counterexample type so a strict-EKR failure is exercised.
     """
+    deadline = graphs._Deadline(budget)
     reports = []
     for q in q_values:
         ctx = ambient_field(q)
@@ -178,5 +179,5 @@ def run_sweep(q_values=Q_CHOICES, minimum: int = 10, seed: int = DEFAULT_SEED,
             extra = (cosets,)
         for name, idx in sweep_index_sets(ctx, minimum, seed, extra):
             reports.append(analyze_graph(ctx, idx, f"q{q}:{name}:" + "-".join(map(str, idx)),
-                                         budget))
+                                         deadline.left()))
     return reports

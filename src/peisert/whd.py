@@ -53,7 +53,12 @@ def nonorthogonality_edges(matrix: np.ndarray) -> list[tuple[int, int]]:
 
 def is_weakly_hadamard(matrix) -> WeakHadamardResult:
     """Decide the path-union condition and produce an ordering or an
-    obstruction (a column of non-orthogonality degree 3, or a cycle)."""
+    obstruction (a column of non-orthogonality degree 3, or a cycle).
+
+    With degrees at most 2, one walk from each path's least end lists
+    the paths by that end; a column left unwalked lies on a cycle, and
+    the obstruction is the cycle through the least one.
+    """
     a = _as_matrix(matrix)
     n = a.shape[1]
     nbrs: list[list[int]] = [[] for _ in range(n)]
@@ -65,50 +70,35 @@ def is_weakly_hadamard(matrix) -> WeakHadamardResult:
             return WeakHadamardResult(False, obstruction=("degree", v))
 
     seen = [False] * n
+
+    def walk(v: Optional[int]) -> list[int]:
+        out = []
+        while v is not None:
+            seen[v] = True
+            out.append(v)
+            v = next((w for w in nbrs[v] if not seen[w]), None)
+        return out
+
     ordering: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in nbrs[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        ends = [v for v in comp if len(nbrs[v]) <= 1]
-        if not ends:
-            return WeakHadamardResult(False, obstruction=("cycle", tuple(sorted(comp))))
-        # connected, degree <= 2 and an endpoint: a path, walked from its least end
-        cur = min(ends)
-        prev = -1
-        walk = [cur]
-        while True:
-            nxt = [w for w in nbrs[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            walk.append(cur)
-        ordering.extend(walk)
+    for end in range(n):
+        if len(nbrs[end]) < 2 and not seen[end]:
+            ordering += walk(end)
+    if len(ordering) < n:
+        cycle = tuple(sorted(walk(seen.index(False))))
+        return WeakHadamardResult(False, obstruction=("cycle", cycle))
     return WeakHadamardResult(True, ordering=tuple(ordering))
 
 
 def check_ordering(matrix, ordering: Sequence[int]) -> bool:
-    """True iff non-consecutive columns (under the ordering) are orthogonal."""
+    """True iff non-consecutive columns (under the ordering) are
+    orthogonal: every pair of nonorthogonality_edges sits at adjacent
+    positions."""
     a = _as_matrix(matrix)
-    gram = a.T @ a
     n = a.shape[1]
     if sorted(ordering) != list(range(n)):
         raise ValueError(f"ordering is not a permutation of the {n} columns")
     pos = {c: i for i, c in enumerate(ordering)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram[i, j] != 0 and abs(pos[i] - pos[j]) != 1:
-                return False
-    return True
+    return all(abs(pos[i] - pos[j]) == 1 for i, j in nonorthogonality_edges(a))
 
 
 def _whd_matrix(cert: WhdCertificate) -> np.ndarray:

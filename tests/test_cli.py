@@ -1,8 +1,10 @@
 """End-to-end command tests: JSON reports, exit codes, determinism."""
 
 import importlib.util
+import inspect
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -341,7 +343,7 @@ INPUT_ERROR_NAMES = {
     "NonPrimeCharacteristic", "ReducibleModulus", "OverflowingOrder", "LogOfZero",
     "OddDegreeField", "NotProperSubfield", "MissingBaseCoset", "TooManyCosets",
     "IndexOutOfRange", "BadDivisor", "WrongCharacteristicResidue", "AlphaInSubfield",
-    "NoFreeCoset", "NoUnusedSlope", "LengthMismatch", "NotMaximumClique", "NotSquare",
+    "NoFreeCoset", "LengthMismatch", "NotMaximumClique", "NotSquare",
     "BadEntries", "MalformedFile",
 }
 
@@ -384,6 +386,47 @@ def test_survey_audit_timeout_propagates(monkeypatch):
     with pytest.raises(SearchTimeout, match="zero budget"):
         survey.analyze_graph(survey.ambient_field(3), (0, 2), budget=0)
     assert ran == []
+
+
+def staged_clock(monkeypatch):
+    """A fake clock for the deadlines that only the stages advance: the
+    Cayley build by 1 s, the audit and the bound by 10 s each.  Returns
+    the budgets the audit and the bound receive."""
+    now, budgets = [0.0], []
+    monkeypatch.setattr(graphs, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+    def staged(stage, seconds, searches=True):
+        def run(*args, **kwargs):
+            if searches:
+                budgets.append(kwargs["budget"])
+            now[0] += seconds
+            return stage(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(graphs, "build_cayley", staged(graphs.build_cayley, 1, False))
+    monkeypatch.setattr(ekr, "strict_ekr_audit", staged(ekr.strict_ekr_audit, 10))
+    monkeypatch.setattr(oa, "noncanonical_clique_bound", staged(oa.noncanonical_clique_bound, 10))
+    return budgets
+
+
+def test_survey_budget_bounds_the_whole_command(monkeypatch, capsys):
+    """Each search of each graph gets the time left of the one --budget,
+    after the stages before it, and the sweep exits 2 once the budget is
+    spent, not after 2 searches x 7 graphs x the budget."""
+    budgets = staged_clock(monkeypatch)
+    assert main(["survey", "--q", "3", "--budget", "1000"]) == 0
+    # graph i starts at 21 i s; its audit starts 1 s in, after the build, its bound 11 s in
+    assert budgets == [1000 - 21 * i - s for i in range(7) for s in (1, 11)]
+
+    budgets.clear()
+    assert main(["survey", "--q", "3", "--budget", "100"]) == 2
+    assert budgets == [100 - 21 * i - s for i in range(5) for s in (1, 11)]
+    assert capsys.readouterr().err == "timeout: zero budget\n"  # the sixth graph, at -5 s
+
+
+def test_bound_default_budget_is_bounded():
+    default = inspect.signature(oa.noncanonical_clique_bound).parameters["budget"].default
+    assert default == graphs.DEFAULT_BUDGET
 
 
 def test_help_exits_zero(capsys):

@@ -298,6 +298,53 @@ def test_family_element_level_oracles():
         t for t in range(1, 81) if ctx81.pow(t, e) == 1}
 
 
+FAMILY_RULES = {  # the defining exponent rule of each family, on numpy exponents
+    "paley": lambda e, d: e % 2 == 0,
+    "peisert": lambda e, d: e % 4 <= 1,
+    "gp": lambda e, d: e % d == 0,
+    "gpstar": lambda e, d: e % d < d / 2,
+}
+
+
+def valid_families(q):
+    """Every (family, d) that family_cosets accepts at q."""
+    out = [("paley", None)] + [("peisert", None)] * (q % 4 == 3)
+    for d in range(2, q + 2):
+        if (q + 1) % d == 0:
+            out += [("gp", d)] + [("gpstar", d)] * (d % 2 == 0)
+    return out
+
+
+def assert_families_match_exponent_rule(ctx):
+    """family_cosets reads each rule on the coset indices; the oracle
+    reads it on the discrete log of every nonzero element."""
+    q = ctx.subfield_order
+    labels = np.arange(1, ctx.order)
+    exponents = np.array([ctx.dlog(int(x)) for x in labels])
+    for name, d in valid_families(q):
+        want = labels[FAMILY_RULES[name](exponents, d)].tolist()
+        got = connection_set(ctx, family_cosets(ctx, name, d))
+        assert got == want, (ctx, name, d)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 19, 23, 25, 27, 49, 81])
+def test_family_cosets_match_element_exponent_rule(q):
+    assert_families_match_exponent_rule(survey.ambient_field(q))
+
+
+def test_family_cosets_match_element_exponent_rule_under_every_modulus():
+    checked = 0
+    for p in (3, 5):
+        for c0, c1 in product(range(p), repeat=2):
+            try:
+                ctx = create(p, 2, (c0, c1, 1))
+            except ReducibleModulus:
+                continue
+            assert_families_match_exponent_rule(ctx)
+            checked += 1
+    assert checked == 3 + 10  # the monic irreducible quadratics over GF(3) and GF(5)
+
+
 def test_family_validation():
     from peisert.errors import BadDivisor, WrongCharacteristicResidue
     with pytest.raises(WrongCharacteristicResidue):

@@ -97,6 +97,75 @@ def test_recognizer_matches_brute_force(n):
     assert agree_ok > 0 and agree_bad > 0
 
 
+def admissible(matrix, ordering) -> bool:
+    """The definition: columns at non-consecutive positions are orthogonal."""
+    a = np.asarray(matrix, dtype=np.int64)
+    gram = a.T @ a
+    return all(gram[ordering[i], ordering[j]] == 0
+               for i in range(len(ordering)) for j in range(i + 2, len(ordering)))
+
+
+def component_matrix(rng, shape):
+    """A square {-1, 0, 1} matrix whose nonorthogonality graph is the
+    disjoint union of the given ("path", k) and ("cycle", k) components,
+    on shuffled columns; returns it and each component's columns.  Each
+    edge is a row with two random signs; rows with one nonzero pad it."""
+    n = sum(k for _, k in shape)
+    labels = rng.sample(range(n), n)
+    rows, comps = [], []
+    for kind, k in shape:
+        cols, labels = labels[:k], labels[k:]
+        comps.append((kind, cols))
+        for i, j in list(zip(cols, cols[1:])) + [(cols[-1], cols[0])] * (kind == "cycle"):
+            row = [0] * n
+            row[i], row[j] = rng.choice((-1, 1)), rng.choice((-1, 1))
+            rows.append(row)
+    while len(rows) < n:
+        row = [0] * n
+        row[rng.randrange(n)] = rng.choice((-1, 1))
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows, comps
+
+
+def random_shape(rng, n):
+    """Random paths (k >= 1) and cycles (k >= 3) with n columns in all."""
+    shape, left = [], n
+    while left:
+        kind = rng.choice(("path", "cycle")) if left >= 3 else "path"
+        k = rng.randint(3 if kind == "cycle" else 1, left)
+        shape.append((kind, k))
+        left -= k
+    return shape
+
+
+@pytest.mark.parametrize("n", [6, 7, 12])
+def test_single_walk_matches_all_orderings_oracle(n):
+    """Several paths and cycles per matrix: the recognizer agrees with the
+    all-orderings oracle (n <= 7), its ordering and check_ordering agree
+    with the definition, and a failing matrix's obstruction is the cycle
+    component holding the least column on any cycle."""
+    rng = random.Random(2700 + n)
+    seen = set()
+    for _ in range(40):
+        m, comps = component_matrix(rng, random_shape(rng, n))
+        res = is_weakly_hadamard(m)
+        cycles = [sorted(cols) for kind, cols in comps if kind == "cycle"]
+        assert res.ok == (not cycles)
+        if n <= 7:
+            assert res.ok == brute_weakly_hadamard(m)
+        if res.ok:
+            assert admissible(m, res.ordering) and check_ordering(m, res.ordering)
+        else:
+            assert res.obstruction == ("cycle", tuple(min(cycles)))
+        for _ in range(5):
+            perm = rng.sample(range(n), n)
+            assert check_ordering(m, perm) == admissible(m, perm)
+        seen.add((res.ok, min(len(comps), 2), min(len(cycles), 2)))
+    # several components, passing and failing, and failures with two cycles
+    assert {(True, 2, 0), (False, 2, 1), (False, 2, 2)} <= seen
+
+
 def test_ordering_keeps_components_together():
     m = [[1, 1, 0, 0, 0],
          [1, 0, 0, 0, 0],

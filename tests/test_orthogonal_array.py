@@ -352,6 +352,25 @@ def test_unused_slope_coloring_proper():
         assert sizes == [q] * q
 
 
+def test_row_at_infinity_is_never_used():
+    """unused_slope_coloring reads the least row off sel.rows with no
+    guard: some row is always free, as the row at infinity never carries
+    a coset.  Every index set with a free coset at q = 3 and 5, and a
+    seeded sample at q = 7 and 9."""
+    cases = [(q, idx) for q in (3, 5) for size in range(q + 1)
+             for idx in combinations(range(q + 1), size)
+             if not set(range(1, q + 1)) <= set(idx)]
+    rng = random.Random(2027)
+    cases += [(q, tuple(sorted(rng.sample(range(q + 1), rng.randint(1, q - 1)))))
+              for q in (7, 9) for _ in range(25)]
+    for q, idx in cases:
+        sel = subarray_for_connection_set(ambient_field(q), idx)
+        assert q not in sel.rows, (q, idx)
+        free = min(r for r in range(q + 1) if r not in sel.rows)
+        assert unused_slope_coloring(sel) == sel.symbol[free].tolist(), (q, idx)
+    assert len(cases) == 14 + 62 + 50
+
+
 def test_translate_to_zero():
     ctx = create(3, 2)
     sel = subarray_for_connection_set(ctx, (0, 2))

@@ -32,6 +32,7 @@ from .oa import (
     block_graph,
     build_pointline_oa,
     canonical_correspondence,
+    certify_clique_bound,
     default_alpha,
     noncanonical_clique_bound,
     oa_from_csv,
@@ -75,7 +76,7 @@ __all__ = [
     "ambient_field", "analyze_graph", "block_graph", "build_cayley",
     "build_counterexample", "build_ekr_basis", "build_pointline_oa",
     "build_whd", "canonical_cliques", "canonical_correspondence",
-    "check_ordering", "connection_set", "create", "decompose_clique",
+    "certify_clique_bound", "check_ordering", "connection_set", "create", "decompose_clique",
     "decompose_cliques", "default_alpha", "enumerate_max_cliques",
     "enumerate_maximal_cliques", "family_cosets", "from_dimacs", "is_weakly_hadamard",
     "noncanonical_clique_bound", "oa_from_csv", "oa_to_csv", "run_sweep",

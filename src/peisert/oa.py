@@ -21,8 +21,8 @@ certified once and never altered, and holds N(0) of its block graph.
 is_paired, the one check that pairs it with a graph (by the graph's
 field, n and N(0)), implies the line eigenvalues, the valency and the
 unused-slope coloring, which ekr and whd therefore never re-check; the
-clique bound searches the paired graph, so only `oa blockgraph` builds a
-block graph.  Only
+clique bound counts triangles of the paired graph and its listing
+searches it, so only `oa blockgraph` builds a block graph.  Only
 canonical_correspondence derives lines from field arithmetic, and it
 checks them against the table.  The selection is built once per graph:
 the certificates here and in ekr and whd take it and never rebuild it.
@@ -50,7 +50,7 @@ from .errors import (
     OAVerificationFailed,
 )
 from .field import FieldCtx
-from .graphs import DEFAULT_BUDGET, Graph, _mask_of, enumerate_maximal_cliques
+from .graphs import DEFAULT_BUDGET, Graph, _bits, _Deadline, _mask_of, enumerate_maximal_cliques
 
 INFINITY_SLOPE = None  # sentinel for the vertical-line row
 _VERIFY_BINS = 1 << 17
@@ -275,8 +275,7 @@ class SubarraySelection:
             raise CorrespondenceFailed(f"coset {i} representative lies on the alpha axis")
         if len(set(rows)) != len(idx):
             raise CorrespondenceFailed("coset slopes are not pairwise distinct")
-        zero = (symbol[list(rows), 1:] == 0).any(axis=0)  # at vertices 1, 2, ...
-        neighbors = int.from_bytes(np.packbits(zero, bitorder="little"), "little") << 1
+        neighbors = _bitset((symbol[list(rows), 1:] == 0).any(axis=0)) << 1  # vertices 1, 2, ...
         for name, value in (("alpha", alpha), ("rows", rows),
                             ("vertex_of_column", tuple(vertex.tolist())),
                             ("symbol", read_only(symbol)), ("neighbors", neighbors)):
@@ -298,6 +297,11 @@ class SubarraySelection:
     def subarray(self) -> OrthogonalArray:
         """The used rows as a list-form array, built on each call."""
         return _list_array(self.ctx, self.vertex_of_column, self.symbol, self.row_positions)
+
+
+def _bitset(flags: np.ndarray) -> int:
+    """The int bitset of the True positions of a boolean vector."""
+    return int.from_bytes(np.packbits(flags, bitorder="little"), "little")
 
 
 def subarray_for_connection_set(ctx: FieldCtx, coset_indices) -> SubarraySelection:
@@ -397,6 +401,41 @@ def translate_to_zero(oa: OrthogonalArray, column: int) -> OrthogonalArray:
     n = oa.n
     entries = [[(e - row[column]) % n for e in row] for row in oa.entries]
     return OrthogonalArray(n, entries, list(oa.row_labels), oa.column_labels)
+
+
+def certify_clique_bound(x: Graph, sel: SubarraySelection, *,
+                         budget: Optional[float] = DEFAULT_BUDGET) -> int:
+    """Certify by a triangle count, listing no clique, that no
+    non-canonical maximal clique of x exceeds (m - 1)^2 vertices; return
+    the bound.  verify_isomorphism runs first.
+
+    If q <= (m - 1)^2, the unused-slope coloring, proper on a paired
+    graph, gives omega <= q.  Otherwise let C be a non-canonical maximal
+    clique through 0 (translations carry any vertex to 0).  A maximal
+    clique inside one line through 0 is that line, so C has adjacent
+    members v, w on two lines through 0.  Scaling by F_q^* fixes 0, S and
+    every line through 0, so we may take v = g^i, i a used coset, and w
+    in N(0) & N(v) off L_i, the kernel of i's row.  Every other member
+    of C is a common neighbour of 0, v and w, so |C| <= 3 + |N(0) & N(v)
+    & N(w)|, checked on all m (m - 1) (m - 2) triples.  None fails on a
+    paired graph: strength 2 leaves at most m - 3 common neighbours on
+    each triangle line and (m - 2)^2 - (m - 3) off them, and 3 + (m - 2)^2
+    + 2 (m - 3) = (m - 1)^2.  Raises CertificationFailed naming the first
+    failing (i, w)."""
+    verify_isomorphism(x, sel)
+    deadline = _Deadline(budget)
+    bound = (sel.m - 1) ** 2
+    if sel.q <= bound:
+        return bound
+    for i, r in zip(sel.coset_indices, sel.rows):
+        deadline.check()
+        both = x.adj[0] & x.adj[sel.ctx.gen_pow(i)]
+        for w in _bits(both & ~_bitset(sel.symbol[r] == 0)):
+            count = (both & x.adj[w]).bit_count()
+            if 3 + count > bound:
+                raise CertificationFailed(f"coset {i}, vertex {w}: 3 + {count} common "
+                                          f"neighbours exceed the bound {bound}")
+    return bound
 
 
 def noncanonical_clique_bound(x: Graph, sel: SubarraySelection, *,

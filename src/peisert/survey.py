@@ -5,8 +5,8 @@ per-graph reports.
 Index-set policy: every named family available at q is always included;
 q = 3 additionally gets every valid index set (there are only seven);
 larger q are topped up to the requested count with a seeded sample of
-index sets, capped at m <= (q + 1) / 2 so exhaustive clique enumeration
-and per-clique decomposition stay cheap.
+index sets, capped at m <= (q + 1) / 2, above which the maximum cliques
+the audit lists grow steeply (q = 7: 133 at m = 5, 823,543 at m = 7).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import ekr, graphs, oa, whd
 from .derived import derived
-from .errors import WrongCharacteristicResidue
+from .errors import SearchTimeout, WrongCharacteristicResidue
 from .field import FieldCtx, _prime_factors, create
 
 DEFAULT_SEED = 20240
@@ -99,11 +99,13 @@ class GraphReport:
     """Everything the acceptance criteria need for one graph.
 
     decompositions_through_0 decomposes the audit's cliques through 0.
-    decompositions, one per maximum clique in the order of
-    audit.cliques, is derived: decompose_cliques builds it on first
-    read, unless a list was passed in.  dataclasses.replace copies it
-    as it stands, so a copy given another graph, basis or audit needs
-    decompositions passed too.
+    analyze_graph certifies the (m - 1)^2 bound by certify_clique_bound.
+    Two fields are derived, built on first read unless passed in:
+    bound_check, noncanonical_clique_bound's list of the non-canonical
+    maximal cliques through 0, and decompositions, one per maximum clique
+    in the order of audit.cliques.  dataclasses.replace reads, so builds,
+    and copies both: a copy with another graph, selection, basis or audit
+    needs them passed too.
     """
     name: str
     q: int
@@ -120,14 +122,14 @@ class GraphReport:
     basis: ekr.EkrBasis
     decompositions_through_0: list[ekr.Decomposition]
     whd_cert: whd.WhdCertificate
-    bound_check: dict
+    bound_check: dict = derived(lambda r: oa.noncanonical_clique_bound(r.graph, r.selection))
     decompositions: list[ekr.Decomposition] = derived(_decompose_all)
 
 
 def analyze_graph(ctx: FieldCtx, indices, name: str = "",
                   budget: Optional[float] = graphs.DEFAULT_BUDGET) -> GraphReport:
     """Run the full stack on one connection set.  The audit and the bound
-    share the budget; a search that runs out raises SearchTimeout.
+    share the budget; a stage that runs out raises SearchTimeout.
 
     Only the T0 maximum cliques through 0 are decomposed; every maximum
     clique is a translate C + u of one of them.  Translation by u moves
@@ -156,11 +158,11 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
     basis = ekr.build_ekr_basis(x, sel)
     decs = ekr.decompose_cliques(x, basis, audit.through_0)
     cert = whd.build_whd(x, sel)
-    bound = oa.noncanonical_clique_bound(x, sel, budget=deadline.left())
+    oa.certify_clique_bound(x, sel, budget=deadline.left())
 
     return GraphReport(name or f"q{q}_" + "-".join(map(str, idx)), q, len(idx),
                        idx, x, sel, params, mapping, colors, True, chromatic,
-                       audit, basis, decs, cert, bound)
+                       audit, basis, decs, cert)
 
 
 def run_sweep(q_values=Q_CHOICES, minimum: int = 10, seed: int = DEFAULT_SEED,
@@ -178,6 +180,8 @@ def run_sweep(q_values=Q_CHOICES, minimum: int = 10, seed: int = DEFAULT_SEED,
             _, _, cosets = ekr.subfield_clique(ctx, 3)
             extra = (cosets,)
         for name, idx in sweep_index_sets(ctx, minimum, seed, extra):
+            if budget is not None and deadline.left() <= 0:
+                raise SearchTimeout(f"budget spent after {len(reports)} graphs")
             reports.append(analyze_graph(ctx, idx, f"q{q}:{name}:" + "-".join(map(str, idx)),
                                          deadline.left()))
     return reports

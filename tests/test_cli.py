@@ -381,7 +381,7 @@ def test_survey_audit_timeout_propagates(monkeypatch):
     the bound runs, and no report with empty audit fields comes back."""
     ran = []
     monkeypatch.setattr(survey.whd, "build_whd", lambda *a: ran.append("whd"))
-    monkeypatch.setattr(survey.oa, "noncanonical_clique_bound",
+    monkeypatch.setattr(survey.oa, "certify_clique_bound",
                         lambda *a, **kw: ran.append("bound"))
     with pytest.raises(SearchTimeout, match="zero budget"):
         survey.analyze_graph(survey.ambient_field(3), (0, 2), budget=0)
@@ -405,7 +405,7 @@ def staged_clock(monkeypatch):
 
     monkeypatch.setattr(graphs, "build_cayley", staged(graphs.build_cayley, 1, False))
     monkeypatch.setattr(ekr, "strict_ekr_audit", staged(ekr.strict_ekr_audit, 10))
-    monkeypatch.setattr(oa, "noncanonical_clique_bound", staged(oa.noncanonical_clique_bound, 10))
+    monkeypatch.setattr(oa, "certify_clique_bound", staged(oa.certify_clique_bound, 10))
     return budgets
 
 
@@ -421,7 +421,11 @@ def test_survey_budget_bounds_the_whole_command(monkeypatch, capsys):
     budgets.clear()
     assert main(["survey", "--q", "3", "--budget", "100"]) == 2
     assert budgets == [100 - 21 * i - s for i in range(5) for s in (1, 11)]
-    assert capsys.readouterr().err == "timeout: zero budget\n"  # the sixth graph, at -5 s
+    # the sixth graph would start at -5 s
+    assert capsys.readouterr().err == "timeout: budget spent after 5 graphs\n"
+
+    with pytest.raises(SearchTimeout, match="^zero budget$"):
+        survey.run_sweep((3,), budget=0)
 
 
 def test_bound_default_budget_is_bounded():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from peisert import graphs, oa
 from peisert.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,3 +34,16 @@ def test_report_matches_golden(capsys, name):
     assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_survey_lists_no_maximal_clique(monkeypatch, capsys):
+    """survey certifies the (m - 1)^2 bound by its triangle count alone:
+    with the Bron-Kerbosch listing made to raise, the report is still the
+    golden one."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("survey listed maximal cliques")
+
+    monkeypatch.setattr(graphs, "enumerate_maximal_cliques", refuse)
+    monkeypatch.setattr(oa, "enumerate_maximal_cliques", refuse)
+    assert main(["survey", "--q", "3,5,7,9"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "survey.out").read_text()

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 import random
 import re
 from itertools import combinations, product
@@ -18,6 +19,7 @@ from peisert import (
     build_counterexample,
     build_pointline_oa,
     canonical_correspondence,
+    certify_clique_bound,
     create,
     default_alpha,
     enumerate_max_cliques,
@@ -26,6 +28,7 @@ from peisert import (
     oa_from_csv,
     oa_to_csv,
     srg_certify,
+    strict_ekr_audit,
     subarray_for_connection_set,
     unused_slope_coloring,
     verify_coloring,
@@ -41,7 +44,7 @@ from peisert.errors import (
     ReducibleModulus,
     SearchTimeout,
 )
-from peisert.graphs import Graph, _mask_of, enumerate_maximal_cliques
+from peisert.graphs import DEFAULT_BUDGET, Graph, _mask_of, enumerate_maximal_cliques
 from peisert.oa import (
     _certify_strength_two,
     _nonadditive,
@@ -50,7 +53,7 @@ from peisert.oa import (
     translate_to_zero,
 )
 from peisert.survey import ambient_field
-from test_ekr import q19_to_25_graphs
+from test_ekr import q19_to_25_graphs, run_optimized
 from test_graph_core import oracle_cases, two_switched_rows
 
 
@@ -478,6 +481,110 @@ def test_bound_budget():
     with pytest.raises(SearchTimeout):
         noncanonical_clique_bound(build_cayley(ctx, idx),
                                   subarray_for_connection_set(ctx, idx), budget=0)
+
+
+# ----- the triangle-count certificate ---------------------------------------
+
+def counting_cases(seed=29):
+    """(field, coset indices): one seeded set per odd prime power q in
+    11..49 with m >= 3 and q > (m - 1)^2, where certify_clique_bound
+    counts triangles instead of returning at once."""
+    rng = random.Random(seed)
+    for q in (11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49):
+        m = rng.randint(3, max(m for m in range(3, q) if (m - 1) ** 2 < q))
+        yield ambient_field(q), tuple(sorted([0] + rng.sample(range(1, q + 1), m - 1)))
+
+
+def assert_certificate_matches_listing(ctx, idx):
+    """The certificate on the paired graph returns the bound of the
+    block-graph listing oracle, which finds every clique within it."""
+    sel = subarray_for_connection_set(ctx, idx)
+    want = bound_oracle(sel)
+    assert want["ok"], (ctx.modulus, idx)
+    assert certify_clique_bound(build_cayley(ctx, idx), sel) == want["bound"], (ctx.modulus, idx)
+
+
+def test_certificate_matches_the_listing_on_oracle_cases():
+    checked = 0
+    for ctx, idx in oracle_cases():
+        assert_certificate_matches_listing(ctx, idx)
+        checked += 1
+    assert checked == 368
+
+
+def test_certificate_matches_the_listing_where_it_counts():
+    cases = list(counting_cases())
+    assert len(cases) == 14 and all(len(idx) >= 3 for _, idx in cases)
+    for ctx, idx in cases:
+        assert_certificate_matches_listing(ctx, idx)
+
+
+def test_certificate_on_subfield_counterexamples():
+    """q <= (m - 1)^2 on every subfield counterexample, so the
+    certificate returns the bound without counting.  At q = 27 the
+    listing finds 2,164,929 maximal cliques through 0 in about a minute,
+    so there the audit's exact omega = q stands in for it."""
+    for q, s in ((9, 3), (25, 5), (49, 7)):
+        ce = build_counterexample(ambient_field(q), s)
+        assert certify_clique_bound(ce.graph, ce.selection) == bound_oracle(ce.selection)["bound"]
+    ce = build_counterexample(ambient_field(27), 3)
+    assert certify_clique_bound(ce.graph, ce.selection) == 144
+    assert strict_ekr_audit(ce.graph, ce.selection).omega == 27
+
+
+def test_each_noncanonical_clique_fits_its_triangle_count():
+    """The step of the certificate's argument, on every listed
+    non-canonical maximal clique C of the oracle and counting cases: C
+    has members v and w on two lines through 0, and |C| <= 3 +
+    |N(0) & N(v) & N(w)|."""
+    checked = 0
+    for ctx, idx in [*oracle_cases(), *counting_cases()]:
+        x, sel = build_cayley(ctx, idx), subarray_for_connection_set(ctx, idx)
+        for item in noncanonical_clique_bound(x, sel)["noncanonical"]:
+            parts = list(item["parts"].values())
+            assert len(parts) >= 2, item
+            v, w = (sel.vertex_of_column[part[0]] for part in parts[:2])
+            assert len(item["clique"]) <= 3 + (x.adj[0] & x.adj[v] & x.adj[w]).bit_count()
+            checked += 1
+    assert checked == 54125
+
+
+def test_certificate_refuses_a_graph_of_other_cosets():
+    ctx = create(5, 2)
+    with pytest.raises(NotIsomorphicUnderF, match=r"^pair \(0, \d+\) adjacent"):
+        certify_clique_bound(build_cayley(ctx, (0, 1)), subarray_for_connection_set(ctx, (0, 2)))
+
+
+def test_certificate_refuses_a_graph_of_more_cosets_without_asserts():
+    """With the pairing check patched to pass, the count alone refuses
+    the graphs of cosets 0..4 and 0..3 at q = 7 given the selection of
+    0..2, under python -O; on the second, 3 + count exceeds the bound
+    4 while the count alone does not."""
+    lines = run_optimized("""
+from peisert import build_cayley, create, oa, subarray_for_connection_set
+from peisert.errors import CertificationFailed
+print("debug", __debug__)
+oa.verify_isomorphism = lambda *args: None
+ctx = create(7, 2)
+for m in (5, 4):
+    try:
+        oa.certify_clique_bound(build_cayley(ctx, range(m)),
+                                subarray_for_connection_set(ctx, (0, 1, 2)))
+    except CertificationFailed as e:
+        print(e)
+""")
+    assert lines == ["coset 0, vertex 10: 3 + 9 common neighbours exceed the bound 4",
+                     "coset 0, vertex 10: 3 + 3 common neighbours exceed the bound 4"]
+
+
+def test_certificate_budget():
+    ctx = create(3, 4)
+    idx = (0, 1, 2, 3, 4)
+    default = inspect.signature(certify_clique_bound).parameters["budget"].default
+    assert default == DEFAULT_BUDGET
+    with pytest.raises(SearchTimeout, match="^zero budget$"):
+        certify_clique_bound(build_cayley(ctx, idx), subarray_for_connection_set(ctx, idx),
+                             budget=0)
 
 
 def test_csv_round_trip():

@@ -33,6 +33,7 @@ from .oa import (
     build_pointline_oa,
     canonical_correspondence,
     certify_clique_bound,
+    certify_coset_lines,
     default_alpha,
     noncanonical_clique_bound,
     oa_from_csv,
@@ -76,8 +77,8 @@ __all__ = [
     "ambient_field", "analyze_graph", "block_graph", "build_cayley",
     "build_counterexample", "build_ekr_basis", "build_pointline_oa",
     "build_whd", "canonical_cliques", "canonical_correspondence",
-    "certify_clique_bound", "check_ordering", "connection_set", "create", "decompose_clique",
-    "decompose_cliques", "default_alpha", "enumerate_max_cliques",
+    "certify_clique_bound", "certify_coset_lines", "check_ordering", "connection_set",
+    "create", "decompose_clique", "decompose_cliques", "default_alpha", "enumerate_max_cliques",
     "enumerate_maximal_cliques", "family_cosets", "from_dimacs", "is_weakly_hadamard",
     "noncanonical_clique_bound", "oa_from_csv", "oa_to_csv", "run_sweep",
     "srg_certify", "strict_ekr_audit", "subarray_for_connection_set",

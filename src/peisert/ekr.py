@@ -4,22 +4,25 @@ subfield counterexamples.
 
 Each certificate takes the graph and its oa.SubarraySelection, which
 carries the field, the cosets, q, m, N(0) and the certified, read-only
-line table, and is never rebuilt here.  The basis and the audit first
-run oa.verify_isomorphism, and a decomposition runs the same oa.is_paired
-check against its basis's selection: that one check pairs the graph with
-the selection, and what it implies, the line eigenvalues, the spectrum
-{k, q - m, -m} and the proper unused-slope coloring, is not checked
-again.  An EkrBasis is built from its selection alone.  Everything is
-exact.  Basis columns are stored as the integer vectors q*chi - 1, with
-no n x n product.  Decompositions are batched: decompose_cliques reads
-every clique's line counts c_L = |L & C| with one bincount per chunk of
-cliques; decompose_clique is the batch of one.  The pair count P = sum_L
+kept rows (the m used rows and the coloring row), and is never rebuilt
+here; nothing here reads the full (q + 1)-row table.  The basis and the
+audit first run oa.verify_isomorphism, and a decomposition runs the
+same oa.is_paired check against its basis's selection: that one check
+pairs the graph with the selection, and what it implies from the kept
+rows, the used-line eigenvalues, the spectrum {k, q - m, -m} and the
+proper unused-slope coloring, is not checked again.  An EkrBasis is
+built from its selection alone.  Everything is exact.  Basis columns
+are stored as the integer vectors q*chi - 1, with no n x n product.
+Decompositions are batched: decompose_cliques reads every clique's line
+counts c_L = |L & C| with one bincount per chunk of cliques;
+decompose_clique is the batch of one.  The pair count P = sum_L
 c_L (c_L - 1) is the one certificate: the module identity's residual r
-has sum_v r(v)^2 = q (q (q - 1) - P) by three facts _plane certifies
-once per selection (lines of different used rows meet once, every line
-has q points, two points share at most one used line), and on the paired
-graph P = q (q - 1) iff C is a clique.  A decomposition keeps its
-integer count table; the Fractions are built when a reader asks.
+has sum_v r(v)^2 = q (q (q - 1) - P) by three facts the kept-row
+certificate (oa._certify_kept) gives once per selection (lines of
+different used rows meet once, every line has q points, two points share
+at most one used line), and on the paired graph P = q (q - 1) iff C is
+a clique.  A decomposition keeps its integer count table; the Fractions
+are built when a reader asks.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .graphs import (
 )
 from .oa import (
     SubarraySelection,
+    _used_lines,
     is_paired,
     subarray_for_connection_set,
     unused_slope_coloring,
@@ -78,19 +82,12 @@ class CanonicalClique(NamedTuple):
 
 def canonical_cliques(sel: SubarraySelection) -> list[CanonicalClique]:
     """All m*q coset cliques, ordered by (coset, intercept): the lines of
-    each used row of the symbol table, by one stable argsort per row.
+    the used kept rows (oa._used_lines).
 
-    Certifies nothing.  Strength 2 (oa._plane) makes each row a partition
-    into q lines of q.  Once oa.verify_isomorphism pairs a graph with the
+    Certifies nothing.  Once oa.verify_isomorphism pairs a graph with the
     selection, the used lines are cliques of that graph.
     """
-    q = sel.q
-    label = np.array(range(sel.ctx.order), dtype=object)  # one int object per vertex, shared by its lines
-    out = []
-    for i, row in zip(sel.coset_indices, sel.rows):
-        cells = label[np.argsort(sel.symbol[row], kind="stable")].reshape(q, q).tolist()
-        out.extend(CanonicalClique(i, sym, tuple(cell)) for sym, cell in enumerate(cells))
-    return out
+    return [CanonicalClique(*line) for line in _used_lines(sel)]
 
 
 def _basis_matrix(basis: EkrBasis) -> np.ndarray:
@@ -117,8 +114,8 @@ class EkrBasis:
     off_base.  The identity sum_v r(v)^2 = q (q (q - 1) - P)
     (decompose_cliques) needs lines of different used rows to meet
     once, every line to have q points and two points to share at most
-    one used line; _plane certified all three when it built the
-    selection's table, so a basis holds no uncertified table and
+    one used line; the selection's kept-row certificate gave all three
+    when it built those rows, so a basis holds no uncertified table and
     certifies none again.  matrix, derived from symbol on first read,
     holds the columns q*chi - 1 (so column / q is the balanced
     indicator), ordered by (coset, intercept).  build_ekr_basis
@@ -140,7 +137,7 @@ class EkrBasis:
         sel = self.selection
         q, m = sel.q, sel.m
         cliques = canonical_cliques(sel)
-        symbol = read_only(sel.symbol[list(sel.rows)])
+        symbol = sel.kept[:m]
         at_base = symbol[:, 0]
         for name, value in (("base_vertex", 0), ("q", q), ("m", m), ("rank", m * (q - 1)),
                             ("all_cliques", cliques),
@@ -162,11 +159,12 @@ def build_ekr_basis(x: Graph, sel: SubarraySelection) -> EkrBasis:
     has spectrum {k, q - m, -m}.  Each strength-2 row partitions the
     vertices, so each class has one line through the base vertex.  B^T
     B = I_m (x) q^2 (q I - J), entry q^2 (|L & L'| - 1), is fixed by
-    three certified facts: the full array has strength 2 (lines of
-    different slopes meet once), the column -> vertex map is a bijection
-    (each line has q vertices), and each row partitions the plane (lines
-    of one slope are disjoint).  It is nonsingular, so B has full column
-    rank m (q - 1) and spans every difference chi_base - chi_other.
+    three certified facts: the kept rows are pairwise strength 2 (lines
+    of different used slopes meet once), the column -> vertex map is a
+    bijection (each line has q vertices), and each row partitions the
+    plane (lines of one slope are disjoint).  It is nonsingular, so B has
+    full column rank m (q - 1) and spans every difference chi_base -
+    chi_other.
     """
     verify_isomorphism(x, sel)
     return EkrBasis(sel)
@@ -244,9 +242,10 @@ def decompose_cliques(x: Graph, basis: EkrBasis,
     u = (1 - m + sum_b c_{L_b}) / (q m).
 
     The pair count P = sum_L c_L (c_L - 1) decides that identity: with
-    s(v) = sum_b c_{L_b(v)}, the three facts _plane certified for the
-    selection's table (lines of different used rows meet once, every
-    line has q points, two points share at most one used line) give
+    s(v) = sum_b c_{L_b(v)}, the three facts the kept-row certificate
+    gave for the selection's used rows (lines of different used rows
+    meet once, every line has q points, two points share at most one
+    used line) give
     sum_v s = m q^2, sum_{v in C} s = P + m q and sum_v s^2 = q (P + m q)
     + m (m - 1) q^2, so sum_v r(v)^2 = q (q (q - 1) - P).  P counts the
     ordered pairs of C on a used line, and the paired graph joins two
@@ -349,13 +348,13 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
     T0 with n = q^2, and T0 cliques pass through any given vertex.
     Translation maps each line to a line of the same slope, so the
     translates of a clique through 0 are canonical iff it is, and the
-    canonicity test reads the T0 cliques only: a used row of the symbol
-    table, whose lines are those of the cosets of N(0), reads 0 at
-    vertex 0, so a clique through 0 is canonical iff that row reads 0 on
-    all of it, which makes it that line of q points.  The found cliques
-    are distinct, so exactly m canonical ones through 0 are every
-    expected line, which attains omega = q; a search that lost one is
-    refused.  Only the non-canonical cliques are translated, by
+    canonicity test reads the T0 cliques only: a used kept row, whose
+    lines are those of the cosets of N(0), reads 0 at vertex 0, so a
+    clique through 0 is canonical iff that row reads 0 on all of it,
+    which makes it that line of q points.  The found cliques are
+    distinct, so exactly m canonical ones through 0 are every expected
+    line, which attains omega = q; a search that lost one is refused.
+    Only the non-canonical cliques are translated, by
     _translation_closure: for the full list it keeps C + u when u is its
     least vertex, which gives each clique once, and the list through v
     is the C + v.  The full list of cliques is built on first read of
@@ -370,8 +369,7 @@ def strict_ekr_audit(x: Graph, sel: SubarraySelection,
     classes = color_classes(unused_slope_coloring(sel))
     through_0 = transversal_cliques(x, classes.values(), 0, deadline)
     members = np.array(through_0, dtype=np.int64).reshape(len(through_0), q)
-    rows = np.array(sel.rows)[:, None, None]
-    canonical = (sel.symbol[rows, members] == 0).all(axis=2).any(axis=0)  # (m, T0, q) gather
+    canonical = (sel.kept[:m, members] == 0).all(axis=2).any(axis=0)  # (m, T0, q) gather
     if np.count_nonzero(canonical) != m:
         raise CertificationFailed("a canonical clique is missing from the enumeration")
     if not canonical.all() and q > (m - 1) ** 2:
@@ -405,6 +403,8 @@ def _translation_closure(ctx: FieldCtx, through_0: np.ndarray,
     deadline has passed.
     """
     deadline.check()
+    if not len(through_0):  # nothing to translate
+        return through_0
     if through_vertex is not None:
         moved = ctx.add_array(through_0, through_vertex)
     else:

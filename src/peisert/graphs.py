@@ -43,6 +43,13 @@ def _bits(x: int):
         x ^= low
 
 
+def _flags(x: int, n: int) -> list[bool]:
+    """The membership flags of vertices 0..n-1 in bitset x."""
+    x &= (1 << n) - 1
+    return np.unpackbits(np.frombuffer(x.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
+                         count=n, bitorder="little").astype(bool).tolist()
+
+
 def _mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -167,9 +174,10 @@ def srg_certify(g: Graph) -> SrgParams:
     lam = mu = None
     for u in (0,) if g.field is not None else range(n):
         au = g.adj[u]
+        adjacent = _flags(au, n)
         for v in range(u + 1, n):
             common = (au & g.adj[v]).bit_count()
-            if (au >> v) & 1:
+            if adjacent[v]:
                 if lam is None:
                     lam = common
                 elif common != lam:
@@ -257,9 +265,10 @@ def _translates(ctx: FieldCtx, labels: Iterable[int]) -> list[int]:
         period = place * p
         # top_j: the highest p^j labels of every period of p^(j+1)
         top = (((1 << place) - 1) << (period - place)) * (full // ((1 << period) - 1))
+        rest, wrap = full ^ top, period - place
         for u in range(place, period):
             x = rows[u - place]
-            rows.append(((x & ~top) << place) | ((x & top) >> (period - place)))
+            rows.append(((x & rest) << place) | ((x & top) >> wrap))
         place = period
     return rows
 
@@ -321,11 +330,13 @@ def family_cosets(ctx: FieldCtx, name: str, d: Optional[int] = None) -> frozense
 # ----- colorings and cliques ----------------------------------------------
 
 def color_classes(colors: Sequence[int]) -> dict[int, int]:
-    """The vertex bitset of each color, keyed by color."""
-    classes: dict[int, int] = {}
-    for v, c in enumerate(colors):
-        classes[c] = classes.get(c, 0) | 1 << v
-    return classes
+    """The vertex bitset of each color, keyed by color in order of first
+    appearance: one packbits over the colors x n indicator."""
+    colors = np.asarray(colors)
+    keys, first = np.unique(colors, return_index=True)
+    keys = keys[np.argsort(first)]
+    packed = np.packbits(colors == keys[:, None], axis=1, bitorder="little")
+    return {c: int.from_bytes(row.tobytes(), "little") for c, row in zip(keys.tolist(), packed)}
 
 
 def verify_coloring(g: Graph, colors: Sequence[int]) -> Optional[tuple[int, int]]:

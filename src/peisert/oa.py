@@ -4,29 +4,40 @@ The plane is coordinatized inside GF(q^2): fixing alpha outside F_q,
 every z splits uniquely as z = x + y*alpha with x, y in F_q.  Row k of
 the full array holds y - k*x at column (x, y) (the row at infinity holds
 x), so rows are slopes, columns are points, and the cells of one row
-partition the plane into the q parallel lines of that slope.  Each row
-is one gather through the q x q addition table of subfield ranks, and
-the column -> vertex map and the coset cliques are whole label arrays
-computed with FieldCtx.add_array and mul_array, never cell by cell.
+partition the plane into the q parallel lines of that slope.  Any set
+of rows is one gather through q x q tables of subfield ranks (_rows),
+and the column -> vertex map and the coset cliques are whole label
+arrays computed with FieldCtx.add_array and mul_array, never cell by
+cell.
 
 An array is fixed by its symbol table: symbol[r, z] is the entry of row
 r at the column of vertex z, the intercept rank of the slope-r line
-through z.  _plane builds the table and the column -> vertex map once
-and certifies the table strength 2 in O(n q); subarrays and translates
-are strength 2 by that check.  A SubarraySelection realizes a connection
-set as the block graph of the rows carrying its cosets, the row of coset
-i being the one where g^i reads 0.  It is built from the field and the
-cosets alone, runs _plane itself and holds its table read-only, so it is
-certified once and never altered, and holds N(0) of its block graph.
-is_paired, the one check that pairs it with a graph (by the graph's
-field, n and N(0)), implies the line eigenvalues, the valency and the
-unused-slope coloring, which ekr and whd therefore never re-check; the
-clique bound counts triangles of the paired graph and its listing
-searches it, so only `oa blockgraph` builds a block graph.  Only
-canonical_correspondence derives lines from field arithmetic, and it
-checks them against the table.  The selection is built once per graph:
-the certificates here and in ekr and whd take it and never rebuild it.
-OrthogonalArray.verify, the row-pair count, checks arrays read from CSV.
+through z.  A row is certified by reading its own cells: additive on the
+digit generators (_nonadditive), so a homomorphism F_(q^2) -> F_q.  A
+SubarraySelection realizes a connection set as the block graph of the
+rows carrying its cosets, the row of coset i being the slope v / u of
+g^i = u + v*alpha.  It builds and certifies only its kept rows, the m
+used rows and the least unused one: each additive with a kernel of q
+points, and no two kernels sharing a nonzero vertex, so any two kept
+rows are a bijection onto F_q^2 and show each symbol pair once.  It is
+built from the field and the cosets alone and holds its rows read-only,
+so it is certified once and never altered, and holds N(0) of its block
+graph.  is_paired, the one check that pairs it with a graph (by the
+graph's field, n and N(0)), implies from the kept rows the used-line
+eigenvalues, the valency and the unused-slope coloring, which ekr and
+whd therefore never re-check; the canonical cliques, their
+decompositions and the clique bound also read the kept rows only.  The
+full (q + 1)-row table is built on first read of
+SubarraySelection.symbol, its other rows certified additive and every
+nonzero vertex at 0 in exactly one row; only build_whd reads it, for
+the WHD Gram closed form and the unused-row eigenvalues.
+certify_coset_lines checks the used lines against the coset cliques by
+2 m q reads, and the clique bound counts triangles of the paired graph,
+so only `oa blockgraph` builds a block graph.  The selection is built
+once per graph: the certificates here and in ekr and whd take it and
+never rebuild it.  build_pointline_oa builds and certifies the full
+table at once (_plane); OrthogonalArray.verify, the row-pair count,
+checks arrays read from CSV.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -119,62 +131,84 @@ def build_pointline_oa(ctx: FieldCtx, alpha: int) -> OrthogonalArray:
     elements ranked by label; columns are ordered lexicographically by
     the (x, y) symbol pair.  Certified strength 2 by _plane.
     """
-    return _list_array(ctx, *_plane(ctx, alpha), range(ctx.subfield_order + 1))
+    vertex, symbol = _plane(ctx, alpha)
+    return _list_array(ctx, vertex, symbol, range(ctx.subfield_order + 1))
 
 
-def _list_array(ctx: FieldCtx, vertex, symbol: np.ndarray, rows) -> OrthogonalArray:
-    """The given rows of a symbol table as a list-form array, with the
-    (x, y) columns in the order of the column -> vertex map."""
+def _list_array(ctx: FieldCtx, vertex, table: np.ndarray, rows) -> OrthogonalArray:
+    """The rows of a symbol table as a list-form array, table[j] holding
+    row rows[j], with the (x, y) columns in the order of the column ->
+    vertex map."""
     labels = list(ctx.subfield_elements())
     slopes = labels + [INFINITY_SLOPE]
-    return OrthogonalArray(len(labels), symbol[list(rows)][:, vertex].tolist(),
+    return OrthogonalArray(len(labels), table[:, vertex].tolist(),
                            [slopes[r] for r in rows], [(x, y) for x in labels for y in labels])
 
 
 def _plane(ctx: FieldCtx, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """The column -> vertex map and the symbol table of the full array.
-
-    Row k of the array is one gather through the rank-addition table:
-    plus[y, rank(-k x)] at column (x, y); the row at infinity is
-    rank(x).  The map (x, y) -> x + y * alpha is certified a bijection
-    onto the field, and the rows scattered through it give the symbol
-    table.  Strength 2 is certified in O(n q) from that table: every
-    row is additive on the digit generators p^j, so it is a group
-    homomorphism F_(q^2) -> F_q, and every nonzero vertex has symbol 0
-    in exactly one row, so two rows' kernels meet only in 0.  Any two
-    rows together are then an injective homomorphism onto F_q^2, which
-    shows each symbol pair exactly once.
-    """
-    q = ctx.subfield_order
-    if alpha == 0 or ctx.pow(alpha, q) == alpha:
-        raise AlphaInSubfield(f"alpha label {alpha} lies in F_{q}")
-    sub, rank, plus = _subfield_ranks(ctx)
-    full = np.empty((q + 1, q * q), dtype=np.int16)
-    for k, slope in enumerate(sub.tolist()):  # row k holds y - slope * x
-        full[k] = plus[rank[ctx.mul_array(sub, ctx.neg(slope))]].ravel()
-    full[q] = np.repeat(np.arange(q), q)
-
-    vertex = ctx.add_array(np.repeat(sub, q), ctx.mul_array(np.tile(sub, q), alpha))
-    if (np.bincount(vertex, minlength=ctx.order) != 1).any():
-        raise NotIsomorphicUnderF("(x, y) -> x + y*alpha is not a bijection onto the field")
-    symbol = np.empty_like(full)
-    symbol[:, vertex] = full
-    _certify_strength_two(ctx, plus, symbol)
+    """The column -> vertex map and the symbol table of the full array,
+    built by _rows and certified strength 2 in O(n q) by
+    _certify_strength_two."""
+    ranks = _subfield_ranks(ctx)
+    vertex, _ = _coordinates(ctx, ranks[0], alpha)
+    symbol = _rows(ranks, vertex, range(ctx.subfield_order + 1))
+    _certify_strength_two(ctx, ranks[2], symbol)
     return vertex, symbol
 
 
-def _subfield_ranks(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The subfield labels ascending, rank[z] (the index of z among them,
-    -1 off the subfield) and the rank-addition table plus[a, b], the rank
-    of sub[a] + sub[b]; raises OAVerificationFailed unless F_q is closed
-    under addition."""
+def _coordinates(ctx: FieldCtx, sub: np.ndarray, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column -> vertex map, vertex[c] = x + y * alpha at column c =
+    (x, y) = (sub[c // q], sub[c % q]), and its inverse column[z].
+    Raises AlphaInSubfield unless alpha lies outside F_q, and
+    NotIsomorphicUnderF unless the map is a bijection onto the field:
+    its n labels fill all n slots of the inverse."""
+    q = len(sub)
+    if alpha == 0 or ctx.pow(alpha, q) == alpha:
+        raise AlphaInSubfield(f"alpha label {alpha} lies in F_{q}")
+    vertex = ctx.add_array(np.repeat(sub, q), ctx.mul_array(np.tile(sub, q), alpha))
+    column = np.full(ctx.order, -1, dtype=np.int64)
+    column[vertex] = np.arange(q * q)
+    if (column < 0).any():
+        raise NotIsomorphicUnderF("(x, y) -> x + y*alpha is not a bijection onto the field")
+    return vertex, column
+
+
+def _rows(ranks, vertex: np.ndarray, rows) -> np.ndarray:
+    """Rows `rows` of the symbol table, given _subfield_ranks' tables.
+    Row k holds y - sub[k] x at column (x, y) = (sub[a], sub[b]), the
+    rank plus[minus[k, a], b]; the row at infinity holds x, the rank a.
+    All rows are one gather through the rank tables and one scatter
+    through the column -> vertex map."""
+    plus, minus = ranks[2], ranks[3]
+    q, rows = len(plus), np.asarray(rows, dtype=np.intp)
+    cells = plus[minus[np.minimum(rows, q - 1)]]  # (rows, a, b)
+    cells[rows == q] = np.arange(q)[:, None]
+    out = np.empty((len(rows), q * q), dtype=np.int16)
+    out[:, vertex] = cells.reshape(len(rows), q * q)
+    return out
+
+
+def _subfield_ranks(ctx: FieldCtx) -> tuple[np.ndarray, ...]:
+    """The subfield labels sub ascending, rank[z] (the index of z among
+    them, -1 off the subfield), the rank-addition table plus[a, b], the
+    rank of sub[a] + sub[b], and the table minus[k, a], the rank of
+    -sub[k] * sub[a].  minus adds exponents of h = g^(q + 1), which
+    generates F_q^* (its q - 1 powers are the nonzero subfield labels),
+    and -1 = h^((q - 1) / 2).  Raises OAVerificationFailed unless F_q is
+    closed under addition."""
     sub = np.array(ctx.subfield_elements(), dtype=np.int64)
     rank = np.full(ctx.order, -1, dtype=np.int16)  # q <= 2^10
     rank[sub] = np.arange(len(sub))
     plus = rank[ctx.add_array(sub[:, None], sub)]
     if (plus < 0).any():
         raise OAVerificationFailed("the subfield is not closed under addition")
-    return sub, rank, plus
+    q = len(sub)
+    power = rank[[ctx.gen_pow(j * (q + 1)) for j in range(q - 1)]]  # rank of h^j
+    log = np.zeros(q, dtype=np.int64)
+    log[power] = np.arange(q - 1)
+    minus = power[(log[:, None] + log + (q - 1) // 2) % (q - 1)]
+    minus[0] = minus[:, 0] = 0  # 0 times anything
+    return sub, rank, plus, minus
 
 
 def _nonadditive(p: int, plus: np.ndarray,
@@ -207,19 +241,56 @@ def _nonadditive(p: int, plus: np.ndarray,
     return i, z - g, g
 
 
-def _certify_strength_two(ctx: FieldCtx, plus: np.ndarray, symbol: np.ndarray) -> None:
-    """Certify the (q + 1) x n symbol table of a point-line array strength
-    2: each row additive (_nonadditive) and each nonzero vertex at
-    symbol 0 in exactly one row.  Raises OAVerificationFailed."""
-    bad = _nonadditive(ctx.p, plus, symbol)
+def _certify_additive(p: int, plus: np.ndarray, table: np.ndarray, rows) -> None:
+    """Raise OAVerificationFailed naming row rows[j] unless every row
+    table[j] is additive (_nonadditive)."""
+    bad = _nonadditive(p, plus, table)
     if bad is not None:
         raise OAVerificationFailed(
-            f"row {bad[0]} symbols are not additive: vertex {bad[1]} plus {bad[2]}")
+            f"row {rows[bad[0]]} symbols are not additive: vertex {bad[1]} plus {bad[2]}")
+
+
+def _certify_strength_two(ctx: FieldCtx, plus: np.ndarray, symbol: np.ndarray,
+                          unchecked: Optional[list[int]] = None) -> None:
+    """Certify the (q + 1) x n symbol table of a point-line array strength
+    2: each row additive, a group homomorphism F_(q^2) -> F_q, and each
+    nonzero vertex at symbol 0 in exactly one row, so two rows' kernels
+    meet only in 0.  Any two rows together are then an injective
+    homomorphism onto F_q^2, which shows each symbol pair exactly once.
+    unchecked, when given, lists the only rows not yet certified
+    additive.  Raises OAVerificationFailed."""
+    if unchecked is None:
+        _certify_additive(ctx.p, plus, symbol, range(len(symbol)))
+    else:
+        _certify_additive(ctx.p, plus, symbol[unchecked], unchecked)
     zeros = np.count_nonzero(symbol[:, 1:] == 0, axis=0)
     bad = np.flatnonzero(zeros != 1)
     if bad.size:
         raise OAVerificationFailed(
             f"vertex {bad[0] + 1} has symbol 0 in {zeros[bad[0]]} rows, not one")
+
+
+def _certify_kept(p: int, plus: np.ndarray, kept: np.ndarray, rows) -> None:
+    """Certify kept rows pairwise strength 2, reading them alone: each
+    additive, so a homomorphism F_(q^2) -> F_q; each at 0 on exactly q
+    vertices, a kernel of q points, so onto F_q; and no nonzero vertex at
+    0 in two of them.  Two kept rows then have kernels meeting only in 0,
+    so together they are an injective, hence bijective, homomorphism
+    onto F_q^2.  kept[j] is row rows[j] of the table.  Raises
+    OAVerificationFailed naming the row or the vertex."""
+    _certify_additive(p, plus, kept, rows)
+    q = len(plus)
+    zeros = kept == 0
+    counts = np.count_nonzero(zeros, axis=1)
+    bad = np.flatnonzero(counts != q)
+    if bad.size:
+        raise OAVerificationFailed(
+            f"row {rows[bad[0]]} reads 0 on {counts[bad[0]]} vertices, not {q}")
+    shared = np.count_nonzero(zeros[:, 1:], axis=0)
+    bad = np.flatnonzero(shared > 1)
+    if bad.size:
+        raise OAVerificationFailed(
+            f"vertex {bad[0] + 1} has symbol 0 in {shared[bad[0]]} kept rows")
 
 
 def default_alpha(ctx: FieldCtx, coset_indices) -> int:
@@ -237,48 +308,61 @@ def default_alpha(ctx: FieldCtx, coset_indices) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SubarraySelection:
-    """Rows of the full array realizing one connection set.
+    """The kept rows of the full array realizing one connection set.
 
-    Built from the field and the cosets alone: alpha is default_alpha's, and
-    vertex_of_column and symbol are _plane's, certified here, so a selection
-    never holds an uncertified table.  symbol is an array over immutable
-    bytes, which no flag makes writeable again.  symbol[r, z] is the entry
-    of row r at the column of vertex z: the intercept rank of the slope-r
-    line through z, field slopes ascending and the row at infinity last.
-    rows[j] is the row of coset i = coset_indices[j], where g^i = u + v *
-    alpha reads 0: slope v / u; an index outside [0, q] raises
-    IndexOutOfRange, and a coset on the alpha axis or sharing its row
-    raises CorrespondenceFailed.  vertex_of_column sends column (x, y) of
-    the full array and of the subarray to the Cayley label x + y * alpha.
-    neighbors is N(0) of the block graph as a bitset: the vertices v > 0
-    at symbol 0 in some used row.
+    Built from the field and the cosets alone: alpha is default_alpha's,
+    and vertex_of_column and kept are built and certified here
+    (_certify_kept), so a selection never holds an uncertified row.
+    rows[j] is the row of coset i = coset_indices[j]: the slope v / u of
+    g^i = u + v * alpha, where g^i reads 0, field slopes ascending and the
+    row at infinity last.  An index outside [0, q] raises IndexOutOfRange,
+    and a coset on the alpha axis (u = 0) or sharing its row raises
+    CorrespondenceFailed.  kept_rows is rows followed by the least unused
+    row, the coloring row, and kept[j], an array over immutable bytes
+    that no flag makes writeable again, is row kept_rows[j] of the symbol
+    table: kept[j, z] is the intercept rank of the slope line through
+    vertex z.  vertex_of_column sends column (x, y) of the full array and
+    of the subarray to the Cayley label x + y * alpha.  neighbors is N(0)
+    of the block graph as a bitset: the vertices v > 0 at symbol 0 in
+    some used row.  The pairing, the used-line eigenvalues, the coloring,
+    the canonical cliques, the decompositions and the clique bound read
+    the kept rows only; symbol, the full table, is built on first read.
     """
     ctx: FieldCtx
     coset_indices: tuple[int, ...]
     alpha: int = field(init=False)
     rows: tuple[int, ...] = field(init=False)
+    kept_rows: tuple[int, ...] = field(init=False)
     vertex_of_column: tuple[int, ...] = field(init=False)
-    symbol: np.ndarray = field(init=False)
+    kept: np.ndarray = field(init=False)
     neighbors: int = field(init=False, repr=False)
 
     def __post_init__(self):
         ctx, idx = self.ctx, self.coset_indices
+        q = ctx.subfield_order
         for i in idx:
-            if not 0 <= i <= ctx.subfield_order:
-                raise IndexOutOfRange(f"coset index {i} outside [0, {ctx.subfield_order}]")
+            if not 0 <= i <= q:
+                raise IndexOutOfRange(f"coset index {i} outside [0, {q}]")
         alpha = default_alpha(ctx, idx)
-        vertex, symbol = _plane(ctx, alpha)
-        reps = [ctx.gen_pow(i) for i in idx]  # g^i, the coset representatives
-        rows = tuple(np.argmax(symbol[:, reps] == 0, axis=0).tolist())
-        if ctx.subfield_order in rows:  # the row at infinity
-            i = idx[rows.index(ctx.subfield_order)]
-            raise CorrespondenceFailed(f"coset {i} representative lies on the alpha axis")
+        ranks = _subfield_ranks(ctx)
+        sub, rank = ranks[:2]
+        vertex, column = _coordinates(ctx, sub, alpha)
+        u, v = np.divmod(column[[ctx.gen_pow(i) for i in idx]], q)  # g^i = sub[u] + sub[v] alpha
+        rows = tuple(q if a == 0 else int(rank[ctx.div(int(sub[b]), int(sub[a]))])
+                     for a, b in zip(u.tolist(), v.tolist()))
+        if q in rows:  # the row at infinity
+            raise CorrespondenceFailed(f"coset {idx[rows.index(q)]} representative "
+                                       "lies on the alpha axis")
         if len(set(rows)) != len(idx):
             raise CorrespondenceFailed("coset slopes are not pairwise distinct")
-        neighbors = _bitset((symbol[list(rows), 1:] == 0).any(axis=0)) << 1  # vertices 1, 2, ...
-        for name, value in (("alpha", alpha), ("rows", rows),
+        kept_rows = rows + (min(set(range(q + 1)) - set(rows)),)
+        kept = _rows(ranks, vertex, kept_rows)
+        _certify_kept(ctx.p, ranks[2], kept, kept_rows)
+        neighbors = _bitset((kept[:len(idx), 1:] == 0).any(axis=0)) << 1  # vertices 1, 2, ...
+        for name, value in (("alpha", alpha), ("rows", rows), ("kept_rows", kept_rows),
                             ("vertex_of_column", tuple(vertex.tolist())),
-                            ("symbol", read_only(symbol)), ("neighbors", neighbors)):
+                            ("kept", read_only(kept)), ("neighbors", neighbors),
+                            ("_ranks", ranks), ("_vertex", vertex)):
             object.__setattr__(self, name, value)
 
     @property
@@ -296,7 +380,24 @@ class SubarraySelection:
     @property
     def subarray(self) -> OrthogonalArray:
         """The used rows as a list-form array, built on each call."""
-        return _list_array(self.ctx, self.vertex_of_column, self.symbol, self.row_positions)
+        order = np.argsort(self.rows)
+        return _list_array(self.ctx, self._vertex, self.kept[order], self.row_positions)
+
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        """The full (q + 1) x n symbol table, read-only, built on first
+        read from the rank tables and the column -> vertex map the
+        selection holds.  Only the rows not kept are built and certified
+        additive, then every nonzero vertex is checked at 0 in exactly
+        one of the q + 1 rows (_certify_strength_two), with no second
+        certificate of the kept rows.  A cached property, not a field, so
+        dataclasses.replace never copies it."""
+        rest = [r for r in range(self.q + 1) if r not in self.kept_rows]
+        table = np.empty((self.q + 1, self.ctx.order), dtype=np.int16)
+        table[list(self.kept_rows)] = self.kept
+        table[rest] = _rows(self._ranks, self._vertex, rest)
+        _certify_strength_two(self.ctx, self._ranks[2], table, rest)
+        return read_only(table)
 
 
 def _bitset(flags: np.ndarray) -> int:
@@ -337,17 +438,20 @@ def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
     graph of the selected subarray onto the Cayley graph x; return the
     vertex map (block column position -> Cayley label).
 
-    The table is strength 2 (_plane): every row is additive onto F_q with
-    a kernel K_r of q points, and two kernels meet only in 0.  So u and v
-    share a used line exactly when v - u is in sel.neighbors, and the
-    image is x.  A line L = K_r + t meets N(0) in e (q - 1) points when t
-    is in K_r and in m - e otherwise, with e = 1 on used rows and 0
-    elsewhere; as L - u is a line of row r, A chi_L = (m - e) 1 + (e q -
-    m) chi_L.  So k = m (q - 1), differences of lines of one row are
-    eigenvectors at q - m on used rows and -m on the rest, and the lines
-    of an unused row (its kernel meets N(0) only in 0) color x properly
-    with q colors.  Raises NotIsomorphicUnderF on a size mismatch or with
-    the pair (0, w), w least in exactly one of the two N(0), and
+    The kept rows are pairwise strength 2 (_certify_kept): each is
+    additive onto F_q with a kernel K_r of q points, and two kernels meet
+    only in 0.  So u and v share a used line exactly when v - u is in
+    sel.neighbors, and the image is x.  A line L = K_r + t of a row whose
+    kernel meets each used kernel only in 0 meets N(0) in e (q - 1)
+    points when t is in K_r and in m - e otherwise, with e = 1 on used
+    rows and 0 elsewhere; as L - u is a line of row r, A chi_L = (m - e) 1
+    + (e q - m) chi_L.  So k = m (q - 1), and from the kept rows alone,
+    differences of lines of a used row are eigenvectors at q - m and the
+    lines of the coloring row (an unused kept row) color x properly
+    with q colors.  The other unused rows are eigenvectors at -m once
+    SubarraySelection.symbol has certified the full table, which
+    build_whd reads.  Raises NotIsomorphicUnderF on a size mismatch or
+    with the pair (0, w), w least in exactly one of the two N(0), and
     CertificationFailed on a graph without its field."""
     if not is_paired(x, sel):
         if x.n != sel.ctx.order:
@@ -360,36 +464,60 @@ def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
     return list(sel.vertex_of_column)
 
 
+def certify_coset_lines(sel: SubarraySelection) -> None:
+    """Certify that each used line of symbol rank(delta) is the coset
+    clique g^i F_q + delta * alpha of its coset i, by 2 m q reads of the
+    kept rows.  Used row j reads 0 on the q points of g^i F_q, distinct
+    as multiplication by g^i != 0 permutes the field, so they are its
+    whole kernel (q points, _certify_kept); it reads rank(delta) at delta
+    * alpha, so by additivity it reads rank(delta) on every point of g^i
+    F_q + delta * alpha, which is then the line of that symbol.  Raises
+    CorrespondenceFailed naming the row and the first symbol whose line
+    differs (symbol 0 when the kernel read fails)."""
+    ctx, q, m = sel.ctx, sel.q, sel.m
+    sub = sel._ranks[0]
+    used = sel.kept[:m]
+    kernels = np.array([ctx.mul_array(sub, ctx.gen_pow(i)) for i in sel.coset_indices])
+    bad = used[:, ctx.mul_array(sub, sel.alpha)] != np.arange(q)  # at delta * alpha
+    bad[:, 0] |= np.take_along_axis(used, kernels, axis=1).any(axis=1)
+    if bad.any():
+        j, s = (int(t) for t in np.argwhere(bad)[0])
+        raise CorrespondenceFailed(f"row {int(sub[sel.rows[j]])} symbol {s}: "
+                                   "line and coset clique differ")
+
+
+def _used_lines(sel: SubarraySelection):
+    """Yield (coset, symbol, sorted vertices) for every line of the used
+    kept rows, in coset order then symbol order: one stable argsort per
+    row, whose positions are the vertex labels, each row's lists freed
+    before the next.  The labels are one shared int object per vertex.
+    Certifies nothing: the kept-row certificate makes each row a
+    partition into q lines of q."""
+    q = sel.q
+    label = np.array(range(sel.ctx.order), dtype=object)
+    for i, row in zip(sel.coset_indices, sel.kept):
+        cells = label[np.argsort(row, kind="stable")].reshape(q, q).tolist()
+        for sym, cell in enumerate(cells):
+            yield i, sym, tuple(cell)
+
+
 def canonical_correspondence(sel: SubarraySelection) -> dict:
-    """Match every used line of the table with its coset clique
-    c_i * F_q + delta * alpha, derived here from field arithmetic (q x q
-    cells per coset, one sorted row per delta), returned by (coset,
-    symbol).  A cell of q distinct vertices all at its symbol in the row
-    is the whole line (_plane puts q cells at each symbol); raises
-    CorrespondenceFailed otherwise."""
-    ctx = sel.ctx
-    sub = np.array(ctx.subfield_elements(), dtype=np.int64)
-    shifts = ctx.mul_array(sub, sel.alpha)[:, None]  # delta * alpha, one per symbol
-    out = {}
-    for coset, r in zip(sel.coset_indices, sel.rows):
-        cells = np.sort(ctx.add_array(shifts, ctx.mul_array(sub, ctx.gen_pow(coset))), axis=1)
-        bad = (sel.symbol[r][cells] != np.arange(len(sub))[:, None]).any(axis=1)
-        bad |= (np.diff(cells, axis=1) <= 0).any(axis=1)
-        if bad.any():
-            raise CorrespondenceFailed(f"row {ctx.subfield_elements()[r]} symbol "
-                                       f"{np.flatnonzero(bad)[0]}: line and coset clique differ")
-        out.update(((coset, sym), tuple(cell)) for sym, cell in enumerate(cells.tolist()))
-    return out
+    """Match every used line with its coset clique c_i * F_q + delta *
+    alpha, certified by certify_coset_lines, returned by (coset, symbol):
+    the sorted labels of the line (_used_lines)."""
+    certify_coset_lines(sel)
+    return {(i, sym): cell for i, sym, cell in _used_lines(sel)}
 
 
 def unused_slope_coloring(sel: SubarraySelection) -> list[int]:
-    """Proper q-coloring of the Cayley graph by the least unused slope.
+    """Proper q-coloring of the Cayley graph by the least unused slope,
+    the last kept row.
 
     Field slopes rank below infinity; the color of vertex z is the symbol
     of the unused-slope line through z.  Some slope is unused, as
     SubarraySelection refuses any coset on the row at infinity.
     """
-    return sel.symbol[min(set(range(sel.q + 1)) - set(sel.rows))].tolist()
+    return sel.kept[sel.m].tolist()
 
 
 # ----- non-canonical clique bound ------------------------------------------
@@ -427,10 +555,10 @@ def certify_clique_bound(x: Graph, sel: SubarraySelection, *,
     bound = (sel.m - 1) ** 2
     if sel.q <= bound:
         return bound
-    for i, r in zip(sel.coset_indices, sel.rows):
+    for i, row in zip(sel.coset_indices, sel.kept):
         deadline.check()
         both = x.adj[0] & x.adj[sel.ctx.gen_pow(i)]
-        for w in _bits(both & ~_bitset(sel.symbol[r] == 0)):
+        for w in _bits(both & ~_bitset(row == 0)):
             count = (both & x.adj[w]).bit_count()
             if 3 + count > bound:
                 raise CertificationFailed(f"coset {i}, vertex {w}: 3 + {count} common "
@@ -454,7 +582,7 @@ def noncanonical_clique_bound(x: Graph, sel: SubarraySelection, *,
     column_of = [0] * x.n
     for col, v in enumerate(vertex_of):
         column_of[v] = col
-    row_of = (sel.symbol[list(sel.row_positions)] == 0).argmax(axis=0).tolist()
+    row_of = (sel.kept[np.argsort(sel.rows)] == 0).argmax(axis=0).tolist()
     found = enumerate_maximal_cliques(x, through_vertex=0, budget=budget)
     cliques = sorted(tuple(sorted(column_of[v] for v in c)) for c in found)
     bound = (sel.m - 1) ** 2

@@ -131,7 +131,10 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
     """Run the full stack on one connection set.  The audit and the bound
     share the budget; a stage that runs out raises SearchTimeout.
 
-    Only the T0 maximum cliques through 0 are decomposed; every maximum
+    The coset cliques are certified the used lines by 2 m q reads
+    (oa.certify_coset_lines), building no dict; build_whd reads, so
+    builds and certifies, the selection's full table.  Only the T0
+    maximum cliques through 0 are decomposed; every maximum
     clique is a translate C + u of one of them.  Translation by u moves
     each line to the line of the same slope through its translate, so
     C + u has C's count table with each row's intercepts permuted: the
@@ -148,7 +151,7 @@ def analyze_graph(ctx: FieldCtx, indices, name: str = "",
     params = graphs.srg_certify(x)
     sel = oa.subarray_for_connection_set(ctx, idx)
     mapping = oa.verify_isomorphism(x, sel)
-    oa.canonical_correspondence(sel)
+    oa.certify_coset_lines(sel)
 
     colors = oa.unused_slope_coloring(sel)
     # omega = q (coset cliques meet the Hoffman bound), so q colors pin chi

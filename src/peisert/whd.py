@@ -8,7 +8,9 @@ builder takes consecutive differences of line indicators across all
 q + 1 slopes, giving q^2 integer eigenvectors of the Cayley graph that
 assemble into such a matrix.  Their eigenvalues are a closed form in q
 and m, certified by oa.verify_isomorphism, which pairs the graph with
-its selection; no n x n product is formed.
+its selection; no n x n product is formed.  build_whd is the one
+certificate that reads the selection's full (q + 1)-row table, which
+the Gram closed form and the unused-row eigenvalues rest on.
 """
 
 from __future__ import annotations
@@ -117,8 +119,8 @@ def _whd_matrix(cert: WhdCertificate) -> np.ndarray:
 class WhdCertificate:
     """Weakly Hadamard P with L P = P D for the Laplacian of the graph.
 
-    symbol is the selection's read-only (q + 1) x n symbol table, which
-    fixes P.  matrix, P, is derived from it on first read: column 0 is
+    symbol is the selection's read-only full (q + 1) x n symbol table,
+    which fixes P.  matrix, P, is derived from it on first read: column 0 is
     all ones, the rest are consecutive line-indicator differences, slope
     by slope (field slopes ascending, infinity last).  diagonal records,
     per column, the exact eigenvalue under the Laplacian L = k I - A.
@@ -141,9 +143,12 @@ def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
     The columns after the ones column are differences of consecutive
     line indicators, read off the symbol table row by row (field slopes
     ascending, infinity last).  verify_isomorphism pairs x with sel,
-    which makes the graph regular of valency k = m (q - 1) and every
-    difference column an eigenvector of A, at the closed form q - m on
-    used slopes and -m on the rest, so L P = P D for L = k I - A.
+    which makes the graph regular of valency k = m (q - 1) and, from the
+    kept rows, every used-slope difference column an eigenvector of A at
+    q - m.  The table is read from SubarraySelection.symbol, which builds
+    and certifies the full table on its first read: every row additive
+    and every nonzero vertex at 0 in exactly one row.  That makes the
+    other columns eigenvectors at -m, so L P = P D for L = k I - A.
     P^T P = n (+) (q + 1) copies of q tridiag(-1, 2, -1) is fixed by
     three certified facts: the full array has strength 2 (lines of
     different slopes meet once), the column -> vertex map is a bijection

@@ -54,7 +54,7 @@ from peisert.errors import (
 )
 from peisert.graphs import (_Deadline, _bits, _mask_of, _translates, color_classes, is_clique,
                             transversal_cliques)
-from peisert.oa import INFINITY_SLOPE, _certify_strength_two, _subfield_ranks
+from peisert.oa import INFINITY_SLOPE, _certify_kept, _certify_strength_two, _subfield_ranks
 
 PINNED81 = (-1, 0, 0, -1, 1)
 
@@ -141,6 +141,29 @@ def used_lines_oracle(sel):
             for r in sel.row_positions for delta in sel.ctx.subfield_elements()]
 
 
+def correspondence_oracle(sel, table=None):
+    """Every coset clique c_i * F_q + delta * alpha from field arithmetic
+    (q x q cells per coset, one sorted row per delta), each checked
+    against row sel.rows[j] of table (the selection's full table by
+    default): a cell of q distinct vertices all at its symbol is the
+    whole line.  Returns them by (coset, symbol); raises
+    CorrespondenceFailed on the first cell that differs."""
+    ctx = sel.ctx
+    table = sel.symbol if table is None else table
+    sub = np.array(ctx.subfield_elements(), dtype=np.int64)
+    shifts = ctx.mul_array(sub, sel.alpha)[:, None]  # delta * alpha, one per symbol
+    out = {}
+    for coset, r in zip(sel.coset_indices, sel.rows):
+        cells = np.sort(ctx.add_array(shifts, ctx.mul_array(sub, ctx.gen_pow(coset))), axis=1)
+        bad = (table[r][cells] != np.arange(len(sub))[:, None]).any(axis=1)
+        bad |= (np.diff(cells, axis=1) <= 0).any(axis=1)
+        if bad.any():
+            raise CorrespondenceFailed(f"row {ctx.subfield_elements()[r]} symbol "
+                                       f"{np.flatnonzero(bad)[0]}: line and coset clique differ")
+        out.update(((coset, sym), tuple(cell)) for sym, cell in enumerate(cells.tolist()))
+    return out
+
+
 def isomorphism_oracle(x, lines):
     """Edge-by-edge check of the block graph image, the union of cliques
     on the given used lines, against every row of x; returns the first
@@ -169,15 +192,22 @@ def assert_isomorphism_matches_oracle(x, sel, lines):
 
 
 def assert_table_fault_refused(sel, r, fault):
-    """A fault written into the selection's table is refused twice over:
-    the write raises, as the table is read-only, and the strength-2
-    certificate that built the table names row r on a faulty copy."""
+    """A fault written into kept row r of the selection's table is refused
+    three times over: the write raises, as the kept rows and the full
+    table are read-only, and on a faulty copy both the kept-row
+    certificate that built the selection and the strength-2 certificate
+    of the full table name row r."""
     with pytest.raises(ValueError, match="read-only"):
         fault(sel.symbol)
+    with pytest.raises(ValueError, match="read-only"):
+        sel.kept[sel.kept_rows.index(r), 0] = 1
     bad = sel.symbol.copy()
     fault(bad)
+    plus = _subfield_ranks(sel.ctx)[2]
     with pytest.raises(OAVerificationFailed, match=rf"^row {r} symbols are not additive: "):
-        _certify_strength_two(sel.ctx, _subfield_ranks(sel.ctx)[2], bad)
+        _certify_kept(sel.ctx.p, plus, bad[list(sel.kept_rows)], sel.kept_rows)
+    with pytest.raises(OAVerificationFailed, match=rf"^row {r} symbols are not additive: "):
+        _certify_strength_two(sel.ctx, plus, bad)
     return bad
 
 
@@ -234,10 +264,13 @@ def test_canonical_cliques_are_coset_translates():
 def test_corrupted_line_table_rejected():
     """Two vertices' symbols swapped in a used row, once on the line
     through 0 and once both outside N(0) + {0}, where only additivity
-    sees the swap: the selection's table refuses both, and so does the
-    strength-2 certificate on a copy.  canonical_correspondence checks
-    the table against field arithmetic on its own, so it refuses the
-    copy even when it is forced past the selection."""
+    sees the swap: the selection's rows refuse both writes, and the
+    kept-row and strength-2 certificates refuse both copies.  The
+    field-arithmetic correspondence oracle refuses both copies on its
+    own.  canonical_correspondence rests on the certified kept rows: it
+    equals that oracle on the selection, and a copy forced past the
+    certificate is refused by its 2 m q reads when a swapped vertex lies
+    on the line through 0."""
     for near in (True, False):
         ctx, x, sel = build(5, (0, 1))
         r = sel.row_positions[0]
@@ -251,9 +284,13 @@ def test_corrupted_line_table_rejected():
         def swap(table):
             table[r, [a, b]] = table[r, [b, a]]
         bad = assert_table_fault_refused(sel, r, swap)
-        object.__setattr__(sel, "symbol", bad)
-        with pytest.raises(CorrespondenceFailed):
-            canonical_correspondence(sel)
+        assert canonical_correspondence(sel) == correspondence_oracle(sel)
+        with pytest.raises(CorrespondenceFailed, match=r"^row \d+ symbol \d+: line and coset"):
+            correspondence_oracle(sel, bad)
+        object.__setattr__(sel, "kept", bad[list(sel.kept_rows)])
+        if near:
+            with pytest.raises(CorrespondenceFailed, match=r"^row \d+ symbol 0: line and coset"):
+                canonical_correspondence(sel)
 
 
 def test_canonical_cliques_partition_per_coset():
@@ -1033,6 +1070,36 @@ def test_translation_closure_matches_bitset_oracle():
     assert checked == 37 + 6
 
 
+def test_empty_translation_closure_returns_at_once(monkeypatch):
+    """With no clique left to translate, the closure checks its deadline
+    and returns its (0, q) input; a strict audit's report is the one its
+    cliques through 0 and the bitset oracle give."""
+    ctx = survey.ambient_field(9)
+    empty = np.zeros((0, 9), dtype=np.int64)
+    for v in (None, 0, 5):
+        got = ekr._translation_closure(ctx, empty, v, _Deadline(None))
+        assert got.shape == (0, 9) and got.dtype == np.int64
+    late = _Deadline(1.0)
+    late.t -= 2.0
+    with pytest.raises(SearchTimeout):
+        ekr._translation_closure(ctx, empty, None, late)
+
+    idx = tuple(sorted(peisert.family_cosets(ctx, "paley")))
+    x, sel = build_cayley(ctx, idx), subarray_for_connection_set(ctx, idx)
+    seen = []
+    closure = ekr._translation_closure
+    monkeypatch.setattr(ekr, "_translation_closure",
+                        lambda *args: seen.append(args[1].shape) or closure(*args))
+    through_0 = cliques_through_0(x, sel)
+    for v in (None, 7):
+        report = strict_ekr_audit(x, sel, through_vertex=v)
+        count = len(through_0) * (9 if v is None else 1)
+        assert report == ekr.AuditReport(9, v, count, count, (),
+                                         tuple(map(tuple, through_0.tolist())), ctx)
+        assert report.cliques == translation_closure_oracle(ctx, through_0, v)
+    assert seen == [(0, 9), (5, 9)] * 2  # the audit's empty closure, then the listing
+
+
 def top_digit(c, p):
     """(j, c_j) for the top nonzero base-p digit of c > 0."""
     j = 0
@@ -1256,10 +1323,11 @@ def run_optimized(script: str) -> list[str]:
 
 
 # defines refuse(sel, fault): print whether the selection's table takes
-# the fault, then whether the strength-2 certificate takes a faulty copy
+# the fault, then whether the kept-row and strength-2 certificates take a
+# faulty copy (one verdict when they agree, both otherwise)
 TABLE_FAULT_PRELUDE = """
 from peisert.errors import OAVerificationFailed
-from peisert.oa import _certify_strength_two, _subfield_ranks
+from peisert.oa import _certify_kept, _certify_strength_two, _subfield_ranks
 
 def refuse(sel, fault):
     try:
@@ -1269,11 +1337,16 @@ def refuse(sel, fault):
         print("refused write:", e)
     bad = sel.symbol.copy()
     fault(bad)
-    try:
-        _certify_strength_two(sel.ctx, _subfield_ranks(sel.ctx)[2], bad)
-        print("accepted table")
-    except OAVerificationFailed as e:
-        print("rejected table:", e)
+    plus = _subfield_ranks(sel.ctx)[2]
+    verdicts = []
+    for certify in (lambda: _certify_kept(sel.ctx.p, plus, bad[list(sel.kept_rows)], sel.kept_rows),
+                    lambda: _certify_strength_two(sel.ctx, plus, bad)):
+        try:
+            certify()
+            verdicts.append("accepted table")
+        except OAVerificationFailed as e:
+            verdicts.append(f"rejected table: {e}")
+    print(verdicts[0] if verdicts[0] == verdicts[1] else " / ".join(verdicts))
 """
 
 BROKEN_CLIQUE_SCRIPT = """

@@ -47,6 +47,7 @@ from peisert.errors import (
 from peisert.graphs import (
     _Deadline,
     _bits,
+    _mask_of,
     _translates,
     check_symmetric_set,
     color_classes,
@@ -737,3 +738,110 @@ def test_line_check_needs_the_translation_certificate():
         with pytest.raises(CertificationFailed,
                            match="^graph is not certified translation invariant$"):
             certify(Graph(g.n, g.adj), sel)
+
+
+# ----- bitset constants against the loops they replaced -------------------------
+
+def translates_loop(ctx, labels):
+    """_translates with ~top_j built again for every row."""
+    p, n = ctx.p, ctx.order
+    full = (1 << n) - 1
+    rows = [_mask_of(labels)]
+    place = 1
+    while place < n:
+        period = place * p
+        top = (((1 << place) - 1) << (period - place)) * (full // ((1 << period) - 1))
+        for u in range(place, period):
+            x = rows[u - place]
+            rows.append(((x & ~top) << place) | ((x & top) >> (period - place)))
+        place = period
+    return rows
+
+
+def srg_pair_loop(g):
+    """srg_certify's pair loop reading u's adjacency bit by bit: (lam,
+    mu), or the message of the first witness."""
+    lam = mu = None
+    for u in (0,) if g.field is not None else range(g.n):
+        au = g.adj[u]
+        for v in range(u + 1, g.n):
+            common = (au & g.adj[v]).bit_count()
+            if (au >> v) & 1:
+                if lam is None:
+                    lam = common
+                elif common != lam:
+                    return (f"adjacent pair ({u}, {v}) has {common} common neighbors, "
+                            f"expected {lam}")
+            else:
+                if mu is None:
+                    mu = common
+                elif common != mu:
+                    return (f"non-adjacent pair ({u}, {v}) has {common} common neighbors, "
+                            f"expected {mu}")
+    return lam, mu
+
+
+def color_classes_loop(colors):
+    """color_classes one vertex at a time."""
+    classes = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return classes
+
+
+def srg_verdict(g):
+    """srg_certify's (lam, mu), or its witness message."""
+    try:
+        params = srg_certify(g)
+    except (NotRegular, NotStronglyRegular) as e:
+        return str(e)
+    return params.lam, params.mu
+
+
+def test_bitset_constants_match_their_loops():
+    """The translates with the complement of top_j hoisted, the SRG pair
+    loop reading flags built once, and the color classes from one
+    packbits give what the loops they replaced give: the same rows, the
+    same (lam, mu) or first witness, and the same classes in the same key
+    order, so verify_coloring keeps its first clash edge."""
+    rng = random.Random(32)
+    graphs = []
+    for q in (3, 5, 9, 25, 27):
+        ctx = survey.ambient_field(q)
+        for _ in range(3):  # symmetric sets, mostly neither coset unions nor SRG
+            half = rng.sample(range(1, ctx.order), rng.randint(1, min(30, ctx.order - 1)))
+            s = sorted(set(half) | {ctx.neg(x) for x in half})
+            assert _translates(ctx, s) == translates_loop(ctx, s), (ctx, s)
+            graphs.append(Graph.cayley(ctx, s))
+    for ctx, idx in oracle_cases():
+        assert _translates(ctx, connection_set(ctx, idx)) == translates_loop(
+            ctx, connection_set(ctx, idx)), (ctx, idx)
+    g = build_cayley(create(5, 2), (0, 1))
+    graphs += [g, Graph(g.n, two_switched_rows(g))]
+    graphs += [Graph(h.n, h.adj) for h in graphs[:6]]  # no field: every u runs
+    witnesses = 0
+    for h in graphs:
+        want = srg_pair_loop(h)
+        witnesses += isinstance(want, str)
+        if h.field is None and len({h.degree(v) for v in range(h.n)}) > 1:
+            continue  # the degree check refuses first
+        if h.degree(0) == h.n - 1:
+            continue  # complete: no pair loop
+        got = srg_verdict(h)
+        if isinstance(want, str):
+            assert got == want, h.n
+        elif not isinstance(got, str):  # lam is None only on an edgeless graph
+            assert got == (want[0] or 0, want[1]), h.n
+    assert witnesses >= 5
+
+    for h in graphs[:8]:
+        n = h.n
+        for k in (1, 2, 3, 9, n):
+            colors = [rng.randrange(k) * 7 - 5 for _ in range(n)]
+            got = color_classes(colors)
+            assert list(got.items()) == list(color_classes_loop(colors).items())
+            classes = color_classes_loop(colors)
+            clash = next(((u, u + (c & -c).bit_length()) for u in range(n)
+                          for c in [(h.adj[u] & classes[colors[u]]) >> (u + 1)] if c), None)
+            assert verify_coloring(h, colors) == clash
+    assert color_classes([]) == {}

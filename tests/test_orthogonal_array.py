@@ -10,6 +10,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import peisert
+
 from peisert import (
     INFINITY_SLOPE,
     OrthogonalArray,
@@ -46,14 +48,16 @@ from peisert.errors import (
 )
 from peisert.graphs import DEFAULT_BUDGET, Graph, _mask_of, enumerate_maximal_cliques
 from peisert.oa import (
+    _certify_kept,
     _certify_strength_two,
     _nonadditive,
     _plane,
     _subfield_ranks,
     translate_to_zero,
 )
+from peisert import survey
 from peisert.survey import ambient_field
-from test_ekr import q19_to_25_graphs, run_optimized
+from test_ekr import correspondence_oracle, q19_to_25_graphs, run_optimized
 from test_graph_core import oracle_cases, two_switched_rows
 
 
@@ -673,22 +677,29 @@ def test_strength_two_certificate_rejects_swapped_symbols():
 
 
 def test_selection_holds_only_its_certified_table():
-    """A selection is built from its field and cosets alone: its table
-    cannot be passed in, replaced or written, and replacing the cosets
-    builds and certifies a new table."""
+    """A selection is built from its field and cosets alone: its kept
+    rows and its full table cannot be passed in, replaced or written
+    (the full table is no field at all, so dataclasses.replace neither
+    takes nor copies it), and replacing the cosets builds and certifies
+    new rows."""
     ctx = create(5, 2)
     sel = subarray_for_connection_set(ctx, (0, 2))
     with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(sel, kept=sel.kept.copy())
+    with pytest.raises(TypeError, match="symbol"):
         dataclasses.replace(sel, symbol=sel.symbol.copy())
-    with pytest.raises(TypeError):
-        SubarraySelection(ctx, (0, 2), symbol=sel.symbol.copy())
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        sel.symbol = sel.symbol.copy()
-    with pytest.raises(ValueError, match="read-only"):
-        sel.symbol[0, 0] = 1
-    for table in (sel.symbol, sel.symbol.base):
+    for name in ("kept", "symbol"):
+        with pytest.raises(TypeError):
+            SubarraySelection(ctx, (0, 2), **{name: sel.kept.copy()})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sel, name, sel.kept.copy())
+    for table in (sel.kept, sel.symbol):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+    for table in (sel.kept, sel.kept.base, sel.symbol, sel.symbol.base):
         with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
             table.flags.writeable = True
+    assert "symbol" not in dataclasses.replace(sel).__dict__
     assert isinstance(sel.vertex_of_column, tuple)
     other = dataclasses.replace(sel, coset_indices=(0, 1))
     assert other.rows == slope_rows_oracle(ctx, other) != sel.rows
@@ -702,3 +713,173 @@ def test_build_path_never_runs_the_row_pair_check(monkeypatch):
     ctx = create(7, 2)
     build_pointline_oa(ctx, default_alpha(ctx, set()))
     subarray_for_connection_set(ctx, (0, 3))
+
+
+# ----- kept rows ----------------------------------------------------------------
+
+def kept_row_cases():
+    """The survey graphs at q <= 9, q = 49 with m = 2 and with m = 25
+    (gpstar, d = 10) and q = 81 Paley."""
+    for q in survey.Q_CHOICES:
+        ctx = ambient_field(q)
+        extra = (build_counterexample(ctx, 3).coset_indices,) if q == 9 else ()
+        for _, idx in survey.sweep_index_sets(ctx, 10, survey.DEFAULT_SEED, extra):
+            yield ctx, idx
+    ctx = ambient_field(49)
+    yield ctx, (0, 1)
+    yield ctx, tuple(sorted(family_cosets(ctx, "gpstar", 10)))
+    ctx = ambient_field(81)
+    yield ctx, tuple(sorted(family_cosets(ctx, "paley")))
+
+
+def row_oracle(ctx, alpha, r):
+    """Row r of the symbol table from field arithmetic on whole label
+    arrays: the rank of y - k x at the vertex x + y alpha, k the r-th
+    subfield label, or the rank of x at r = q."""
+    sub = np.array(ctx.subfield_elements())
+    q = len(sub)
+    rank = np.full(ctx.order, -1)
+    rank[sub] = np.arange(q)
+    x, y = np.repeat(sub, q), np.tile(sub, q)
+    row = np.empty(ctx.order, dtype=np.int64)
+    at = ctx.add_array(x, ctx.mul_array(y, alpha))
+    row[at] = rank[x] if r == q else rank[ctx.add_array(y, ctx.mul_array(x, ctx.neg(int(sub[r]))))]
+    return row
+
+
+def test_kept_rows_equal_the_full_table_and_plane():
+    """The kept rows are the m used rows in coset order, then the least
+    unused row, and equal those rows by field arithmetic, of the full
+    table and of _plane's; the full table, built on first read, equals
+    _plane's."""
+    checked = 0
+    for ctx, idx in kept_row_cases():
+        sel = subarray_for_connection_set(ctx, idx)
+        q = sel.q
+        assert sel.kept_rows == sel.rows + (min(set(range(q + 1)) - set(sel.rows)),)
+        assert sel.kept.shape == (len(idx) + 1, ctx.order)
+        for r, row in zip(sel.kept_rows, sel.kept):
+            if not np.array_equal(row, row_oracle(ctx, sel.alpha, r)):
+                pytest.fail(f"{ctx} {idx}: kept row {r} differs from field arithmetic")
+        vertex, symbol = _plane(ctx, sel.alpha)
+        assert sel.vertex_of_column == tuple(vertex.tolist())
+        if not np.array_equal(sel.kept, symbol[list(sel.kept_rows)]):
+            pytest.fail(f"{ctx} {idx}: kept rows differ from _plane's")
+        assert "symbol" not in sel.__dict__
+        if not np.array_equal(sel.symbol, symbol):
+            pytest.fail(f"{ctx} {idx}: full table differs from _plane's")
+        if not np.array_equal(symbol, [row_oracle(ctx, sel.alpha, r) for r in range(q + 1)]):
+            pytest.fail(f"{ctx} {idx}: full table differs from field arithmetic")
+        checked += 1
+    assert checked == 37 + 3
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_kept_row_certificate_refuses_every_single_cell_change(q):
+    """Every change of one cell of one kept row to another symbol is
+    refused, on every index set with m <= q - 1 at q = 3 and a sample at
+    q = 5."""
+    ctx = create(q, 2)
+    plus = _subfield_ranks(ctx)[2]
+    cases = [(0,) + rest for size in range(q) for rest in combinations(range(1, q + 1), size)]
+    if q == 5:
+        cases = cases[::5]
+    changes = 0
+    for idx in cases:
+        sel = subarray_for_connection_set(ctx, idx)
+        _certify_kept(ctx.p, plus, sel.kept, sel.kept_rows)
+        for j, z in product(range(len(sel.kept)), range(ctx.order)):
+            for s in range(q):
+                if s == sel.kept[j, z]:
+                    continue
+                bad = sel.kept.copy()
+                bad[j, z] = s
+                with pytest.raises(OAVerificationFailed):
+                    _certify_kept(ctx.p, plus, bad, sel.kept_rows)
+                changes += 1
+    assert changes == sum(len(idx) + 1 for idx in cases) * q * q * (q - 1)
+
+
+def test_kept_row_certificate_refuses_a_shared_or_wrong_sized_kernel():
+    """A kept row repeated in place of another is additive, and its
+    kernel vertices read 0 in two kept rows; a zero row is additive with
+    a kernel of n points."""
+    ctx = create(5, 2)
+    plus = _subfield_ranks(ctx)[2]
+    sel = subarray_for_connection_set(ctx, (0, 1, 3))
+    bad = sel.kept.copy()
+    bad[1] = bad[0]
+    with pytest.raises(OAVerificationFailed, match=r"^vertex \d+ has symbol 0 in 2 kept rows$"):
+        _certify_kept(ctx.p, plus, bad, sel.kept_rows)
+    bad = sel.kept.copy()
+    bad[2] = 0
+    with pytest.raises(OAVerificationFailed,
+                       match=rf"^row {sel.kept_rows[2]} reads 0 on 25 vertices, not 5$"):
+        _certify_kept(ctx.p, plus, bad, sel.kept_rows)
+
+
+def test_full_table_certifies_the_rows_it_adds(monkeypatch):
+    """A row the full table adds on first read is certified additive, and
+    the table's vertices at 0 in exactly one row; a faulty kept row never
+    reaches a selection."""
+    ctx = create(5, 2)
+    rows = oa._rows
+
+    def faulty(at):
+        def build(ranks, vertex, wanted):
+            out = rows(ranks, vertex, wanted)
+            if at in wanted:
+                j = list(wanted).index(at)
+                out[j, 1], out[j, 2] = out[j, 2], out[j, 1]
+            return out
+        return build
+
+    sel = subarray_for_connection_set(ctx, (0, 1))
+    unkept = max(set(range(6)) - set(sel.kept_rows))
+    monkeypatch.setattr(oa, "_rows", faulty(unkept))
+    sel = subarray_for_connection_set(ctx, (0, 1))
+    with pytest.raises(OAVerificationFailed, match=rf"^row {unkept} symbols are not additive: "):
+        sel.symbol
+    monkeypatch.setattr(oa, "_rows", faulty(sel.rows[1]))
+    with pytest.raises(OAVerificationFailed, match=rf"^row {sel.rows[1]} symbols are not additive: "):
+        subarray_for_connection_set(ctx, (0, 1))
+
+
+def test_certificates_leave_the_full_table_unbuilt():
+    """The pairing, the correspondence, the coloring, the audit, the
+    basis, the decompositions, the clique bound, its listing and the
+    subarray read the kept rows only; build_whd builds the full table."""
+    for q, idx in ((9, (0, 1, 2, 3, 4)), (25, (0, 3))):
+        ctx = ambient_field(q)
+        x, sel = build_cayley(ctx, idx), subarray_for_connection_set(ctx, idx)
+        verify_isomorphism(x, sel)
+        canonical_correspondence(sel)
+        unused_slope_coloring(sel)
+        audit = strict_ekr_audit(x, sel)
+        basis = peisert.build_ekr_basis(x, sel)
+        peisert.decompose_cliques(x, basis, audit.cliques)
+        certify_clique_bound(x, sel)
+        noncanonical_clique_bound(x, sel)
+        sel.subarray
+        assert "symbol" not in sel.__dict__, (q, idx)
+        peisert.build_whd(x, sel)
+        assert "symbol" in sel.__dict__
+    report = peisert.analyze_graph(ambient_field(5), (0, 2))
+    assert "symbol" in report.selection.__dict__  # analyze_graph certifies it at build_whd
+
+
+def test_canonical_correspondence_matches_field_oracle():
+    """canonical_correspondence, which rests on the certified kept rows and
+    2 m q reads, equals the field-arithmetic derivation on every oracle
+    case and at q = 49, m = 13."""
+    checked = 0
+    cases = list(oracle_cases()) + [(ambient_field(49), tuple(range(13)))]
+    for ctx, idx in cases:
+        sel = subarray_for_connection_set(ctx, idx)
+        got = canonical_correspondence(sel)
+        assert "symbol" not in sel.__dict__
+        want = correspondence_oracle(sel)
+        if list(got.items()) != list(want.items()):
+            pytest.fail(f"{ctx} {idx}: correspondence differs from the field oracle")
+        checked += 1
+    assert checked == 37 + 3 * 7 + 10 * 31 + 1

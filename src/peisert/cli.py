@@ -202,9 +202,8 @@ def cmd_oa_build(args) -> int:
                    "alpha": sel.alpha, "indices": list(idx)}
     else:
         ctx = _ambient_field(args)
-        alpha = oa.default_alpha(ctx, set())
-        array = oa.build_pointline_oa(ctx, alpha)
-        summary = {"rows": array.num_rows, "n": array.n, "alpha": alpha}
+        array = oa.build_pointline_oa(ctx)
+        summary = {"rows": array.num_rows, "n": array.n, "alpha": oa.default_alpha(ctx, ())}
     return _write_or_print(oa.oa_to_csv(array), args.out, config, summary)
 
 

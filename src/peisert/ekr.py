@@ -17,8 +17,8 @@ Decompositions are batched: decompose_cliques reads every clique's line
 counts c_L = |L & C| with one bincount per chunk of cliques;
 decompose_clique is the batch of one.  The pair count P = sum_L
 c_L (c_L - 1) is the one certificate: the module identity's residual r
-has sum_v r(v)^2 = q (q (q - 1) - P) by three facts the kept-row
-certificate (oa._certify_kept) gives once per selection (lines of
+has sum_v r(v)^2 = q (q (q - 1) - P) by three facts the row
+certificate (oa._certify_rows) gives once per selection (lines of
 different used rows meet once, every line has q points, two points share
 at most one used line), and on the paired graph P = q (q - 1) iff C is
 a clique.  A decomposition keeps its integer count table; the Fractions

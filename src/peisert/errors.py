@@ -61,10 +61,6 @@ class WrongCharacteristicResidue(InputError):
     """Residue condition on q for the requested family fails."""
 
 
-class AlphaInSubfield(InputError):
-    """The chosen plane coordinate alpha lies in F_q."""
-
-
 class NoFreeCoset(InputError):
     """No coset left over for alpha; impossible when m <= q."""
 

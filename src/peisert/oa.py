@@ -13,13 +13,14 @@ cell.
 An array is fixed by its symbol table: symbol[r, z] is the entry of row
 r at the column of vertex z, the intercept rank of the slope-r line
 through z.  A row is certified by reading its own cells: additive on the
-digit generators (_nonadditive), so a homomorphism F_(q^2) -> F_q.  A
-SubarraySelection realizes a connection set as the block graph of the
-rows carrying its cosets, the row of coset i being the slope v / u of
-g^i = u + v*alpha.  It builds and certifies only its kept rows, the m
-used rows and the least unused one: each additive with a kernel of q
-points, and no two kernels sharing a nonzero vertex, so any two kept
-rows are a bijection onto F_q^2 and show each symbol pair once.  It is
+digit generators (_nonadditive), so a homomorphism F_(q^2) -> F_q.  One
+certificate, _certify_rows, checks every row set _rows builds: each row
+additive with a kernel of q points, and no two kernels sharing a
+nonzero vertex, so any two rows are a bijection onto F_q^2 and show
+each symbol pair once.  A SubarraySelection realizes a connection set
+as the block graph of the rows carrying its cosets, the row of coset i
+being the slope v / u of g^i = u + v*alpha.  It builds and certifies
+only its kept rows, the m used rows and the least unused one.  It is
 built from the field and the cosets alone and holds its rows read-only,
 so it is certified once and never altered, and holds N(0) of its block
 graph.  is_paired, the one check that pairs it with a graph (by the
@@ -28,16 +29,16 @@ eigenvalues, the valency and the unused-slope coloring, which ekr and
 whd therefore never re-check; the canonical cliques, their
 decompositions and the clique bound also read the kept rows only.  The
 full (q + 1)-row table is built on first read of
-SubarraySelection.symbol, its other rows certified additive and every
-nonzero vertex at 0 in exactly one row; only build_whd reads it, for
-the WHD Gram closed form and the unused-row eigenvalues.
-certify_coset_lines checks the used lines against the coset cliques by
-2 m q reads, and the clique bound counts triangles of the paired graph,
-so only `oa blockgraph` builds a block graph.  The selection is built
-once per graph: the certificates here and in ekr and whd take it and
-never rebuild it.  build_pointline_oa builds and certifies the full
-table at once (_plane); OrthogonalArray.verify, the row-pair count,
-checks arrays read from CSV.
+SubarraySelection.symbol, its other rows certified against the kept
+rows' kernels; build_whd reads it, for the WHD Gram closed form and the
+unused-row eigenvalues, and build_pointline_oa is the full table of the
+selection of no cosets.  certify_coset_lines checks the used lines
+against the coset cliques by 2 m q reads, and the clique bound counts
+triangles of the paired graph, so only `oa blockgraph` builds a block
+graph.  The selection is built once per graph: the certificates here
+and in ekr and whd take it and never rebuild it.
+OrthogonalArray.verify, the row-pair count, checks arrays read from
+CSV.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ import numpy as np
 
 from .derived import read_only
 from .errors import (
-    AlphaInSubfield,
     CertificationFailed,
     CorrespondenceFailed,
     IndexOutOfRange,
@@ -124,15 +124,13 @@ class OrthogonalArray:
         return True
 
 
-def build_pointline_oa(ctx: FieldCtx, alpha: int) -> OrthogonalArray:
-    """The full OA(q + 1, q) of the affine plane coordinates by alpha.
-
-    alpha must lie outside F_q (Frobenius-checked).  Symbols are subfield
-    elements ranked by label; columns are ordered lexicographically by
-    the (x, y) symbol pair.  Certified strength 2 by _plane.
-    """
-    vertex, symbol = _plane(ctx, alpha)
-    return _list_array(ctx, vertex, symbol, range(ctx.subfield_order + 1))
+def build_pointline_oa(ctx: FieldCtx) -> OrthogonalArray:
+    """The full OA(q + 1, q) of the affine plane, coordinatized by
+    default_alpha's alpha: the full table of the selection of no cosets.
+    Symbols are subfield elements ranked by label; columns are ordered
+    lexicographically by the (x, y) symbol pair."""
+    sel = SubarraySelection(ctx, ())
+    return _list_array(ctx, sel.vertex_of_column, sel.symbol, range(ctx.subfield_order + 1))
 
 
 def _list_array(ctx: FieldCtx, vertex, table: np.ndarray, rows) -> OrthogonalArray:
@@ -145,26 +143,13 @@ def _list_array(ctx: FieldCtx, vertex, table: np.ndarray, rows) -> OrthogonalArr
                            [slopes[r] for r in rows], [(x, y) for x in labels for y in labels])
 
 
-def _plane(ctx: FieldCtx, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """The column -> vertex map and the symbol table of the full array,
-    built by _rows and certified strength 2 in O(n q) by
-    _certify_strength_two."""
-    ranks = _subfield_ranks(ctx)
-    vertex, _ = _coordinates(ctx, ranks[0], alpha)
-    symbol = _rows(ranks, vertex, range(ctx.subfield_order + 1))
-    _certify_strength_two(ctx, ranks[2], symbol)
-    return vertex, symbol
-
-
 def _coordinates(ctx: FieldCtx, sub: np.ndarray, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """The column -> vertex map, vertex[c] = x + y * alpha at column c =
     (x, y) = (sub[c // q], sub[c % q]), and its inverse column[z].
-    Raises AlphaInSubfield unless alpha lies outside F_q, and
-    NotIsomorphicUnderF unless the map is a bijection onto the field:
-    its n labels fill all n slots of the inverse."""
+    Raises NotIsomorphicUnderF unless the map is a bijection onto the
+    field, its n labels filling all n slots of the inverse, which refuses
+    any alpha in F_q."""
     q = len(sub)
-    if alpha == 0 or ctx.pow(alpha, q) == alpha:
-        raise AlphaInSubfield(f"alpha label {alpha} lies in F_{q}")
     vertex = ctx.add_array(np.repeat(sub, q), ctx.mul_array(np.tile(sub, q), alpha))
     column = np.full(ctx.order, -1, dtype=np.int64)
     column[vertex] = np.arange(q * q)
@@ -241,63 +226,43 @@ def _nonadditive(p: int, plus: np.ndarray,
     return i, z - g, g
 
 
-def _certify_additive(p: int, plus: np.ndarray, table: np.ndarray, rows) -> None:
-    """Raise OAVerificationFailed naming row rows[j] unless every row
-    table[j] is additive (_nonadditive)."""
+def _certify_rows(p: int, plus: np.ndarray, table: np.ndarray, rows,
+                  kernels: np.ndarray) -> np.ndarray:
+    """Certify rows of a point-line table pairwise strength 2, among
+    themselves and with rows certified before, whose kernels (the
+    vertices at 0) are the boolean rows of kernels.  table[j] is row
+    rows[j]: it is additive (_nonadditive), so a homomorphism F_(q^2) ->
+    F_q; it reads 0 on exactly q vertices, a kernel of q points, so it is
+    onto F_q; and no nonzero vertex is at 0 in two rows.  Two such rows
+    have kernels meeting only in 0, so together they are an injective,
+    hence bijective, homomorphism onto F_q^2, which shows each symbol
+    pair once; q + 1 rows put each nonzero vertex at 0 in exactly one.
+    Returns the kernels of table.  Raises OAVerificationFailed naming the
+    row or the vertex."""
     bad = _nonadditive(p, plus, table)
     if bad is not None:
         raise OAVerificationFailed(
             f"row {rows[bad[0]]} symbols are not additive: vertex {bad[1]} plus {bad[2]}")
-
-
-def _certify_strength_two(ctx: FieldCtx, plus: np.ndarray, symbol: np.ndarray,
-                          unchecked: Optional[list[int]] = None) -> None:
-    """Certify the (q + 1) x n symbol table of a point-line array strength
-    2: each row additive, a group homomorphism F_(q^2) -> F_q, and each
-    nonzero vertex at symbol 0 in exactly one row, so two rows' kernels
-    meet only in 0.  Any two rows together are then an injective
-    homomorphism onto F_q^2, which shows each symbol pair exactly once.
-    unchecked, when given, lists the only rows not yet certified
-    additive.  Raises OAVerificationFailed."""
-    if unchecked is None:
-        _certify_additive(ctx.p, plus, symbol, range(len(symbol)))
-    else:
-        _certify_additive(ctx.p, plus, symbol[unchecked], unchecked)
-    zeros = np.count_nonzero(symbol[:, 1:] == 0, axis=0)
-    bad = np.flatnonzero(zeros != 1)
-    if bad.size:
-        raise OAVerificationFailed(
-            f"vertex {bad[0] + 1} has symbol 0 in {zeros[bad[0]]} rows, not one")
-
-
-def _certify_kept(p: int, plus: np.ndarray, kept: np.ndarray, rows) -> None:
-    """Certify kept rows pairwise strength 2, reading them alone: each
-    additive, so a homomorphism F_(q^2) -> F_q; each at 0 on exactly q
-    vertices, a kernel of q points, so onto F_q; and no nonzero vertex at
-    0 in two of them.  Two kept rows then have kernels meeting only in 0,
-    so together they are an injective, hence bijective, homomorphism
-    onto F_q^2.  kept[j] is row rows[j] of the table.  Raises
-    OAVerificationFailed naming the row or the vertex."""
-    _certify_additive(p, plus, kept, rows)
     q = len(plus)
-    zeros = kept == 0
+    zeros = table == 0
     counts = np.count_nonzero(zeros, axis=1)
     bad = np.flatnonzero(counts != q)
     if bad.size:
         raise OAVerificationFailed(
             f"row {rows[bad[0]]} reads 0 on {counts[bad[0]]} vertices, not {q}")
-    shared = np.count_nonzero(zeros[:, 1:], axis=0)
+    shared = np.count_nonzero(zeros[:, 1:], axis=0) + np.count_nonzero(kernels[:, 1:], axis=0)
     bad = np.flatnonzero(shared > 1)
     if bad.size:
-        raise OAVerificationFailed(
-            f"vertex {bad[0] + 1} has symbol 0 in {shared[bad[0]]} kept rows")
+        raise OAVerificationFailed(f"vertex {bad[0] + 1} has symbol 0 in {shared[bad[0]]} rows")
+    return zeros
 
 
 def default_alpha(ctx: FieldCtx, coset_indices) -> int:
     """Least-labeled element of the least coset not in the index set.
 
     Coset 0 is F_q^* itself, so it can never supply alpha and is always
-    skipped.
+    skipped.  The axis F_q^* alpha is alpha's own coset, so no coset of
+    the index set lies on it.
     """
     q = ctx.subfield_order
     free = sorted(set(range(1, q + 1)) - set(coset_indices))
@@ -312,28 +277,30 @@ class SubarraySelection:
 
     Built from the field and the cosets alone: alpha is default_alpha's,
     and vertex_of_column and kept are built and certified here
-    (_certify_kept), so a selection never holds an uncertified row.
+    (_certify_rows), so a selection never holds an uncertified row.
     rows[j] is the row of coset i = coset_indices[j]: the slope v / u of
     g^i = u + v * alpha, where g^i reads 0, field slopes ascending and the
-    row at infinity last.  An index outside [0, q] raises IndexOutOfRange,
-    and a coset on the alpha axis (u = 0) or sharing its row raises
-    CorrespondenceFailed.  kept_rows is rows followed by the least unused
-    row, the coloring row, and kept[j], an array over immutable bytes
-    that no flag makes writeable again, is row kept_rows[j] of the symbol
-    table: kept[j, z] is the intercept rank of the slope line through
-    vertex z.  vertex_of_column sends column (x, y) of the full array and
-    of the subarray to the Cayley label x + y * alpha.  neighbors is N(0)
-    of the block graph as a bitset: the vertices v > 0 at symbol 0 in
-    some used row.  The pairing, the used-line eigenvalues, the coloring,
-    the canonical cliques, the decompositions and the clique bound read
-    the kept rows only; symbol, the full table, is built on first read.
+    row at infinity last.  alpha comes from a free coset, so no used
+    coset lies on its axis F_q^* alpha (u = 0), where the row at infinity
+    reads 0, and distinct cosets lie on distinct lines through 0.  An
+    index outside [0, q] raises IndexOutOfRange.  kept_rows is rows
+    followed by the least unused row, the coloring row, and kept[j] is
+    row kept_rows[j] of the symbol table: kept[j, z] is the intercept
+    rank of the slope line through vertex z.  vertex_of_column sends
+    column (x, y) of the full array and of the subarray to the Cayley
+    label x + y * alpha.  Both are arrays over immutable bytes that no
+    flag makes writeable again.  neighbors is N(0) of the block graph as
+    a bitset: the vertices v > 0 at symbol 0 in some used row.  The
+    pairing, the used-line eigenvalues, the coloring, the canonical
+    cliques, the decompositions and the clique bound read the kept rows
+    only; symbol, the full table, is built on first read.
     """
     ctx: FieldCtx
     coset_indices: tuple[int, ...]
     alpha: int = field(init=False)
     rows: tuple[int, ...] = field(init=False)
     kept_rows: tuple[int, ...] = field(init=False)
-    vertex_of_column: tuple[int, ...] = field(init=False)
+    vertex_of_column: np.ndarray = field(init=False)
     kept: np.ndarray = field(init=False)
     neighbors: int = field(init=False, repr=False)
 
@@ -350,19 +317,14 @@ class SubarraySelection:
         u, v = np.divmod(column[[ctx.gen_pow(i) for i in idx]], q)  # g^i = sub[u] + sub[v] alpha
         rows = tuple(q if a == 0 else int(rank[ctx.div(int(sub[b]), int(sub[a]))])
                      for a, b in zip(u.tolist(), v.tolist()))
-        if q in rows:  # the row at infinity
-            raise CorrespondenceFailed(f"coset {idx[rows.index(q)]} representative "
-                                       "lies on the alpha axis")
-        if len(set(rows)) != len(idx):
-            raise CorrespondenceFailed("coset slopes are not pairwise distinct")
         kept_rows = rows + (min(set(range(q + 1)) - set(rows)),)
         kept = _rows(ranks, vertex, kept_rows)
-        _certify_kept(ctx.p, ranks[2], kept, kept_rows)
-        neighbors = _bitset((kept[:len(idx), 1:] == 0).any(axis=0)) << 1  # vertices 1, 2, ...
+        zeros = _certify_rows(ctx.p, ranks[2], kept, kept_rows, np.zeros((0, ctx.order), bool))
+        neighbors = _bitset(zeros[:len(idx), 1:].any(axis=0)) << 1  # vertices 1, 2, ...
         for name, value in (("alpha", alpha), ("rows", rows), ("kept_rows", kept_rows),
-                            ("vertex_of_column", tuple(vertex.tolist())),
+                            ("vertex_of_column", read_only(vertex)),
                             ("kept", read_only(kept)), ("neighbors", neighbors),
-                            ("_ranks", ranks), ("_vertex", vertex)):
+                            ("_ranks", ranks)):
             object.__setattr__(self, name, value)
 
     @property
@@ -381,22 +343,21 @@ class SubarraySelection:
     def subarray(self) -> OrthogonalArray:
         """The used rows as a list-form array, built on each call."""
         order = np.argsort(self.rows)
-        return _list_array(self.ctx, self._vertex, self.kept[order], self.row_positions)
+        return _list_array(self.ctx, self.vertex_of_column, self.kept[order], self.row_positions)
 
     @cached_property
     def symbol(self) -> np.ndarray:
         """The full (q + 1) x n symbol table, read-only, built on first
         read from the rank tables and the column -> vertex map the
-        selection holds.  Only the rows not kept are built and certified
-        additive, then every nonzero vertex is checked at 0 in exactly
-        one of the q + 1 rows (_certify_strength_two), with no second
-        certificate of the kept rows.  A cached property, not a field, so
-        dataclasses.replace never copies it."""
+        selection holds.  Only the rows not kept are built, and
+        _certify_rows certifies them against the kept rows' kernels,
+        never re-deriving the kept rows' additivity.  A cached property,
+        not a field, so dataclasses.replace never copies it."""
         rest = [r for r in range(self.q + 1) if r not in self.kept_rows]
         table = np.empty((self.q + 1, self.ctx.order), dtype=np.int16)
         table[list(self.kept_rows)] = self.kept
-        table[rest] = _rows(self._ranks, self._vertex, rest)
-        _certify_strength_two(self.ctx, self._ranks[2], table, rest)
+        table[rest] = _rows(self._ranks, self.vertex_of_column, rest)
+        _certify_rows(self.ctx.p, self._ranks[2], table[rest], rest, self.kept == 0)
         return read_only(table)
 
 
@@ -438,7 +399,7 @@ def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
     graph of the selected subarray onto the Cayley graph x; return the
     vertex map (block column position -> Cayley label).
 
-    The kept rows are pairwise strength 2 (_certify_kept): each is
+    The kept rows are pairwise strength 2 (_certify_rows): each is
     additive onto F_q with a kernel K_r of q points, and two kernels meet
     only in 0.  So u and v share a used line exactly when v - u is in
     sel.neighbors, and the image is x.  A line L = K_r + t of a row whose
@@ -461,7 +422,7 @@ def verify_isomorphism(x: Graph, sel: SubarraySelection) -> list[int]:
         diff = x.adj[0] ^ sel.neighbors
         raise NotIsomorphicUnderF(f"pair (0, {(diff & -diff).bit_length() - 1}) "
                                   "adjacent in exactly one of the graphs")
-    return list(sel.vertex_of_column)
+    return sel.vertex_of_column.tolist()
 
 
 def certify_coset_lines(sel: SubarraySelection) -> None:
@@ -469,7 +430,7 @@ def certify_coset_lines(sel: SubarraySelection) -> None:
     clique g^i F_q + delta * alpha of its coset i, by 2 m q reads of the
     kept rows.  Used row j reads 0 on the q points of g^i F_q, distinct
     as multiplication by g^i != 0 permutes the field, so they are its
-    whole kernel (q points, _certify_kept); it reads rank(delta) at delta
+    whole kernel (q points, _certify_rows); it reads rank(delta) at delta
     * alpha, so by additivity it reads rank(delta) on every point of g^i
     F_q + delta * alpha, which is then the line of that symbol.  Raises
     CorrespondenceFailed naming the row and the first symbol whose line
@@ -515,7 +476,8 @@ def unused_slope_coloring(sel: SubarraySelection) -> list[int]:
 
     Field slopes rank below infinity; the color of vertex z is the symbol
     of the unused-slope line through z.  Some slope is unused, as
-    SubarraySelection refuses any coset on the row at infinity.
+    default_alpha takes alpha from a free coset, so no used coset lies on
+    the axis F_q^* alpha where the row at infinity reads 0.
     """
     return sel.kept[sel.m].tolist()
 
@@ -577,17 +539,21 @@ def noncanonical_clique_bound(x: Graph, sel: SubarraySelection, *,
     agrees with column 0 in the used row where its vertex reads 0, unique
     by strength 2.  A cell through column 0, the canonical clique, is one
     part of q - 1 columns.  Translations of the plane permute the columns
-    and keep every parallel class, so column 0 stands for every column."""
+    and keep every parallel class, so column 0 stands for every column.
+    One budget bounds the listing, the mapping and the grouping."""
     vertex_of = verify_isomorphism(x, sel)
-    column_of = [0] * x.n
-    for col, v in enumerate(vertex_of):
-        column_of[v] = col
+    deadline = _Deadline(budget)
+    column_of = np.argsort(vertex_of).tolist()  # the inverse permutation
     row_of = (sel.kept[np.argsort(sel.rows)] == 0).argmax(axis=0).tolist()
-    found = enumerate_maximal_cliques(x, through_vertex=0, budget=budget)
-    cliques = sorted(tuple(sorted(column_of[v] for v in c)) for c in found)
+    cliques = []
+    for c in enumerate_maximal_cliques(x, through_vertex=0, budget=deadline.left()):
+        deadline.check()
+        cliques.append(tuple(sorted(column_of[v] for v in c)))
+    cliques.sort()
     bound = (sel.m - 1) ** 2
     noncanonical = []
     for c in cliques:
+        deadline.check()
         parts: dict[int, list[int]] = {}
         for col in c[1:]:  # c[0] is column 0
             parts.setdefault(row_of[vertex_of[col]], []).append(col)

@@ -145,9 +145,10 @@ def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
     ascending, infinity last).  verify_isomorphism pairs x with sel,
     which makes the graph regular of valency k = m (q - 1) and, from the
     kept rows, every used-slope difference column an eigenvector of A at
-    q - m.  The table is read from SubarraySelection.symbol, which builds
-    and certifies the full table on its first read: every row additive
-    and every nonzero vertex at 0 in exactly one row.  That makes the
+    q - m.  The table is read from SubarraySelection.symbol, which on its
+    first read builds the rows not kept and certifies them against the
+    kept rows' kernels, so every row is additive and every nonzero
+    vertex is at 0 in exactly one row.  That makes the
     other columns eigenvectors at -m, so L P = P D for L = k I - A.
     P^T P = n (+) (q + 1) copies of q tridiag(-1, 2, -1) is fixed by
     three certified facts: the full array has strength 2 (lines of

@@ -342,7 +342,7 @@ def test_exit_code_malformed_budget_variable(capsys, monkeypatch):
 INPUT_ERROR_NAMES = {
     "NonPrimeCharacteristic", "ReducibleModulus", "OverflowingOrder", "LogOfZero",
     "OddDegreeField", "NotProperSubfield", "MissingBaseCoset", "TooManyCosets",
-    "IndexOutOfRange", "BadDivisor", "WrongCharacteristicResidue", "AlphaInSubfield",
+    "IndexOutOfRange", "BadDivisor", "WrongCharacteristicResidue",
     "NoFreeCoset", "LengthMismatch", "NotMaximumClique", "NotSquare",
     "BadEntries", "MalformedFile",
 }

@@ -54,7 +54,7 @@ from peisert.errors import (
 )
 from peisert.graphs import (_Deadline, _bits, _mask_of, _translates, color_classes, is_clique,
                             transversal_cliques)
-from peisert.oa import INFINITY_SLOPE, _certify_kept, _certify_strength_two, _subfield_ranks
+from peisert.oa import INFINITY_SLOPE, _certify_rows, _subfield_ranks
 
 PINNED81 = (-1, 0, 0, -1, 1)
 
@@ -194,20 +194,19 @@ def assert_isomorphism_matches_oracle(x, sel, lines):
 def assert_table_fault_refused(sel, r, fault):
     """A fault written into kept row r of the selection's table is refused
     three times over: the write raises, as the kept rows and the full
-    table are read-only, and on a faulty copy both the kept-row
-    certificate that built the selection and the strength-2 certificate
-    of the full table name row r."""
+    table are read-only, and on a faulty copy the row certificate names
+    row r both on the kept rows, which built the selection, and on the
+    full table."""
     with pytest.raises(ValueError, match="read-only"):
         fault(sel.symbol)
     with pytest.raises(ValueError, match="read-only"):
         sel.kept[sel.kept_rows.index(r), 0] = 1
     bad = sel.symbol.copy()
     fault(bad)
-    plus = _subfield_ranks(sel.ctx)[2]
-    with pytest.raises(OAVerificationFailed, match=rf"^row {r} symbols are not additive: "):
-        _certify_kept(sel.ctx.p, plus, bad[list(sel.kept_rows)], sel.kept_rows)
-    with pytest.raises(OAVerificationFailed, match=rf"^row {r} symbols are not additive: "):
-        _certify_strength_two(sel.ctx, plus, bad)
+    plus, none = _subfield_ranks(sel.ctx)[2], np.zeros((0, sel.ctx.order), dtype=bool)
+    for rows in (list(sel.kept_rows), list(range(sel.q + 1))):
+        with pytest.raises(OAVerificationFailed, match=rf"^row {r} symbols are not additive: "):
+            _certify_rows(sel.ctx.p, plus, bad[rows], rows, none)
     return bad
 
 
@@ -265,7 +264,8 @@ def test_corrupted_line_table_rejected():
     """Two vertices' symbols swapped in a used row, once on the line
     through 0 and once both outside N(0) + {0}, where only additivity
     sees the swap: the selection's rows refuse both writes, and the
-    kept-row and strength-2 certificates refuse both copies.  The
+    row certificate refuses both copies, on their kept rows and on their
+    full tables.  The
     field-arithmetic correspondence oracle refuses both copies on its
     own.  canonical_correspondence rests on the certified kept rows: it
     equals that oracle on the selection, and a copy forced past the
@@ -1323,11 +1323,12 @@ def run_optimized(script: str) -> list[str]:
 
 
 # defines refuse(sel, fault): print whether the selection's table takes
-# the fault, then whether the kept-row and strength-2 certificates take a
-# faulty copy (one verdict when they agree, both otherwise)
+# the fault, then whether the row certificate takes a faulty copy's kept
+# rows and its full table (one verdict when they agree, both otherwise)
 TABLE_FAULT_PRELUDE = """
+import numpy as np
 from peisert.errors import OAVerificationFailed
-from peisert.oa import _certify_kept, _certify_strength_two, _subfield_ranks
+from peisert.oa import _certify_rows, _subfield_ranks
 
 def refuse(sel, fault):
     try:
@@ -1337,12 +1338,11 @@ def refuse(sel, fault):
         print("refused write:", e)
     bad = sel.symbol.copy()
     fault(bad)
-    plus = _subfield_ranks(sel.ctx)[2]
+    plus, none = _subfield_ranks(sel.ctx)[2], np.zeros((0, sel.ctx.order), dtype=bool)
     verdicts = []
-    for certify in (lambda: _certify_kept(sel.ctx.p, plus, bad[list(sel.kept_rows)], sel.kept_rows),
-                    lambda: _certify_strength_two(sel.ctx, plus, bad)):
+    for rows in (list(sel.kept_rows), list(range(sel.q + 1))):
         try:
-            certify()
+            _certify_rows(sel.ctx.p, plus, bad[rows], rows, none)
             verdicts.append("accepted table")
         except OAVerificationFailed as e:
             verdicts.append(f"rejected table: {e}")
@@ -1546,7 +1546,8 @@ def test_batch_errors_under_optimize():
 
 def test_swapped_intercept_rejected_under_optimize():
     """The basis's symbol table refuses an in-place write, and the basis
-    takes no table but its selection's, which _plane certified.  A basis
+    takes no table but its selection's, which the row certificate
+    certified.  A basis
     re-pointed at a certified selection of other cosets refuses g as
     unpaired, and the original basis still decomposes the clique."""
     lines = run_optimized(SWAPPED_INTERCEPT_SCRIPT)
@@ -1576,8 +1577,8 @@ refuse(sel, trade)
 
 def test_audit_rejects_non_clique_line_under_optimize():
     """A used line that is no clique never reaches the audit: the
-    selection's table refuses the trade, and the strength-2 certificate
-    refuses the traded copy."""
+    selection's table refuses the trade, and the row certificate refuses
+    the traded copy."""
     lines = run_optimized(NON_CLIQUE_LINE_SCRIPT)
     assert len(lines) == 3
     r = lines[0].removeprefix("row ")

@@ -708,8 +708,8 @@ def test_line_eigenvalues_match_dense_product():
 def test_line_check_rejects_symbols_swapped_outside_the_connection_set():
     """Two vertices outside S + {0}, S = N(0), swapped in an unused row
     keep every count over S, yet the dense product shows that the lines
-    are broken.  The selection's table refuses the swap, and the
-    strength-2 certificate that built it refuses the swapped copy."""
+    are broken.  The selection's table refuses the swap, and the row
+    certificate that built it refuses the swapped copy."""
     ctx = create(5, 2)
     g = build_cayley(ctx, (0, 1))
     sel = subarray_for_connection_set(ctx, (0, 1))

@@ -6,6 +6,7 @@ import inspect
 import random
 import re
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,11 +37,9 @@ from peisert import (
     verify_coloring,
     verify_isomorphism,
 )
-from peisert import oa
+from peisert import graphs, oa
 from peisert.errors import (
-    AlphaInSubfield,
     CertificationFailed,
-    CorrespondenceFailed,
     NotIsomorphicUnderF,
     OAVerificationFailed,
     ReducibleModulus,
@@ -48,10 +47,9 @@ from peisert.errors import (
 )
 from peisert.graphs import DEFAULT_BUDGET, Graph, _mask_of, enumerate_maximal_cliques
 from peisert.oa import (
-    _certify_kept,
-    _certify_strength_two,
+    _certify_rows,
+    _coordinates,
     _nonadditive,
-    _plane,
     _subfield_ranks,
     translate_to_zero,
 )
@@ -103,7 +101,7 @@ def verdict(check, arr):
 
 
 def test_q3_array_frozen():
-    arr = build_pointline_oa(create(3, 2), 3)
+    arr = build_pointline_oa(create(3, 2))
     assert arr.n == 3
     assert arr.row_labels == [0, 1, 2, INFINITY_SLOPE]
     assert arr.column_labels == [(x, y) for x in range(3) for y in range(3)]
@@ -120,7 +118,7 @@ def test_q3_array_frozen():
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_full_array_strength_two(q):
     ctx = create(q, 2)
-    arr = build_pointline_oa(ctx, default_alpha(ctx, set()))
+    arr = build_pointline_oa(ctx)
     assert arr.num_rows == q + 1
     arr.verify()
     assert strength2_oracle(arr)
@@ -135,7 +133,7 @@ def test_verify_matches_set_oracle(q):
         got = verdict(OrthogonalArray.verify, bad)
         assert got is not True and got == verdict(verify_oracle, bad)
 
-    full = build_pointline_oa(ctx, default_alpha(ctx, set()))
+    full = build_pointline_oa(ctx)
     sel = subarray_for_connection_set(ctx, (0, 1, 2))
     for arr in (full, sel.subarray):
         assert verdict(OrthogonalArray.verify, arr) is verdict(verify_oracle, arr) is True
@@ -154,11 +152,15 @@ def test_verify_matches_set_oracle(q):
 
 
 def test_alpha_must_leave_the_subfield():
-    ctx = create(3, 2)
-    with pytest.raises(AlphaInSubfield):
-        build_pointline_oa(ctx, 1)
-    with pytest.raises(AlphaInSubfield):
-        build_pointline_oa(ctx, 0)
+    """An alpha in F_q maps the plane into F_q, so the column -> vertex
+    map is no bijection and _coordinates refuses it."""
+    for q in (3, 9):
+        ctx = ambient_field(q)
+        sub = _subfield_ranks(ctx)[0]
+        for alpha in ctx.subfield_elements():
+            with pytest.raises(NotIsomorphicUnderF, match="is not a bijection onto the field"):
+                _coordinates(ctx, sub, alpha)
+        _coordinates(ctx, sub, default_alpha(ctx, ()))
 
 
 def test_default_alpha_rule():
@@ -170,7 +172,7 @@ def test_default_alpha_rule():
 
 
 def test_verify_catches_corruption():
-    arr = build_pointline_oa(create(3, 2), 3)
+    arr = build_pointline_oa(create(3, 2))
     arr.entries[0][0], arr.entries[0][1] = arr.entries[0][1], arr.entries[0][0]
     with pytest.raises(OAVerificationFailed):
         arr.verify()
@@ -208,11 +210,12 @@ def slope_rows_oracle(ctx, sel):
     return tuple(rows)
 
 
-def test_selection_rows_match_slope_oracle(monkeypatch):
+def test_selection_rows_match_slope_oracle():
     """The row where g^i reads 0 is the slope v / u of g^i = u + v alpha:
     on every index set with a free coset at q = 3 and 5 under every monic
     irreducible quadratic modulus, and on both subfield counterexamples.
-    An alpha taken from a used coset puts that coset on the alpha axis."""
+    No used coset lies on the alpha axis (u = 0): default_alpha takes
+    alpha from a free coset."""
     checked = 0
     for p in (3, 5):
         for c0, c1 in product(range(p), repeat=2):
@@ -225,20 +228,18 @@ def test_selection_rows_match_slope_oracle(monkeypatch):
                     if set(range(1, p + 1)) <= set(idx):
                         continue  # no free coset for alpha
                     sel = subarray_for_connection_set(ctx, idx)
-                    if sel.rows != slope_rows_oracle(ctx, sel):
-                        pytest.fail(f"{ctx} {idx}: rows {sel.rows}")
+                    want = slope_rows_oracle(ctx, sel)
+                    if None in want or sel.rows != want:
+                        pytest.fail(f"{ctx} {idx}: rows {sel.rows}, oracle {want}")
                     checked += 1
     for p, subfield in ((3, 3), (5, 5)):
         ce = build_counterexample(create(p, 4), subfield)
         assert ce.selection.rows == slope_rows_oracle(ce.selection.ctx, ce.selection)
     assert checked == 3 * 14 + 10 * 62
-    monkeypatch.setattr(oa, "default_alpha", lambda ctx, idx: min(ctx.coset_elements(2)))
-    with pytest.raises(CorrespondenceFailed, match="^coset 2 representative lies on the alpha axis$"):
-        subarray_for_connection_set(create(5, 2), (0, 2))
 
 
 def test_block_graph_of_full_array_is_complete():
-    arr = build_pointline_oa(create(3, 2), 3)
+    arr = build_pointline_oa(create(3, 2))
     g = block_graph(arr)
     assert g.n == 9 and g.edge_count() == 36
     params = srg_certify(g)
@@ -591,10 +592,36 @@ def test_certificate_budget():
                              budget=0)
 
 
+def test_bound_listing_budget_bounds_the_grouping(monkeypatch):
+    """noncanonical_clique_bound's one budget bounds the listing and
+    what follows it: on a fake clock, the listing gets the whole budget
+    and takes `took` seconds, and past the budget the grouping stops with
+    SearchTimeout; within it the report is unchanged."""
+    ctx = create(3, 4)
+    idx = (0, 1, 2, 3, 4)
+    x, sel = build_cayley(ctx, idx), subarray_for_connection_set(ctx, idx)
+    want = noncanonical_clique_bound(x, sel, budget=None)
+    now, budgets, took = [0.0], [], [0.0]
+    monkeypatch.setattr(graphs, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+    def listing(*args, **kwargs):
+        budgets.append(kwargs["budget"])
+        found = enumerate_maximal_cliques(*args, **kwargs)
+        now[0] += took[0]
+        return found
+    monkeypatch.setattr(oa, "enumerate_maximal_cliques", listing)
+    took[0] = 9.0
+    assert noncanonical_clique_bound(x, sel, budget=10) == want
+    took[0] = 11.0
+    with pytest.raises(SearchTimeout, match="^clique search exceeded its budget$"):
+        noncanonical_clique_bound(x, sel, budget=10)
+    assert budgets == [10, 10]
+
+
 def test_csv_round_trip():
     for q in (3, 5):
         ctx = create(q, 2)
-        arr = build_pointline_oa(ctx, default_alpha(ctx, set()))
+        arr = build_pointline_oa(ctx)
         text = oa_to_csv(arr)
         back = oa_from_csv(text)
         assert back.entries == arr.entries
@@ -608,6 +635,13 @@ def _entries_of(symbol, vertex, like):
     return OrthogonalArray(like.n, symbol[:, vertex].tolist(), like.row_labels, like.column_labels)
 
 
+def certify(ctx, table, rows):
+    """The row certificate on table, table[j] being row rows[j], with no
+    rows certified before it."""
+    return _certify_rows(ctx.p, _subfield_ranks(ctx)[2], table, rows,
+                         np.zeros((0, ctx.order), dtype=bool))
+
+
 def array_oracle(ctx, alpha):
     """The full array cell by cell from scalar field arithmetic: row k
     holds the rank of y - k x at column (x, y), the row at infinity the
@@ -619,19 +653,39 @@ def array_oracle(ctx, alpha):
     return rows, [ctx.add(x, ctx.mul(y, alpha)) for x, y in cols]
 
 
+def table_oracle(ctx, alpha):
+    """The column -> vertex map and the full symbol table from field
+    arithmetic on whole label arrays, by coordinate reads: column (x, y)
+    is the vertex x + y alpha, where row r < q reads the rank of y - k x,
+    k the r-th subfield label, and row q, at infinity, the rank of x."""
+    sub = np.array(ctx.subfield_elements())
+    q = len(sub)
+    rank = np.full(ctx.order, -1)
+    rank[sub] = np.arange(q)
+    x, y = np.repeat(sub, q), np.tile(sub, q)
+    vertex = ctx.add_array(x, ctx.mul_array(y, alpha))
+    table = np.empty((q + 1, ctx.order), dtype=np.int64)
+    for r, k in enumerate(sub.tolist()):
+        table[r, vertex] = rank[ctx.add_array(y, ctx.mul_array(x, ctx.neg(k)))]
+    table[q, vertex] = rank[x]
+    return vertex, table
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
 def test_strength_two_certificate_agrees_with_verify_and_oracle(q):
-    """_plane certifies the full array from its symbol table in O(n q);
-    the row-pair check and the set oracle agree on it, and on tables
-    with one cell moved to another symbol, which all three reject."""
+    """The row certificate certifies the full array from its symbol
+    table in O(n q); the row-pair check and the set oracle agree on it,
+    and on tables with one cell moved to another symbol, which all three
+    reject."""
     ctx = ambient_field(q)
-    alpha = default_alpha(ctx, set())
-    vertex, symbol = _plane(ctx, alpha)
-    arr = build_pointline_oa(ctx, alpha)
-    if (arr.entries, vertex.tolist()) != array_oracle(ctx, alpha):
+    sel = SubarraySelection(ctx, ())
+    vertex, symbol = sel.vertex_of_column, sel.symbol
+    arr = build_pointline_oa(ctx)
+    if (arr.entries, vertex.tolist()) != array_oracle(ctx, sel.alpha):
         pytest.fail("the symbol table does not scatter the array")
     if not (verdict(OrthogonalArray.verify, arr) is verdict(verify_oracle, arr) is True):
         pytest.fail(f"q = {q}: certified array fails the row-pair check")
+    certify(ctx, symbol, range(q + 1))
     plus = _subfield_ranks(ctx)[2]
     rng = random.Random(q)
     for _ in range(3):
@@ -639,7 +693,7 @@ def test_strength_two_certificate_agrees_with_verify_and_oracle(q):
         r, z = rng.randrange(q + 1), rng.randrange(ctx.order)
         bad[r, z] = (bad[r, z] + rng.randrange(1, q)) % q
         with pytest.raises(OAVerificationFailed):
-            _certify_strength_two(ctx, plus, bad)
+            certify(ctx, bad, range(q + 1))
         witness = _nonadditive(ctx.p, plus, bad)
         if witness is not None:  # a vertex z and generator g where the row fails
             i, z, g = witness
@@ -657,28 +711,30 @@ def test_strength_two_certificate_rejects_swapped_symbols():
     a row repeated in place of another is additive, and then vertices
     of the shared kernel read 0 in two rows."""
     ctx = create(5, 2)
-    vertex, symbol = _plane(ctx, default_alpha(ctx, set()))
-    arr = build_pointline_oa(ctx, default_alpha(ctx, set()))
-    plus = _subfield_ranks(ctx)[2]
-    for r in range(ctx.subfield_order + 1):
+    sel = SubarraySelection(ctx, ())
+    vertex, symbol = sel.vertex_of_column, sel.symbol
+    arr = build_pointline_oa(ctx)
+    rows = range(ctx.subfield_order + 1)
+    for r in rows:
         bad = symbol.copy()
         a, b = 1, int(np.flatnonzero(bad[r] != bad[r, 1])[0])
         bad[r, a], bad[r, b] = bad[r, b], bad[r, a]
         with pytest.raises(OAVerificationFailed, match=rf"^row {r} symbols are not additive: "):
-            _certify_strength_two(ctx, plus, bad)
+            certify(ctx, bad, rows)
         with pytest.raises(OAVerificationFailed, match=r"repeat symbol pair"):
             _entries_of(bad, vertex, arr).verify()
     bad = symbol.copy()
     bad[1] = bad[0]
-    with pytest.raises(OAVerificationFailed, match=r"^vertex \d+ has symbol 0 in 2 rows, not one$"):
-        _certify_strength_two(ctx, plus, bad)
+    with pytest.raises(OAVerificationFailed, match=r"^vertex \d+ has symbol 0 in 2 rows$"):
+        certify(ctx, bad, rows)
     with pytest.raises(OAVerificationFailed, match=r"^rows \(0, 1\) repeat symbol pair"):
         _entries_of(bad, vertex, arr).verify()
 
 
 def test_selection_holds_only_its_certified_table():
     """A selection is built from its field and cosets alone: its kept
-    rows and its full table cannot be passed in, replaced or written
+    rows, its full table and its column -> vertex map cannot be passed
+    in, replaced or written
     (the full table is no field at all, so dataclasses.replace neither
     takes nor copies it), and replacing the cosets builds and certifies
     new rows."""
@@ -693,14 +749,15 @@ def test_selection_holds_only_its_certified_table():
             SubarraySelection(ctx, (0, 2), **{name: sel.kept.copy()})
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(sel, name, sel.kept.copy())
-    for table in (sel.kept, sel.symbol):
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(sel, vertex_of_column=sel.vertex_of_column.copy())
+    for table in (sel.kept, sel.symbol, sel.vertex_of_column):
         with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1
-    for table in (sel.kept, sel.kept.base, sel.symbol, sel.symbol.base):
-        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
-            table.flags.writeable = True
+            table[(0,) * table.ndim] = 1
+        for array in (table, table.base):
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                array.flags.writeable = True
     assert "symbol" not in dataclasses.replace(sel).__dict__
-    assert isinstance(sel.vertex_of_column, tuple)
     other = dataclasses.replace(sel, coset_indices=(0, 1))
     assert other.rows == slope_rows_oracle(ctx, other) != sel.rows
 
@@ -711,138 +768,171 @@ def test_build_path_never_runs_the_row_pair_check(monkeypatch):
 
     monkeypatch.setattr(OrthogonalArray, "verify", refuse)
     ctx = create(7, 2)
-    build_pointline_oa(ctx, default_alpha(ctx, set()))
+    build_pointline_oa(ctx)
     subarray_for_connection_set(ctx, (0, 3))
 
 
 # ----- kept rows ----------------------------------------------------------------
 
 def kept_row_cases():
-    """The survey graphs at q <= 9, q = 49 with m = 2 and with m = 25
-    (gpstar, d = 10) and q = 81 Paley."""
+    """The survey graphs at q <= 9, Paley at q = 25 and 27, q = 49 with
+    m = 2 and with m = 25 (gpstar, d = 10), q = 81 Paley, and Paley under
+    every monic irreducible quadratic modulus at q = 3 and 5."""
     for q in survey.Q_CHOICES:
         ctx = ambient_field(q)
         extra = (build_counterexample(ctx, 3).coset_indices,) if q == 9 else ()
         for _, idx in survey.sweep_index_sets(ctx, 10, survey.DEFAULT_SEED, extra):
             yield ctx, idx
+    for q in (25, 27):
+        ctx = ambient_field(q)
+        yield ctx, tuple(sorted(family_cosets(ctx, "paley")))
     ctx = ambient_field(49)
     yield ctx, (0, 1)
     yield ctx, tuple(sorted(family_cosets(ctx, "gpstar", 10)))
     ctx = ambient_field(81)
     yield ctx, tuple(sorted(family_cosets(ctx, "paley")))
-
-
-def row_oracle(ctx, alpha, r):
-    """Row r of the symbol table from field arithmetic on whole label
-    arrays: the rank of y - k x at the vertex x + y alpha, k the r-th
-    subfield label, or the rank of x at r = q."""
-    sub = np.array(ctx.subfield_elements())
-    q = len(sub)
-    rank = np.full(ctx.order, -1)
-    rank[sub] = np.arange(q)
-    x, y = np.repeat(sub, q), np.tile(sub, q)
-    row = np.empty(ctx.order, dtype=np.int64)
-    at = ctx.add_array(x, ctx.mul_array(y, alpha))
-    row[at] = rank[x] if r == q else rank[ctx.add_array(y, ctx.mul_array(x, ctx.neg(int(sub[r]))))]
-    return row
+    for p in (3, 5):
+        for c0, c1 in product(range(p), repeat=2):
+            try:
+                ctx = create(p, 2, (c0, c1, 1))
+            except ReducibleModulus:
+                continue
+            yield ctx, tuple(sorted(family_cosets(ctx, "paley")))
 
 
 def test_kept_rows_equal_the_full_table_and_plane():
     """The kept rows are the m used rows in coset order, then the least
-    unused row, and equal those rows by field arithmetic, of the full
-    table and of _plane's; the full table, built on first read, equals
-    _plane's."""
-    checked = 0
+    unused row, and equal those rows of the plane by field arithmetic
+    (table_oracle), as do the column -> vertex map, the full table,
+    built on first read, and build_pointline_oa's array of each field."""
+    checked, fields = 0, set()
     for ctx, idx in kept_row_cases():
         sel = subarray_for_connection_set(ctx, idx)
         q = sel.q
         assert sel.kept_rows == sel.rows + (min(set(range(q + 1)) - set(sel.rows)),)
         assert sel.kept.shape == (len(idx) + 1, ctx.order)
-        for r, row in zip(sel.kept_rows, sel.kept):
-            if not np.array_equal(row, row_oracle(ctx, sel.alpha, r)):
-                pytest.fail(f"{ctx} {idx}: kept row {r} differs from field arithmetic")
-        vertex, symbol = _plane(ctx, sel.alpha)
-        assert sel.vertex_of_column == tuple(vertex.tolist())
-        if not np.array_equal(sel.kept, symbol[list(sel.kept_rows)]):
-            pytest.fail(f"{ctx} {idx}: kept rows differ from _plane's")
+        vertex, table = table_oracle(ctx, sel.alpha)
+        assert np.array_equal(sel.vertex_of_column, vertex)
+        if not np.array_equal(sel.kept, table[list(sel.kept_rows)]):
+            pytest.fail(f"{ctx} {idx}: kept rows differ from field arithmetic")
         assert "symbol" not in sel.__dict__
-        if not np.array_equal(sel.symbol, symbol):
-            pytest.fail(f"{ctx} {idx}: full table differs from _plane's")
-        if not np.array_equal(symbol, [row_oracle(ctx, sel.alpha, r) for r in range(q + 1)]):
+        if not np.array_equal(sel.symbol, table):
             pytest.fail(f"{ctx} {idx}: full table differs from field arithmetic")
         checked += 1
-    assert checked == 37 + 3
-
-
-@pytest.mark.parametrize("q", [3, 5])
-def test_kept_row_certificate_refuses_every_single_cell_change(q):
-    """Every change of one cell of one kept row to another symbol is
-    refused, on every index set with m <= q - 1 at q = 3 and a sample at
-    q = 5."""
-    ctx = create(q, 2)
-    plus = _subfield_ranks(ctx)[2]
-    cases = [(0,) + rest for size in range(q) for rest in combinations(range(1, q + 1), size)]
-    if q == 5:
-        cases = cases[::5]
-    changes = 0
-    for idx in cases:
-        sel = subarray_for_connection_set(ctx, idx)
-        _certify_kept(ctx.p, plus, sel.kept, sel.kept_rows)
-        for j, z in product(range(len(sel.kept)), range(ctx.order)):
-            for s in range(q):
-                if s == sel.kept[j, z]:
-                    continue
-                bad = sel.kept.copy()
-                bad[j, z] = s
-                with pytest.raises(OAVerificationFailed):
-                    _certify_kept(ctx.p, plus, bad, sel.kept_rows)
-                changes += 1
-    assert changes == sum(len(idx) + 1 for idx in cases) * q * q * (q - 1)
+        if repr(ctx) in fields:
+            continue
+        fields.add(repr(ctx))
+        arr = build_pointline_oa(ctx)
+        vertex, table = table_oracle(ctx, default_alpha(ctx, ()))
+        labels = list(ctx.subfield_elements())
+        assert arr.row_labels == labels + [INFINITY_SLOPE]
+        assert arr.column_labels == [(x, y) for x in labels for y in labels]
+        if arr.entries != table[:, vertex].tolist():
+            pytest.fail(f"{ctx}: build_pointline_oa differs from field arithmetic")
+    # the default moduli at q = 3 and 5 are two of the 3 + 10
+    assert (checked, len(fields)) == (37 + 2 + 3 + 3 + 10, 4 + 2 + 1 + 1 + 3 + 10 - 2)
 
 
 def test_kept_row_certificate_refuses_a_shared_or_wrong_sized_kernel():
     """A kept row repeated in place of another is additive, and its
     kernel vertices read 0 in two kept rows; a zero row is additive with
-    a kernel of n points."""
+    a kernel of n points, refused on its own as on a table."""
     ctx = create(5, 2)
-    plus = _subfield_ranks(ctx)[2]
     sel = subarray_for_connection_set(ctx, (0, 1, 3))
     bad = sel.kept.copy()
     bad[1] = bad[0]
-    with pytest.raises(OAVerificationFailed, match=r"^vertex \d+ has symbol 0 in 2 kept rows$"):
-        _certify_kept(ctx.p, plus, bad, sel.kept_rows)
+    with pytest.raises(OAVerificationFailed, match=r"^vertex \d+ has symbol 0 in 2 rows$"):
+        certify(ctx, bad, sel.kept_rows)
     bad = sel.kept.copy()
     bad[2] = 0
-    with pytest.raises(OAVerificationFailed,
-                       match=rf"^row {sel.kept_rows[2]} reads 0 on 25 vertices, not 5$"):
-        _certify_kept(ctx.p, plus, bad, sel.kept_rows)
+    for j in (0, 2):  # on the kept rows, and on its own
+        with pytest.raises(OAVerificationFailed,
+                           match=rf"^row {sel.kept_rows[2]} reads 0 on 25 vertices, not 5$"):
+            certify(ctx, bad[j:], sel.kept_rows[j:])
 
 
-def test_full_table_certifies_the_rows_it_adds(monkeypatch):
-    """A row the full table adds on first read is certified additive, and
-    the table's vertices at 0 in exactly one row; a faulty kept row never
-    reaches a selection."""
+@pytest.fixture
+def faulty_rows(monkeypatch):
+    """Set fault[:] = [r, change] to have oa._rows apply change to row r,
+    in place, whenever it builds row r; an empty fault builds true rows."""
+    fault, rows = [], oa._rows
+
+    def build(ranks, vertex, wanted):
+        out = rows(ranks, vertex, wanted)
+        if fault and fault[0] in wanted:
+            fault[1](out[list(wanted).index(fault[0])])
+        return out
+    monkeypatch.setattr(oa, "_rows", build)
+    return fault
+
+
+def test_full_table_certifies_the_rows_it_adds(faulty_rows):
+    """A row the full table adds on first read is certified additive,
+    with a kernel of q points, disjoint from every kernel but at 0,
+    the kept rows' included; a faulty kept row never reaches a
+    selection, nor a zero row, the one row of the empty selection."""
     ctx = create(5, 2)
-    rows = oa._rows
-
-    def faulty(at):
-        def build(ranks, vertex, wanted):
-            out = rows(ranks, vertex, wanted)
-            if at in wanted:
-                j = list(wanted).index(at)
-                out[j, 1], out[j, 2] = out[j, 2], out[j, 1]
-            return out
-        return build
-
     sel = subarray_for_connection_set(ctx, (0, 1))
     unkept = max(set(range(6)) - set(sel.kept_rows))
-    monkeypatch.setattr(oa, "_rows", faulty(unkept))
-    sel = subarray_for_connection_set(ctx, (0, 1))
-    with pytest.raises(OAVerificationFailed, match=rf"^row {unkept} symbols are not additive: "):
-        sel.symbol
-    monkeypatch.setattr(oa, "_rows", faulty(sel.rows[1]))
+
+    def swap(row):
+        row[1], row[2] = row[2], row[1]
+
+    def refused_on_read(message):
+        with pytest.raises(OAVerificationFailed, match=message):
+            subarray_for_connection_set(ctx, (0, 1)).symbol
+
+    faulty_rows[:] = [unkept, swap]
+    refused_on_read(rf"^row {unkept} symbols are not additive: ")
+    faulty_rows[:] = [unkept, lambda row: row.fill(0)]
+    refused_on_read(rf"^row {unkept} reads 0 on 25 vertices, not 5$")
+    for kept in sel.kept:  # a copy of a kept row, whose kernel the new row shares
+        faulty_rows[:] = [unkept, lambda row, kept=kept: row.__setitem__(slice(None), kept)]
+        refused_on_read(r"^vertex \d+ has symbol 0 in 2 rows$")
+    faulty_rows[:] = [sel.rows[1], swap]
     with pytest.raises(OAVerificationFailed, match=rf"^row {sel.rows[1]} symbols are not additive: "):
         subarray_for_connection_set(ctx, (0, 1))
+    faulty_rows[:] = [0, lambda row: row.fill(0)]
+    with pytest.raises(OAVerificationFailed, match=r"^row 0 reads 0 on 25 vertices, not 5$"):
+        SubarraySelection(ctx, ())
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_row_certificate_refuses_every_single_cell_fault(q, faulty_rows):
+    """One cell of one row of the table moved to another symbol is
+    refused by the row certificate: through the selection when the row
+    is kept, and through the full table's first read otherwise.  Every
+    cell and every wrong value of every row, on every index set with a
+    free coset, at q = 3; a seeded sample of 200 faults at q = 5 and 9."""
+    ctx = ambient_field(q)
+    cases = [idx for size in range(q + 1) for idx in combinations(range(q + 1), size)
+             if not set(range(1, q + 1)) <= set(idx)]
+    rng = random.Random(q)
+    if q != 3:
+        cases = rng.sample(cases, 20)
+    refused = {True: 0, False: 0}
+    for idx in cases:
+        faulty_rows.clear()
+        sel = subarray_for_connection_set(ctx, idx)
+        table = sel.symbol
+        cells = list(product(range(q + 1), range(ctx.order)))
+        for r, z in (cells if q == 3 else rng.sample(cells, 10)):
+            wrong = [s for s in range(q) if s != table[r, z]]
+            for s in (wrong if q == 3 else [rng.choice(wrong)]):
+                faulty_rows[:] = [r, lambda row, z=z, s=s: row.__setitem__(z, s)]
+                if r in sel.kept_rows:
+                    with pytest.raises(OAVerificationFailed):
+                        subarray_for_connection_set(ctx, idx)
+                else:
+                    faulty = subarray_for_connection_set(ctx, idx)
+                    with pytest.raises(OAVerificationFailed):
+                        faulty.symbol
+                refused[r in sel.kept_rows] += 1
+    if q == 3:
+        assert refused == {True: sum(len(i) + 1 for i in cases) * 9 * 2,
+                           False: sum(3 - len(i) for i in cases) * 9 * 2}
+    else:
+        assert sum(refused.values()) == 200 and min(refused.values()) > 0
 
 
 def test_certificates_leave_the_full_table_unbuilt():

@@ -351,7 +351,15 @@ class FieldCtx:
         q = self.subfield_order
         if not 0 <= index <= q:
             raise IndexOutOfRange(f"coset index {index} outside [0, {q}]")
-        return tuple(np.sort(self._exp_array[index::q + 1]).tolist())
+        return tuple(np.sort(self.coset_powers(index)).tolist())
+
+    def coset_powers(self, index) -> np.ndarray:
+        """g^(i + j (q + 1)) at [..., j] for j < q - 1, i = index or each
+        i in an index array: the coset g^i F_q^* in order of the power
+        h^j of h = g^(q + 1), one gather of the exp table."""
+        step = self.subfield_order + 1
+        i = np.asarray(index, dtype=np.int64)
+        return self._exp_array[np.add.outer(i, np.arange(0, self.order - 1, step))]
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, r={self.r}, modulus={list(self.modulus)})"

@@ -6,14 +6,19 @@ the full array holds y - k*x at column (x, y) (the row at infinity holds
 x), so rows are slopes, columns are points, and the cells of one row
 partition the plane into the q parallel lines of that slope.  Any set
 of rows is one gather through q x q tables of subfield ranks (_rows),
-and the column -> vertex map and the coset cliques are whole label
-arrays computed with FieldCtx.add_array and mul_array, never cell by
-cell.
+and the column -> vertex map (one outer add_array of q labels by q
+multiples of alpha) and the coset cliques (one gather of the exp table
+each, FieldCtx.coset_powers) are whole label arrays, never cell by cell.
 
 An array is fixed by its symbol table: symbol[r, z] is the entry of row
 r at the column of vertex z, the intercept rank of the slope-r line
 through z.  A row is certified by reading its own cells: additive on the
-digit generators (_nonadditive), so a homomorphism F_(q^2) -> F_q.  One
+digit generators (_nonadditive), so a homomorphism F_(q^2) -> F_q.  Its
+additive extension from the generators fills the p - 1 multiples of a
+digit place with one gather of the rank tables: the labels below p are
+F_p, the p least subfield labels, so d has rank d, -d rank p - d, and
+times[d - 1] = minus[p - d] scales by d.  Certifying a row set is then
+R = log_p n gathers of rows x n cells whatever p is.  One
 certificate, _certify_rows, checks every row set _rows builds: each row
 additive with a kernel of q points, and no two kernels sharing a
 nonzero vertex, so any two rows are a bijection onto F_q^2 and show
@@ -66,6 +71,7 @@ from .graphs import DEFAULT_BUDGET, Graph, _bits, _Deadline, _mask_of, enumerate
 
 INFINITY_SLOPE = None  # sentinel for the vertical-line row
 _VERIFY_BINS = 1 << 17
+_EXTEND_CELLS = 1 << 18  # table cells extended at once by _nonadditive
 
 
 @dataclass
@@ -145,14 +151,14 @@ def _list_array(ctx: FieldCtx, vertex, table: np.ndarray, rows) -> OrthogonalArr
 
 def _coordinates(ctx: FieldCtx, sub: np.ndarray, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """The column -> vertex map, vertex[c] = x + y * alpha at column c =
-    (x, y) = (sub[c // q], sub[c % q]), and its inverse column[z].
+    (x, y) = (sub[c // q], sub[c % q]), one outer sum of the q labels x
+    by the q labels y * alpha, and its inverse column[z].
     Raises NotIsomorphicUnderF unless the map is a bijection onto the
     field, its n labels filling all n slots of the inverse, which refuses
     any alpha in F_q."""
-    q = len(sub)
-    vertex = ctx.add_array(np.repeat(sub, q), ctx.mul_array(np.tile(sub, q), alpha))
+    vertex = ctx.add_array(sub[:, None], ctx.mul_array(sub, alpha)).ravel()  # [x, y]
     column = np.full(ctx.order, -1, dtype=np.int64)
-    column[vertex] = np.arange(q * q)
+    column[vertex] = np.arange(ctx.order)
     if (column < 0).any():
         raise NotIsomorphicUnderF("(x, y) -> x + y*alpha is not a bijection onto the field")
     return vertex, column
@@ -178,9 +184,10 @@ def _subfield_ranks(ctx: FieldCtx) -> tuple[np.ndarray, ...]:
     them, -1 off the subfield), the rank-addition table plus[a, b], the
     rank of sub[a] + sub[b], and the table minus[k, a], the rank of
     -sub[k] * sub[a].  minus adds exponents of h = g^(q + 1), which
-    generates F_q^* (its q - 1 powers are the nonzero subfield labels),
-    and -1 = h^((q - 1) / 2).  Raises OAVerificationFailed unless F_q is
-    closed under addition."""
+    generates F_q^*: its q - 1 powers, one stride-(q + 1) slice of the
+    exp table, are the nonzero subfield labels, and -1 = h^((q - 1) /
+    2).  Raises OAVerificationFailed unless F_q is closed under
+    addition."""
     sub = np.array(ctx.subfield_elements(), dtype=np.int64)
     rank = np.full(ctx.order, -1, dtype=np.int16)  # q <= 2^10
     rank[sub] = np.arange(len(sub))
@@ -188,7 +195,7 @@ def _subfield_ranks(ctx: FieldCtx) -> tuple[np.ndarray, ...]:
     if (plus < 0).any():
         raise OAVerificationFailed("the subfield is not closed under addition")
     q = len(sub)
-    power = rank[[ctx.gen_pow(j * (q + 1)) for j in range(q - 1)]]  # rank of h^j
+    power = rank[ctx.coset_powers(0)]  # rank of h^j
     log = np.zeros(q, dtype=np.int64)
     log[power] = np.arange(q - 1)
     minus = power[(log[:, None] + log + (q - 1) // 2) % (q - 1)]
@@ -196,54 +203,69 @@ def _subfield_ranks(ctx: FieldCtx) -> tuple[np.ndarray, ...]:
     return sub, rank, plus, minus
 
 
-def _nonadditive(p: int, plus: np.ndarray,
-                 symbol: np.ndarray) -> Optional[tuple[int, int, int]]:
+def _nonadditive(p: int, ranks, symbol: np.ndarray) -> Optional[tuple[int, int, int]]:
     """The first (row, vertex z, generator g) with symbol[row, z + g] !=
     symbol[row, z] + symbol[row, g] in F_q, g a digit generator p^j, or
-    None.  Each row sigma is compared with its additive extension from
-    the generators, hat(z + d p^j) = hat(z) + d sigma(p^j) for z < p^j,
-    filled block by block through the rank-addition table plus.  hat is
-    a group homomorphism (p sigma(p^j) = 0 in F_q), so sigma = hat
-    certifies sigma additive; at the first vertex z > 0 where they
-    differ, the last digit step z - p^j -> z fails for sigma."""
-    n = symbol.shape[1]
-    hat = np.zeros_like(symbol)
-    place = 1
-    while place < n:
-        gen = symbol[:, [place]]  # sigma(p^j)
-        for d in range(1, p):
-            hat[:, d * place:(d + 1) * place] = plus[hat[:, (d - 1) * place:d * place], gen]
-        place *= p
-    wrong = hat != symbol
-    if not wrong.any():
-        return None
-    i, z = (int(t) for t in np.argwhere(wrong)[0])
-    if z == 0:  # sigma(0) != 0, so sigma(0 + 1) != sigma(0) + sigma(1)
-        return i, 0, 1
-    g = 1
-    while g * p <= z:  # the leading digit place of z
-        g *= p
-    return i, z - g, g
+    None, given _subfield_ranks' tables.  Each row sigma is compared with
+    its additive extension from the generators, hat(z + d p^j) = hat(z)
+    + d sigma(p^j) for z < p^j and 0 < d < p.  Labels below p are the
+    prime-field constants, so F_p is the p least subfield labels: d has
+    rank d and -d rank p - d, and d sigma(p^j) has rank times[d - 1,
+    sigma(p^j)], times[d - 1] = minus[p - d].  Each digit place fills its
+    p - 1 blocks with one gather of the rank-addition table plus, so a
+    row set costs R = log_p n gathers of rows x n cells whatever p is,
+    taken _EXTEND_CELLS cells of rows at a time, which bounds the
+    extension and its index arrays.  hat is a group homomorphism (p
+    sigma(p^j) = 0 in F_q), so sigma = hat certifies sigma additive; at
+    the first vertex z > 0 where they differ, the last digit step z -
+    p^j -> z fails for sigma."""
+    plus, minus = ranks[2], ranks[3]
+    q, flat, times = len(plus), plus.ravel(), minus[p - 1:0:-1]
+    rows, n = symbol.shape
+    step = max(1, _EXTEND_CELLS // n)
+    for lo in range(0, rows, step):
+        sigma = symbol[lo:lo + step]
+        hat = np.zeros_like(sigma)
+        place = 1
+        while place < n:
+            gen = times[:, sigma[:, place]].T  # d sigma(p^j) at [row, d - 1]
+            cells = hat[:, None, :place] * np.intp(q) + gen[:, :, None]  # (rows, d, z)
+            hat[:, place:p * place] = flat.take(cells).reshape(len(sigma), -1)
+            place *= p
+        wrong = hat != sigma
+        if wrong.any():
+            i, z = (int(t) for t in np.argwhere(wrong)[0])
+            if z == 0:  # sigma(0) != 0, so sigma(0 + 1) != sigma(0) + sigma(1)
+                return lo + i, 0, 1
+            g = 1
+            while g * p <= z:  # the leading digit place of z
+                g *= p
+            return lo + i, z - g, g
+    return None
 
 
-def _certify_rows(p: int, plus: np.ndarray, table: np.ndarray, rows,
-                  kernels: np.ndarray) -> np.ndarray:
+def _certify_rows(p: int, ranks, table: np.ndarray, rows, kernels: np.ndarray) -> np.ndarray:
     """Certify rows of a point-line table pairwise strength 2, among
     themselves and with rows certified before, whose kernels (the
-    vertices at 0) are the boolean rows of kernels.  table[j] is row
-    rows[j]: it is additive (_nonadditive), so a homomorphism F_(q^2) ->
-    F_q; it reads 0 on exactly q vertices, a kernel of q points, so it is
-    onto F_q; and no nonzero vertex is at 0 in two rows.  Two such rows
-    have kernels meeting only in 0, so together they are an injective,
-    hence bijective, homomorphism onto F_q^2, which shows each symbol
-    pair once; q + 1 rows put each nonzero vertex at 0 in exactly one.
-    Returns the kernels of table.  Raises OAVerificationFailed naming the
-    row or the vertex."""
-    bad = _nonadditive(p, plus, table)
+    vertices at 0) are the boolean rows of kernels, given
+    _subfield_ranks' tables.  table[j] is row rows[j]: it is additive
+    (_nonadditive), so a homomorphism F_(q^2) -> F_q; it reads 0 on
+    exactly q vertices, a kernel of q points, so it is onto F_q; and no
+    nonzero vertex is at 0 in two rows.  Two such rows have kernels
+    meeting only in 0, so together they are an injective, hence
+    bijective, homomorphism onto F_q^2, which shows each symbol pair
+    once; q + 1 rows put each nonzero vertex at 0 in exactly one.  The
+    count of q is implied whenever two or more kernels are seen, as
+    additive rows have kernels of at least n / q = q points and two
+    meeting only in 0 span |K1| |K2| <= n points; it is the one refusal
+    of a wrong-sized kernel in the one kept row of the empty selection,
+    so it stays.  Returns the kernels of table.  Raises
+    OAVerificationFailed naming the row or the vertex."""
+    bad = _nonadditive(p, ranks, table)
     if bad is not None:
         raise OAVerificationFailed(
             f"row {rows[bad[0]]} symbols are not additive: vertex {bad[1]} plus {bad[2]}")
-    q = len(plus)
+    q = len(ranks[0])
     zeros = table == 0
     counts = np.count_nonzero(zeros, axis=1)
     bad = np.flatnonzero(counts != q)
@@ -319,7 +341,7 @@ class SubarraySelection:
                      for a, b in zip(u.tolist(), v.tolist()))
         kept_rows = rows + (min(set(range(q + 1)) - set(rows)),)
         kept = _rows(ranks, vertex, kept_rows)
-        zeros = _certify_rows(ctx.p, ranks[2], kept, kept_rows, np.zeros((0, ctx.order), bool))
+        zeros = _certify_rows(ctx.p, ranks, kept, kept_rows, np.zeros((0, ctx.order), bool))
         neighbors = _bitset(zeros[:len(idx), 1:].any(axis=0)) << 1  # vertices 1, 2, ...
         for name, value in (("alpha", alpha), ("rows", rows), ("kept_rows", kept_rows),
                             ("vertex_of_column", read_only(vertex)),
@@ -357,7 +379,7 @@ class SubarraySelection:
         table = np.empty((self.q + 1, self.ctx.order), dtype=np.int16)
         table[list(self.kept_rows)] = self.kept
         table[rest] = _rows(self._ranks, self.vertex_of_column, rest)
-        _certify_rows(self.ctx.p, self._ranks[2], table[rest], rest, self.kept == 0)
+        _certify_rows(self.ctx.p, self._ranks, table[rest], rest, self.kept == 0)
         return read_only(table)
 
 
@@ -430,15 +452,17 @@ def certify_coset_lines(sel: SubarraySelection) -> None:
     clique g^i F_q + delta * alpha of its coset i, by 2 m q reads of the
     kept rows.  Used row j reads 0 on the q points of g^i F_q, distinct
     as multiplication by g^i != 0 permutes the field, so they are its
-    whole kernel (q points, _certify_rows); it reads rank(delta) at delta
-    * alpha, so by additivity it reads rank(delta) on every point of g^i
-    F_q + delta * alpha, which is then the line of that symbol.  Raises
+    whole kernel (q points, _certify_rows): on 0 at delta = 0 below, and
+    on the coset g^i F_q^*, whose m rows are one gather of the exp table
+    (FieldCtx.coset_powers).  It reads rank(delta) at delta * alpha, so
+    by additivity it reads rank(delta) on every point of g^i F_q + delta
+    * alpha, which is then the line of that symbol.  Raises
     CorrespondenceFailed naming the row and the first symbol whose line
     differs (symbol 0 when the kernel read fails)."""
     ctx, q, m = sel.ctx, sel.q, sel.m
     sub = sel._ranks[0]
     used = sel.kept[:m]
-    kernels = np.array([ctx.mul_array(sub, ctx.gen_pow(i)) for i in sel.coset_indices])
+    kernels = ctx.coset_powers(sel.coset_indices)  # g^i F_q^* at row j
     bad = used[:, ctx.mul_array(sub, sel.alpha)] != np.arange(q)  # at delta * alpha
     bad[:, 0] |= np.take_along_axis(used, kernels, axis=1).any(axis=1)
     if bad.any():

@@ -162,7 +162,7 @@ def build_whd(x: Graph, sel: SubarraySelection) -> WhdCertificate:
     q, m = sel.q, sel.m
     k = m * (q - 1)
     thetas = [q - m if r in sel.row_positions else -m for r in range(q + 1)]
-    diagonal = (0,) + tuple(k - t for t in thetas for _ in range(q - 1))
+    diagonal = (0,) + tuple(np.repeat(k - np.array(thetas), q - 1).tolist())
     used = tuple(sel.ctx.subfield_elements()[r] for r in sel.row_positions)
     return WhdCertificate(sel.symbol, diagonal, used)
 

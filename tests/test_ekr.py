@@ -203,10 +203,10 @@ def assert_table_fault_refused(sel, r, fault):
         sel.kept[sel.kept_rows.index(r), 0] = 1
     bad = sel.symbol.copy()
     fault(bad)
-    plus, none = _subfield_ranks(sel.ctx)[2], np.zeros((0, sel.ctx.order), dtype=bool)
+    ranks, none = _subfield_ranks(sel.ctx), np.zeros((0, sel.ctx.order), dtype=bool)
     for rows in (list(sel.kept_rows), list(range(sel.q + 1))):
         with pytest.raises(OAVerificationFailed, match=rf"^row {r} symbols are not additive: "):
-            _certify_rows(sel.ctx.p, plus, bad[rows], rows, none)
+            _certify_rows(sel.ctx.p, ranks, bad[rows], rows, none)
     return bad
 
 
@@ -1338,11 +1338,11 @@ def refuse(sel, fault):
         print("refused write:", e)
     bad = sel.symbol.copy()
     fault(bad)
-    plus, none = _subfield_ranks(sel.ctx)[2], np.zeros((0, sel.ctx.order), dtype=bool)
+    ranks, none = _subfield_ranks(sel.ctx), np.zeros((0, sel.ctx.order), dtype=bool)
     verdicts = []
     for rows in (list(sel.kept_rows), list(range(sel.q + 1))):
         try:
-            _certify_rows(sel.ctx.p, plus, bad[rows], rows, none)
+            _certify_rows(sel.ctx.p, ranks, bad[rows], rows, none)
             verdicts.append("accepted table")
         except OAVerificationFailed as e:
             verdicts.append(f"rejected table: {e}")

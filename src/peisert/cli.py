@@ -12,6 +12,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -305,36 +306,33 @@ def cmd_whd_verify(args) -> int:
                   "diagonalizes": True, "n": n})
 
 
-def _case_study_table(ctx, basis, dec) -> tuple[list[list[dict]], bool]:
+def _case_study_table(sel, basis, dec) -> tuple[list[list[dict]], bool]:
     """Evaluate the pinned 8 x 5 coefficient table cell by cell.
 
-    Each cell names the clique a^j F_9 + t; it must be one of the 40
-    basis cliques, and its decomposition coefficient must be -1/3 on
-    shaded cells and 0 elsewhere.
+    Each cell names the clique a^j F_9 + t, the coset-j line through t
+    (oa.certify_coset_lines), so it is keyed by coset j and the symbol
+    the coset-j row reads at t.  It must be one of the 40 basis cliques,
+    and its decomposition coefficient must be -1/3 on shaded cells and 0
+    elsewhere.
     """
-    sub = ctx.subfield_elements()
-    value_of = {cl.vertices: b for cl, b in zip(basis.basis_cliques, dec.coefficients)}
-    label_of = {cl.vertices: (cl.coset, cl.intercept) for cl in basis.basis_cliques}
+    ctx = sel.ctx
+    a, a2 = ctx.gen_pow(1), ctx.gen_pow(2)
+    value_of = {(cl.coset, cl.intercept): b for cl, b in zip(basis.basis_cliques, dec.coefficients)}
     table = []
     match = True
     seen = set()
     for i, row in enumerate(CASE_STUDY_CELLS):
         out_row = []
         for j, (c0, c1, c2) in enumerate(row):
-            t = ctx.add(ctx.add(c0, ctx.mul(c1, ctx.gen_pow(1))),
-                        ctx.mul(c2, ctx.gen_pow(2)))
-            rep = ctx.gen_pow(j)
-            verts = tuple(sorted(ctx.add(ctx.mul(rep, u), t) for u in sub))
-            if verts not in value_of:
+            t = ctx.add(ctx.add(c0, ctx.mul(c1, a)), ctx.mul(c2, a2))
+            key = (j, int(sel.kept[sel.coset_indices.index(j), t]))
+            if key not in value_of:
                 raise ReproductionMismatch(f"table cell ({i}, {j}) is not a basis clique")
-            seen.add(verts)
-            value = value_of[verts]
+            seen.add(key)
+            value = value_of[key]
             expected = Fraction(-1, 3) if CASE_STUDY_SHADED[i][j] else Fraction(0)
-            cell_ok = value == expected
-            match = match and cell_ok
-            out_row.append({"s_power": j, "t": [c0, c1, c2],
-                            "clique": label_of[verts], "value": _frac(value),
-                            "shaded": CASE_STUDY_SHADED[i][j], "match": cell_ok})
+            match = match and value == expected
+            out_row.append({"s_power": j, "t": [c0, c1, c2], "value": _frac(value)})
         table.append(out_row)
     if len(seen) != 40:
         raise ReproductionMismatch(f"table covers {len(seen)} basis cliques, not all 40 once")
@@ -342,34 +340,29 @@ def _case_study_table(ctx, basis, dec) -> tuple[list[list[dict]], bool]:
 
 
 def cmd_reproduce_81(args) -> int:
-    """Re-derive the GF(81) case study from the pinned modulus and check
-    every pinned value; any disagreement exits nonzero."""
+    """Re-derive the GF(81) case study from the pinned modulus by
+    survey.analyze_graph, one budget bounding its audit and its bound,
+    and check every pinned value on its report; any disagreement exits
+    nonzero."""
     from .field import create
     ctx = create(3, 4, CASE_STUDY_MODULUS)
     idx = graphs.family_cosets(ctx, "gpstar", 10)
     if tuple(sorted(idx)) != (0, 1, 2, 3, 4):
         raise ReproductionMismatch("connection set is not cosets 0..4")
-    g = graphs.build_cayley(ctx, idx)
-    params = graphs.srg_certify(g)
+    rep = survey.analyze_graph(ctx, idx, budget=args.budget)
+    params, full = rep.srg, rep.audit
     if (params.n, params.k, params.lam, params.mu) != (81, 40, 19, 20):
         raise ReproductionMismatch(f"srg parameters {params}")
 
-    sel = oa.subarray_for_connection_set(ctx, idx)
-    full = ekr.strict_ekr_audit(g, sel, budget=args.budget)
-    through_0 = list(full.through_0)
+    through_0 = full.through_0
     non_canonical_0 = [c for c in full.non_canonical if 0 in c]
+    # the canonical ones are the lines a^i F_9 (oa.certify_coset_lines)
     canonical_0 = len(through_0) - len(non_canonical_0)
     if full.omega != 9 or len(through_0) != 9:
         raise ReproductionMismatch(
             f"expected 9 maximum cliques through 0, found {len(through_0)}")
     if canonical_0 != 5:
         raise ReproductionMismatch(f"canonical count {canonical_0} != 5")
-
-    sub = ctx.subfield_elements()
-    canonical_through_0 = {tuple(sorted(ctx.mul(ctx.gen_pow(i), t) for t in sub))
-                           for i in range(5)}
-    if not canonical_through_0 <= set(through_0):
-        raise ReproductionMismatch("a^i F_9 cliques missing from the enumeration")
 
     def span(i, j):
         out = set()
@@ -378,21 +371,19 @@ def cmd_reproduce_81(args) -> int:
                 out.add(ctx.add(ctx.mul(c1, ctx.gen_pow(i)), ctx.mul(c2, ctx.gen_pow(j))))
         return tuple(sorted(out))
 
-    expected_nc = {span(0, 3): "C1", span(1, 10): "C2",
-                   span(11, 20): "C3", span(30, 33): "C4"}
-    if set(non_canonical_0) != set(expected_nc):
+    spans = {"C1": span(0, 3), "C2": span(1, 10), "C3": span(11, 20), "C4": span(30, 33)}
+    if set(non_canonical_0) != set(spans.values()):
         raise ReproductionMismatch("non-canonical cliques differ from the four spans")
     if full.clique_count != 81 or full.canonical_count != 45:
         raise ReproductionMismatch(
             f"full audit found {full.clique_count} cliques, {full.canonical_count} canonical")
 
-    basis = ekr.build_ekr_basis(g, sel)
-    dec = ekr.decompose_clique(g, basis, span(1, 10))
+    dec = rep.decompositions_through_0[through_0.index(spans["C2"])]
     hist = {_frac(v): c for v, c in sorted(dec.histogram.items())}
     if dec.zero_count != 16 or dec.histogram.get(Fraction(-1, 3)) != 24:
         raise ReproductionMismatch(f"C2 histogram {hist}")
 
-    table, positional = _case_study_table(ctx, basis, dec)
+    table, positional = _case_study_table(rep.selection, rep.basis, dec)
 
     if args.table_out:
         lines = []
@@ -412,8 +403,7 @@ def cmd_reproduce_81(args) -> int:
         with open(args.table_out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    cert = whd.build_whd(g, sel)
-    tally = _tally(cert.diagonal)
+    tally = _tally(rep.whd_cert.diagonal)
     if tally != {"0": 1, "36": 40, "45": 40}:
         raise ReproductionMismatch(f"whd diagonal tally {tally}")
 
@@ -423,8 +413,7 @@ def cmd_reproduce_81(args) -> int:
         "omega": 9,
         "maximum_cliques_through_0": 9,
         "canonical_through_0": 5,
-        "non_canonical_through_0": {name: list(span_verts)
-                                    for span_verts, name in expected_nc.items()},
+        "non_canonical_through_0": {name: list(verts) for name, verts in spans.items()},
         "full_count": full.clique_count,
         "c2_histogram": hist,
         "residual_zero": dec.residual_zero,
@@ -467,7 +456,10 @@ def cmd_survey(args) -> int:
 
 # ----- wiring ----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process.  It names each command only
+    by its words: main runs cmd_<words>, looked up when it runs."""
     p = _Parser(prog="peisert")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -476,74 +468,60 @@ def build_parser() -> _Parser:
     fi.add_argument("--p", type=int, required=True)
     fi.add_argument("--r", type=int, required=True)
     fi.add_argument("--modulus", type=str)
-    fi.set_defaults(func=cmd_field_inspect)
 
     g = sub.add_parser("graph").add_subparsers(dest="sub", required=True)
     gb = g.add_parser("build")
     _add_graph_args(gb)
     gb.add_argument("--out", type=str)
-    gb.set_defaults(func=cmd_graph_build)
     gs = g.add_parser("srg")
     _add_graph_args(gs)
-    gs.set_defaults(func=cmd_graph_srg)
     gc = g.add_parser("cliques")
     _add_graph_args(gc)
     gc.add_argument("--target", type=int)
     gc.add_argument("--through", type=int)
     gc.add_argument("--budget", type=float)
-    gc.set_defaults(func=cmd_graph_cliques)
 
     o = sub.add_parser("oa").add_subparsers(dest="sub", required=True)
     ob = o.add_parser("build")
     _add_graph_args(ob)
     ob.add_argument("--out", type=str)
-    ob.set_defaults(func=cmd_oa_build)
     ov = o.add_parser("verify")
     ov.add_argument("file")
-    ov.set_defaults(func=cmd_oa_verify)
     og = o.add_parser("blockgraph")
     og.add_argument("file")
     og.add_argument("--out", type=str)
-    og.set_defaults(func=cmd_oa_blockgraph)
 
     e = sub.add_parser("ekr").add_subparsers(dest="sub", required=True)
     ea = e.add_parser("audit")
     _add_graph_args(ea)
     ea.add_argument("--through", type=int)
     ea.add_argument("--budget", type=float)
-    ea.set_defaults(func=cmd_ekr_audit)
     ed = e.add_parser("decompose")
     _add_graph_args(ed)
     ed.add_argument("--clique", type=str, required=True)
-    ed.set_defaults(func=cmd_ekr_decompose)
     ec = e.add_parser("counterexample")
     ec.add_argument("--q", type=int, required=True)
     ec.add_argument("--subfield", type=int, required=True)
     ec.add_argument("--modulus", type=str)
     ec.add_argument("--budget", type=float)
-    ec.set_defaults(func=cmd_ekr_counterexample)
 
     w = sub.add_parser("whd").add_subparsers(dest="sub", required=True)
     wb = w.add_parser("build")
     _add_graph_args(wb)
     wb.add_argument("--out", type=str)
-    wb.set_defaults(func=cmd_whd_build)
     wv = w.add_parser("verify")
     wv.add_argument("file")
     _add_graph_args(wv)
-    wv.set_defaults(func=cmd_whd_verify)
 
     r81 = sub.add_parser("reproduce-81")
     r81.add_argument("--budget", type=float)
     r81.add_argument("--table-out", type=str)
-    r81.set_defaults(func=cmd_reproduce_81)
 
     sv = sub.add_parser("survey")
     sv.add_argument("--q", type=str, default="3,5,7,9")
     sv.add_argument("--minimum", type=int, default=10)
     sv.add_argument("--seed", type=int, default=survey.DEFAULT_SEED)
     sv.add_argument("--budget", type=float)
-    sv.set_defaults(func=cmd_survey)
     return p
 
 
@@ -552,7 +530,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if "budget" in vars(args) and args.budget is None:
             args.budget = default_budget()
-        return args.func(args)
+        words = [args.cmd] + ([args.sub] if "sub" in vars(args) else [])
+        return globals()["cmd_" + "_".join(words).replace("-", "_")](args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 3
     except SearchTimeout as e:

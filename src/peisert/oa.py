@@ -373,13 +373,16 @@ class SubarraySelection:
         read from the rank tables and the column -> vertex map the
         selection holds.  Only the rows not kept are built, and
         _certify_rows certifies them against the kept rows' kernels,
-        never re-deriving the kept rows' additivity.  A cached property,
-        not a field, so dataclasses.replace never copies it."""
+        never re-deriving the kept rows' additivity, before they are
+        copied into the table.  A cached property, not a field, so
+        dataclasses.replace never copies it."""
         rest = [r for r in range(self.q + 1) if r not in self.kept_rows]
+        built = _rows(self._ranks, self.vertex_of_column, rest)
+        _certify_rows(self.ctx.p, self._ranks, built, rest, self.kept == 0)
         table = np.empty((self.q + 1, self.ctx.order), dtype=np.int16)
         table[list(self.kept_rows)] = self.kept
-        table[rest] = _rows(self._ranks, self.vertex_of_column, rest)
-        _certify_rows(self.ctx.p, self._ranks, table[rest], rest, self.kept == 0)
+        table[rest] = built
+        del built  # freed before read_only copies the table
         return read_only(table)
 
 

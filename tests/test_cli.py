@@ -151,6 +151,23 @@ def test_whd_round_trip(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("column, source, message", [
+    (3, 1, "not weakly Hadamard: ('cycle', (1, 2, 3))"),
+    (8, None, "columns are rank deficient"),
+])
+def test_whd_verify_refuses_an_edited_matrix(capsys, tmp_path, column, source, message):
+    """A right-sized file whose matrix lost a column: a copy of another
+    column makes a cycle of nonorthogonal columns, and a zero column
+    passes the path-union test and is refused by the exact rank."""
+    path = tmp_path / "whd.csv"
+    run_json(capsys, "whd", "build", "--q", "3", "--family", "paley", "--out", str(path))
+    matrix, diag = whd.whd_from_csv(path.read_text())
+    matrix[:, column] = 0 if source is None else matrix[:, source]
+    path.write_text("\n".join(",".join(map(str, row)) for row in [diag, *matrix.tolist()]))
+    assert main(["whd", "verify", str(path), "--q", "3", "--family", "paley"]) == 1
+    assert capsys.readouterr().err == f"verification failed: {message}\n"
+
+
 def test_reproduce_81(capsys, tmp_path):
     table = tmp_path / "table.csv"
     rep = run_json(capsys, "reproduce-81", "--table-out", str(table))
@@ -170,6 +187,29 @@ def test_reproduce_81_runs_one_audit(capsys, monkeypatch):
     searches = counted(monkeypatch, graphs.transversal_cliques)
     run_json(capsys, "reproduce-81")
     assert len(audits) == 1 and len(searches) == 1
+
+
+def test_reproduce_81_reads_one_analyze_graph_report(capsys, monkeypatch):
+    """reproduce-81 reads the one report analyze_graph certifies: every
+    stage runs once, inside it, and no clique is decomposed on its own."""
+    reports = counted(monkeypatch, survey.analyze_graph)
+    stages = [counted(monkeypatch, fn) for fn in (
+        graphs.build_cayley, graphs.srg_certify, oa.subarray_for_connection_set,
+        ekr.strict_ekr_audit, ekr.build_ekr_basis, ekr.decompose_cliques, whd.build_whd,
+        oa.certify_coset_lines, oa.certify_clique_bound)]
+    singles = counted(monkeypatch, ekr.decompose_clique)
+    run_json(capsys, "reproduce-81")
+    assert len(reports) == 1
+    assert [len(calls) for calls in stages] == [1] * len(stages)
+    assert singles == []
+
+
+def test_reproduce_81_bound_gets_the_time_the_audit_left(capsys, monkeypatch):
+    """The audit gets the budget less the Cayley build, the bound the
+    time left after the audit."""
+    budgets = staged_clock(monkeypatch)
+    run_json(capsys, "reproduce-81", "--budget", "1000")
+    assert budgets == [999, 989]
 
 
 def test_bench_spans_name_existing_functions():

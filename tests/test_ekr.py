@@ -1644,14 +1644,15 @@ from peisert.errors import ReproductionMismatch
 print("debug", __debug__)
 ctx = create(3, 4, cli.CASE_STUDY_MODULUS)
 g = build_cayley(ctx, (0, 1, 2, 3, 4))
-basis = build_ekr_basis(g, subarray_for_connection_set(ctx, (0, 1, 2, 3, 4)))
+sel = subarray_for_connection_set(ctx, (0, 1, 2, 3, 4))
+basis = build_ekr_basis(g, sel)
 dec = decompose_clique(g, basis, basis.basis_cliques[0].vertices)
 for cells, cut in ((cli.CASE_STUDY_CELLS, 1),  # a basis clique missing
                    ([cli.CASE_STUDY_CELLS[0]] * 8, 0)):  # one row repeated
     cli.CASE_STUDY_CELLS = cells
     short = SimpleNamespace(basis_cliques=basis.basis_cliques[cut:])  # the table reads no more
     try:
-        cli._case_study_table(ctx, short, dec)
+        cli._case_study_table(sel, short, dec)
         print("accepted")
     except ReproductionMismatch as e:
         print("rejected", e)

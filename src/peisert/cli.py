@@ -284,7 +284,7 @@ def cmd_whd_build(args) -> int:
 
 
 def cmd_whd_verify(args) -> int:
-    _, _, g, params = _certified_graph(args)
+    g = graphs.build_cayley(*_resolve_graph(args))
     with open(args.file) as fh:
         matrix, diag = whd.whd_from_csv(fh.read())
     n = g.n
@@ -293,11 +293,12 @@ def cmd_whd_verify(args) -> int:
     wh = whd.is_weakly_hadamard(matrix)
     if not wh.ok:
         raise CertificationFailed(f"not weakly Hadamard: {wh.obstruction}")
-    if not linalg.certified_full_column_rank(matrix):
+    if not linalg.certified_full_column_rank(matrix, wh.ordering):
         raise CertificationFailed("columns are rank deficient")
-    # L P = k P - A P; row u of A P sums the rows u + s of P over s in N(0)
+    # L P = k P - A P; row u of A P sums the rows u + s of P over s in N(0),
+    # and k = |N(0)|, as every row of a Cayley graph is a translate of S
     at = np.arange(n)
-    lap = params.k * matrix - sum(matrix[g.field.add_array(at, s)] for s in g.neighbors(0))
+    lap = g.degree(0) * matrix - sum(matrix[g.field.add_array(at, s)] for s in g.neighbors(0))
     if not np.array_equal(lap, matrix * np.array(diag, dtype=np.int64)[None, :]):
         raise CertificationFailed("L P != P D for the stored diagonal")
     return _emit(dict(_graph_config(args), command="whd verify",

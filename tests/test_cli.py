@@ -154,11 +154,14 @@ def test_whd_round_trip(capsys, tmp_path):
 @pytest.mark.parametrize("column, source, message", [
     (3, 1, "not weakly Hadamard: ('cycle', (1, 2, 3))"),
     (8, None, "columns are rank deficient"),
+    (2, 1, "columns are rank deficient"),
 ])
 def test_whd_verify_refuses_an_edited_matrix(capsys, tmp_path, column, source, message):
-    """A right-sized file whose matrix lost a column: a copy of another
-    column makes a cycle of nonorthogonal columns, and a zero column
-    passes the path-union test and is refused by the exact rank."""
+    """A right-sized file whose matrix lost a column.  Column 1 copied
+    over column 3 makes a cycle of nonorthogonal columns.  A zero
+    column, and column 1 copied over its neighbour column 2 (no zero
+    column), pass the path-union test, and the continuant of the
+    ordered Gram refuses both."""
     path = tmp_path / "whd.csv"
     run_json(capsys, "whd", "build", "--q", "3", "--family", "paley", "--out", str(path))
     matrix, diag = whd.whd_from_csv(path.read_text())

@@ -1,11 +1,14 @@
 """Weakly Hadamard recognition and Laplacian diagonalization certificates.
 
 The recognizer is checked against an all-orderings oracle on every
-matrix small enough to brute force.
+matrix small enough to brute force, and the continuant rank certificate
+against Fraction elimination.
 """
 
 import random
-from itertools import permutations
+from fractions import Fraction
+from itertools import permutations, product
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from peisert import (
     whd_to_csv,
 )
 from peisert.errors import BadEntries, NotSquare
+from peisert.linalg import certified_full_column_rank
 from peisert.whd import nonorthogonality_edges
 from test_ekr import (
     eigenfunction_check,
@@ -179,6 +183,76 @@ def test_ordering_keeps_components_together():
     for comp in ({0, 1}, {2, 3}):
         places = sorted(pos[c] for c in comp)
         assert places[1] - places[0] == 1  # each path stays contiguous
+
+
+def rank_exact(matrix: Sequence[Sequence]) -> int:
+    """Rank over the rationals by Fraction elimination."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        pr = rows[rank]
+        inv = 1 / pr[col]
+        for j in range(col, ncols):
+            pr[j] *= inv
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col] != 0:
+                f = rows[i][col]
+                ri = rows[i]
+                for j in range(col, ncols):
+                    ri[j] -= f * pr[j]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def rank_cases():
+    """Every {-1, 0, 1} matrix with n <= 3, a seeded sample of sparse
+    ones and of path and cycle unions (component_matrix) at n = 4..7, and the
+    built P at q = 3, 5 and 7, whole and with its last column zeroed."""
+    for n in (1, 2, 3):
+        for flat in product((-1, 0, 1), repeat=n * n):
+            yield np.array(flat, dtype=np.int64).reshape(n, n)
+    rng = random.Random(3600)
+    for n in range(4, 8):
+        for _ in range(150):
+            yield np.array([[rng.choice((-1, 0, 0, 0, 0, 1)) for _ in range(n)]
+                            for _ in range(n)], dtype=np.int64)
+            yield np.array(component_matrix(rng, random_shape(rng, n))[0], dtype=np.int64)
+    for q, idx in ((3, (0, 2)), (5, (0, 1)), (7, (0, 1, 3))):
+        P = build_cert(q, idx)[2].matrix.astype(np.int64)
+        yield P
+        P = P.copy()
+        P[:, -1] = 0
+        yield P
+
+
+def test_continuant_rank_matches_fraction_elimination():
+    """Under the recognizer's ordering, the continuant of the tridiagonal
+    Gram decides full column rank as the Fraction oracle does, on every
+    weakly Hadamard matrix among rank_cases()."""
+    seen = {}
+    for m in rank_cases():
+        res = is_weakly_hadamard(m)
+        if not res.ok:
+            continue
+        n = m.shape[1]
+        full = rank_exact(m.tolist()) == n
+        assert certified_full_column_rank(m, res.ordering) == full, m.tolist()
+        seen[n > 3, full] = seen.get((n > 3, full), 0) + 1
+    # both verdicts, among the exhaustive cases and among the larger ones
+    assert len(seen) == 4, seen
 
 
 def test_input_validation():
